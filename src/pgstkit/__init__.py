@@ -51,7 +51,6 @@ from .graphs import (
     add_apex,
     add_potential,
     coarsest_equitable_refinement,
-    delete_vertices,
     glue,
     glue_path,
     graph_digest,

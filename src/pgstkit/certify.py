@@ -86,22 +86,9 @@ class Relation(NamedTuple):
 # the trace/degree sufficient condition
 
 
-def _decomposition_evidence(dec: CospectralDecomposition) -> dict:
-    return {
-        "p_plus": str(dec.p_plus),
-        "p_minus": str(dec.p_minus),
-        "p_zero": str(dec.p_zero),
-        "deg_plus": dec.deg_plus,
-        "deg_minus": dec.deg_minus,
-        "deg_zero": dec.deg_zero,
-        "trace_plus": str(dec.trace_plus),
-        "trace_minus": str(dec.trace_minus),
-    }
-
-
 def _inconclusive(failed: str, dec: CospectralDecomposition, **details) -> Certificate:
     evidence = {"failed_hypothesis": failed}
-    evidence.update(_decomposition_evidence(dec))
+    evidence.update(dec.as_json_dict())
     evidence.update({k: v for k, v in details.items()})
     return Certificate(Verdict.INCONCLUSIVE, evidence)
 
@@ -173,17 +160,25 @@ def _run_tr_deg_checks(
                 "one-sided trace membership with identically zero separation"
             )
         evidence["trace_membership_symbol"] = membership_sym
-    evidence.update(_decomposition_evidence(dec))
+    evidence.update(dec.as_json_dict())
     evidence.update(extra)
     return Certificate(Verdict.PROVEN_PGST, evidence)
 
 
-def certify_tr_deg(g: Graph, u: int, v: int, sym: str) -> Certificate:
+def certify_tr_deg(
+    g: Graph, u: int, v: int, sym: str, dec: CospectralDecomposition | None = None
+) -> Certificate:
     """Certify PGST for a graph carrying the symbol sym at u and v.
 
     Preconditions (DomainError when violated): u, v distinct; sym occurs
     with coefficient exactly 1 in the potentials at u and at v and nowhere
     else; substituting sym = 0 leaves a cospectral pair.
+
+    dec, when given, must be decompose(to_matrix(g), u, v); a caller that
+    already holds it saves recomputing it. A cospectral pair stays
+    cospectral at sym = 0, so only a failed decomposition needs the base
+    check, which substitutes sym = 0 into the two vertex-deleted
+    characteristic polynomials the failure carries.
 
     Verdict is ProvenPGST or Inconclusive; this route never proves a
     negative.
@@ -191,18 +186,18 @@ def certify_tr_deg(g: Graph, u: int, v: int, sym: str) -> Certificate:
     if u == v:
         raise DomainError("need two distinct vertices")
     _require_symbol_at_pair(g, u, v, sym)
-    base = to_matrix(g).substitute(sym, 0)
-    if not is_cospectral(base, u, v):
-        raise DomainError(
-            f"vertices ({u},{v}) are not cospectral once {sym} is set to 0"
-        )
-    m = to_matrix(g)
-    try:
-        dec = decompose(m, u, v)
-    except NotCospectralError as exc:
-        raise InternalConsistencyError(
-            "pair potential broke cospectrality; the expansion identity must have failed"
-        ) from exc
+    if dec is None:
+        try:
+            dec = decompose(to_matrix(g), u, v)
+        except NotCospectralError as exc:
+            phi_u, phi_v = (p.subs_sym(sym, 0) for p in exc.charpolys)
+            if phi_u != phi_v:
+                raise DomainError(
+                    f"vertices ({u},{v}) are not cospectral once {sym} is set to 0"
+                ) from exc
+            raise InternalConsistencyError(
+                "pair potential broke cospectrality; the expansion identity must have failed"
+            ) from exc
     return _run_tr_deg_checks(dec, sym, {})
 
 
@@ -255,7 +250,7 @@ def parity_obstruction(dec: CospectralDecomposition) -> Certificate | None:
             dec.trace_plus.symbols or dec.trace_minus.symbols
         ),
     }
-    evidence.update(_decomposition_evidence(dec))
+    evidence.update(dec.as_json_dict())
     return Certificate(Verdict.PROVEN_NO_PGST, evidence)
 
 
@@ -283,8 +278,8 @@ def integer_relation_search(
     """
     if bound < 1:
         raise DomainError(f"coefficient bound must be >= 1, got {bound}")
-    if precision <= 0:
-        raise DomainError(f"precision must be positive, got {precision}")
+    if not 0 < precision < float("inf"):
+        raise DomainError(f"precision must be positive and finite, got {precision}")
     r, s = len(lambdas), len(mus)
     if r + s == 0:
         return []

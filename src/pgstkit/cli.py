@@ -28,7 +28,7 @@ from pathlib import Path
 
 from . import certify as certify_mod
 from . import walk
-from .errors import DomainError, ParseError, PgstError, StructuralError
+from .errors import DomainError, NotCospectralError, ParseError, StructuralError
 from .exact import SparsePoly, poly_gcd_t
 from .fixtures import get_fixture
 from .graphs import (
@@ -41,7 +41,7 @@ from .graphs import (
     serialize_graph_text,
     to_matrix,
 )
-from .spectral import decompose, is_cospectral
+from .spectral import CospectralDecomposition, decompose
 
 SCHEMA_VERSION = 1
 DEFAULT_SURROGATE = math.pi
@@ -58,7 +58,7 @@ def main(argv: list[str] | None = None) -> int:
     except (DomainError, StructuralError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(json.dumps(report, indent=2))
+    print(json.dumps(report, indent=2, allow_nan=False))
     return 0
 
 
@@ -159,9 +159,12 @@ def _parse_value(text: str) -> float:
     if text.strip().lower() == "pi":
         return math.pi
     try:
-        return float(Fraction(text)) if "/" in text else float(text)
+        value = float(Fraction(text)) if "/" in text else float(text)
     except ValueError:
         raise ParseError(f"bad numeric value {text!r}") from None
+    if not math.isfinite(value):
+        raise ParseError(f"numeric value must be finite, got {text!r}")
+    return value
 
 
 def _input_block(source: str, g: Graph, u: int, v: int) -> dict:
@@ -174,27 +177,14 @@ def _input_block(source: str, g: Graph, u: int, v: int) -> dict:
     }
 
 
-def _exact_block(g: Graph, u: int, v: int) -> tuple[dict, object | None]:
-    m = to_matrix(g)
-    if not is_cospectral(m, u, v):
-        return {"cospectral": False, "strongly_cospectral": False, "decomposition": None}, None
-    dec = decompose(m, u, v)
-    strongly = poly_gcd_t(dec.p_plus, dec.p_minus).is_one()
-    block = {
+def _exact_block(dec: CospectralDecomposition | None) -> dict:
+    if dec is None:
+        return {"cospectral": False, "strongly_cospectral": False, "decomposition": None}
+    return {
         "cospectral": True,
-        "strongly_cospectral": strongly,
-        "decomposition": {
-            "p_plus": str(dec.p_plus),
-            "p_minus": str(dec.p_minus),
-            "p_zero": str(dec.p_zero),
-            "deg_plus": dec.deg_plus,
-            "deg_minus": dec.deg_minus,
-            "deg_zero": dec.deg_zero,
-            "trace_plus": str(dec.trace_plus),
-            "trace_minus": str(dec.trace_minus),
-        },
+        "strongly_cospectral": poly_gcd_t(dec.p_plus, dec.p_minus).is_one(),
+        "decomposition": dec.as_json_dict(),
     }
-    return block, dec
 
 
 def _numeric_block(
@@ -237,7 +227,10 @@ def cmd_analyze(args) -> dict:
         value, sym = _parse_potential(args.potential)
         g = add_potential(add_potential(g, u, value), v, value)
 
-    exact_block, dec = _exact_block(g, u, v)
+    try:
+        dec = decompose(to_matrix(g), u, v)
+    except NotCospectralError:
+        dec = None
 
     if dec is None:
         certificate = certify_mod.Certificate(
@@ -248,7 +241,7 @@ def cmd_analyze(args) -> dict:
             },
         )
     elif sym is not None:
-        certificate = certify_mod.certify_tr_deg(g, u, v, sym)
+        certificate = certify_mod.certify_tr_deg(g, u, v, sym, dec)
         if certificate.verdict is not certify_mod.Verdict.PROVEN_PGST:
             parity = certify_mod.parity_obstruction(dec)
             if parity is not None:
@@ -272,7 +265,7 @@ def cmd_analyze(args) -> dict:
         "command": "analyze",
         "input": _input_block(source, g, u, v),
         "potential": args.potential,
-        "exact": exact_block,
+        "exact": _exact_block(dec),
         "certificate": certificate.as_json_dict(),
     }
 

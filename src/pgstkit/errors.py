@@ -35,7 +35,15 @@ class ParseError(PgstError):
 
 
 class NotCospectralError(DomainError):
-    """The vertex pair is not cospectral, so the decomposition is undefined."""
+    """The vertex pair is not cospectral, so the decomposition is undefined.
+
+    When raised by ``decompose``, ``charpolys`` holds the two vertex-deleted
+    characteristic polynomials that differ, so callers can inspect them
+    without recomputing."""
+
+    def __init__(self, message: str, charpolys: tuple | None = None):
+        super().__init__(message)
+        self.charpolys = charpolys
 
 
 class NotLinearInParamError(DomainError):

@@ -19,11 +19,15 @@ The string form writes terms in decreasing order under that ordering and
 round-trips through ``SparsePoly.parse``.
 
 The linear algebra layer (``PolyMatrix``, ``charpoly``, ``krylov_min_poly``,
-``bareiss_det``) is fraction-free: characteristic polynomials come from the
-Berkowitz division-free recursion, ranks and determinants from Bareiss
-elimination with lowest-index pivoting, and minimal-polynomial coefficients
-from Cramer ratios followed by exact division. Any division that fails to
-be exact raises instead of degrading precision.
+``bareiss_det``) is fraction-free and skips zero entries, so sparse matrices
+cost far less than dense ones. Characteristic polynomials come from the
+Berkowitz division-free recursion and determinants from Bareiss elimination
+with lowest-index pivoting. Relative minimal polynomials come from the same
+fraction-free elimination run on the Krylov vectors z, Mz, M^2 z, ..., with
+each vector carrying the t-polynomial that produced it; the first vector to
+reduce to zero carries a scalar multiple of the minimal polynomial, which
+one exact division makes monic. Any division that fails to be exact raises
+instead of degrading precision.
 """
 
 from __future__ import annotations
@@ -178,11 +182,6 @@ class SparsePoly:
 
     def is_t_free(self) -> bool:
         return self.deg_t() <= 0
-
-    def total_degree(self) -> int:
-        if not self._terms:
-            return -1
-        return max(sum(e) for e in self._terms)
 
     def lead_exponents(self) -> tuple[int, ...]:
         if not self._terms:
@@ -823,6 +822,10 @@ class PolyMatrix:
                 raise StructuralError("label count does not match dimension")
         object.__setattr__(self, "entries", tuple(tuple(row) for row in rows))
         object.__setattr__(self, "index_labels", index_labels)
+        # (column, entry) pairs of each row's nonzero entries
+        object.__setattr__(
+            self, "nonzero", tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in rows)
+        )
 
     @property
     def dimension(self) -> int:
@@ -859,10 +862,7 @@ class PolyMatrix:
     def matvec(self, vec: Sequence[SparsePoly]) -> list[SparsePoly]:
         if len(vec) != self.dimension:
             raise StructuralError("vector length does not match dimension")
-        return [
-            sum((row[j] * vec[j] for j in range(self.dimension)), SparsePoly.zero())
-            for row in self.entries
-        ]
+        return [_sum_products((x, vec[j]) for j, x in row) for row in self.nonzero]
 
     def to_float(self, params: Mapping[str, float] | None = None) -> list[list[float]]:
         return [[x.eval_float(params=params) for x in row] for row in self.entries]
@@ -885,43 +885,46 @@ def charpoly(m: PolyMatrix) -> SparsePoly:
     """Characteristic polynomial det(tI - M) by the Berkowitz recursion.
 
     Division free, so parameter symbols on the diagonal flow through
-    untouched. The empty matrix gives 1.
+    untouched. Products with a zero factor are skipped in the bordering
+    vectors and in the Toeplitz step, so a sparse matrix costs far fewer
+    polynomial products than a dense one. The empty matrix gives 1.
     """
     n = m.dimension
     if n == 0:
         return SparsePoly.one()
     a = m.entries
     one = SparsePoly.one()
-    # c[i] is the coefficient of t^(r-i) for the leading r x r block
+    # c[i] is the coefficient of t^(k-i) for the leading k x k block
     c: list[SparsePoly] = [one, -a[0][0]]
-    for r in range(2, n + 1):
-        row = a[r - 1][: r - 1]
-        col = [a[j][r - 1] for j in range(r - 1)]
-        q: list[SparsePoly] = []
-        w = list(col)
-        q.append(_dot(row, w))
-        for _ in range(r - 2):
-            w = [
-                sum((a[i][j] * w[j] for j in range(r - 1)), SparsePoly.zero())
-                for i in range(r - 1)
-            ]
-            q.append(_dot(row, w))
-        toep = [one, -a[r - 1][r - 1]] + [-x for x in q]  # length r + 1
+    for k in range(1, n):
+        # Border the leading block by row k; M is symmetric, so the part of
+        # row k left of the diagonal is also the column above it.
+        block = [[(j, x) for j, x in m.nonzero[i] if j < k] for i in range(k)]
+        border = [(j, x) for j, x in m.nonzero[k] if j < k]
+        w = dict(border)
+        toep = [one, -a[k][k]]  # grows to length k + 2
+        for i in range(k):
+            if i:
+                w = {
+                    r: s
+                    for r, row in enumerate(block)
+                    if (s := _sum_products((x, w[j]) for j, x in row if j in w))
+                }
+            toep.append(-_sum_products((x, w[j]) for j, x in border if j in w))
         c = [
-            sum(
-                (toep[i - j] * c[j] for j in range(min(i, r - 1) + 1) if i - j <= r),
-                SparsePoly.zero(),
-            )
-            for i in range(r + 1)
+            _sum_products((toep[i - j], c[j]) for j in range(min(i, k) + 1))
+            for i in range(k + 2)
         ]
+    return SparsePoly.from_t_coeffs(c[::-1])
+
+
+def _sum_products(pairs: Iterable[tuple[SparsePoly, SparsePoly]]) -> SparsePoly:
+    """Sum of x*y over the pairs, skipping every pair with a zero factor."""
     out = SparsePoly.zero()
-    for i, ci in enumerate(c):
-        out = out + ci * SparsePoly.t(n - i)
+    for x, y in pairs:
+        if x and y:
+            out = out + x * y
     return out
-
-
-def _dot(u: Sequence[SparsePoly], v: Sequence[SparsePoly]) -> SparsePoly:
-    return sum((x * y for x, y in zip(u, v)), SparsePoly.zero())
 
 
 def bareiss_det(rows: Sequence[Sequence[SparsePoly]]) -> SparsePoly:
@@ -961,11 +964,14 @@ def krylov_min_poly(m: PolyMatrix, z: Sequence) -> SparsePoly:
     """Minimal polynomial of M relative to z: the monic generator of the
     relation ideal of z, Mz, M^2 z, ...
 
-    Independence is tracked by incremental fraction-free elimination; once
-    the first dependent power appears, the dependence coefficients are
-    recovered as Cramer ratios of Bareiss determinants and divided out
-    exactly. The result is monic in t and divides the characteristic
-    polynomial, so exact division is guaranteed to succeed; failure would
+    Each Krylov vector M^j z enters an incremental fraction-free (Bareiss)
+    elimination with one extra entry, the polynomial t^j, and that entry
+    goes through the same row operations. A reduced vector w then always
+    satisfies w = T(M) z for the polynomial T it carries. The first vector
+    that reduces to zero therefore carries a relation T(M) z = 0 of least
+    degree, whose leading coefficient is the last pivot; dividing it out
+    gives the monic minimal polynomial. That division is exact because the
+    result divides the monic characteristic polynomial; a remainder would
     mean a bug and raises InternalConsistencyError.
     """
     n = m.dimension
@@ -975,53 +981,28 @@ def krylov_min_poly(m: PolyMatrix, z: Sequence) -> SparsePoly:
     if all(x.is_zero() for x in vec):
         raise DomainError("relative minimal polynomial of the zero vector")
 
-    krylov: list[list[SparsePoly]] = [vec]
     echelon: list[tuple[int, list[SparsePoly]]] = []  # (pivot index, reduced vector)
-    pivots_prev: list[SparsePoly] = []  # d_0=1, d_1, ... Bareiss denominators
-
-    def reduce(w: list[SparsePoly]) -> list[SparsePoly]:
-        w = list(w)
-        d_prev = SparsePoly.one()
-        for (p, e), d in zip(echelon, pivots_prev):
-            coef = w[p]
-            w = [(d * wi - coef * ei).divexact(d_prev) for wi, ei in zip(w, e)]
-            d_prev = d
-        return w
-
+    power = vec  # M^j z for j = len(echelon)
     while True:
-        w = reduce(krylov[-1])
-        pivot_index = next((i for i, x in enumerate(w) if not x.is_zero()), None)
-        if pivot_index is None:
+        w = power + [SparsePoly.t(len(echelon))]  # entry n: the tracked t-polynomial
+        d_prev = SparsePoly.one()
+        for p, e in echelon:
+            d, coef = e[p], -w[p]
+            w = [_sum_products(((d, wi), (coef, ei))).divexact(d_prev) for wi, ei in zip(w, e)]
+            d_prev = d
+        pivot = next((i for i in range(n) if w[i]), None)
+        if pivot is None:
             break
-        echelon.append((pivot_index, w))
-        pivots_prev.append(w[pivot_index])
-        krylov.append(m.matvec(krylov[-1]))
+        echelon.append((pivot, w))
+        power = m.matvec(power)
 
-    k = len(echelon)
-    if k == 0:
-        raise InternalConsistencyError("nonzero vector reduced to zero at step 0")
-    pivot_rows = [p for p, _ in echelon]
-    base = [[krylov[j][p] for j in range(k)] for p in pivot_rows]
-    rhs = [-krylov[k][p] for p in pivot_rows]
-    det_base = bareiss_det(base)
-    if det_base.is_zero():
-        raise InternalConsistencyError("independent Krylov block has zero determinant")
-    coeffs: list[SparsePoly] = []
-    for j in range(k):
-        modified = [
-            [rhs[i] if jj == j else base[i][jj] for jj in range(k)] for i in range(k)
-        ]
-        num = bareiss_det(modified)
-        try:
-            coeffs.append(num.divexact(det_base))
-        except ExactDivisionError as exc:
-            raise InternalConsistencyError(
-                "relative minimal polynomial coefficient is not polynomial"
-            ) from exc
-    out = SparsePoly.t(k)
-    for j, cj in enumerate(coeffs):
-        out = out + cj * SparsePoly.t(j)
-    return out
+    relation = w[n]
+    try:
+        return relation.divexact(relation.lead_coeff_t())
+    except ExactDivisionError as exc:
+        raise InternalConsistencyError(
+            "relative minimal polynomial coefficient is not polynomial"
+        ) from exc
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .graphs import Graph, parse_graph_text, serialize_graph_text
+from .graphs import Graph
 
 
 @dataclass(frozen=True)
@@ -115,8 +115,3 @@ def get_fixture(name: str) -> Fixture:
     if key in CATALOG:
         return CATALOG[key]
     raise DomainError(f"unknown fixture {name!r}; available: {', '.join(sorted(CATALOG))}")
-
-
-def roundtrip(g: Graph) -> Graph:
-    """Serialize and reparse; labels reset to indices, structure identical."""
-    return parse_graph_text(serialize_graph_text(g))

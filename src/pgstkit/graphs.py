@@ -108,21 +108,6 @@ class Graph:
     def potential(self, v: int) -> SparsePoly:
         return self._potentials.get(v, SparsePoly.zero())
 
-    def neighbors(self, v: int) -> list[int]:
-        out = []
-        for (i, j) in self._edges:
-            if i == v:
-                out.append(j)
-            elif j == v:
-                out.append(i)
-        return sorted(out)
-
-    def vertex_by_label(self, name: str) -> int:
-        try:
-            return self._labels.index(name)
-        except ValueError:
-            raise DomainError(f"no vertex labeled {name!r}") from None
-
     def symbols(self) -> tuple[str, ...]:
         syms: set[str] = set()
         for p in self._potentials.values():
@@ -203,11 +188,6 @@ def to_matrix(g: Graph) -> PolyMatrix:
     for v, p in g.potentials.items():
         rows[v][v] = p
     return PolyMatrix(rows, g.labels)
-
-
-def delete_vertices(m: PolyMatrix, drop: Iterable[int]) -> PolyMatrix:
-    """Principal submatrix with the given indices removed (labels follow)."""
-    return m.delete(drop)
 
 
 def add_potential(g: Graph, v: int, value: PotentialValue) -> Graph:
@@ -300,7 +280,7 @@ def glue_path(g: Graph, u: int, v: int, q: int) -> Graph:
 # equitable partitions
 
 
-def _row_sums(g: Graph, m: PolyMatrix, partition: Partition, v: int) -> tuple[SparsePoly, ...]:
+def _row_sums(m: PolyMatrix, partition: Partition, v: int) -> tuple[SparsePoly, ...]:
     # sum of matrix row v into each part, diagonal included
     sums = []
     for part in partition.parts:
@@ -321,9 +301,9 @@ def verify_equitable(g: Graph, partition: Partition) -> bool:
         raise StructuralError("partition size does not match graph")
     m = to_matrix(g)
     for part in partition.parts:
-        ref = _row_sums(g, m, partition, part[0])
+        ref = _row_sums(m, partition, part[0])
         for v in part[1:]:
-            if _row_sums(g, m, partition, v) != ref:
+            if _row_sums(m, partition, v) != ref:
                 return False
     return True
 
@@ -350,7 +330,7 @@ def coarsest_equitable_refinement(g: Graph, seed: Partition) -> Partition:
         current = Partition(g.n, parts.values())
         sigs = {}
         for v in range(g.n):
-            sums = _row_sums(g, m, current, v)
+            sums = _row_sums(m, current, v)
             sigs[v] = (color[v], tuple(s.sort_key() for s in sums))
         groups: dict[tuple, list[int]] = {}
         for v in range(g.n):
@@ -368,7 +348,7 @@ def quotient_matrix(g: Graph, partition: Partition) -> QuotientMatrix:
     if not verify_equitable(g, partition):
         raise DomainError("partition is not equitable for this graph")
     m = to_matrix(g)
-    entries = tuple(_row_sums(g, m, partition, part[0]) for part in partition.parts)
+    entries = tuple(_row_sums(m, partition, part[0]) for part in partition.parts)
     return QuotientMatrix(partition.parts, entries)
 
 

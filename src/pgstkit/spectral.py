@@ -49,6 +49,18 @@ class CospectralDecomposition:
     trace_plus: SparsePoly
     trace_minus: SparsePoly
 
+    def as_json_dict(self) -> dict:
+        return {
+            "p_plus": str(self.p_plus),
+            "p_minus": str(self.p_minus),
+            "p_zero": str(self.p_zero),
+            "deg_plus": self.deg_plus,
+            "deg_minus": self.deg_minus,
+            "deg_zero": self.deg_zero,
+            "trace_plus": str(self.trace_plus),
+            "trace_minus": str(self.trace_minus),
+        }
+
 
 def _check_pair(m: PolyMatrix, u: int, v: int) -> None:
     n = m.dimension
@@ -105,16 +117,19 @@ def is_cospectral(m: PolyMatrix, u: int, v: int, thorough: bool = False) -> bool
     return primary
 
 
-def decompose(m: PolyMatrix, u: int, v: int, thorough: bool = False) -> CospectralDecomposition:
+def decompose(m: PolyMatrix, u: int, v: int) -> CospectralDecomposition:
     """Relative decomposition at a cospectral pair.
 
-    Raises NotCospectralError when the pair is not cospectral. The exact
-    division defining P_zero cannot fail for a genuinely cospectral pair;
-    if it does, that is an engine bug and InternalConsistencyError
-    propagates.
+    Computes charpoly(M_u) and charpoly(M_v) once; when they differ the
+    pair is not cospectral and NotCospectralError is raised carrying both.
+    The exact division defining P_zero cannot fail for a genuinely
+    cospectral pair; if it does, that is an engine bug and
+    InternalConsistencyError propagates.
     """
-    if not is_cospectral(m, u, v, thorough=thorough):
-        raise NotCospectralError(f"vertices ({u},{v}) are not cospectral")
+    _check_pair(m, u, v)
+    phi_u, phi_v = charpoly(m.delete([u])), charpoly(m.delete([v]))
+    if phi_u != phi_v:
+        raise NotCospectralError(f"vertices ({u},{v}) are not cospectral", (phi_u, phi_v))
     n = m.dimension
     e_u = unit_vector(n, u)
     e_v = unit_vector(n, v)
@@ -143,10 +158,10 @@ def decompose(m: PolyMatrix, u: int, v: int, thorough: bool = False) -> Cospectr
 
 def is_strongly_cospectral(m: PolyMatrix, u: int, v: int) -> bool:
     """Cospectral with coprime relative factors P_plus and P_minus."""
-    _check_pair(m, u, v)
-    if not is_cospectral(m, u, v):
+    try:
+        dec = decompose(m, u, v)
+    except NotCospectralError:
         return False
-    dec = decompose(m, u, v)
     return poly_gcd_t(dec.p_plus, dec.p_minus).is_one()
 
 

@@ -216,8 +216,8 @@ def fidelity_scan(
     The reported best fidelity is never below the grid maximum.
     """
     _check_indices(spectrum, u, v)
-    if t_max <= 0:
-        raise DomainError(f"t_max must be positive, got {t_max}")
+    if not 0 < t_max < math.inf:
+        raise DomainError(f"t_max must be positive and finite, got {t_max}")
     if steps < 2:
         raise DomainError(f"need at least 2 grid points, got {steps}")
     weights = spectrum.projectors[:, u, v]

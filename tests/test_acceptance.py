@@ -27,7 +27,6 @@ from pgstkit import (
     charpoly,
     choose_path_shift,
     decompose,
-    delete_vertices,
     fidelity_scan,
     get_fixture,
     glue,
@@ -148,8 +147,8 @@ def test_criterion_5_gluing_degree_laws():
                 shifted_path = add_potential(shifted_path, i, SparsePoly.const(c))
             dec2 = decompose(to_matrix(shifted_path), 0, k - 1)
             # exact interior disjointness is the theorem's hypothesis
-            d1 = charpoly(delete_vertices(to_matrix(fb.graph), (fb.u, fb.v)))
-            d2 = charpoly(delete_vertices(to_matrix(shifted_path), (0, k - 1)))
+            d1 = charpoly(to_matrix(fb.graph).delete((fb.u, fb.v)))
+            d2 = charpoly(to_matrix(shifted_path).delete((0, k - 1)))
             assert poly_gcd_t(d1, d2).is_one()
             glued = _with_pair(build_glue_pot(fb.graph, fb.u, fb.v, k), fb.u, fb.v, Q)
             dg = decompose(to_matrix(glued), fb.u, fb.v)
@@ -195,11 +194,11 @@ def test_criterion_7_exact_identity_suites():
             u2, v2 = 0, g2.n - 1
             glued = glue(g1, u1, v1, g2, u2, v2)
             m1, m2 = to_matrix(g1), to_matrix(g2)
-            phi_1u = charpoly(delete_vertices(m1, (u1,)))
-            phi_2u = charpoly(delete_vertices(m2, (u2,)))
-            phi_1uv = charpoly(delete_vertices(m1, (u1, v1)))
-            phi_2uv = charpoly(delete_vertices(m2, (u2, v2)))
-            lhs = charpoly(delete_vertices(to_matrix(glued), (u1,)))
+            phi_1u = charpoly(m1.delete((u1,)))
+            phi_2u = charpoly(m2.delete((u2,)))
+            phi_1uv = charpoly(m1.delete((u1, v1)))
+            phi_2uv = charpoly(m2.delete((u2, v2)))
+            lhs = charpoly(to_matrix(glued).delete((u1,)))
             assert lhs == phi_1u * phi_2uv + phi_2u * phi_1uv - t * phi_1uv * phi_2uv
         # diagonal perturbations keep the pair cospectral
         for _ in range(25):

@@ -4,7 +4,12 @@ from __future__ import annotations
 
 import json
 import math
+import sys
+from collections import Counter
 
+import pytest
+
+from pgstkit import exact, spectral
 from pgstkit.cli import main
 
 
@@ -194,3 +199,66 @@ def test_simulate_p3_endpoint_transfer(capsys, tmp_path):
     assert abs(report["numeric"]["best_fidelity"] - 1.0) < 1e-6
     ratio = report["numeric"]["best_time"] / (math.pi / math.sqrt(2))
     assert abs(ratio - round(ratio)) < 1e-2 and round(ratio) % 2 == 1
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command", ["simulate", "analyze"])
+def test_non_finite_potential_value_rejected(capsys, command, value):
+    argv = [command, "@G_B", "--u", "1", "--v", "8", "--potential", "Q"]
+    argv.append(f"--potential-value={value}")
+    if command == "analyze":
+        argv.append("--simulate")
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "finite" in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("simulate", "--tmax"),
+        ("analyze", "--simulate", "--tmax"),
+        ("analyze", "--simulate", "--relation-precision"),
+    ],
+)
+def test_non_finite_float_option_rejected(capsys, argv, value):
+    *head, option = argv
+    code, out, err = run(capsys, *head, "@G_B", "--u", "1", "--v", "8", f"{option}={value}")
+    assert code == 2
+    assert out == ""
+    assert "finite" in err
+
+
+def test_analyze_runs_each_exact_kernel_once_per_question(monkeypatch, capsys):
+    # Counts go through every pgstkit.* binding, so call sites that imported
+    # a kernel by name are counted as well.
+    kernels = {
+        "decompose": spectral.decompose,
+        "charpoly": exact.charpoly,
+        "krylov_min_poly": exact.krylov_min_poly,
+        "bareiss_det": exact.bareiss_det,
+    }
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    modules = [m for name, m in list(sys.modules.items()) if name.startswith("pgstkit")]
+    for mod in modules:
+        for attr, value in list(vars(mod).items()):
+            for name, fn in kernels.items():
+                if value is fn:
+                    monkeypatch.setattr(mod, attr, counting(name, fn))
+    run_json(capsys, "analyze", "@G_B", "--u", "1", "--v", "8", "--potential", "Q")
+    assert {name: calls[name] for name in kernels} == {
+        "decompose": 1,
+        "charpoly": 3,
+        "krylov_min_poly": 2,
+        "bareiss_det": 0,
+    }

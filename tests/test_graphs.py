@@ -18,7 +18,6 @@ from pgstkit import (
     add_potential,
     charpoly,
     coarsest_equitable_refinement,
-    delete_vertices,
     get_fixture,
     glue,
     glue_path,
@@ -69,7 +68,7 @@ def test_potentials_on_matrix_diagonal():
 
 def test_delete_vertices():
     m = to_matrix(path_graph(4))
-    d = delete_vertices(m, (0, 3))
+    d = m.delete((0, 3))
     assert d.dimension == 2
     assert d.entry(0, 1) == SparsePoly.one()
     assert charpoly(d) == SparsePoly.parse("t^2 - 1")
