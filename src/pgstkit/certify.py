@@ -270,11 +270,12 @@ def integer_relation_search(
     """Candidate relations sum(l.lam) + sum(m.mu) ~ 0 within precision,
     subject to sum(l) + sum(m) = 0, sum(m) odd, and |coefficients| <= bound.
 
-    Exhaustive enumeration with branch pruning when the search box has at
-    most 10^7 points, plus a lattice-reduction probe that can surface
-    relations beyond the exhaustive cutoff. Results are deduplicated with
-    the first nonzero coefficient normalized positive, and sorted by
-    coefficient mass.
+    One route per question. When the search box has at most
+    EXHAUSTIVE_LIMIT = 10^7 points, an enumeration with branch pruning
+    visits all of it, so every relation within the bound is found.
+    Otherwise a lattice-reduction (LLL) probe proposes candidates, which
+    may miss relations. Results are deduplicated with the first nonzero
+    coefficient normalized positive, and sorted by coefficient mass.
     """
     if bound < 1:
         raise DomainError(f"coefficient bound must be >= 1, got {bound}")
@@ -309,8 +310,9 @@ def integer_relation_search(
 
     if (2 * bound + 1) ** (r + s) <= EXHAUSTIVE_LIMIT:
         _exhaustive_search(xs, r, bound, precision, consider)
-    for cand in _lll_candidates(xs, bound, precision):
-        consider(cand)
+    else:
+        for cand in _lll_candidates(xs, bound, precision):
+            consider(cand)
 
     return sorted(
         found.values(), key=lambda rel: (sum(abs(c) for c in rel.l + rel.m), rel.l + rel.m)
@@ -345,8 +347,6 @@ def _exhaustive_search(xs, r, bound, precision, consider) -> None:
 
 def _lll_candidates(xs: Sequence[float], bound: int, precision: float) -> list[list[int]]:
     d = len(xs)
-    if d == 0:
-        return []
     scale = int(round(10.0 / precision))
     sum_weight = max(1000, scale // 1000)
     basis = []
@@ -359,7 +359,12 @@ def _lll_candidates(xs: Sequence[float], bound: int, precision: float) -> list[l
 
 
 def _lll(basis: list[list[int]], delta: Fraction = Fraction(3, 4)) -> list[list[int]]:
-    """Textbook LLL over exact rationals; returns a reduced integer basis."""
+    """Textbook LLL over exact rationals; returns a reduced integer basis.
+
+    A size reduction b_k -= m b_j keeps every b* and ||b*||^2 and only
+    shifts row k of mu, which is updated in place; Gram-Schmidt is redone
+    only after a swap. Gives up (best effort) after 10 000 rounds.
+    """
     b = [[Fraction(x) for x in row] for row in basis]
     n = len(b)
 
@@ -394,7 +399,9 @@ def _lll(basis: list[list[int]], delta: Fraction = Fraction(3, 4)) -> list[list[
             if abs(q) > Fraction(1, 2):
                 m = int(q + Fraction(1, 2)) if q > 0 else -int(-q + Fraction(1, 2))
                 b[k] = [a - m * c for a, c in zip(b[k], b[j])]
-                mu, norms = gramschmidt()
+                for i in range(j):
+                    mu[k][i] -= m * mu[j][i]
+                mu[k][j] -= m
         if norms[k] >= (delta - mu[k][k - 1] ** 2) * norms[k - 1]:
             k += 1
         else:

@@ -129,7 +129,20 @@ def _load_graph(ref: str) -> tuple[Graph, str]:
     path = Path(ref)
     if not path.is_file():
         raise ParseError(f"no such graph file: {ref}")
-    return parse_graph_text(path.read_text()), str(path)
+    try:
+        text = path.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read graph file {ref}: {exc}") from None
+    return parse_graph_text(text), str(path)
+
+
+def _write_output(path: str, write) -> None:
+    """Call write on path opened for writing; an OS error becomes a DomainError."""
+    try:
+        with open(path, "w") as fh:
+            write(fh)
+    except OSError as exc:
+        raise DomainError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _resolve_vertex(g: Graph, token: str) -> int:
@@ -160,7 +173,7 @@ def _parse_value(text: str) -> float:
         return math.pi
     try:
         value = float(Fraction(text)) if "/" in text else float(text)
-    except ValueError:
+    except (ValueError, ZeroDivisionError, OverflowError):
         raise ParseError(f"bad numeric value {text!r}") from None
     if not math.isfinite(value):
         raise ParseError(f"numeric value must be finite, got {text!r}")
@@ -350,7 +363,7 @@ def cmd_construct(args) -> dict:
 
     graph_text = serialize_graph_text(built)
     if args.out:
-        Path(args.out).write_text(graph_text)
+        _write_output(args.out, lambda fh: fh.write(graph_text))
 
     report = {
         "schema": SCHEMA_VERSION,
@@ -414,8 +427,7 @@ def cmd_simulate(args) -> dict:
         "numeric": numeric,
     }
     if args.csv:
-        with open(args.csv, "w") as fh:
-            walk.write_fidelity_csv(scan, fh)
+        _write_output(args.csv, lambda fh: walk.write_fidelity_csv(scan, fh))
         report["csv"] = args.csv
     return report
 

@@ -552,7 +552,10 @@ def _parse_poly(text: str) -> SparsePoly:
         while i < n:
             kind, val = tokens[i]
             if kind == "num":
-                coeff *= Fraction(val)
+                try:
+                    coeff *= Fraction(val)
+                except ZeroDivisionError:
+                    raise ParseError(f"zero denominator in {text!r}") from None
                 saw_factor = True
                 i += 1
             elif kind == "name":

@@ -1,12 +1,12 @@
 """Floating point continuous-time quantum walk simulation.
 
-Exact machinery proves; this module measures. Eigenvalues come from a
-cyclic Jacobi sweep (deterministic, unconditionally convergent for
-symmetric input), get clustered at relative tolerance 1e-8 so that a
-numerically split multiple eigenvalue is treated as one spectral point,
-and each cluster contributes a symmetric projector. Transfer amplitudes
-and fidelity scans are assembled from the clustered spectral data, so
-|U(t)[u,v]| equals |U(t)[v,u]| exactly by construction.
+Exact machinery proves; this module measures. Eigenvalues and
+eigenvectors come from LAPACK's symmetric solver (``numpy.linalg.eigh``),
+get clustered at relative tolerance 1e-8 so that a numerically split
+multiple eigenvalue is treated as one spectral point, and each cluster
+contributes a symmetric projector. Transfer amplitudes and fidelity scans
+are assembled from the clustered spectral data, so |U(t)[u,v]| equals
+|U(t)[v,u]| exactly by construction.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .graphs import Graph, to_matrix
 
 CLUSTER_RTOL = 1e-8
 SYMMETRY_TOL = 1e-12
+SUPPORT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -55,46 +56,12 @@ def numeric_adjacency(g: Graph, params: Mapping[str, float] | None = None) -> np
     return np.array(to_matrix(g).to_float(params), dtype=float)
 
 
-def _jacobi(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic Jacobi diagonalization. Returns (eigenvalues, eigenvectors)
-    with columns of the second factor the eigenvectors, unsorted."""
-    n = a.shape[0]
-    a = a.copy()
-    v = np.eye(n)
-    if n == 1:
-        return np.diag(a).copy(), v
-    scale = max(1.0, float(np.max(np.abs(a))))
-    for _ in range(100):
-        off = math.sqrt(float(np.sum(np.tril(a, -1) ** 2)))
-        if off <= 1e-15 * scale * n:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-18 * scale:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                rot_p = c * a[:, p] - s * a[:, q]
-                rot_q = s * a[:, p] + c * a[:, q]
-                a[:, p], a[:, q] = rot_p, rot_q
-                rot_p = c * a[p, :] - s * a[q, :]
-                rot_q = s * a[p, :] + c * a[q, :]
-                a[p, :], a[q, :] = rot_p, rot_q
-                a[p, q] = a[q, p] = 0.0
-                rot_p = c * v[:, p] - s * v[:, q]
-                rot_q = s * v[:, p] + c * v[:, q]
-                v[:, p], v[:, q] = rot_p, rot_q
-    return np.diag(a).copy(), v
-
-
-def sym_eig(matrix: np.ndarray | Sequence[Sequence[float]], cluster_rtol: float = CLUSTER_RTOL) -> NumericSpectrum:
+def sym_eig(matrix: np.ndarray | Sequence[Sequence[float]]) -> NumericSpectrum:
     """Clustered spectral decomposition of a symmetric matrix.
 
-    Asymmetry beyond 1e-12 (relative to the largest entry) is rejected.
-    Eigenvalues closer than cluster_rtol times the spectral diameter are
+    Asymmetry beyond 1e-12 (relative to the largest entry) is rejected, and
+    so is a symmetrized matrix with a non-finite entry (an overflow).
+    Eigenvalues closer than CLUSTER_RTOL times the spectral diameter are
     merged into one cluster with a single summed projector.
     """
     a = np.array(matrix, dtype=float)
@@ -103,18 +70,18 @@ def sym_eig(matrix: np.ndarray | Sequence[Sequence[float]], cluster_rtol: float 
     n = a.shape[0]
     if n == 0:
         raise DomainError("empty matrix has no spectrum")
-    scale = max(1.0, float(np.max(np.abs(a))))
-    if float(np.max(np.abs(a - a.T))) > SYMMETRY_TOL * scale:
-        raise DomainError("matrix is not symmetric within 1e-12")
-    a = (a + a.T) / 2.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = max(1.0, float(np.max(np.abs(a))))
+        if float(np.max(np.abs(a - a.T))) > SYMMETRY_TOL * scale:
+            raise DomainError("matrix is not symmetric within 1e-12")
+        a = (a + a.T) / 2.0
+    if not np.all(np.isfinite(a)):
+        raise DomainError("matrix has a non-finite entry (inf, nan or overflow)")
 
-    eigs, vecs = _jacobi(a)
-    order = np.argsort(eigs, kind="stable")
-    eigs = eigs[order]
-    vecs = vecs[:, order]
+    eigs, vecs = np.linalg.eigh(a)
 
     diam = float(eigs[-1] - eigs[0])
-    gap = cluster_rtol * max(diam, 1.0)
+    gap = CLUSTER_RTOL * max(diam, 1.0)
     clusters: list[list[int]] = [[0]]
     for i in range(1, n):
         if eigs[i] - eigs[i - 1] <= gap:
@@ -150,55 +117,46 @@ def pgst_ceiling(spectrum: NumericSpectrum, u: int, v: int) -> float:
     return float(np.sum(np.abs(spectrum.projectors[:, u, v])))
 
 
-def numeric_strong_cospectral(spectrum: NumericSpectrum, u: int, v: int, tol: float = 1e-9) -> bool:
-    """Every cluster projector satisfies E e_u = +-E e_v up to tol.
+def numeric_strong_cospectral(spectrum: NumericSpectrum, u: int, v: int) -> bool:
+    """Every cluster projector satisfies E e_u = +-E e_v up to SUPPORT_TOL.
 
     Parallelism up to sign is tested in product form: one of the two
     norms ||E(e_u - e_v)||, ||E(e_u + e_v)|| must vanish, so their
-    product is compared against tol * ||E e_u||^2. Clusters whose u and
-    v projections are both below tol are neutral and impose no
-    constraint.
+    product is compared against SUPPORT_TOL * ||E e_u||^2. Clusters whose
+    u and v projections are both below SUPPORT_TOL are neutral and impose
+    no constraint.
     """
     _check_indices(spectrum, u, v)
-    if tol <= 0:
-        raise DomainError("tolerance must be positive")
     for proj in spectrum.projectors:
         row_u = proj[u]
         row_v = proj[v]
         nu = float(np.linalg.norm(row_u))
         nv = float(np.linalg.norm(row_v))
-        if nu <= tol and nv <= tol:
+        if nu <= SUPPORT_TOL and nv <= SUPPORT_TOL:
             continue
         diff = float(np.linalg.norm(row_u - row_v))
         summ = float(np.linalg.norm(row_u + row_v))
-        if diff * summ > tol * nu * nu:
+        if diff * summ > SUPPORT_TOL * nu * nu:
             return False
     return True
 
 
-def classify_spectrum(
-    spectrum: NumericSpectrum, u: int, v: int, tol: float = 1e-9
-) -> tuple[list[float], list[float]]:
+def classify_spectrum(spectrum: NumericSpectrum, u: int, v: int) -> tuple[list[float], list[float]]:
     """Split cluster values into plus-support and minus-support lists.
 
     A cluster supports the plus (minus) side when its projector applied to
-    e_u + e_v (e_u - e_v) is nonnegligible. For strongly cospectral pairs
-    the two lists are disjoint; both-sided clusters land in both lists.
+    e_u + e_v (e_u - e_v) has norm above SUPPORT_TOL; the projector is
+    exactly symmetric, so that image is row u plus (minus) row v. For
+    strongly cospectral pairs the two lists are disjoint; both-sided
+    clusters land in both lists.
     """
     _check_indices(spectrum, u, v)
     lambdas: list[float] = []
     mus: list[float] = []
-    n = spectrum.dimension
-    plus = np.zeros(n)
-    plus[u] += 1.0
-    plus[v] += 1.0
-    minus = np.zeros(n)
-    minus[u] += 1.0
-    minus[v] -= 1.0
     for value, proj in zip(spectrum.cluster_values, spectrum.projectors):
-        if float(np.linalg.norm(proj @ plus)) > tol:
+        if float(np.linalg.norm(proj[u] + proj[v])) > SUPPORT_TOL:
             lambdas.append(float(value))
-        if float(np.linalg.norm(proj @ minus)) > tol:
+        if float(np.linalg.norm(proj[u] - proj[v])) > SUPPORT_TOL:
             mus.append(float(value))
     return lambdas, mus
 

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import random
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from pgstkit import certify
 from pgstkit import (
     DomainError,
     SparsePoly,
@@ -212,6 +216,79 @@ def test_relation_search_planted_relation_found():
         mus = [(2 * a + b) / 3.0]
         found = integer_relation_search(lambdas, mus, 3, 1e-9)
         assert ((2, 1), (-3,)) in {(r.l, r.m) for r in found}
+
+
+def test_relation_search_ga_box_is_exhaustive_alone(monkeypatch):
+    # G_A has 4 + 4 supported eigenvalues, so bound 3 gives a box of
+    # 7^8 <= EXHAUSTIVE_LIMIT points, searched by enumeration alone
+    fa = get_fixture("G_A")
+    dec = decompose(to_matrix(fa.graph), fa.u, fa.v)
+    lambdas = isolate_real_roots(dec.p_plus)
+    mus = isolate_real_roots(dec.p_minus)
+    assert len(lambdas) == len(mus) == 4
+    assert 7**8 <= certify.EXHAUSTIVE_LIMIT
+
+    def no_lll(*args):
+        raise AssertionError("LLL probe ran inside the exhaustive box")
+
+    monkeypatch.setattr(certify, "_lll_candidates", no_lll)
+    found = [rel.l + rel.m for rel in integer_relation_search(lambdas, mus, 3, 1e-9)]
+
+    # independent enumeration: pair every left half (lambda side) with
+    # every right half (mu side) and keep admissible near-zero sums
+    half = np.array(list(itertools.product(range(-3, 4), repeat=4)))
+    left, right = half @ np.array(lambdas), half @ np.array(mus)
+    right_sum = half.sum(axis=1)
+    expected = set()
+    for i, row in enumerate(half):
+        hits = (row.sum() + right_sum == 0) & (right_sum % 2 == 1)
+        hits &= np.abs(left[i] + right) < 1e-9
+        for j in np.flatnonzero(hits):
+            vec = tuple(int(c) for c in row) + tuple(int(c) for c in half[j])
+            first = next(c for c in vec if c)
+            expected.add(vec if first > 0 else tuple(-c for c in vec))
+    assert len(found) == 486  # frozen regression
+    assert set(found) == expected
+    assert found == sorted(found, key=lambda vec: (sum(abs(c) for c in vec), vec))
+
+
+def _gram_schmidt(basis):
+    """Fraction Gram-Schmidt: returns mu and the squared norms of b*."""
+    star, norms = [], []
+    mu = [[Fraction(0)] * len(basis) for _ in basis]
+    for i, row in enumerate(basis):
+        w = [Fraction(x) for x in row]
+        for j in range(i):
+            mu[i][j] = sum(Fraction(a) * c for a, c in zip(row, star[j])) / norms[j]
+            w = [a - mu[i][j] * c for a, c in zip(w, star[j])]
+        star.append(w)
+        norms.append(sum(a * a for a in w))
+    return mu, norms
+
+
+def test_lll_reduces_and_keeps_the_lattice():
+    rng = random.Random(347)
+    bases = []
+    for _ in range(8):
+        n = rng.randint(2, 5)
+        width = n + rng.randint(0, 2)
+        bases.append([[rng.randint(-60, 60) for _ in range(width)] for _ in range(n)])
+    for _ in range(4):  # the shape the relation probe builds
+        xs = [rng.uniform(-3, 3) for _ in range(rng.randint(2, 5))]
+        bases.append(
+            [[int(i == j) for j in range(len(xs))] + [round(x * 10**6), 1000] for i, x in enumerate(xs)]
+        )
+    for basis in bases:
+        _, before = _gram_schmidt(basis)
+        reduced = certify._lll(basis)
+        mu, norms = _gram_schmidt(reduced)
+        n = len(reduced)
+        assert all(abs(mu[k][j]) <= Fraction(1, 2) for k in range(n) for j in range(k))
+        assert all(
+            norms[k] >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * norms[k - 1] for k in range(1, n)
+        )
+        # equal Gram determinants: the rows still span a lattice of the same volume
+        assert math.prod(norms) == math.prod(before)
 
 
 def test_heuristic_obstruction_gd_and_k2():

@@ -231,6 +231,28 @@ def test_non_finite_float_option_rejected(capsys, argv, value):
     assert "finite" in err
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["analyze", "@G_B", "--potential", "1/0"], 1),
+        (["simulate", "@G_B", "--potential", "Q", "--potential-value", "1/0"], 1),
+        (["analyze", "{tmp}/latin1.txt"], 1),
+        (["construct", "glue-pot", "@G_B", "--k", "3", "--out", "{tmp}/missing/g.txt"], 2),
+        (["simulate", "@G_B", "--steps", "10", "--csv", "{tmp}/missing/s.csv"], 2),
+        (["analyze", "@G_B", "--potential", "Q", "--simulate", "--potential-value", "1e308"], 2),
+    ],
+    ids=["potential-1/0", "potential-value-1/0", "not-utf8", "out-dir", "csv-dir", "overflow"],
+)
+def test_bad_input_or_output_is_one_error_line(capsys, tmp_path, argv, code):
+    # 1e308 is finite, but symmetrizing the matrix overflows to inf
+    (tmp_path / "latin1.txt").write_bytes(b"n 9\ne 1 8\n# caf\xe9\n")
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    got, out, err = run(capsys, *argv, "--u", "1", "--v", "8")
+    assert got == code
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_analyze_runs_each_exact_kernel_once_per_question(monkeypatch, capsys):
     # Counts go through every pgstkit.* binding, so call sites that imported
     # a kernel by name are counted as well.

@@ -30,7 +30,7 @@ from pgstkit import (
     to_matrix,
     unit_vector,
 )
-from pgstkit.errors import NotLinearInParamError, StructuralError
+from pgstkit.errors import NotLinearInParamError, ParseError, StructuralError
 
 from conftest import random_graph
 
@@ -77,6 +77,8 @@ def test_parse_rejects_garbage():
     for bad in ("t +", "t^", "t^-1", "&", ""):
         with pytest.raises(Exception):
             SparsePoly.parse(bad)
+    with pytest.raises(ParseError, match="zero denominator"):
+        SparsePoly.parse("Q + 3/0")
     # juxtaposition is tolerated on input, normalized on output
     assert str(SparsePoly.parse("2t")) == "2*t"
 

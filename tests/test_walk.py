@@ -63,6 +63,34 @@ def test_sym_eig_rejects_asymmetry():
         sym_eig(np.array([[0.0, 1.0], [0.5, 0.0]]))
 
 
+@pytest.mark.parametrize("matrix", [[[1e308, 0.0], [0.0, 1.0]], [[math.inf]], [[math.nan]]])
+def test_sym_eig_rejects_non_finite(matrix):
+    # 1e308 is finite but overflows when the matrix is symmetrized
+    with pytest.raises(DomainError, match="non-finite"):
+        sym_eig(matrix)
+
+
+def _oracle_matrices():
+    rng = random.Random(433)
+    for n in (2, 3, 5, 8, 13, 21, 30, 40):
+        yield numeric_adjacency(random_graph(rng, n=n, weighted=True, with_potentials=True))
+    yield np.ones((12, 12)) - np.eye(12)  # K_12: eigenvalue -1 eleven times
+    star = np.zeros((16, 16))
+    star[0, 1:] = star[1:, 0] = 1.0  # K_{1,15}: eigenvalue 0 fourteen times
+    yield star
+
+
+@pytest.mark.parametrize("index", range(10))
+def test_sym_eig_matches_mpmath(index):
+    mpmath = pytest.importorskip("mpmath")
+    m = list(_oracle_matrices())[index]
+    with mpmath.workdps(40):
+        expected = sorted(float(x) for x in mpmath.eigsy(mpmath.matrix(m.tolist()), eigvals_only=True))
+    spec = sym_eig(m)
+    tol = 1e-10 * max(1.0, float(np.linalg.norm(m, 2)))
+    assert np.max(np.abs(spec.eigenvalues - np.array(expected))) <= tol
+
+
 def test_projector_invariants():
     rng = random.Random(401)
     for _ in range(20):
@@ -201,9 +229,9 @@ def test_pgst_ceiling_examples():
 
 def test_numeric_strong_cospectral_examples():
     spec = sym_eig(numeric_adjacency(path_graph(3)))
-    assert numeric_strong_cospectral(spec, 0, 2, 1e-9)
+    assert numeric_strong_cospectral(spec, 0, 2)
     fb = get_fixture("G_B")
-    assert not numeric_strong_cospectral(sym_eig(numeric_adjacency(fb.graph)), fb.u, fb.v, 1e-9)
+    assert not numeric_strong_cospectral(sym_eig(numeric_adjacency(fb.graph)), fb.u, fb.v)
 
 
 def test_numeric_matches_exact_engine_on_fixtures():
@@ -211,7 +239,7 @@ def test_numeric_matches_exact_engine_on_fixtures():
         f = get_fixture(name)
         exact = is_strongly_cospectral(to_matrix(f.graph), f.u, f.v)
         spec = sym_eig(numeric_adjacency(f.graph))
-        assert numeric_strong_cospectral(spec, f.u, f.v, 1e-9) == exact
+        assert numeric_strong_cospectral(spec, f.u, f.v) == exact
 
 
 def test_classify_spectrum_partitions_supports():
