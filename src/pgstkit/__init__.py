@@ -31,7 +31,6 @@ from .errors import (
 )
 from .exact import (
     PolyMatrix,
-    Rational,
     SparsePoly,
     bareiss_det,
     charpoly,

@@ -108,7 +108,7 @@ def _run_tr_deg_checks(
     must not. That implies the generic separation, which is still recorded
     and double-checked.
     """
-    g = poly_gcd_t(dec.p_plus, dec.p_minus)
+    g = dec.common_factor
     if not g.is_one():
         return _inconclusive("strong_cospectrality", dec, common_factor=str(g), **extra)
     for tag, p in (("plus", dec.p_plus), ("minus", dec.p_minus)):

@@ -29,7 +29,7 @@ from pathlib import Path
 from . import certify as certify_mod
 from . import walk
 from .errors import DomainError, NotCospectralError, ParseError, StructuralError
-from .exact import SparsePoly, poly_gcd_t
+from .exact import SparsePoly
 from .fixtures import get_fixture
 from .graphs import (
     Graph,
@@ -195,7 +195,7 @@ def _exact_block(dec: CospectralDecomposition | None) -> dict:
         return {"cospectral": False, "strongly_cospectral": False, "decomposition": None}
     return {
         "cospectral": True,
-        "strongly_cospectral": poly_gcd_t(dec.p_plus, dec.p_minus).is_one(),
+        "strongly_cospectral": dec.common_factor.is_one(),
         "decomposition": dec.as_json_dict(),
     }
 

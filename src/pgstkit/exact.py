@@ -12,7 +12,9 @@ Representation: a polynomial is a map from exponent vectors to nonzero
 rational coefficients. An exponent vector is a tuple ``(t_exp, *param_exps)``
 aligned with the polynomial's sorted ``symbols`` tuple. The representation
 is canonical: zero coefficients are dropped and symbols that do not occur
-are pruned, so structural equality is semantic equality.
+are pruned, so structural equality is semantic equality. Sums, products
+and substitutions all run through one kernel, ``_sum_products``, which
+accumulates a whole sum of products in one term dict and canonicalizes once.
 
 Monomials are ordered graded lexicographically with ``t`` ranked highest.
 The string form writes terms in decreasing order under that ordering and
@@ -35,6 +37,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import (
@@ -45,9 +48,6 @@ from .errors import (
     ParseError,
     StructuralError,
 )
-
-# Rational scalars are stdlib Fractions: always reduced, positive denominator.
-Rational = Fraction
 
 Scalar = Union[Fraction, int]
 
@@ -142,10 +142,6 @@ class SparsePoly:
     def symbols(self) -> tuple[str, ...]:
         return self._symbols
 
-    @property
-    def terms(self) -> dict[tuple[int, ...], Fraction]:
-        return dict(self._terms)
-
     def is_zero(self) -> bool:
         return not self._terms
 
@@ -209,14 +205,7 @@ class SparsePoly:
 
     def t_coeffs(self) -> list["SparsePoly"]:
         """Coefficients by ascending t power, length deg_t()+1 (empty for 0)."""
-        return [self.coeff_t(k) for k in range(self.deg_t() + 1)]
-
-    @staticmethod
-    def from_t_coeffs(coeffs: Sequence["SparsePoly"]) -> "SparsePoly":
-        out = SparsePoly.zero()
-        for k, c in enumerate(coeffs):
-            out = out + c * SparsePoly.t(k)
-        return out
+        return _as_var_coeffs(self, "t")
 
     def sort_key(self) -> tuple:
         """Deterministic total-order key (used for canonical tie-breaking)."""
@@ -229,15 +218,7 @@ class SparsePoly:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b, syms = _aligned(self, other)
-        acc = dict(a)
-        for e, c in b.items():
-            s = acc.get(e, _ZERO) + c
-            if s:
-                acc[e] = s
-            elif e in acc:
-                del acc[e]
-        return _raw(*_canonical(acc, syms))
+        return _sum_products(((self, _ONE_POLY), (other, _ONE_POLY)))
 
     __radd__ = __add__
 
@@ -260,17 +241,7 @@ class SparsePoly:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b, syms = _aligned(self, other)
-        acc: dict[tuple[int, ...], Fraction] = {}
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                s = acc.get(e, _ZERO) + ca * cb
-                if s:
-                    acc[e] = s
-                elif e in acc:
-                    del acc[e]
-        return _raw(*_canonical(acc, syms))
+        return _sum_products(((self, other),))
 
     __rmul__ = __mul__
 
@@ -305,7 +276,8 @@ class SparsePoly:
             raise DomainError("division by zero polynomial")
         if self.is_zero():
             return SparsePoly.zero()
-        a, b, syms = _aligned(self, other)
+        syms = _common_symbols((self, other))
+        a, b = _lift(self, syms), _lift(other, syms)
         lt_b = max(b, key=_order_key)
         lc_b = b[lt_b]
         rem = dict(a)
@@ -339,19 +311,8 @@ class SparsePoly:
         """Substitute a parameter symbol by a rational or another polynomial."""
         if sym not in self._symbols:
             return self
-        k = 1 + self._symbols.index(sym)
         value = _coerce(value)
-        out = SparsePoly.zero()
-        # group by power of sym, apply Horner over that power
-        by_pow: dict[int, dict[tuple[int, ...], Fraction]] = {}
-        for e, c in self._terms.items():
-            stripped = e[:k] + e[k + 1 :]
-            by_pow.setdefault(e[k], {})[stripped] = c
-        rest_syms = self._symbols[: k - 1] + self._symbols[k:]
-        for p in sorted(by_pow, reverse=True):
-            part = _raw(*_canonical(by_pow[p], rest_syms))
-            out = out + part * value**p
-        return out
+        return _sum_products((c, value**k) for k, c in enumerate(_as_var_coeffs(self, sym)))
 
     def compose_t(self, g: "SparsePoly") -> "SparsePoly":
         """Evaluate self with t replaced by the polynomial g (Horner)."""
@@ -378,10 +339,7 @@ class SparsePoly:
         """Fraction coefficients by ascending t power; requires no symbols."""
         if self._symbols:
             raise DomainError(f"polynomial has unbound symbols {self._symbols!r}")
-        out = [_ZERO] * (self.deg_t() + 1)
-        for e, c in self._terms.items():
-            out[e[0]] = c
-        return out
+        return [c.constant_value() for c in self.t_coeffs()]
 
     def eval_float(self, t: float | None = None, params: Mapping[str, float] | None = None) -> float:
         """Floating point evaluation; every occurring variable must be bound."""
@@ -453,18 +411,12 @@ def _canonical(
     """Drop unused symbols and sort the remaining ones alphabetically."""
     if not acc:
         return {}, ()
-    used = [i for i in range(len(symbols)) if any(e[1 + i] for e in acc)]
-    kept = tuple(symbols[i] for i in used)
-    order = sorted(range(len(kept)), key=lambda i: kept[i])
-    new_syms = tuple(kept[i] for i in order)
+    kept = sorted((s, 1 + i) for i, s in enumerate(symbols) if any(e[1 + i] for e in acc))
+    new_syms = tuple(s for s, _ in kept)
     if new_syms == symbols:
         return acc, symbols
-    out: dict[tuple[int, ...], Fraction] = {}
-    for e, c in acc.items():
-        base = [e[0]]
-        base.extend(e[1 + used[i]] for i in order)
-        out[tuple(base)] = c
-    return out, new_syms
+    pos = [k for _, k in kept]
+    return {(e[0], *[e[k] for k in pos]): c for e, c in acc.items()}, new_syms
 
 
 def _raw(terms: dict[tuple[int, ...], Fraction], symbols: tuple[str, ...]) -> SparsePoly:
@@ -472,6 +424,9 @@ def _raw(terms: dict[tuple[int, ...], Fraction], symbols: tuple[str, ...]) -> Sp
     p._terms = terms
     p._symbols = symbols
     return p
+
+
+_ONE_POLY = _raw({(0,): _ONE}, ())
 
 
 def _coerce(x) -> SparsePoly:
@@ -482,25 +437,71 @@ def _coerce(x) -> SparsePoly:
     return NotImplemented
 
 
-def _aligned(a: SparsePoly, b: SparsePoly):
-    """Common symbol tuple and remapped term dicts for a binary operation."""
-    if a._symbols == b._symbols:
-        return a._terms, b._terms, a._symbols
-    syms = tuple(sorted(set(a._symbols) | set(b._symbols)))
+def _common_symbols(polys: Iterable[SparsePoly]) -> tuple[str, ...]:
+    """Sorted union of the polynomials' symbols, within the symbol cap."""
+    syms = tuple(sorted({s for p in polys for s in p._symbols}))
     if len(syms) > MAX_PARAM_SYMBOLS:
         raise DomainError(f"operation would mix more than {MAX_PARAM_SYMBOLS} symbols: {syms!r}")
-    return _remap(a, syms), _remap(b, syms), syms
+    return syms
 
 
-def _remap(p: SparsePoly, syms: tuple[str, ...]) -> dict[tuple[int, ...], Fraction]:
-    pos = {s: 1 + i for i, s in enumerate(syms)}
-    out: dict[tuple[int, ...], Fraction] = {}
+def _lift(p: SparsePoly, syms: tuple[str, ...]) -> dict[tuple[int, ...], Fraction]:
+    """Terms of p with exponent vectors over syms, a sorted superset of p's symbols."""
+    if p._symbols == syms:
+        return p._terms
+    pos = {s: 1 + i for i, s in enumerate(p._symbols)}
+    return {(e[0], *[e[pos[s]] if s in pos else 0 for s in syms]): c for e, c in p._terms.items()}
+
+
+def _sum_products(pairs: Iterable[tuple[SparsePoly, SparsePoly]]) -> SparsePoly:
+    """Sum of x*y over the pairs: the one place SparsePoly terms are combined.
+
+    Every factor is lifted once to the sorted union of the symbols, every
+    product accumulates into one term dict, and the sum is canonicalized
+    once at the end. Pairs with a zero factor contribute nothing.
+    """
+    pairs = [(x, y) for x, y in pairs if x._terms and y._terms]
+    syms = _common_symbols(p for pair in pairs for p in pair)
+    origin = (0,) * (1 + len(syms))
+    acc: dict[tuple[int, ...], Fraction] = {}
+    for x, y in pairs:
+        # A term of y at the exponent origin needs no exponent sum; a
+        # coefficient of 1 needs no product.
+        b = [(eb, cb, eb != origin, cb != 1) for eb, cb in _lift(y, syms).items()]
+        for ea, ca in _lift(x, syms).items():
+            for eb, cb, shift, scale in b:
+                e = tuple(map(add, ea, eb)) if shift else ea
+                c = ca * cb if scale else ca
+                acc[e] = acc[e] + c if e in acc else c
+    return _raw(*_canonical({e: c for e, c in acc.items() if c}, syms))
+
+
+def _as_var_coeffs(p: SparsePoly, var_name: str) -> list[SparsePoly]:
+    """Coefficients of p viewed as univariate in var_name (t or a symbol), by
+    ascending power: one pass that buckets the terms by that power. Zero
+    gives [] in t; a symbol that does not occur gives [p]."""
+    if var_name == "t":
+        k, rest = 0, p._symbols
+    elif var_name in p._symbols:
+        k = 1 + p._symbols.index(var_name)
+        rest = p._symbols[: k - 1] + p._symbols[k:]
+    else:
+        return [p]
+    buckets: dict[int, dict[tuple[int, ...], Fraction]] = {}
     for e, c in p._terms.items():
-        vec = [e[0]] + [0] * len(syms)
-        for s, x in zip(p._symbols, e[1:]):
-            vec[pos[s]] = x
-        out[tuple(vec)] = c
-    return out
+        rest_exps = (0,) + e[1:] if k == 0 else e[:k] + e[k + 1 :]
+        buckets.setdefault(e[k], {})[rest_exps] = c
+    return [
+        _raw(*_canonical(buckets.get(j, {}), rest)) for j in range(max(buckets, default=-1) + 1)
+    ]
+
+
+def _from_var_coeffs(coeffs: Sequence[SparsePoly], var_name: str) -> SparsePoly:
+    """The polynomial whose coefficients by ascending power of var_name are coeffs."""
+    return _sum_products(
+        (c, SparsePoly.t(k) if var_name == "t" else SparsePoly.sym(var_name, k))
+        for k, c in enumerate(coeffs)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -603,29 +604,6 @@ def _var_degrees(p: SparsePoly) -> list[int]:
     return degs
 
 
-def _as_var_coeffs(p: SparsePoly, var_name: str) -> list[SparsePoly]:
-    """Coefficients of p viewed as univariate in var_name (t or a symbol)."""
-    if var_name == "t":
-        return p.t_coeffs()
-    if var_name not in p.symbols:
-        return [p]
-    k = 1 + p.symbols.index(var_name)
-    d = max(e[k] for e in p._terms) if p._terms else -1
-    buckets: list[dict[tuple[int, ...], Fraction]] = [dict() for _ in range(d + 1)]
-    rest_syms = p.symbols[: k - 1] + p.symbols[k:]
-    for e, c in p._terms.items():
-        buckets[e[k]][e[:k] + e[k + 1 :]] = c
-    return [_raw(*_canonical(b, rest_syms)) for b in buckets]
-
-
-def _from_var_coeffs(coeffs: Sequence[SparsePoly], var_name: str) -> SparsePoly:
-    v = SparsePoly.t() if var_name == "t" else SparsePoly.sym(var_name)
-    out = SparsePoly.zero()
-    for k, c in enumerate(coeffs):
-        out = out + c * v**k
-    return out
-
-
 def _normalize_sign(p: SparsePoly) -> SparsePoly:
     """Scale by a rational so the graded-lex leading coefficient is 1."""
     if p.is_zero():
@@ -645,10 +623,10 @@ def _prem(f: list[SparsePoly], g: list[SparsePoly]) -> list[SparsePoly]:
         if len(r) - 1 < dg:
             break
         shift = len(r) - 1 - dg
-        lead = r[-1]
-        r = [c * lc for c in r]
-        for j, gj in enumerate(g):
-            r[shift + j] = r[shift + j] - lead * gj
+        minus_lead = -r[-1]
+        r = [c * lc for c in r[:shift]] + [
+            _sum_products(((c, lc), (minus_lead, gj))) for c, gj in zip(r[shift:], g)
+        ]
         while r and r[-1].is_zero():
             r.pop()
     return r
@@ -763,16 +741,8 @@ def split_linear_param(p: SparsePoly, sym: str) -> tuple[SparsePoly, SparsePoly]
     d = p.deg_in(sym)
     if d > 1:
         raise NotLinearInParamError(f"{p} has degree {d} in {sym}")
-    if sym not in p.symbols:
-        return p, SparsePoly.zero()
-    k = 1 + p.symbols.index(sym)
-    s_terms: dict[tuple[int, ...], Fraction] = {}
-    r_terms: dict[tuple[int, ...], Fraction] = {}
-    rest = p.symbols[: k - 1] + p.symbols[k:]
-    for e, c in p._terms.items():
-        stripped = e[:k] + e[k + 1 :]
-        (r_terms if e[k] else s_terms)[stripped] = c
-    return _raw(*_canonical(s_terms, rest)), _raw(*_canonical(r_terms, rest))
+    s, *r = _as_var_coeffs(p, sym)
+    return s, r[0] if r else SparsePoly.zero()
 
 
 def is_irreducible_linear_param(p: SparsePoly, sym: str) -> bool:
@@ -856,12 +826,6 @@ class PolyMatrix:
             [self.index_labels[i] for i in keep],
         )
 
-    def substitute(self, sym: str, value: Union[SparsePoly, Scalar]) -> "PolyMatrix":
-        return PolyMatrix(
-            [[x.subs_sym(sym, value) for x in row] for row in self.entries],
-            self.index_labels,
-        )
-
     def matvec(self, vec: Sequence[SparsePoly]) -> list[SparsePoly]:
         if len(vec) != self.dimension:
             raise StructuralError("vector length does not match dimension")
@@ -918,16 +882,7 @@ def charpoly(m: PolyMatrix) -> SparsePoly:
             _sum_products((toep[i - j], c[j]) for j in range(min(i, k) + 1))
             for i in range(k + 2)
         ]
-    return SparsePoly.from_t_coeffs(c[::-1])
-
-
-def _sum_products(pairs: Iterable[tuple[SparsePoly, SparsePoly]]) -> SparsePoly:
-    """Sum of x*y over the pairs, skipping every pair with a zero factor."""
-    out = SparsePoly.zero()
-    for x, y in pairs:
-        if x and y:
-            out = out + x * y
-    return out
+    return _from_var_coeffs(c[::-1], "t")
 
 
 def bareiss_det(rows: Sequence[Sequence[SparsePoly]]) -> SparsePoly:

@@ -152,12 +152,6 @@ class Partition:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "parts", norm)
 
-    def part_of(self, v: int) -> int:
-        for idx, part in enumerate(self.parts):
-            if v in part:
-                return idx
-        raise StructuralError(f"vertex {v} not in partition")
-
     def __len__(self) -> int:
         return len(self.parts)
 

@@ -17,6 +17,7 @@ certifies against.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 from .errors import (
@@ -48,6 +49,12 @@ class CospectralDecomposition:
     deg_zero: int
     trace_plus: SparsePoly
     trace_minus: SparsePoly
+
+    @cached_property
+    def common_factor(self) -> SparsePoly:
+        """gcd(P_plus, P_minus), computed once; 1 exactly when the pair is
+        strongly cospectral."""
+        return poly_gcd_t(self.p_plus, self.p_minus)
 
     def as_json_dict(self) -> dict:
         return {
@@ -162,7 +169,7 @@ def is_strongly_cospectral(m: PolyMatrix, u: int, v: int) -> bool:
         dec = decompose(m, u, v)
     except NotCospectralError:
         return False
-    return poly_gcd_t(dec.p_plus, dec.p_minus).is_one()
+    return dec.common_factor.is_one()
 
 
 def q_expansion_residual(m: PolyMatrix, u: int, v: int, sym: str) -> SparsePoly:

@@ -180,6 +180,8 @@ def fidelity_scan(
         raise DomainError(f"need at least 2 grid points, got {steps}")
     weights = spectrum.projectors[:, u, v]
     values = spectrum.cluster_values
+    if not math.isfinite(t_max * float(np.max(np.abs(values)))):
+        raise DomainError(f"phases t*lambda overflow on [0, {t_max}]; lower t_max")
 
     def fid(ts: np.ndarray) -> np.ndarray:
         return np.abs(np.exp(1j * np.outer(ts, values)) @ weights)

@@ -240,11 +240,21 @@ def test_non_finite_float_option_rejected(capsys, argv, value):
         (["construct", "glue-pot", "@G_B", "--k", "3", "--out", "{tmp}/missing/g.txt"], 2),
         (["simulate", "@G_B", "--steps", "10", "--csv", "{tmp}/missing/s.csv"], 2),
         (["analyze", "@G_B", "--potential", "Q", "--simulate", "--potential-value", "1e308"], 2),
+        (["simulate", "@G_B", "--tmax", "1e308", "--steps", "100"], 2),
     ],
-    ids=["potential-1/0", "potential-value-1/0", "not-utf8", "out-dir", "csv-dir", "overflow"],
+    ids=[
+        "potential-1/0",
+        "potential-value-1/0",
+        "not-utf8",
+        "out-dir",
+        "csv-dir",
+        "overflow",
+        "phase-overflow",
+    ],
 )
 def test_bad_input_or_output_is_one_error_line(capsys, tmp_path, argv, code):
-    # 1e308 is finite, but symmetrizing the matrix overflows to inf
+    # 1e308 is finite, but symmetrizing the matrix (overflow) or the phases
+    # t*lambda (phase-overflow) overflow to inf
     (tmp_path / "latin1.txt").write_bytes(b"n 9\ne 1 8\n# caf\xe9\n")
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
     got, out, err = run(capsys, *argv, "--u", "1", "--v", "8")
@@ -261,6 +271,7 @@ def test_analyze_runs_each_exact_kernel_once_per_question(monkeypatch, capsys):
         "charpoly": exact.charpoly,
         "krylov_min_poly": exact.krylov_min_poly,
         "bareiss_det": exact.bareiss_det,
+        "poly_gcd_t": exact.poly_gcd_t,
     }
     calls = Counter()
 
@@ -283,4 +294,5 @@ def test_analyze_runs_each_exact_kernel_once_per_question(monkeypatch, capsys):
         "charpoly": 3,
         "krylov_min_poly": 2,
         "bareiss_det": 0,
+        "poly_gcd_t": 1,
     }

@@ -8,6 +8,7 @@ root isolation.
 
 from __future__ import annotations
 
+import operator
 import random
 from fractions import Fraction
 
@@ -83,10 +84,11 @@ def test_parse_rejects_garbage():
     assert str(SparsePoly.parse("2t")) == "2*t"
 
 
-def test_symbol_cap_enforced():
+@pytest.mark.parametrize("op", [operator.mul, operator.add], ids=["mul", "add"])
+def test_symbol_cap_enforced(op):
     a = SparsePoly.sym("A") * SparsePoly.sym("B")
-    with pytest.raises(DomainError):
-        a * SparsePoly.sym("C")
+    with pytest.raises(DomainError, match="more than 2 symbols"):
+        op(a, SparsePoly.sym("C"))
 
 
 def test_substitution_and_eval():

@@ -2,7 +2,8 @@
 
 sympy is a test-only dependency: it computes the same objects by routes
 that share no code with pgstkit. Instances are seeded sparse weighted
-symmetric matrices with one or two parameter symbols on the diagonal.
+symmetric matrices with one or two parameter symbols on the diagonal, and
+seeded sparse polynomials over each symbol set (), (Q), (R) and (Q, R).
 """
 
 from __future__ import annotations
@@ -12,7 +13,15 @@ from fractions import Fraction
 
 import pytest
 
-from pgstkit import PolyMatrix, SparsePoly, charpoly, krylov_min_poly
+from pgstkit import (
+    PolyMatrix,
+    SparsePoly,
+    charpoly,
+    is_irreducible_linear_param,
+    krylov_min_poly,
+    poly_gcd_t,
+    split_linear_param,
+)
 
 sympy = pytest.importorskip("sympy")
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
@@ -87,3 +96,119 @@ def test_krylov_min_poly_matches_sympy_nullspace(seed):
         z = [SparsePoly.const((k == u) + sign * (k == v)) for k in range(n)]
         expected = _sympy_min_poly(a, sympy.Matrix([_to_sympy(x) for x in z]))
         assert sympy.expand(_to_sympy(krylov_min_poly(m, z)) - expected) == 0
+
+
+def _relative_factors(seed: int) -> tuple[SparsePoly, SparsePoly]:
+    m, u, v = _instance(seed)
+    n = m.dimension
+    return tuple(
+        krylov_min_poly(m, [SparsePoly.const((k == u) + sign * (k == v)) for k in range(n)])
+        for sign in (1, -1)
+    )
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_is_irreducible_linear_param_matches_factor_list(seed):
+    # Irreducible over Q(R) exactly when one factor, of multiplicity 1,
+    # involves t or Q; a factor in R alone is a unit there. Times t - 1,
+    # the same polynomial stays monic and linear in Q but factors.
+    for p in _relative_factors(seed):
+        if p.deg_in("Q") != 1:
+            continue
+        for q in (p, p * SparsePoly.parse("t - 1")):
+            _, factors = sympy.factor_list(_to_sympy(q), T, LOCALS["Q"], LOCALS["R"])
+            moving = [k for f, k in factors if f.has(T) or f.has(LOCALS["Q"])]
+            assert is_irreducible_linear_param(q, "Q") == (moving == [1])
+
+
+# ---------------------------------------------------------------------------
+# polynomial arithmetic
+
+SYMBOL_SETS = [(), ("Q",), ("R",), ("Q", "R")]
+SYMBOL_IDS = ["none", "Q", "R", "QR"]
+
+
+def _random_poly(rng: random.Random, symbols: tuple[str, ...], terms: int = 4) -> SparsePoly:
+    return SparsePoly(
+        [
+            (
+                (rng.randint(0, 3), *(rng.randint(0, 2) for _ in symbols)),
+                Fraction(rng.randint(-4, 4), rng.choice([1, 2, 3])),
+            )
+            for _ in range(terms)
+        ],
+        symbols,
+    )
+
+
+def _assert_same(got: SparsePoly, expected) -> None:
+    assert sympy.expand(_to_sympy(got) - expected) == 0
+    # canonical form: exactly the symbols that occur, sorted
+    assert got.symbols == tuple(s for s in SYMBOLS if sympy.expand(expected).has(LOCALS[s]))
+
+
+@pytest.mark.parametrize("syms_b", SYMBOL_SETS, ids=SYMBOL_IDS)
+@pytest.mark.parametrize("syms_a", SYMBOL_SETS, ids=SYMBOL_IDS)
+def test_arithmetic_matches_sympy(syms_a, syms_b):
+    rng = random.Random(f"{syms_a}{syms_b}")
+    for _ in range(5):
+        a, b = _random_poly(rng, syms_a), _random_poly(rng, syms_b)
+        x, y = _to_sympy(a), _to_sympy(b)
+        _assert_same(a + b, sympy.expand(x + y))
+        _assert_same(a - b, sympy.expand(x - y))
+        _assert_same(a * b, sympy.expand(x * y))
+        _assert_same(a - a, 0)
+
+
+def test_cancellation_prunes_symbols():
+    q = SparsePoly.sym("Q")
+    assert (SparsePoly.t() + q) - q == SparsePoly.t()
+    assert ((SparsePoly.t() + q) - q).symbols == ()
+    p = SparsePoly.parse("t^2*Q*R - 1/2*R + 3")
+    assert (p - p).is_zero() and (p - p).symbols == ()
+    assert (p + p.scale(-1) + 1).is_one()
+
+
+@pytest.mark.parametrize("syms", SYMBOL_SETS, ids=SYMBOL_IDS)
+def test_subs_sym_matches_sympy(syms):
+    rng = random.Random(f"subs{syms}")
+    q = LOCALS["Q"]
+    for _ in range(5):
+        p = _random_poly(rng, syms)
+        c = Fraction(rng.randint(-3, 3), rng.choice([1, 2]))
+        value = _random_poly(rng, ("R",), terms=2)
+        for by, expr in ((c, sympy.Rational(c.numerator, c.denominator)), (value, _to_sympy(value))):
+            _assert_same(p.subs_sym("Q", by), sympy.expand(_to_sympy(p).subs(q, expr)))
+
+
+@pytest.mark.parametrize("syms", SYMBOL_SETS, ids=SYMBOL_IDS)
+def test_split_linear_param_matches_sympy(syms):
+    rng = random.Random(f"split{syms}")
+    q = LOCALS["Q"]
+    rest = tuple(s for s in syms if s != "Q")
+    for _ in range(5):
+        # p = S + Q*R, with R = 0 when Q is not among the symbols
+        s_part, r_part = _random_poly(rng, rest), _random_poly(rng, rest)
+        p = s_part + (SparsePoly.sym("Q") * r_part if "Q" in syms else SparsePoly.zero())
+        expected = sympy.expand(_to_sympy(p))
+        s, r = split_linear_param(p, "Q")
+        _assert_same(s, expected.coeff(q, 0))
+        _assert_same(r, expected.coeff(q, 1))
+
+
+@pytest.mark.parametrize("syms", SYMBOL_SETS, ids=SYMBOL_IDS)
+def test_poly_gcd_t_matches_sympy(syms):
+    rng = random.Random(f"gcd{syms}")
+    gens = (T, *(LOCALS[s] for s in syms))
+    for _ in range(4):
+        g, f1, f2 = (_random_poly(rng, syms, terms=3) for _ in range(3))
+        a, b = g * f1, g * f2
+        if a.is_zero() and b.is_zero():
+            continue
+        got = poly_gcd_t(a, b)
+        expected = sympy.gcd(_to_sympy(a), _to_sympy(b), *gens)
+        # equal up to a nonzero rational factor; sympy normalizes differently
+        ratio = sympy.cancel(_to_sympy(got) / expected)
+        assert ratio.is_Rational and ratio != 0
+        if sympy.Poly(expected, *gens).is_ground:
+            assert got.is_one()

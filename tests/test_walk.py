@@ -185,6 +185,9 @@ def test_scan_validation():
         fidelity_scan(spec, 0, 1, 0.0, 100)
     with pytest.raises(DomainError):
         fidelity_scan(spec, 0, 1, 10.0, 1)
+    # t_max = 1.5e308 is finite, but the phase 1.5e308 * sqrt(2) is not
+    with pytest.raises(DomainError, match="overflow"):
+        fidelity_scan(sym_eig(numeric_adjacency(path_graph(3))), 0, 2, 1.5e308, 100)
 
 
 def test_unitarity_random_instances():
