@@ -24,9 +24,11 @@ emit ProvenNoPGST.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple, Sequence
+
+import numpy as np
 
 from .errors import (
     DomainError,
@@ -261,154 +263,88 @@ def parity_obstruction(dec: CospectralDecomposition) -> Certificate | None:
 EXHAUSTIVE_LIMIT = 10**7
 
 
+def _searched_bound(count: int, bound: int) -> int:
+    """Largest b <= bound whose coefficient box (2b + 1)^count has at most
+    EXHAUSTIVE_LIMIT points; 0 when even b = 1 does not fit."""
+    if (2 * bound + 1) ** count <= EXHAUSTIVE_LIMIT:
+        return bound
+    # the float root is within 1/2 of the true one, so rounding gives the
+    # integer root or one more
+    side = round(EXHAUSTIVE_LIMIT ** (1.0 / count))
+    side -= side**count > EXHAUSTIVE_LIMIT
+    return (side - 1) // 2
+
+
 def integer_relation_search(
     lambdas: Sequence[float],
     mus: Sequence[float],
     bound: int,
     precision: float,
 ) -> list[Relation]:
-    """Candidate relations sum(l.lam) + sum(m.mu) ~ 0 within precision,
-    subject to sum(l) + sum(m) = 0, sum(m) odd, and |coefficients| <= bound.
+    """Every relation sum(l.lam) + sum(m.mu) ~ 0 within precision, subject
+    to sum(l) + sum(m) = 0, sum(m) odd, and |coefficients| <= b.
 
-    One route per question. When the search box has at most
-    EXHAUSTIVE_LIMIT = 10^7 points, an enumeration with branch pruning
-    visits all of it, so every relation within the bound is found.
-    Otherwise a lattice-reduction (LLL) probe proposes candidates, which
-    may miss relations. Results are deduplicated with the first nonzero
-    coefficient normalized positive, and sorted by coefficient mass.
+    b is the requested bound, lowered where needed so that the box
+    (2b + 1)^(r + s) has at most EXHAUSTIVE_LIMIT = 10^7 points; with more
+    than 14 values even b = 1 does not fit, and the result is empty. The
+    box is searched completely, so an empty result means that no relation
+    exists within b.
+
+    Split and match (Horowitz-Sahni): each half of the box is enumerated,
+    grouped by coefficient sum and minus-side parity and sorted by value,
+    and halves whose sums and values cancel are matched. Relations have
+    their first nonzero coefficient positive and are sorted by coefficient
+    mass.
     """
     if bound < 1:
         raise DomainError(f"coefficient bound must be >= 1, got {bound}")
     if not 0 < precision < float("inf"):
         raise DomainError(f"precision must be positive and finite, got {precision}")
-    r, s = len(lambdas), len(mus)
-    if r + s == 0:
-        return []
+    r, d = len(lambdas), len(lambdas) + len(mus)
     xs = [float(x) for x in lambdas] + [float(x) for x in mus]
-    found: dict[tuple[int, ...], Relation] = {}
-
-    def consider(coeffs: Sequence[int]) -> None:
-        if all(c == 0 for c in coeffs):
-            return
-        if any(abs(c) > bound for c in coeffs):
-            return
-        if sum(coeffs) != 0:
-            return
-        m_part = coeffs[r:]
-        if sum(m_part) % 2 == 0:
-            return
+    if not all(math.isfinite(x) for x in xs):
+        raise DomainError("relation search needs finite values")
+    b = _searched_bound(d, bound)
+    if d < 2 or b == 0:  # a nonzero vector with coefficient sum 0 has two entries
+        return []
+    h = d // 2
+    left, right = _half_box(h, b), _half_box(d - h, b)
+    lv, rv = left @ np.array(xs[:h]), right @ np.array(xs[h:])
+    minus = np.arange(d) >= r
+    # a left half with key k pairs with right halves whose wanted key is k:
+    # the sums cancel and the two minus-side parities add up to odd
+    lkey = 2 * left.sum(axis=1) + left[:, minus[:h]].sum(axis=1) % 2
+    rkey = -2 * right.sum(axis=1) + 1 - right[:, minus[h:]].sum(axis=1) % 2
+    order = np.lexsort((rv, rkey))
+    right, rv, rkey = right[order], rv[order], rkey[order]
+    # matches within precision plus the rounding of the two float sums
+    slack = precision + d * 2.0**-52 * b * sum(abs(x) for x in xs)
+    pairs = []
+    for key in np.unique(lkey):
+        lo, hi = np.searchsorted(rkey, key), np.searchsorted(rkey, key, side="right")
+        rows = np.flatnonzero(lkey == key)
+        start = lo + np.searchsorted(rv[lo:hi], -lv[rows] - slack)
+        stop = lo + np.searchsorted(rv[lo:hi], -lv[rows] + slack, side="right")
+        counts = stop - start
+        # left row rows[i] pairs with right rows start[i] .. stop[i] - 1
+        matched = np.arange(counts.sum()) + np.repeat(start - np.cumsum(counts) + counts, counts)
+        pairs.append(np.hstack([left[np.repeat(rows, counts)], right[matched]]))
+    vecs = np.concatenate(pairs)
+    # the residual is summed on the representative whose first nonzero
+    # coefficient is negative, then negated: an exact cancellation reads -0.0
+    first = vecs[np.arange(len(vecs)), (vecs != 0).argmax(axis=1)]
+    found = []
+    for coeffs in vecs[first < 0].tolist():
         residual = sum(c * x for c, x in zip(coeffs, xs))
-        if abs(residual) >= precision:
-            return
-        vec = tuple(coeffs)
-        first = next(c for c in vec if c != 0)
-        if first < 0:
-            vec = tuple(-c for c in vec)
-            residual = -residual
-        if vec not in found:
-            found[vec] = Relation(vec[:r], vec[r:], residual)
-
-    if (2 * bound + 1) ** (r + s) <= EXHAUSTIVE_LIMIT:
-        _exhaustive_search(xs, r, bound, precision, consider)
-    else:
-        for cand in _lll_candidates(xs, bound, precision):
-            consider(cand)
-
-    return sorted(
-        found.values(), key=lambda rel: (sum(abs(c) for c in rel.l + rel.m), rel.l + rel.m)
-    )
+        if abs(residual) < precision:
+            vec = tuple(-c for c in coeffs)
+            found.append(Relation(vec[:r], vec[r:], -residual))
+    return sorted(found, key=lambda rel: (sum(abs(c) for c in rel.l + rel.m), rel.l + rel.m))
 
 
-def _exhaustive_search(xs, r, bound, precision, consider) -> None:
-    d = len(xs)
-    suffix_mass = [0.0] * (d + 1)
-    for i in range(d - 1, -1, -1):
-        suffix_mass[i] = suffix_mass[i + 1] + bound * abs(xs[i])
-    coeffs = [0] * d
-
-    def walk(i: int, partial: float, coef_sum: int) -> None:
-        if i == d:
-            if coef_sum == 0:
-                consider(list(coeffs))
-            return
-        # residual can still be pulled back by at most suffix_mass[i]
-        if abs(partial) - suffix_mass[i] >= precision:
-            return
-        # coefficient sum can change by at most bound per remaining slot
-        if abs(coef_sum) > bound * (d - i):
-            return
-        for c in range(-bound, bound + 1):
-            coeffs[i] = c
-            walk(i + 1, partial + c * xs[i], coef_sum + c)
-        coeffs[i] = 0
-
-    walk(0, 0.0, 0)
-
-
-def _lll_candidates(xs: Sequence[float], bound: int, precision: float) -> list[list[int]]:
-    d = len(xs)
-    scale = int(round(10.0 / precision))
-    sum_weight = max(1000, scale // 1000)
-    basis = []
-    for i, x in enumerate(xs):
-        row = [0] * d + [int(round(x * scale)), sum_weight]
-        row[i] = 1
-        basis.append(row)
-    reduced = _lll(basis)
-    return [row[:d] for row in reduced]
-
-
-def _lll(basis: list[list[int]], delta: Fraction = Fraction(3, 4)) -> list[list[int]]:
-    """Textbook LLL over exact rationals; returns a reduced integer basis.
-
-    A size reduction b_k -= m b_j keeps every b* and ||b*||^2 and only
-    shifts row k of mu, which is updated in place; Gram-Schmidt is redone
-    only after a swap. Gives up (best effort) after 10 000 rounds.
-    """
-    b = [[Fraction(x) for x in row] for row in basis]
-    n = len(b)
-
-    def dot(u, v):
-        return sum(a * c for a, c in zip(u, v))
-
-    def gramschmidt():
-        star = []
-        mu = [[Fraction(0)] * n for _ in range(n)]
-        norms = []
-        for i in range(n):
-            w = list(b[i])
-            for j in range(i):
-                if norms[j] == 0:
-                    mu[i][j] = Fraction(0)
-                    continue
-                mu[i][j] = dot(b[i], star[j]) / norms[j]
-                w = [a - mu[i][j] * c for a, c in zip(w, star[j])]
-            star.append(w)
-            norms.append(dot(w, w))
-        return mu, norms
-
-    mu, norms = gramschmidt()
-    k = 1
-    guard = 0
-    while k < n:
-        guard += 1
-        if guard > 10000:
-            break  # defensive: reduction is best effort for candidate generation
-        for j in range(k - 1, -1, -1):
-            q = mu[k][j]
-            if abs(q) > Fraction(1, 2):
-                m = int(q + Fraction(1, 2)) if q > 0 else -int(-q + Fraction(1, 2))
-                b[k] = [a - m * c for a, c in zip(b[k], b[j])]
-                for i in range(j):
-                    mu[k][i] -= m * mu[j][i]
-                mu[k][j] -= m
-        if norms[k] >= (delta - mu[k][k - 1] ** 2) * norms[k - 1]:
-            k += 1
-        else:
-            b[k], b[k - 1] = b[k - 1], b[k]
-            mu, norms = gramschmidt()
-            k = max(k - 1, 1)
-    return [[int(x) for x in row] for row in b]
+def _half_box(k: int, b: int) -> np.ndarray:
+    """All coefficient vectors in [-b, b]^k, one per row, in lexicographic order."""
+    return np.indices((2 * b + 1,) * k).reshape(k, -1).T - b
 
 
 def heuristic_obstruction(
@@ -421,7 +357,9 @@ def heuristic_obstruction(
 
     Each candidate must re-verify at four times tighter precision; ones
     that only barely passed are dropped. Returns None when nothing
-    survives. Never a proof: eigenvalues are floating point.
+    survives. The evidence's "bound" is the bound actually searched, which
+    integer_relation_search may have lowered to fit its box limit. Never a
+    proof: eigenvalues are floating point.
     """
     relations = integer_relation_search(lambdas, mus, bound, precision)
     verified = [rel for rel in relations if abs(rel.residual) < precision / 4]
@@ -432,7 +370,7 @@ def heuristic_obstruction(
             {"l": list(rel.l), "m": list(rel.m), "residual": rel.residual}
             for rel in verified
         ],
-        "bound": bound,
+        "bound": _searched_bound(len(lambdas) + len(mus), bound),
         "precision": precision,
         "reverified_at": precision / 4,
         "lambdas": [float(x) for x in lambdas],

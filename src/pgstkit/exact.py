@@ -769,9 +769,8 @@ class PolyMatrix:
     """Symmetric matrix with t-free polynomial diagonal and rational off-diagonal."""
 
     entries: tuple[tuple[SparsePoly, ...], ...]
-    index_labels: tuple[str, ...]
 
-    def __init__(self, entries, index_labels: Sequence[str] | None = None):
+    def __init__(self, entries):
         rows = [[_coerce_entry(x) for x in row] for row in entries]
         n = len(rows)
         for row in rows:
@@ -787,14 +786,7 @@ class PolyMatrix:
                     )
                 if j < i and rows[i][j] != rows[j][i]:
                     raise StructuralError(f"matrix is not symmetric at ({i},{j})")
-        if index_labels is None:
-            index_labels = tuple(str(i) for i in range(n))
-        else:
-            index_labels = tuple(index_labels)
-            if len(index_labels) != n:
-                raise StructuralError("label count does not match dimension")
         object.__setattr__(self, "entries", tuple(tuple(row) for row in rows))
-        object.__setattr__(self, "index_labels", index_labels)
         # (column, entry) pairs of each row's nonzero entries
         object.__setattr__(
             self, "nonzero", tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in rows)
@@ -821,18 +813,12 @@ class PolyMatrix:
             if not (0 <= k < n):
                 raise StructuralError(f"vertex index {k} out of range 0..{n - 1}")
         keep = [i for i in range(n) if i not in drop_set]
-        return PolyMatrix(
-            [[self.entries[i][j] for j in keep] for i in keep],
-            [self.index_labels[i] for i in keep],
-        )
+        return PolyMatrix([[self.entries[i][j] for j in keep] for i in keep])
 
     def matvec(self, vec: Sequence[SparsePoly]) -> list[SparsePoly]:
         if len(vec) != self.dimension:
             raise StructuralError("vector length does not match dimension")
         return [_sum_products((x, vec[j]) for j, x in row) for row in self.nonzero]
-
-    def to_float(self, params: Mapping[str, float] | None = None) -> list[list[float]]:
-        return [[x.eval_float(params=params) for x in row] for row in self.entries]
 
 
 def _coerce_entry(x) -> SparsePoly:

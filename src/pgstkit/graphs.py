@@ -181,7 +181,7 @@ def to_matrix(g: Graph) -> PolyMatrix:
         rows[i][j] = rows[j][i] = SparsePoly.const(w)
     for v, p in g.potentials.items():
         rows[v][v] = p
-    return PolyMatrix(rows, g.labels)
+    return PolyMatrix(rows)
 
 
 def add_potential(g: Graph, v: int, value: PotentialValue) -> Graph:

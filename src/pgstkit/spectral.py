@@ -199,7 +199,7 @@ def q_expansion_residual(m: PolyMatrix, u: int, v: int, sym: str) -> SparsePoly:
         ]
         for i in range(m.dimension)
     ]
-    perturbed = PolyMatrix(perturbed_rows, m.index_labels)
+    perturbed = PolyMatrix(perturbed_rows)
     expected = (
         charpoly(m)
         - q.scale(2) * charpoly(m.delete([u]))

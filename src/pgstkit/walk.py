@@ -18,11 +18,14 @@ from typing import Mapping, Sequence, TextIO
 import numpy as np
 
 from .errors import DomainError, StructuralError
-from .graphs import Graph, to_matrix
+from .graphs import Graph
 
 CLUSTER_RTOL = 1e-8
 SYMMETRY_TOL = 1e-12
 SUPPORT_TOL = 1e-9
+# Grid rows per fidelity-scan block; at least 3, so that no block has one
+# row (a one-row product takes another BLAS path and may differ by an ulp).
+SCAN_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -45,15 +48,20 @@ class FidelityScan:
     u: int
     v: int
     t_max: float
-    times: list[float]
-    fidelities: list[float]
+    times: np.ndarray
+    fidelities: np.ndarray
     best_time: float
     best_fidelity: float
 
 
 def numeric_adjacency(g: Graph, params: Mapping[str, float] | None = None) -> np.ndarray:
     """Graph matrix as floats; every potential symbol must get a value."""
-    return np.array(to_matrix(g).to_float(params), dtype=float)
+    a = np.zeros((g.n, g.n))
+    for (i, j), w in g.edges.items():
+        a[i, j] = a[j, i] = float(w)
+    for v, p in sorted(g.potentials.items()):
+        a[v, v] = p.eval_float(params=params)
+    return a
 
 
 def sym_eig(matrix: np.ndarray | Sequence[Sequence[float]]) -> NumericSpectrum:
@@ -171,7 +179,9 @@ def fidelity_scan(
     """Scan |U(t)[u, v]| on a uniform grid over [0, t_max] and refine the
     best grid point by golden-section search in its bracket.
 
-    The reported best fidelity is never below the grid maximum.
+    The grid is evaluated in blocks of at most SCAN_CHUNK rows. A phase
+    t_max * max|lambda| whose ulp exceeds 1e-6 rad (from 2^33, about
+    8.6e9) is rejected. The best fidelity is never below the grid maximum.
     """
     _check_indices(spectrum, u, v)
     if not 0 < t_max < math.inf:
@@ -180,14 +190,18 @@ def fidelity_scan(
         raise DomainError(f"need at least 2 grid points, got {steps}")
     weights = spectrum.projectors[:, u, v]
     values = spectrum.cluster_values
-    if not math.isfinite(t_max * float(np.max(np.abs(values)))):
-        raise DomainError(f"phases t*lambda overflow on [0, {t_max}]; lower t_max")
+    if not math.ulp(t_max * float(np.max(np.abs(values)))) <= 1e-6:
+        raise DomainError(
+            f"phases t*lambda overflow float precision on [0, {t_max}] "
+            "(an ulp above 1e-6 rad); lower t_max"
+        )
 
     def fid(ts: np.ndarray) -> np.ndarray:
         return np.abs(np.exp(1j * np.outer(ts, values)) @ weights)
 
     times = np.linspace(0.0, t_max, steps)
-    fids = fid(times)
+    blocks = np.array_split(times, -(-steps // SCAN_CHUNK))
+    fids = np.concatenate([fid(block) for block in blocks])
     k = int(np.argmax(fids))
     lo = times[max(0, k - 1)]
     hi = times[min(steps - 1, k + 1)]
@@ -198,8 +212,8 @@ def fidelity_scan(
         u=u,
         v=v,
         t_max=float(t_max),
-        times=[float(t) for t in times],
-        fidelities=[float(f) for f in fids],
+        times=times,
+        fidelities=fids,
         best_time=best_t,
         best_fidelity=best_f,
     )
@@ -228,7 +242,7 @@ def _golden_max(f, lo: float, hi: float) -> tuple[float, float]:
 
 def write_fidelity_csv(scan: FidelityScan, stream: TextIO) -> None:
     stream.write("t,fidelity\n")
-    for t, f in zip(scan.times, scan.fidelities):
+    for t, f in zip(scan.times.tolist(), scan.fidelities.tolist()):
         stream.write(f"{t!r},{f!r}\n")
 
 

@@ -6,7 +6,6 @@ import itertools
 import json
 import math
 import random
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -218,77 +217,116 @@ def test_relation_search_planted_relation_found():
         assert ((2, 1), (-3,)) in {(r.l, r.m) for r in found}
 
 
-def test_relation_search_ga_box_is_exhaustive_alone(monkeypatch):
+def _spectrum(name):
+    f = get_fixture(name)
+    dec = decompose(to_matrix(f.graph), f.u, f.v)
+    return isolate_real_roots(dec.p_plus), isolate_real_roots(dec.p_minus)
+
+
+def _half_split_oracle(lambdas, mus, bound, precision):
+    """Independent enumeration: pair every lambda-side vector with every
+    mu-side vector, keep admissible near-zero sums, sign-normalized."""
+    left, right = (
+        np.array(list(itertools.product(range(-bound, bound + 1), repeat=len(xs))))
+        for xs in (lambdas, mus)
+    )
+    left_val, right_val = left @ np.array(lambdas), right @ np.array(mus)
+    left_sum = left.sum(axis=1)
+    found = set()
+    for j, row in enumerate(right):  # the mu side: its sum must be odd
+        if row.sum() % 2 == 0:
+            continue
+        hits = (left_sum + row.sum() == 0) & (np.abs(left_val + right_val[j]) < precision)
+        for i in np.flatnonzero(hits):
+            vec = tuple(int(c) for c in left[i]) + tuple(int(c) for c in row)
+            if any(vec):
+                first = next(c for c in vec if c)
+                found.add(vec if first > 0 else tuple(-c for c in vec))
+    return found
+
+
+def _vectors(relations):
+    return [rel.l + rel.m for rel in relations]
+
+
+def test_relation_search_ga_box_is_exhaustive_alone():
     # G_A has 4 + 4 supported eigenvalues, so bound 3 gives a box of
-    # 7^8 <= EXHAUSTIVE_LIMIT points, searched by enumeration alone
-    fa = get_fixture("G_A")
-    dec = decompose(to_matrix(fa.graph), fa.u, fa.v)
-    lambdas = isolate_real_roots(dec.p_plus)
-    mus = isolate_real_roots(dec.p_minus)
+    # 7^8 <= EXHAUSTIVE_LIMIT points, searched in full at the requested bound
+    lambdas, mus = _spectrum("G_A")
     assert len(lambdas) == len(mus) == 4
     assert 7**8 <= certify.EXHAUSTIVE_LIMIT
-
-    def no_lll(*args):
-        raise AssertionError("LLL probe ran inside the exhaustive box")
-
-    monkeypatch.setattr(certify, "_lll_candidates", no_lll)
-    found = [rel.l + rel.m for rel in integer_relation_search(lambdas, mus, 3, 1e-9)]
-
-    # independent enumeration: pair every left half (lambda side) with
-    # every right half (mu side) and keep admissible near-zero sums
-    half = np.array(list(itertools.product(range(-3, 4), repeat=4)))
-    left, right = half @ np.array(lambdas), half @ np.array(mus)
-    right_sum = half.sum(axis=1)
-    expected = set()
-    for i, row in enumerate(half):
-        hits = (row.sum() + right_sum == 0) & (right_sum % 2 == 1)
-        hits &= np.abs(left[i] + right) < 1e-9
-        for j in np.flatnonzero(hits):
-            vec = tuple(int(c) for c in row) + tuple(int(c) for c in half[j])
-            first = next(c for c in vec if c)
-            expected.add(vec if first > 0 else tuple(-c for c in vec))
+    relations = integer_relation_search(lambdas, mus, 3, 1e-9)
+    found = _vectors(relations)
     assert len(found) == 486  # frozen regression
-    assert set(found) == expected
+    assert set(found) == _half_split_oracle(lambdas, mus, 3, 1e-9)
     assert found == sorted(found, key=lambda vec: (sum(abs(c) for c in vec), vec))
+    # the 104 exact cancellations print as -0.0 in CLI reports (frozen), and
+    # the matching window keeps them at any precision
+    assert [repr(rel.residual) for rel in relations].count("-0.0") == 104
+    assert len(integer_relation_search(lambdas, mus, 3, 1e-300)) == 104
 
 
-def _gram_schmidt(basis):
-    """Fraction Gram-Schmidt: returns mu and the squared norms of b*."""
-    star, norms = [], []
-    mu = [[Fraction(0)] * len(basis) for _ in basis]
-    for i, row in enumerate(basis):
-        w = [Fraction(x) for x in row]
-        for j in range(i):
-            mu[i][j] = sum(Fraction(a) * c for a, c in zip(row, star[j])) / norms[j]
-            w = [a - mu[i][j] * c for a, c in zip(w, star[j])]
-        star.append(w)
-        norms.append(sum(a * a for a in w))
-    return mu, norms
+def test_relation_search_matches_python_enumeration():
+    # one-decimal values cancel exactly in a left-to-right Python sum where
+    # the float sums of the two halves may not, so precision 1e-300 keeps
+    # only what the rounding allowance of the matching window lets through
+    rng = random.Random(353)
+    for _ in range(6):
+        lambdas = [round(rng.uniform(0, 1), 1) for _ in range(3)]
+        mus = [sum(lambdas) / 3, round(rng.uniform(0, 2), 1)]
+        for precision in (1e-300, 1e-9):
+            expected = []
+            for vec in itertools.product(range(-3, 4), repeat=5):
+                first = next((c for c in vec if c), 0)
+                if first < 0 and sum(vec) == 0 and sum(vec[3:]) % 2:
+                    residual = sum(c * x for c, x in zip(vec, lambdas + mus))
+                    if abs(residual) < precision:
+                        pos = tuple(-c for c in vec)
+                        expected.append((pos[:3], pos[3:], repr(-residual)))
+            got = integer_relation_search(lambdas, mus, 3, precision)
+            assert sorted(expected) == sorted((rel.l, rel.m, repr(rel.residual)) for rel in got)
 
 
-def test_lll_reduces_and_keeps_the_lattice():
-    rng = random.Random(347)
-    bases = []
-    for _ in range(8):
-        n = rng.randint(2, 5)
-        width = n + rng.randint(0, 2)
-        bases.append([[rng.randint(-60, 60) for _ in range(width)] for _ in range(n)])
-    for _ in range(4):  # the shape the relation probe builds
-        xs = [rng.uniform(-3, 3) for _ in range(rng.randint(2, 5))]
-        bases.append(
-            [[int(i == j) for j in range(len(xs))] + [round(x * 10**6), 1000] for i, x in enumerate(xs)]
-        )
-    for basis in bases:
-        _, before = _gram_schmidt(basis)
-        reduced = certify._lll(basis)
-        mu, norms = _gram_schmidt(reduced)
-        n = len(reduced)
-        assert all(abs(mu[k][j]) <= Fraction(1, 2) for k in range(n) for j in range(k))
-        assert all(
-            norms[k] >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * norms[k - 1] for k in range(1, n)
-        )
-        # equal Gram determinants: the rows still span a lattice of the same volume
-        assert math.prod(norms) == math.prod(before)
+def test_relation_search_lowers_the_bound_to_fit_the_box():
+    # G_D has 5 + 5 values: 7^10 points exceed the limit, 5^10 fit
+    lambdas, mus = _spectrum("G_D")
+    found = _vectors(integer_relation_search(lambdas, mus, 3, 1e-9))
+    assert len(found) == 571
+    assert set(found) == _half_split_oracle(lambdas, mus, 2, 1e-9)
+    # the six relations an LLL probe returns at bound 3 (frozen) lie in the
+    # bound-2 box
+    assert {
+        (0, 0, 0, 1, 0, 0, 0, 0, -1, 0),
+        (0, 1, 0, 0, 0, 0, -1, 0, 0, 0),
+        (0, 1, -1, 1, 0, 0, 0, -1, 0, 0),
+        (0, 1, 0, 1, -1, -1, 0, 0, 0, 0),
+        (1, 0, 0, 0, 0, 0, -1, 0, -1, 1),
+        (1, 0, 1, 0, 1, -1, 0, -1, 0, -1),
+    } <= set(found)
+    cert = heuristic_obstruction(lambdas, mus, 3, 1e-9)
+    assert cert.evidence["bound"] == 2
+
+
+def test_relation_search_respects_a_smaller_limit(monkeypatch):
+    # 5^8 <= 6^8 < 7^8: G_A at requested bound 3 is searched at bound 2
+    monkeypatch.setattr(certify, "EXHAUSTIVE_LIMIT", 6**8)
+    lambdas, mus = _spectrum("G_A")
+    found = _vectors(integer_relation_search(lambdas, mus, 3, 1e-9))
+    assert found and set(found) == _half_split_oracle(lambdas, mus, 2, 1e-9)
+    assert heuristic_obstruction(lambdas, mus, 3, 1e-9).evidence["bound"] == 2
+    # with more values than the limit allows at bound 1, nothing is searched
+    monkeypatch.setattr(certify, "EXHAUSTIVE_LIMIT", 3**8 - 1)
+    assert integer_relation_search(lambdas, mus, 3, 1e-9) == []
+
+
+def test_relation_search_huge_bound_is_lowered_at_once():
+    # 215^3 <= 10^7 < 217^3, so bound 10^12 is searched at bound 107, found
+    # in closed form (counting down from 10^12 would not finish);
+    # dyadic values make every sum exact, so the oracle agrees bit for bit
+    lambdas, mus = [1.0, 2.5], [3.5]
+    found = _vectors(integer_relation_search(lambdas, mus, 10**12, 1e-9))
+    assert found and set(found) == _half_split_oracle(lambdas, mus, 107, 1e-9)
+    assert heuristic_obstruction(lambdas, mus, 10**12, 1e-9).evidence["bound"] == 107
 
 
 def test_heuristic_obstruction_gd_and_k2():

@@ -241,6 +241,7 @@ def test_non_finite_float_option_rejected(capsys, argv, value):
         (["simulate", "@G_B", "--steps", "10", "--csv", "{tmp}/missing/s.csv"], 2),
         (["analyze", "@G_B", "--potential", "Q", "--simulate", "--potential-value", "1e308"], 2),
         (["simulate", "@G_B", "--tmax", "1e308", "--steps", "100"], 2),
+        (["simulate", "@G_B", "--tmax", "1e17", "--steps", "100"], 2),
     ],
     ids=[
         "potential-1/0",
@@ -250,11 +251,13 @@ def test_non_finite_float_option_rejected(capsys, argv, value):
         "csv-dir",
         "overflow",
         "phase-overflow",
+        "phase-precision",
     ],
 )
 def test_bad_input_or_output_is_one_error_line(capsys, tmp_path, argv, code):
     # 1e308 is finite, but symmetrizing the matrix (overflow) or the phases
-    # t*lambda (phase-overflow) overflow to inf
+    # t*lambda (phase-overflow) overflow to inf; at 1e17 the phases are
+    # finite but one ulp of them exceeds 2*pi (phase-precision)
     (tmp_path / "latin1.txt").write_bytes(b"n 9\ne 1 8\n# caf\xe9\n")
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
     got, out, err = run(capsys, *argv, "--u", "1", "--v", "8")

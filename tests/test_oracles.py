@@ -18,6 +18,7 @@ from pgstkit import (
     SparsePoly,
     charpoly,
     is_irreducible_linear_param,
+    isolate_real_roots,
     krylov_min_poly,
     poly_gcd_t,
     split_linear_param,
@@ -119,6 +120,24 @@ def test_is_irreducible_linear_param_matches_factor_list(seed):
             _, factors = sympy.factor_list(_to_sympy(q), T, LOCALS["Q"], LOCALS["R"])
             moving = [k for f, k in factors if f.has(T) or f.has(LOCALS["Q"])]
             assert is_irreducible_linear_param(q, "Q") == (moving == [1])
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_isolate_real_roots_matches_sympy(seed):
+    # At rational symbol values the charpoly has only real roots; its
+    # square doubles each of them, and a shift leaves some non-real.
+    # Eight seeds: one isolation at degree 9 takes up to 0.7 s.
+    m, _, _ = _instance(seed)
+    rng = random.Random(f"roots{seed}")
+    p = charpoly(m)
+    for s in SYMBOLS:
+        p = p.subs_sym(s, Fraction(rng.randint(-3, 3), rng.choice([1, 2, 3])))
+    for q in (p * p, p + SparsePoly.const(3)):
+        roots = sympy.Poly(_to_sympy(q), T).sqf_part().real_roots()
+        expected = [float(r.evalf(30)) for r in roots]
+        got = isolate_real_roots(q)
+        assert len(got) == len(expected)
+        assert all(abs(a - b) <= 1e-12 * max(1.0, abs(b)) for a, b in zip(got, expected))
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,12 @@ from __future__ import annotations
 import io
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from pgstkit import walk
 from pgstkit import (
     DomainError,
     SparsePoly,
@@ -186,8 +188,37 @@ def test_scan_validation():
     with pytest.raises(DomainError):
         fidelity_scan(spec, 0, 1, 10.0, 1)
     # t_max = 1.5e308 is finite, but the phase 1.5e308 * sqrt(2) is not
+    p3 = sym_eig(numeric_adjacency(path_graph(3)))
     with pytest.raises(DomainError, match="overflow"):
-        fidelity_scan(sym_eig(numeric_adjacency(path_graph(3))), 0, 2, 1.5e308, 100)
+        fidelity_scan(p3, 0, 2, 1.5e308, 100)
+    # 1e10 * sqrt(2) > 2^33: one ulp of the phase exceeds 1e-6 rad
+    with pytest.raises(DomainError, match="overflow"):
+        fidelity_scan(p3, 0, 2, 1e10, 100)
+    assert fidelity_scan(p3, 0, 2, 1e9, 100).best_fidelity <= 1.0 + 1e-9
+
+
+@pytest.mark.parametrize("steps", [2, 7, 4001, 20001])
+def test_fidelity_scan_blocks_match_the_whole_grid(monkeypatch, steps):
+    monkeypatch.setattr(walk, "SCAN_CHUNK", 3)
+    fb = get_fixture("G_B")
+    spec = sym_eig(numeric_adjacency(fb.graph))
+    scan = fidelity_scan(spec, fb.u, fb.v, 50.0, steps)
+    times = np.linspace(0.0, 50.0, steps)
+    whole = np.abs(np.exp(1j * np.outer(times, spec.cluster_values)) @ spec.projectors[:, fb.u, fb.v])
+    assert np.array_equal(scan.times, times)
+    assert np.array_equal(scan.fidelities, whole)
+
+
+def test_numeric_adjacency_matches_entrywise_evaluation():
+    rng = random.Random(421)
+    for _ in range(10):
+        g = random_graph(rng, n=rng.randint(2, 10), weighted=True, with_potentials=True)
+        g = add_potential(g, rng.randrange(g.n), SparsePoly.sym("Q") * Fraction(1, 3) + 1)
+        params = {"Q": rng.uniform(-2.0, 2.0)}
+        expected = [[x.eval_float(params=params) for x in row] for row in to_matrix(g).entries]
+        assert np.array_equal(numeric_adjacency(g, params), np.array(expected))
+    with pytest.raises(DomainError, match="no value"):
+        numeric_adjacency(g)
 
 
 def test_unitarity_random_instances():
