@@ -179,8 +179,8 @@ def certify_tr_deg(
     dec, when given, must be decompose(to_matrix(g), u, v); a caller that
     already holds it saves recomputing it. A cospectral pair stays
     cospectral at sym = 0, so only a failed decomposition needs the base
-    check, which substitutes sym = 0 into the two vertex-deleted
-    characteristic polynomials the failure carries.
+    check: ``is_cospectral`` on the graph with -sym added at u and v, which
+    is the graph at sym = 0 because sym has coefficient 1 there.
 
     Verdict is ProvenPGST or Inconclusive; this route never proves a
     negative.
@@ -192,8 +192,9 @@ def certify_tr_deg(
         try:
             dec = decompose(to_matrix(g), u, v)
         except NotCospectralError as exc:
-            phi_u, phi_v = (p.subs_sym(sym, 0) for p in exc.charpolys)
-            if phi_u != phi_v:
+            minus = -SparsePoly.sym(sym)
+            base = add_potential(add_potential(g, u, minus), v, minus)
+            if not is_cospectral(to_matrix(base), u, v):
                 raise DomainError(
                     f"vertices ({u},{v}) are not cospectral once {sym} is set to 0"
                 ) from exc

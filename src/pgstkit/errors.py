@@ -37,13 +37,8 @@ class ParseError(PgstError):
 class NotCospectralError(DomainError):
     """The vertex pair is not cospectral, so the decomposition is undefined.
 
-    When raised by ``decompose``, ``charpolys`` holds the two vertex-deleted
-    characteristic polynomials that differ, so callers can inspect them
-    without recomputing."""
-
-    def __init__(self, message: str, charpolys: tuple | None = None):
-        super().__init__(message)
-        self.charpolys = charpolys
+    Raised by ``decompose`` and ``q_expansion_residual`` when
+    ``spectral.is_cospectral`` rejects the pair."""
 
 
 class NotLinearInParamError(DomainError):

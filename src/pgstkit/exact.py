@@ -29,7 +29,8 @@ fraction-free elimination run on the Krylov vectors z, Mz, M^2 z, ..., with
 each vector carrying the t-polynomial that produced it; the first vector to
 reduce to zero carries a scalar multiple of the minimal polynomial, which
 one exact division makes monic. Any division that fails to be exact raises
-instead of degrading precision.
+instead of degrading precision. No step of the analysis pipeline calls
+``bareiss_det`` any more; it stays a public, tested name.
 """
 
 from __future__ import annotations

@@ -2,7 +2,10 @@
 polynomial at a cospectral pair.
 
 For a symmetric matrix M and vertices u, v, cospectrality means the vertex
-deleted characteristic polynomials agree. When it holds, the minimal
+deleted characteristic polynomials agree. Equivalently (Godsil and Smith,
+Strongly cospectral vertices, arXiv 1709.07975), the closed-walk counts
+(M^k)_uu and (M^k)_vv agree for every k; ``is_cospectral`` decides it that
+way, for k < n, and no other code does. When it holds, the minimal
 polynomials of M relative to e_u + e_v and e_u - e_v (written P_plus and
 P_minus) are coprime-squarefree factors of the characteristic polynomial,
 and the quotient
@@ -77,66 +80,37 @@ def _check_pair(m: PolyMatrix, u: int, v: int) -> None:
         raise DomainError("cospectrality needs two distinct vertices")
 
 
-def is_cospectral(m: PolyMatrix, u: int, v: int, thorough: bool = False) -> bool:
-    """Vertex-deleted characteristic polynomials at u and v agree.
+def is_cospectral(m: PolyMatrix, u: int, v: int) -> bool:
+    """Closed-walk counts at u and v agree: (M^k)_uu = (M^k)_vv for k < n.
 
-    With thorough=True two independent equivalent conditions are also
-    evaluated (closed-walk counts at u and v up to length 2n, and
-    orthogonality of e_u - e_v against the Krylov space of e_u + e_v);
-    disagreement between the three routes raises
-    InternalConsistencyError instead of returning.
+    By Godsil and Smith (Strongly cospectral vertices, arXiv 1709.07975)
+    this holds for every k exactly when u and v are cospectral. For
+    symmetric M the difference (M^k)_uu - (M^k)_vv is the u entry minus
+    the v entry of w = M^k (e_u + e_v). That sequence obeys the recurrence
+    of P_plus, the minimal polynomial of M relative to e_u + e_v, so it
+    vanishes for all k once it vanishes for k < deg P_plus <= n: n - 1
+    sparse products and no characteristic polynomial.
     """
     _check_pair(m, u, v)
-    primary = charpoly(m.delete([u])) == charpoly(m.delete([v]))
-    if not thorough:
-        return primary
-
-    n = m.dimension
-    walks_equal = True
-    wu = unit_vector(n, u)
-    wv = unit_vector(n, v)
-    for _ in range(2 * n):
-        wu = m.matvec(wu)
-        wv = m.matvec(wv)
-        if wu[u] != wv[v]:
-            walks_equal = False
-            break
-
-    plus = [
-        SparsePoly.one() if k in (u, v) else SparsePoly.zero() for k in range(n)
-    ]
-    ortho = True
-    w = plus
-    for _ in range(2 * n - 1):
-        if w[u] != w[v]:
-            ortho = False
-            break
+    w = [SparsePoly.one() if k in (u, v) else SparsePoly.zero() for k in range(m.dimension)]
+    for _ in range(m.dimension - 1):
         w = m.matvec(w)
-    else:
         if w[u] != w[v]:
-            ortho = False
-
-    if walks_equal != primary or ortho != primary:
-        raise InternalConsistencyError(
-            f"cospectrality routes disagree at ({u},{v}): "
-            f"charpoly={primary} walks={walks_equal} krylov-orthogonality={ortho}"
-        )
-    return primary
+            return False
+    return True
 
 
 def decompose(m: PolyMatrix, u: int, v: int) -> CospectralDecomposition:
     """Relative decomposition at a cospectral pair.
 
-    Computes charpoly(M_u) and charpoly(M_v) once; when they differ the
-    pair is not cospectral and NotCospectralError is raised carrying both.
-    The exact division defining P_zero cannot fail for a genuinely
-    cospectral pair; if it does, that is an engine bug and
-    InternalConsistencyError propagates.
+    The pair is checked by ``is_cospectral``; when it fails,
+    NotCospectralError is raised. Otherwise P_plus and P_minus come from
+    one Krylov run each and P_zero from one exact division of charpoly(M).
+    That division cannot fail for a genuinely cospectral pair; if it does,
+    that is an engine bug and InternalConsistencyError propagates.
     """
-    _check_pair(m, u, v)
-    phi_u, phi_v = charpoly(m.delete([u])), charpoly(m.delete([v]))
-    if phi_u != phi_v:
-        raise NotCospectralError(f"vertices ({u},{v}) are not cospectral", (phi_u, phi_v))
+    if not is_cospectral(m, u, v):
+        raise NotCospectralError(f"vertices ({u},{v}) are not cospectral")
     n = m.dimension
     e_u = unit_vector(n, u)
     e_v = unit_vector(n, v)

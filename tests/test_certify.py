@@ -13,6 +13,8 @@ import pytest
 from pgstkit import certify
 from pgstkit import (
     DomainError,
+    InternalConsistencyError,
+    NotCospectralError,
     SparsePoly,
     Verdict,
     ZeroEigenvalueObstruction,
@@ -105,10 +107,22 @@ def test_tr_deg_preconditions():
         certify_tr_deg(leaky, fb.u, fb.v, "Q")
     # base pair not cospectral
     p3 = _with_q(path_graph(3), 0, 1)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^vertices \(0,1\) are not cospectral once Q is set to 0$"):
         certify_tr_deg(p3, 0, 1, "Q")
     with pytest.raises(DomainError):
         certify_tr_deg(_with_q(path_graph(2), 0, 1), 0, 0, "Q")
+
+
+def test_tr_deg_failed_decomposition_over_a_cospectral_base_is_a_fault(monkeypatch):
+    # A pair potential cannot break cospectrality: when the decomposition
+    # fails but the base pair at Q = 0 is cospectral, the engine is at fault.
+    def not_cospectral(m, u, v):
+        raise NotCospectralError("injected")
+
+    monkeypatch.setattr(certify, "decompose", not_cospectral)
+    fb = get_fixture("G_B")
+    with pytest.raises(InternalConsistencyError):
+        certify_tr_deg(_with_q(fb.graph, fb.u, fb.v), fb.u, fb.v, "Q")
 
 
 def test_tr_deg_never_affirms_without_strong_cospectrality():

@@ -242,6 +242,7 @@ def test_non_finite_float_option_rejected(capsys, argv, value):
         (["analyze", "@G_B", "--potential", "Q", "--simulate", "--potential-value", "1e308"], 2),
         (["simulate", "@G_B", "--tmax", "1e308", "--steps", "100"], 2),
         (["simulate", "@G_B", "--tmax", "1e17", "--steps", "100"], 2),
+        (["construct", "glue-path", "@G_B", "--u", "0", "--v", "1", "--q", "2", "--potential", "Q"], 2),
     ],
     ids=[
         "potential-1/0",
@@ -252,18 +253,25 @@ def test_non_finite_float_option_rejected(capsys, argv, value):
         "overflow",
         "phase-overflow",
         "phase-precision",
+        "base-not-cospectral",
     ],
 )
 def test_bad_input_or_output_is_one_error_line(capsys, tmp_path, argv, code):
     # 1e308 is finite, but symmetrizing the matrix (overflow) or the phases
     # t*lambda (phase-overflow) overflow to inf; at 1e17 the phases are
-    # finite but one ulp of them exceeds 2*pi (phase-precision)
+    # finite but one ulp of them exceeds 2*pi (phase-precision). The glued
+    # graph at a non-cospectral pair reaches certify_tr_deg's sym = 0 base
+    # check (base-not-cospectral).
     (tmp_path / "latin1.txt").write_bytes(b"n 9\ne 1 8\n# caf\xe9\n")
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
-    got, out, err = run(capsys, *argv, "--u", "1", "--v", "8")
+    if "--u" not in argv:
+        argv += ["--u", "1", "--v", "8"]
+    got, out, err = run(capsys, *argv)
     assert got == code
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+    if "glue-path" in argv:
+        assert err == "error: vertices (0,1) are not cospectral once Q is set to 0\n"
 
 
 def test_analyze_runs_each_exact_kernel_once_per_question(monkeypatch, capsys):
@@ -271,6 +279,7 @@ def test_analyze_runs_each_exact_kernel_once_per_question(monkeypatch, capsys):
     # a kernel by name are counted as well.
     kernels = {
         "decompose": spectral.decompose,
+        "is_cospectral": spectral.is_cospectral,
         "charpoly": exact.charpoly,
         "krylov_min_poly": exact.krylov_min_poly,
         "bareiss_det": exact.bareiss_det,
@@ -294,7 +303,8 @@ def test_analyze_runs_each_exact_kernel_once_per_question(monkeypatch, capsys):
     run_json(capsys, "analyze", "@G_B", "--u", "1", "--v", "8", "--potential", "Q")
     assert {name: calls[name] for name in kernels} == {
         "decompose": 1,
-        "charpoly": 3,
+        "is_cospectral": 1,
+        "charpoly": 1,
         "krylov_min_poly": 2,
         "bareiss_det": 0,
         "poly_gcd_t": 1,

@@ -23,7 +23,7 @@ from pgstkit import (
     trace_param_membership,
 )
 
-from conftest import random_cospectral_graph
+from conftest import random_cospectral_graph, random_graph
 
 P = SparsePoly.parse
 
@@ -47,15 +47,63 @@ def test_is_cospectral_examples():
         is_cospectral(p3, 1, 1)
 
 
-def test_cospectral_thorough_route_agrees():
+def _deleted_charpolys_agree(m, u, v):
+    # the definition, by Berkowitz on both vertex-deleted matrices
+    return charpoly(m.delete([u])) == charpoly(m.delete([v]))
+
+
+def _cospectrality_cases():
+    """Seeded (matrix, u, v): mirror pairs, random pairs of unstructured
+    graphs, and both kinds again with Q at the pair and R elsewhere."""
     rng = random.Random(211)
+    q, r = SparsePoly.sym("Q"), SparsePoly.sym("R")
+    cases = []
     for _ in range(20):
         g, u, v = random_cospectral_graph(rng, weighted=True, with_potentials=True)
-        m = to_matrix(g)
-        assert is_cospectral(m, u, v, thorough=True)
-    # and on a non-cospectral pair
-    p3 = to_matrix(path_graph(3))
-    assert not is_cospectral(p3, 0, 1, thorough=True)
+        cases.append((g, u, v))
+    for _ in range(20):
+        g = random_graph(rng, n=rng.randint(3, 9), weighted=True, with_potentials=True)
+        cases.append((g, *rng.sample(range(g.n), 2)))
+    # two symbols: R at a vertex the mirror fixes keeps the pair cospectral,
+    # R at u usually breaks it; the oracle decides either way
+    for _ in range(8):
+        g, u, v = random_cospectral_graph(rng, n=rng.randint(4, 6), weighted=True, with_potentials=True)
+        w = rng.choice([u, rng.randrange(2, g.n)])
+        cases.append((add_potential(_with_pair_potential(g, u, v, q), w, r), u, v))
+    for _ in range(8):
+        g = random_graph(rng, n=rng.randint(3, 6), weighted=True, with_potentials=True)
+        u, v, w = rng.sample(range(g.n), 3)
+        cases.append((add_potential(_with_pair_potential(g, u, v, q), w, r), u, v))
+    return [(to_matrix(g), u, v) for g, u, v in cases]
+
+
+def test_is_cospectral_agrees_with_deleted_charpolys():
+    seen = set()
+    for m, u, v in _cospectrality_cases():
+        expected = _deleted_charpolys_agree(m, u, v)
+        assert is_cospectral(m, u, v) == expected
+        if expected:
+            decompose(m, u, v)
+        else:
+            with pytest.raises(NotCospectralError):
+                decompose(m, u, v)
+        seen.add((expected, len(m.symbols())))
+    assert seen == {(True, 0), (False, 0), (True, 2), (False, 2)}
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_is_cospectral_checks_up_to_the_last_power(n):
+    # Path with a potential next to the middle, nearer v = n-1: a closed walk
+    # from v meets it at length n-1 at the earliest, and one from u = 0 only
+    # at n+1, so (M^k)_uu and (M^k)_vv first differ at k = n-1.
+    m = to_matrix(add_potential(path_graph(n), n // 2, 1))
+    power = [[int(i == j) for j in range(n)] for i in range(n)]
+    dense = [[m.entry(i, j).constant_value() for j in range(n)] for i in range(n)]
+    for k in range(1, n):
+        power = [[sum(a * b for a, b in zip(row, col)) for col in zip(*dense)] for row in power]
+        assert (power[0][0] == power[n - 1][n - 1]) == (k < n - 1)
+    assert not is_cospectral(m, 0, n - 1)
+    assert not _deleted_charpolys_agree(m, 0, n - 1)
 
 
 def test_decompose_examples():
