@@ -418,7 +418,7 @@ def cmd_simulate(args) -> dict:
         raise DomainError(
             f"graph carries symbols {list(syms)}; pass --potential-value to bind them"
         )
-    surrogate = _parse_value(args.potential_value) if args.potential_value else None
+    surrogate = _parse_value(args.potential_value) if args.potential_value is not None else None
     numeric, (_, scan) = _numeric_block(g, u, v, args.tmax, args.steps, surrogate)
     report = {
         "schema": SCHEMA_VERSION,

@@ -661,19 +661,6 @@ def _gcd_rec(f: SparsePoly, g: SparsePoly) -> SparsePoly:
     if main is None:
         return SparsePoly.one()
 
-    fc = _as_var_coeffs(f, main)
-    gc = _as_var_coeffs(g, main)
-    if len(fc) == 1:
-        # f is free of main: gcd(f, content_main(g))
-        cg = SparsePoly.zero()
-        for c in gc:
-            cg = _gcd_rec(cg, c)
-            if cg.is_one():
-                return SparsePoly.one()
-        return _gcd_rec(f, cg)
-    if len(gc) == 1:
-        return _gcd_rec(g, f)
-
     def content_of(coeffs: list[SparsePoly]) -> SparsePoly:
         c = SparsePoly.zero()
         for x in coeffs:
@@ -683,6 +670,14 @@ def _gcd_rec(f: SparsePoly, g: SparsePoly) -> SparsePoly:
             if c.is_one():
                 break
         return c
+
+    fc = _as_var_coeffs(f, main)
+    gc = _as_var_coeffs(g, main)
+    if len(fc) == 1:
+        # f is free of main: gcd(f, content_main(g))
+        return _gcd_rec(f, content_of(gc))
+    if len(gc) == 1:
+        return _gcd_rec(g, f)
 
     cf = content_of(fc)
     cg = content_of(gc)

@@ -4,9 +4,10 @@ Exact machinery proves; this module measures. Eigenvalues and
 eigenvectors come from LAPACK's symmetric solver (``numpy.linalg.eigh``),
 get clustered at relative tolerance 1e-8 so that a numerically split
 multiple eigenvalue is treated as one spectral point, and each cluster
-contributes a symmetric projector. Transfer amplitudes and fidelity scans
-are assembled from the clustered spectral data, so |U(t)[u,v]| equals
-|U(t)[v,u]| exactly by construction.
+stands for the projector onto its eigenvectors. No projector is formed:
+a question about the pair (u, v) reads only rows u and v of each one.
+Transfer amplitudes and fidelity scans weigh cluster k by the mean of
+its (u, v) and (v, u) entries, so |U(t)[u,v]| equals |U(t)[v,u]|.
 """
 
 from __future__ import annotations
@@ -23,22 +24,40 @@ from .graphs import Graph
 CLUSTER_RTOL = 1e-8
 SYMMETRY_TOL = 1e-12
 SUPPORT_TOL = 1e-9
-# Grid rows per fidelity-scan block; at least 3, so that no block has one
-# row (a one-row product takes another BLAS path and may differ by an ulp).
-SCAN_CHUNK = 1024
+# Grid times clusters per fidelity-scan block, so that each complex
+# temporary of a block stays within 128 KiB. A block has at least 3 grid
+# rows, so that no block has one row (a one-row product takes another
+# BLAS path and may differ by an ulp).
+SCAN_CHUNK = 8192
 
 
 @dataclass(frozen=True)
 class NumericSpectrum:
-    """Clustered eigendecomposition of a symmetric matrix."""
+    """Clustered eigendecomposition of a symmetric matrix.
+
+    Cluster k owns the eigenvector columns ``clusters[k]``; with B those
+    columns, its projector is E_k = B B^T. Nothing here is larger than
+    the n x n eigenvector matrix.
+    """
 
     eigenvalues: np.ndarray  # all n, ascending
     cluster_values: np.ndarray  # one representative per cluster, ascending
-    projectors: np.ndarray  # shape (k, n, n), symmetric, sum to identity
+    eigenvectors: np.ndarray  # (n, n), column i belongs to eigenvalues[i]
+    clusters: tuple[np.ndarray, ...]  # column indices per cluster, ascending
 
     @property
     def dimension(self) -> int:
-        return self.projectors.shape[1]
+        return self.eigenvectors.shape[0]
+
+    def rows(self, u: int, v: int) -> np.ndarray:
+        """Rows u and v of every cluster projector, shape (k, 2, n)."""
+        n = self.dimension
+        for x in (u, v):
+            if not (0 <= x < n):
+                raise StructuralError(f"vertex {x} out of range 0..{n - 1}")
+        vecs = self.eigenvectors
+        pair = vecs[[u, v]]
+        return np.array([pair[:, idx] @ vecs[:, idx].T for idx in self.clusters])
 
 
 @dataclass(frozen=True)
@@ -69,8 +88,9 @@ def sym_eig(matrix: np.ndarray | Sequence[Sequence[float]]) -> NumericSpectrum:
 
     Asymmetry beyond 1e-12 (relative to the largest entry) is rejected, and
     so is a symmetrized matrix with a non-finite entry (an overflow).
-    Eigenvalues closer than CLUSTER_RTOL times the spectral diameter are
-    merged into one cluster with a single summed projector.
+    Adjacent eigenvalues closer than CLUSTER_RTOL times the spectral
+    diameter fall into one cluster, whose projector spans all of their
+    eigenvectors.
     """
     a = np.array(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -88,30 +108,16 @@ def sym_eig(matrix: np.ndarray | Sequence[Sequence[float]]) -> NumericSpectrum:
 
     eigs, vecs = np.linalg.eigh(a)
 
-    diam = float(eigs[-1] - eigs[0])
-    gap = CLUSTER_RTOL * max(diam, 1.0)
-    clusters: list[list[int]] = [[0]]
-    for i in range(1, n):
-        if eigs[i] - eigs[i - 1] <= gap:
-            clusters[-1].append(i)
-        else:
-            clusters.append([i])
-
+    gap = CLUSTER_RTOL * max(float(eigs[-1] - eigs[0]), 1.0)
+    clusters = tuple(np.split(np.arange(n), np.flatnonzero(np.diff(eigs) > gap) + 1))
     values = np.array([float(np.mean(eigs[idx])) for idx in clusters])
-    projectors = np.empty((len(clusters), n, n))
-    for k, idx in enumerate(clusters):
-        block = vecs[:, idx]
-        proj = block @ block.T
-        projectors[k] = (proj + proj.T) / 2.0
-    return NumericSpectrum(eigenvalues=eigs, cluster_values=values, projectors=projectors)
+    return NumericSpectrum(eigenvalues=eigs, cluster_values=values, eigenvectors=vecs, clusters=clusters)
 
 
 def transfer_amplitude(spectrum: NumericSpectrum, u: int, v: int, t: float) -> complex:
     """U(t)[u, v] where U(t) = exp(i t M), from the clustered data."""
-    _check_indices(spectrum, u, v)
-    weights = spectrum.projectors[:, u, v]
     phases = np.exp(1j * t * spectrum.cluster_values)
-    return complex(np.sum(phases * weights))
+    return complex(np.sum(phases * _weights(spectrum, u, v)))
 
 
 def pgst_ceiling(spectrum: NumericSpectrum, u: int, v: int) -> float:
@@ -121,23 +127,19 @@ def pgst_ceiling(spectrum: NumericSpectrum, u: int, v: int) -> float:
     cospectral; strictly smaller ceilings certify (numerically) that
     fidelity can never reach 1.
     """
-    _check_indices(spectrum, u, v)
-    return float(np.sum(np.abs(spectrum.projectors[:, u, v])))
+    return float(np.sum(np.abs(_weights(spectrum, u, v))))
 
 
 def numeric_strong_cospectral(spectrum: NumericSpectrum, u: int, v: int) -> bool:
     """Every cluster projector satisfies E e_u = +-E e_v up to SUPPORT_TOL.
 
-    Parallelism up to sign is tested in product form: one of the two
-    norms ||E(e_u - e_v)||, ||E(e_u + e_v)|| must vanish, so their
-    product is compared against SUPPORT_TOL * ||E e_u||^2. Clusters whose
-    u and v projections are both below SUPPORT_TOL are neutral and impose
-    no constraint.
+    E is symmetric, so E e_u is row u of E. Parallelism up to sign is
+    tested in product form: one of the two norms ||E(e_u - e_v)||,
+    ||E(e_u + e_v)|| must vanish, so their product is compared against
+    SUPPORT_TOL * ||E e_u||^2. Clusters whose u and v projections are both
+    below SUPPORT_TOL are neutral and impose no constraint.
     """
-    _check_indices(spectrum, u, v)
-    for proj in spectrum.projectors:
-        row_u = proj[u]
-        row_v = proj[v]
+    for row_u, row_v in spectrum.rows(u, v):
         nu = float(np.linalg.norm(row_u))
         nv = float(np.linalg.norm(row_v))
         if nu <= SUPPORT_TOL and nv <= SUPPORT_TOL:
@@ -154,17 +156,16 @@ def classify_spectrum(spectrum: NumericSpectrum, u: int, v: int) -> tuple[list[f
 
     A cluster supports the plus (minus) side when its projector applied to
     e_u + e_v (e_u - e_v) has norm above SUPPORT_TOL; the projector is
-    exactly symmetric, so that image is row u plus (minus) row v. For
-    strongly cospectral pairs the two lists are disjoint; both-sided
-    clusters land in both lists.
+    symmetric, so that image is row u plus (minus) row v. For strongly
+    cospectral pairs the two lists are disjoint; both-sided clusters land
+    in both lists.
     """
-    _check_indices(spectrum, u, v)
     lambdas: list[float] = []
     mus: list[float] = []
-    for value, proj in zip(spectrum.cluster_values, spectrum.projectors):
-        if float(np.linalg.norm(proj[u] + proj[v])) > SUPPORT_TOL:
+    for value, (row_u, row_v) in zip(spectrum.cluster_values, spectrum.rows(u, v)):
+        if float(np.linalg.norm(row_u + row_v)) > SUPPORT_TOL:
             lambdas.append(float(value))
-        if float(np.linalg.norm(proj[u] - proj[v])) > SUPPORT_TOL:
+        if float(np.linalg.norm(row_u - row_v)) > SUPPORT_TOL:
             mus.append(float(value))
     return lambdas, mus
 
@@ -179,16 +180,16 @@ def fidelity_scan(
     """Scan |U(t)[u, v]| on a uniform grid over [0, t_max] and refine the
     best grid point by golden-section search in its bracket.
 
-    The grid is evaluated in blocks of at most SCAN_CHUNK rows. A phase
-    t_max * max|lambda| whose ulp exceeds 1e-6 rad (from 2^33, about
-    8.6e9) is rejected. The best fidelity is never below the grid maximum.
+    The grid is evaluated in blocks of at most SCAN_CHUNK grid-times-cluster
+    entries (at least 3 grid rows). A phase t_max * max|lambda| whose ulp
+    exceeds 1e-6 rad (from 2^33, about 8.6e9) is rejected. The best
+    fidelity is never below the grid maximum.
     """
-    _check_indices(spectrum, u, v)
+    weights = _weights(spectrum, u, v)
     if not 0 < t_max < math.inf:
         raise DomainError(f"t_max must be positive and finite, got {t_max}")
     if steps < 2:
         raise DomainError(f"need at least 2 grid points, got {steps}")
-    weights = spectrum.projectors[:, u, v]
     values = spectrum.cluster_values
     if not math.ulp(t_max * float(np.max(np.abs(values)))) <= 1e-6:
         raise DomainError(
@@ -200,7 +201,8 @@ def fidelity_scan(
         return np.abs(np.exp(1j * np.outer(ts, values)) @ weights)
 
     times = np.linspace(0.0, t_max, steps)
-    blocks = np.array_split(times, -(-steps // SCAN_CHUNK))
+    per_block = max(3, SCAN_CHUNK // len(values))
+    blocks = np.array_split(times, -(-steps // per_block))
     fids = np.concatenate([fid(block) for block in blocks])
     k = int(np.argmax(fids))
     lo = times[max(0, k - 1)]
@@ -246,8 +248,7 @@ def write_fidelity_csv(scan: FidelityScan, stream: TextIO) -> None:
         stream.write(f"{t!r},{f!r}\n")
 
 
-def _check_indices(spectrum: NumericSpectrum, u: int, v: int) -> None:
-    n = spectrum.dimension
-    for x in (u, v):
-        if not (0 <= x < n):
-            raise StructuralError(f"vertex {x} out of range 0..{n - 1}")
+def _weights(spectrum: NumericSpectrum, u: int, v: int) -> np.ndarray:
+    """(E_k[u, v] + E_k[v, u]) / 2 for every cluster k."""
+    r = spectrum.rows(u, v)
+    return (r[:, 0, v] + r[:, 1, u]) / 2.0

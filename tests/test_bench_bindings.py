@@ -2,9 +2,10 @@
 
 ``perfbench/layers.py`` wraps pgstkit functions by (module, name) and
 counts ``SparsePoly`` methods by attribute, so renaming or deleting one of
-them in ``src/`` breaks ``perfbench/run.py --trace 1``. This test loads the
-module from its path, unedited, and fails on such a change in the fast
-suite rather than only in the benchmark's smoke run.
+them in ``src/`` breaks ``perfbench/run.py --trace 1``. Its observers also
+read argument names and spectrum attributes. These tests load the module
+from its path, unedited, and fail on such a change in the fast suite
+rather than only in the benchmark's smoke run.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-from pgstkit import SparsePoly
+from pgstkit import SparsePoly, cli
 
 LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
 
@@ -32,3 +33,21 @@ def test_traced_names_resolve():
         assert hasattr(importlib.import_module(f"pgstkit.{module}"), name), f"{module}.{name}"
     for counter, attr in layers.COUNTED.items():
         assert attr in SparsePoly.__dict__, counter
+
+
+def test_tracer_observes_a_simulated_analysis(capsys):
+    tracer = _load_layers().Tracer()
+    tracer.install()
+    try:
+        code = cli.main(["analyze", "@G_A", "--u", "3", "--v", "6", "--simulate", "--tmax", "10", "--steps", "50"])
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert code == 0
+    metrics = tracer.metrics()
+    for name in (
+        "walk.sym_eig.dim_sum",
+        "walk.fidelity_scan.grid_points",
+        "certify.integer_relation_search.calls",
+    ):
+        assert metrics[name] > 0, name

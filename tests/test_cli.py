@@ -243,6 +243,8 @@ def test_non_finite_float_option_rejected(capsys, argv, value):
         (["simulate", "@G_B", "--tmax", "1e308", "--steps", "100"], 2),
         (["simulate", "@G_B", "--tmax", "1e17", "--steps", "100"], 2),
         (["construct", "glue-path", "@G_B", "--u", "0", "--v", "1", "--q", "2", "--potential", "Q"], 2),
+        (["simulate", "@G_B", "--potential-value", ""], 1),
+        (["simulate", "@G_B", "--potential", "Q", "--potential-value", ""], 1),
     ],
     ids=[
         "potential-1/0",
@@ -254,6 +256,8 @@ def test_non_finite_float_option_rejected(capsys, argv, value):
         "phase-overflow",
         "phase-precision",
         "base-not-cospectral",
+        "empty-value",
+        "empty-value-for-Q",
     ],
 )
 def test_bad_input_or_output_is_one_error_line(capsys, tmp_path, argv, code):
@@ -261,7 +265,8 @@ def test_bad_input_or_output_is_one_error_line(capsys, tmp_path, argv, code):
     # t*lambda (phase-overflow) overflow to inf; at 1e17 the phases are
     # finite but one ulp of them exceeds 2*pi (phase-precision). The glued
     # graph at a non-cospectral pair reaches certify_tr_deg's sym = 0 base
-    # check (base-not-cospectral).
+    # check (base-not-cospectral). An empty --potential-value is a bad
+    # number, with or without a symbol to bind (empty-value*).
     (tmp_path / "latin1.txt").write_bytes(b"n 9\ne 1 8\n# caf\xe9\n")
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
     if "--u" not in argv:
@@ -272,6 +277,8 @@ def test_bad_input_or_output_is_one_error_line(capsys, tmp_path, argv, code):
     assert err.startswith("error:") and err.count("\n") == 1
     if "glue-path" in argv:
         assert err == "error: vertices (0,1) are not cospectral once Q is set to 0\n"
+    if "" in argv:
+        assert err == "error: bad numeric value ''\n"
 
 
 def test_analyze_runs_each_exact_kernel_once_per_question(monkeypatch, capsys):

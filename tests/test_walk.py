@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
 import io
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -93,25 +95,42 @@ def test_sym_eig_matches_mpmath(index):
     assert np.max(np.abs(spec.eigenvalues - np.array(expected))) <= tol
 
 
+def _projectors(spec):
+    """Dense cluster projectors (B B^T + (B B^T)^T) / 2, B the cluster's
+    eigenvector columns, shape (k, n, n).
+
+    The copy makes B B^T a general matrix product. Without it numpy hands
+    ``block @ block.T`` to BLAS syrk, which rounds some entries of
+    multi-eigenvalue clusters differently (K_n and cycles from n = 12).
+    """
+    out = []
+    for idx in spec.clusters:
+        block = spec.eigenvectors[:, idx]
+        proj = block @ block.T.copy()
+        out.append((proj + proj.T) / 2.0)
+    return np.array(out)
+
+
 def test_projector_invariants():
     rng = random.Random(401)
     for _ in range(20):
         g = random_graph(rng, weighted=True, with_potentials=True)
         m = numeric_adjacency(g)
         spec = sym_eig(m)
+        projectors = _projectors(spec)
         total = np.zeros_like(m)
         recon = np.zeros_like(m)
-        for lam, proj in zip(spec.cluster_values, spec.projectors):
+        for lam, proj in zip(spec.cluster_values, projectors):
             total += proj
             recon += lam * proj
         assert np.max(np.abs(total - np.eye(g.n))) < 1e-9
         assert np.max(np.abs(recon - m)) < 1e-9
         # mutual orthogonality and residual per cluster
-        k = len(spec.projectors)
+        k = len(projectors)
         for i in range(k):
             for j in range(i + 1, k):
-                assert np.max(np.abs(spec.projectors[i] @ spec.projectors[j])) < 1e-9
-        for lam, proj in zip(spec.cluster_values, spec.projectors):
+                assert np.max(np.abs(projectors[i] @ projectors[j])) < 1e-9
+        for lam, proj in zip(spec.cluster_values, projectors):
             norm = np.linalg.norm(proj)
             if norm > 0:
                 assert np.linalg.norm(m @ proj - lam * proj) / norm < 1e-9
@@ -122,12 +141,60 @@ def test_eigenvalue_residuals_tight():
         g = get_fixture(name).graph
         m = numeric_adjacency(g)
         spec = sym_eig(m)
-        for lam, proj in zip(spec.cluster_values, spec.projectors):
+        for lam, proj in zip(spec.cluster_values, _projectors(spec)):
             for col in proj.T:
                 nrm = np.linalg.norm(col)
                 if nrm > 1e-8:
                     x = col / nrm
                     assert np.linalg.norm(m @ x - lam * x) < 1e-10
+
+
+def _degenerate_matrices():
+    def cycle(n):
+        return np.roll(np.eye(n), 1, axis=0) + np.roll(np.eye(n), -1, axis=0)
+
+    def hypercube(d):
+        return np.array([[float(bin(i ^ j).count("1") == 1) for j in range(2**d)] for i in range(2**d)])
+
+    for n in (3, 8, 12, 20):
+        yield np.ones((n, n)) - np.eye(n)
+    for n in (4, 9, 12, 16):
+        yield cycle(n)
+    for d in (3, 4, 5):
+        yield hypercube(d)
+    for name in ("G_A", "G_B", "G_C", "G_D"):
+        yield numeric_adjacency(get_fixture(name).graph)
+    rng = random.Random(439)
+    for _ in range(6):
+        yield numeric_adjacency(random_graph(rng, n=rng.randint(5, 24), weighted=True, with_potentials=True))
+
+
+def test_pair_weights_equal_the_dense_projector_entries():
+    # Every pair, so that clusters of many eigenvalues are summed in many
+    # row orders; a plain dot product V[u, idx] @ V[v, idx] fails on K_20.
+    multi = 0
+    for m in _degenerate_matrices():
+        spec = sym_eig(m)
+        dense = _projectors(spec)
+        multi += sum(len(idx) > 1 for idx in spec.clusters)
+        phases = np.exp(1j * 1.7 * spec.cluster_values)
+        for u, v in itertools.combinations(range(spec.dimension), 2):
+            expected = dense[:, u, v]
+            assert np.array_equal(walk._weights(spec, u, v), expected)
+            assert np.array_equal(walk._weights(spec, v, u), expected)
+            assert pgst_ceiling(spec, u, v) == float(np.sum(np.abs(expected)))
+            assert transfer_amplitude(spec, u, v, 1.7) == complex(np.sum(phases * expected))
+    assert multi > 20
+
+
+def test_spectrum_holds_no_array_above_n_squared_entries():
+    for m in (np.ones((12, 12)) - np.eye(12), numeric_adjacency(get_fixture("G_B").graph)):
+        spec = sym_eig(m)
+        n = spec.dimension
+        for field in dataclasses.fields(spec):
+            value = getattr(spec, field.name)
+            for array in value if isinstance(value, tuple) else (value,):
+                assert np.asarray(array).size <= n * n, field.name
 
 
 def test_exact_numeric_eigenvalue_agreement():
@@ -204,7 +271,7 @@ def test_fidelity_scan_blocks_match_the_whole_grid(monkeypatch, steps):
     spec = sym_eig(numeric_adjacency(fb.graph))
     scan = fidelity_scan(spec, fb.u, fb.v, 50.0, steps)
     times = np.linspace(0.0, 50.0, steps)
-    whole = np.abs(np.exp(1j * np.outer(times, spec.cluster_values)) @ spec.projectors[:, fb.u, fb.v])
+    whole = np.abs(np.exp(1j * np.outer(times, spec.cluster_values)) @ _projectors(spec)[:, fb.u, fb.v])
     assert np.array_equal(scan.times, times)
     assert np.array_equal(scan.fidelities, whole)
 
