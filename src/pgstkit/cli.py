@@ -236,7 +236,7 @@ def cmd_analyze(args) -> dict:
         raise DomainError("u and v must differ")
 
     sym: str | None = None
-    if args.potential:
+    if args.potential is not None:
         value, sym = _parse_potential(args.potential)
         g = add_potential(add_potential(g, u, value), v, value)
 
@@ -410,7 +410,7 @@ def cmd_simulate(args) -> dict:
     v = _resolve_vertex(g, args.v)
     if u == v:
         raise DomainError("u and v must differ")
-    if args.potential:
+    if args.potential is not None:
         value, _ = _parse_potential(args.potential)
         g = add_potential(add_potential(g, u, value), v, value)
     syms = g.symbols()

@@ -1,15 +1,19 @@
 """Exact sparse polynomial arithmetic and exact linear algebra over Q.
 
-Everything in this module is exact: coefficients are ``fractions.Fraction``
-and no floating point enters any computation. Polynomials live in
-``Q[t, s1, s2]`` where ``t`` is the distinguished spectral variable and
-``s1``, ``s2`` are optional parameter symbols. At most two parameter
-symbols may appear in any one polynomial; that is all the perturbation
-constructions need, and the cap keeps the multivariate gcd recursion
-shallow.
+Everything in this module is exact: no floating point enters any
+computation. Polynomials live in ``Q[t, s1, s2]`` where ``t`` is the
+distinguished spectral variable and ``s1``, ``s2`` are optional parameter
+symbols. At most two parameter symbols may appear in any one polynomial;
+that is all the perturbation constructions need, and the cap keeps the
+multivariate gcd recursion shallow.
 
 Representation: a polynomial is a map from exponent vectors to nonzero
-rational coefficients. An exponent vector is a tuple ``(t_exp, *param_exps)``
+rational coefficients. A coefficient is an ``int`` when it is integral and
+otherwise a ``fractions.Fraction`` in lowest terms, so the fraction-free
+kernels run on ints wherever the input is integral and only a division
+that leaves a remainder builds a ``Fraction``. The public accessors
+``constant_value``, ``univariate_t_coeffs`` and ``eval_t`` return
+``Fraction``. An exponent vector is a tuple ``(t_exp, *param_exps)``
 aligned with the polynomial's sorted ``symbols`` tuple. The representation
 is canonical: zero coefficients are dropped and symbols that do not occur
 are pruned, so structural equality is semantic equality. Sums, products
@@ -56,8 +60,21 @@ MAX_PARAM_SYMBOLS = 2
 
 _SYMBOL_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+_ZERO = 0
+_ONE = 1
+
+
+def _norm(c: Scalar) -> Scalar:
+    """The stored form of a rational: an int if integral, else the Fraction."""
+    return c.numerator if c.denominator == 1 else c
+
+
+def _div(a: Scalar, b: Scalar) -> Scalar:
+    """Exact quotient in stored form; ints divide with // when that is exact."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return _norm(a / b)
 
 
 def _check_symbol_name(name: str) -> str:
@@ -93,14 +110,14 @@ class SparsePoly:
             raise DomainError(f"at most {MAX_PARAM_SYMBOLS} parameter symbols supported, got {symbols!r}")
         items = terms.items() if isinstance(terms, Mapping) else terms
         width = 1 + len(symbols)
-        acc: dict[tuple[int, ...], Fraction] = {}
+        acc: dict[tuple[int, ...], Scalar] = {}
         for exps, coeff in items:
             exps = tuple(exps)
             if len(exps) != width:
                 raise StructuralError(f"exponent vector {exps!r} does not match symbols {symbols!r}")
             if any(e < 0 for e in exps):
                 raise StructuralError(f"negative exponent in {exps!r}")
-            c = acc.get(exps, _ZERO) + Fraction(coeff)
+            c = _norm(acc.get(exps, _ZERO) + Fraction(coeff))
             if c:
                 acc[exps] = c
             elif exps in acc:
@@ -119,7 +136,7 @@ class SparsePoly:
 
     @staticmethod
     def const(c: Scalar) -> "SparsePoly":
-        c = Fraction(c)
+        c = _norm(Fraction(c))
         return _raw({(0,): c} if c else {}, ())
 
     @staticmethod
@@ -154,10 +171,10 @@ class SparsePoly:
 
     def constant_value(self) -> Fraction:
         if not self._terms:
-            return _ZERO
+            return Fraction(0)
         if not self.is_constant():
             raise DomainError(f"{self} is not constant")
-        return next(iter(self._terms.values()))
+        return Fraction(next(iter(self._terms.values())))
 
     def deg_t(self) -> int:
         """Degree in t; -1 for the zero polynomial."""
@@ -259,10 +276,9 @@ class SparsePoly:
         return out
 
     def scale(self, c: Scalar) -> "SparsePoly":
-        c = Fraction(c)
         if not c:
             return SparsePoly.zero()
-        return _raw({e: k * c for e, k in self._terms.items()}, self._symbols)
+        return _raw({e: _norm(k * c) for e, k in self._terms.items()}, self._symbols)
 
     def divexact(self, other: "SparsePoly") -> "SparsePoly":
         """Exact division; raises ExactDivisionError if a remainder is left.
@@ -282,14 +298,13 @@ class SparsePoly:
         lt_b = max(b, key=_order_key)
         lc_b = b[lt_b]
         rem = dict(a)
-        quot: dict[tuple[int, ...], Fraction] = {}
+        quot: dict[tuple[int, ...], Scalar] = {}
         while rem:
             lt_r = max(rem, key=_order_key)
             diff = tuple(x - y for x, y in zip(lt_r, lt_b))
             if any(d < 0 for d in diff):
                 raise ExactDivisionError(f"{self} is not divisible by {other}")
-            c = rem[lt_r] / lc_b
-            quot[diff] = quot.get(diff, _ZERO) + c
+            c = quot[diff] = _div(rem[lt_r], lc_b)
             for eb, cb in b.items():
                 e = tuple(x + y for x, y in zip(diff, eb))
                 s = rem.get(e, _ZERO) - c * cb
@@ -300,10 +315,10 @@ class SparsePoly:
         return _raw(*_canonical(quot, syms))
 
     def derivative_t(self) -> "SparsePoly":
-        acc: dict[tuple[int, ...], Fraction] = {}
+        acc: dict[tuple[int, ...], Scalar] = {}
         for e, c in self._terms.items():
             if e[0] > 0:
-                acc[(e[0] - 1,) + e[1:]] = c * e[0]
+                acc[(e[0] - 1,) + e[1:]] = _norm(c * e[0])
         return _raw(*_canonical(acc, self._symbols))
 
     # -- substitution and evaluation -----------------------------------
@@ -331,13 +346,14 @@ class SparsePoly:
         if self._symbols:
             raise DomainError(f"cannot evaluate with unbound symbols {self._symbols!r}")
         x = Fraction(x)
-        acc = _ZERO
+        acc = Fraction(0)
         for c in reversed(self.univariate_t_coeffs()):
             acc = acc * x + c
         return acc
 
     def univariate_t_coeffs(self) -> list[Fraction]:
-        """Fraction coefficients by ascending t power; requires no symbols."""
+        """Coefficients by ascending t power, each a Fraction (integral ones
+        too, though stored as int); requires no symbols."""
         if self._symbols:
             raise DomainError(f"polynomial has unbound symbols {self._symbols!r}")
         return [c.constant_value() for c in self.t_coeffs()]
@@ -407,8 +423,8 @@ class SparsePoly:
 
 
 def _canonical(
-    acc: dict[tuple[int, ...], Fraction], symbols: tuple[str, ...]
-) -> tuple[dict[tuple[int, ...], Fraction], tuple[str, ...]]:
+    acc: dict[tuple[int, ...], Scalar], symbols: tuple[str, ...]
+) -> tuple[dict[tuple[int, ...], Scalar], tuple[str, ...]]:
     """Drop unused symbols and sort the remaining ones alphabetically."""
     if not acc:
         return {}, ()
@@ -420,7 +436,7 @@ def _canonical(
     return {(e[0], *[e[k] for k in pos]): c for e, c in acc.items()}, new_syms
 
 
-def _raw(terms: dict[tuple[int, ...], Fraction], symbols: tuple[str, ...]) -> SparsePoly:
+def _raw(terms: dict[tuple[int, ...], Scalar], symbols: tuple[str, ...]) -> SparsePoly:
     p = object.__new__(SparsePoly)
     p._terms = terms
     p._symbols = symbols
@@ -446,7 +462,7 @@ def _common_symbols(polys: Iterable[SparsePoly]) -> tuple[str, ...]:
     return syms
 
 
-def _lift(p: SparsePoly, syms: tuple[str, ...]) -> dict[tuple[int, ...], Fraction]:
+def _lift(p: SparsePoly, syms: tuple[str, ...]) -> dict[tuple[int, ...], Scalar]:
     """Terms of p with exponent vectors over syms, a sorted superset of p's symbols."""
     if p._symbols == syms:
         return p._terms
@@ -464,7 +480,7 @@ def _sum_products(pairs: Iterable[tuple[SparsePoly, SparsePoly]]) -> SparsePoly:
     pairs = [(x, y) for x, y in pairs if x._terms and y._terms]
     syms = _common_symbols(p for pair in pairs for p in pair)
     origin = (0,) * (1 + len(syms))
-    acc: dict[tuple[int, ...], Fraction] = {}
+    acc: dict[tuple[int, ...], Scalar] = {}
     for x, y in pairs:
         # A term of y at the exponent origin needs no exponent sum; a
         # coefficient of 1 needs no product.
@@ -474,7 +490,7 @@ def _sum_products(pairs: Iterable[tuple[SparsePoly, SparsePoly]]) -> SparsePoly:
                 e = tuple(map(add, ea, eb)) if shift else ea
                 c = ca * cb if scale else ca
                 acc[e] = acc[e] + c if e in acc else c
-    return _raw(*_canonical({e: c for e, c in acc.items() if c}, syms))
+    return _raw(*_canonical({e: _norm(c) for e, c in acc.items() if c}, syms))
 
 
 def _as_var_coeffs(p: SparsePoly, var_name: str) -> list[SparsePoly]:
@@ -488,7 +504,7 @@ def _as_var_coeffs(p: SparsePoly, var_name: str) -> list[SparsePoly]:
         rest = p._symbols[: k - 1] + p._symbols[k:]
     else:
         return [p]
-    buckets: dict[int, dict[tuple[int, ...], Fraction]] = {}
+    buckets: dict[int, dict[tuple[int, ...], Scalar]] = {}
     for e, c in p._terms.items():
         rest_exps = (0,) + e[1:] if k == 0 else e[:k] + e[k + 1 :]
         buckets.setdefault(e[k], {})[rest_exps] = c
@@ -609,8 +625,7 @@ def _normalize_sign(p: SparsePoly) -> SparsePoly:
     """Scale by a rational so the graded-lex leading coefficient is 1."""
     if p.is_zero():
         return p
-    lc = p._terms[p.lead_exponents()]
-    return p.scale(1 / lc)
+    return p.scale(Fraction(1, p._terms[p.lead_exponents()]))
 
 
 def _prem(f: list[SparsePoly], g: list[SparsePoly]) -> list[SparsePoly]:

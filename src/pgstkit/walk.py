@@ -74,12 +74,16 @@ class FidelityScan:
 
 
 def numeric_adjacency(g: Graph, params: Mapping[str, float] | None = None) -> np.ndarray:
-    """Graph matrix as floats; every potential symbol must get a value."""
+    """Graph matrix as floats; every potential symbol must get a value, and a
+    weight or potential beyond float range is a DomainError."""
     a = np.zeros((g.n, g.n))
-    for (i, j), w in g.edges.items():
-        a[i, j] = a[j, i] = float(w)
-    for v, p in sorted(g.potentials.items()):
-        a[v, v] = p.eval_float(params=params)
+    try:
+        for (i, j), w in g.edges.items():
+            a[i, j] = a[j, i] = float(w)
+        for v, p in sorted(g.potentials.items()):
+            a[v, v] = p.eval_float(params=params)
+    except OverflowError:
+        raise DomainError("a weight or potential is beyond float range") from None
     return a
 
 

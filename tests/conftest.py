@@ -12,6 +12,12 @@ from fractions import Fraction
 from pgstkit import Graph, SparsePoly
 
 
+def assert_stored_form(p: SparsePoly) -> None:
+    """Each stored coefficient is an int, or a Fraction that is not integral."""
+    for c in p._terms.values():
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), (p, c)
+
+
 def swap01(i: int) -> int:
     return {0: 1, 1: 0}.get(i, i)
 

@@ -231,20 +231,39 @@ def test_non_finite_float_option_rejected(capsys, argv, value):
     assert "finite" in err
 
 
+BEYOND_FLOAT = "error: a weight or potential is beyond float range\n"
+HUGE = "1" + "0" * 400
+
+
 @pytest.mark.parametrize(
-    "argv, code",
+    "argv, code, message",
     [
-        (["analyze", "@G_B", "--potential", "1/0"], 1),
-        (["simulate", "@G_B", "--potential", "Q", "--potential-value", "1/0"], 1),
-        (["analyze", "{tmp}/latin1.txt"], 1),
-        (["construct", "glue-pot", "@G_B", "--k", "3", "--out", "{tmp}/missing/g.txt"], 2),
-        (["simulate", "@G_B", "--steps", "10", "--csv", "{tmp}/missing/s.csv"], 2),
-        (["analyze", "@G_B", "--potential", "Q", "--simulate", "--potential-value", "1e308"], 2),
-        (["simulate", "@G_B", "--tmax", "1e308", "--steps", "100"], 2),
-        (["simulate", "@G_B", "--tmax", "1e17", "--steps", "100"], 2),
-        (["construct", "glue-path", "@G_B", "--u", "0", "--v", "1", "--q", "2", "--potential", "Q"], 2),
-        (["simulate", "@G_B", "--potential-value", ""], 1),
-        (["simulate", "@G_B", "--potential", "Q", "--potential-value", ""], 1),
+        (["analyze", "@G_B", "--potential", "1/0"], 1, None),
+        (["simulate", "@G_B", "--potential", "Q", "--potential-value", "1/0"], 1, None),
+        (["analyze", "{tmp}/latin1.txt"], 1, None),
+        (["construct", "glue-pot", "@G_B", "--k", "3", "--out", "{tmp}/missing/g.txt"], 2, None),
+        (["simulate", "@G_B", "--steps", "10", "--csv", "{tmp}/missing/s.csv"], 2, None),
+        (["analyze", "@G_B", "--potential", "Q", "--simulate", "--potential-value", "1e308"], 2, None),
+        (["simulate", "@G_B", "--tmax", "1e308", "--steps", "100"], 2, None),
+        (["simulate", "@G_B", "--tmax", "1e17", "--steps", "100"], 2, None),
+        (
+            ["construct", "glue-path", "@G_B", "--u", "0", "--v", "1", "--q", "2", "--potential", "Q"],
+            2,
+            "error: vertices (0,1) are not cospectral once Q is set to 0\n",
+        ),
+        (["simulate", "@G_B", "--potential-value", ""], 1, "error: bad numeric value ''\n"),
+        (
+            ["simulate", "@G_B", "--potential", "Q", "--potential-value", ""],
+            1,
+            "error: bad numeric value ''\n",
+        ),
+        (["analyze", "@G_B", "--potential", ""], 1, "error: empty polynomial text\n"),
+        (["simulate", "@G_B", "--potential", ""], 1, "error: empty polynomial text\n"),
+        (["simulate", "{tmp}/big-weight.txt"], 2, BEYOND_FLOAT),
+        (["analyze", "{tmp}/big-weight.txt", "--simulate"], 2, BEYOND_FLOAT),
+        (["simulate", "{tmp}/big-potential.txt"], 2, BEYOND_FLOAT),
+        (["analyze", "{tmp}/big-potential.txt", "--simulate"], 2, BEYOND_FLOAT),
+        (["analyze", "@G_B", "--potential", HUGE, "--simulate"], 2, BEYOND_FLOAT),
     ],
     ids=[
         "potential-1/0",
@@ -258,16 +277,28 @@ def test_non_finite_float_option_rejected(capsys, argv, value):
         "base-not-cospectral",
         "empty-value",
         "empty-value-for-Q",
+        "empty-potential",
+        "empty-potential-simulate",
+        "weight-beyond-float",
+        "weight-beyond-float-analyze",
+        "potential-beyond-float",
+        "potential-beyond-float-analyze",
+        "potential-flag-beyond-float",
     ],
 )
-def test_bad_input_or_output_is_one_error_line(capsys, tmp_path, argv, code):
+def test_bad_input_or_output_is_one_error_line(capsys, tmp_path, argv, code, message):
     # 1e308 is finite, but symmetrizing the matrix (overflow) or the phases
     # t*lambda (phase-overflow) overflow to inf; at 1e17 the phases are
     # finite but one ulp of them exceeds 2*pi (phase-precision). The glued
     # graph at a non-cospectral pair reaches certify_tr_deg's sym = 0 base
     # check (base-not-cospectral). An empty --potential-value is a bad
-    # number, with or without a symbol to bind (empty-value*).
+    # number, with or without a symbol to bind (empty-value*), and an empty
+    # --potential is an empty polynomial (empty-potential*). A weight or
+    # potential of 10^400 is exact, but the numeric lane cannot hold it as a
+    # float (*-beyond-float*).
     (tmp_path / "latin1.txt").write_bytes(b"n 9\ne 1 8\n# caf\xe9\n")
+    (tmp_path / "big-weight.txt").write_text("n 9\ne 1 8 1e400\n")
+    (tmp_path / "big-potential.txt").write_text(f"n 9\ne 1 8\np 1 {HUGE}\n")
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
     if "--u" not in argv:
         argv += ["--u", "1", "--v", "8"]
@@ -275,10 +306,8 @@ def test_bad_input_or_output_is_one_error_line(capsys, tmp_path, argv, code):
     assert got == code
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
-    if "glue-path" in argv:
-        assert err == "error: vertices (0,1) are not cospectral once Q is set to 0\n"
-    if "" in argv:
-        assert err == "error: bad numeric value ''\n"
+    if message is not None:
+        assert err == message
 
 
 def test_analyze_runs_each_exact_kernel_once_per_question(monkeypatch, capsys):

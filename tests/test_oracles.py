@@ -4,6 +4,8 @@ sympy is a test-only dependency: it computes the same objects by routes
 that share no code with pgstkit. Instances are seeded sparse weighted
 symmetric matrices with one or two parameter symbols on the diagonal, and
 seeded sparse polynomials over each symbol set (), (Q), (R) and (Q, R).
+Every result is also checked for the stored coefficient form: an int when
+integral, otherwise a Fraction in lowest terms, and never a float.
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ from pgstkit import (
     poly_gcd_t,
     split_linear_param,
 )
+
+from conftest import assert_stored_form
 
 sympy = pytest.importorskip("sympy")
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
@@ -85,7 +89,9 @@ def _sympy_min_poly(a, z):
 def test_charpoly_matches_sympy(seed):
     m, _, _ = _instance(seed)
     expected = _sympy_matrix(m).charpoly(T).as_expr()
-    assert sympy.expand(_to_sympy(charpoly(m)) - expected) == 0
+    got = charpoly(m)
+    assert_stored_form(got)
+    assert sympy.expand(_to_sympy(got) - expected) == 0
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -96,7 +102,9 @@ def test_krylov_min_poly_matches_sympy_nullspace(seed):
     for sign in (1, -1):
         z = [SparsePoly.const((k == u) + sign * (k == v)) for k in range(n)]
         expected = _sympy_min_poly(a, sympy.Matrix([_to_sympy(x) for x in z]))
-        assert sympy.expand(_to_sympy(krylov_min_poly(m, z)) - expected) == 0
+        got = krylov_min_poly(m, z)
+        assert_stored_form(got)
+        assert sympy.expand(_to_sympy(got) - expected) == 0
 
 
 def _relative_factors(seed: int) -> tuple[SparsePoly, SparsePoly]:
@@ -161,6 +169,7 @@ def _random_poly(rng: random.Random, symbols: tuple[str, ...], terms: int = 4) -
 
 
 def _assert_same(got: SparsePoly, expected) -> None:
+    assert_stored_form(got)
     assert sympy.expand(_to_sympy(got) - expected) == 0
     # canonical form: exactly the symbols that occur, sorted
     assert got.symbols == tuple(s for s in SYMBOLS if sympy.expand(expected).has(LOCALS[s]))
@@ -225,9 +234,35 @@ def test_poly_gcd_t_matches_sympy(syms):
         if a.is_zero() and b.is_zero():
             continue
         got = poly_gcd_t(a, b)
+        assert_stored_form(got)
         expected = sympy.gcd(_to_sympy(a), _to_sympy(b), *gens)
         # equal up to a nonzero rational factor; sympy normalizes differently
         ratio = sympy.cancel(_to_sympy(got) / expected)
         assert ratio.is_Rational and ratio != 0
         if sympy.Poly(expected, *gens).is_ground:
             assert got.is_one()
+
+
+def test_division_leaves_exact_fractions():
+    # An inexact int division and a 1/lc scaling by an int lead coefficient
+    # must build exact Fractions, never floats.
+    third = SparsePoly.parse("3*t + 1").divexact(SparsePoly.const(3))
+    assert_stored_form(third)
+    assert third == SparsePoly.parse("t + 1/3")
+    assert third.univariate_t_coeffs() == [Fraction(1, 3), 1]
+    for a, b, expected in [
+        ("2*t^2 + 2*t - 4", "2*t^2 - 8*t + 6", "t - 1"),
+        ("2*t^2*Q + 2*t*Q + 3*t + 3", "2*t^2*Q - 2*t*Q + 3*t - 3", "t*Q + 3/2"),
+    ]:
+        g = poly_gcd_t(SparsePoly.parse(a), SparsePoly.parse(b))
+        assert_stored_form(g)
+        assert g == SparsePoly.parse(expected)
+
+
+def test_public_accessors_return_fractions():
+    p = SparsePoly.parse("2*t^2 - 3")
+    assert all(type(c) is Fraction for c in p.univariate_t_coeffs())
+    assert type(p.eval_t(2)) is Fraction and p.eval_t(2) == 5
+    assert type(SparsePoly.zero().eval_t(2)) is Fraction
+    for c in (SparsePoly.const(4), SparsePoly.zero()):
+        assert type(c.constant_value()) is Fraction
