@@ -16,9 +16,12 @@ that leaves a remainder builds a ``Fraction``. The public accessors
 ``Fraction``. An exponent vector is a tuple ``(t_exp, *param_exps)``
 aligned with the polynomial's sorted ``symbols`` tuple. The representation
 is canonical: zero coefficients are dropped and symbols that do not occur
-are pruned, so structural equality is semantic equality. Sums, products
-and substitutions all run through one kernel, ``_sum_products``, which
-accumulates a whole sum of products in one term dict and canonicalizes once.
+are pruned, so structural equality is semantic equality. Two private
+kernels work on plain term dicts over one frame (a sorted symbol tuple):
+one accumulates sums of products, the other divides exactly, popping
+leading terms off a heap. Operations lift to a frame, run a kernel and
+canonicalize the result; a ``PolyMatrix`` lifts its rows to its frame once,
+when built, so ``charpoly`` and ``krylov_min_poly`` stay in the frame.
 
 Monomials are ordered graded lexicographically with ``t`` ranked highest.
 The string form writes terms in decreasing order under that ordering and
@@ -42,8 +45,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
-from typing import Iterable, Mapping, Sequence, Union
+from heapq import heapify, heappop, heappush
+from operator import add, neg, sub
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import (
     DomainError,
@@ -55,6 +59,7 @@ from .errors import (
 )
 
 Scalar = Union[Fraction, int]
+_Terms = dict[tuple[int, ...], Scalar]
 
 MAX_PARAM_SYMBOLS = 2
 
@@ -291,28 +296,8 @@ class SparsePoly:
         other = _coerce(other)
         if other.is_zero():
             raise DomainError("division by zero polynomial")
-        if self.is_zero():
-            return SparsePoly.zero()
-        syms = _common_symbols((self, other))
-        a, b = _lift(self, syms), _lift(other, syms)
-        lt_b = max(b, key=_order_key)
-        lc_b = b[lt_b]
-        rem = dict(a)
-        quot: dict[tuple[int, ...], Scalar] = {}
-        while rem:
-            lt_r = max(rem, key=_order_key)
-            diff = tuple(x - y for x, y in zip(lt_r, lt_b))
-            if any(d < 0 for d in diff):
-                raise ExactDivisionError(f"{self} is not divisible by {other}")
-            c = quot[diff] = _div(rem[lt_r], lc_b)
-            for eb, cb in b.items():
-                e = tuple(x + y for x, y in zip(diff, eb))
-                s = rem.get(e, _ZERO) - c * cb
-                if s:
-                    rem[e] = s
-                elif e in rem:
-                    del rem[e]
-        return _raw(*_canonical(quot, syms))
+        syms = _common_symbols((self._symbols, other._symbols))
+        return _raw(*_canonical(_divide(_lift(self, syms), _lift(other, syms)), syms))
 
     def derivative_t(self) -> "SparsePoly":
         acc: dict[tuple[int, ...], Scalar] = {}
@@ -430,6 +415,8 @@ def _canonical(
         return {}, ()
     kept = sorted((s, 1 + i) for i, s in enumerate(symbols) if any(e[1 + i] for e in acc))
     new_syms = tuple(s for s, _ in kept)
+    if len(new_syms) > MAX_PARAM_SYMBOLS:
+        raise DomainError(f"operation would mix more than {MAX_PARAM_SYMBOLS} symbols: {new_syms!r}")
     if new_syms == symbols:
         return acc, symbols
     pos = [k for _, k in kept]
@@ -454,15 +441,12 @@ def _coerce(x) -> SparsePoly:
     return NotImplemented
 
 
-def _common_symbols(polys: Iterable[SparsePoly]) -> tuple[str, ...]:
-    """Sorted union of the polynomials' symbols, within the symbol cap."""
-    syms = tuple(sorted({s for p in polys for s in p._symbols}))
-    if len(syms) > MAX_PARAM_SYMBOLS:
-        raise DomainError(f"operation would mix more than {MAX_PARAM_SYMBOLS} symbols: {syms!r}")
-    return syms
+def _common_symbols(groups: Iterable[Sequence[str]]) -> tuple[str, ...]:
+    """Sorted union of the symbol groups: a frame, which may exceed the cap."""
+    return tuple(sorted({s for g in groups for s in g}))
 
 
-def _lift(p: SparsePoly, syms: tuple[str, ...]) -> dict[tuple[int, ...], Scalar]:
+def _lift(p: SparsePoly, syms: tuple[str, ...]) -> _Terms:
     """Terms of p with exponent vectors over syms, a sorted superset of p's symbols."""
     if p._symbols == syms:
         return p._terms
@@ -471,26 +455,56 @@ def _lift(p: SparsePoly, syms: tuple[str, ...]) -> dict[tuple[int, ...], Scalar]
 
 
 def _sum_products(pairs: Iterable[tuple[SparsePoly, SparsePoly]]) -> SparsePoly:
-    """Sum of x*y over the pairs: the one place SparsePoly terms are combined.
+    """Sum of x*y over the pairs: lift every factor to the sorted union of
+    the symbols, run the accumulate kernel, canonicalize once."""
+    pairs = list(pairs)
+    syms = _common_symbols(p._symbols for pair in pairs for p in pair)
+    lifted = [(_lift(x, syms), _lift(y, syms)) for x, y in pairs]
+    return _raw(*_canonical(_accumulate(lifted), syms))
 
-    Every factor is lifted once to the sorted union of the symbols, every
-    product accumulates into one term dict, and the sum is canonicalized
-    once at the end. Pairs with a zero factor contribute nothing.
-    """
-    pairs = [(x, y) for x, y in pairs if x._terms and y._terms]
-    syms = _common_symbols(p for pair in pairs for p in pair)
-    origin = (0,) * (1 + len(syms))
-    acc: dict[tuple[int, ...], Scalar] = {}
-    for x, y in pairs:
-        # A term of y at the exponent origin needs no exponent sum; a
+
+def _accumulate(pairs: Iterable[tuple[_Terms, _Terms]]) -> _Terms:
+    """The accumulate kernel: sum of a*b over pairs of term dicts of one
+    width, in stored form. It is the one loop that combines terms."""
+    acc: _Terms = {}
+    for a, b in pairs:
+        # A term of b at the exponent origin needs no exponent sum; a
         # coefficient of 1 needs no product.
-        b = [(eb, cb, eb != origin, cb != 1) for eb, cb in _lift(y, syms).items()]
-        for ea, ca in _lift(x, syms).items():
-            for eb, cb, shift, scale in b:
+        bl = [(eb, cb, any(eb), cb != 1) for eb, cb in b.items()]
+        for ea, ca in a.items():
+            for eb, cb, shift, scale in bl:
                 e = tuple(map(add, ea, eb)) if shift else ea
                 c = ca * cb if scale else ca
                 acc[e] = acc[e] + c if e in acc else c
-    return _raw(*_canonical({e: _norm(c) for e, c in acc.items() if c}, syms))
+    return {e: _norm(c) for e, c in acc.items() if c}
+
+
+def _divide(a: _Terms, b: _Terms) -> _Terms:
+    """The division kernel: the exact quotient a/b of term dicts of one width.
+    Leading terms of the remainder come off a min-heap of negated graded-lex
+    keys, skipping stale ones; a remainder raises ExactDivisionError."""
+    lt_b = max(b, key=_order_key)
+    rem = dict(a)
+    heap = [(-sum(e), tuple(map(neg, e)), e) for e in rem]
+    heapify(heap)
+    quot: _Terms = {}
+    while rem:
+        if (lt_r := heappop(heap)[2]) not in rem:
+            continue  # stale: cancelled after it was pushed
+        diff = tuple(map(sub, lt_r, lt_b))
+        if min(diff) < 0:
+            raise ExactDivisionError("division leaves a remainder")
+        c = quot[diff] = _div(rem[lt_r], b[lt_b])
+        for eb, cb in b.items():
+            e = tuple(map(add, diff, eb))
+            if e not in rem:
+                rem[e] = -c * cb
+                heappush(heap, (-sum(e), tuple(map(neg, e)), e))
+            elif s := rem[e] - c * cb:
+                rem[e] = s
+            else:
+                del rem[e]
+    return quot
 
 
 def _as_var_coeffs(p: SparsePoly, var_name: str) -> list[SparsePoly]:
@@ -511,14 +525,6 @@ def _as_var_coeffs(p: SparsePoly, var_name: str) -> list[SparsePoly]:
     return [
         _raw(*_canonical(buckets.get(j, {}), rest)) for j in range(max(buckets, default=-1) + 1)
     ]
-
-
-def _from_var_coeffs(coeffs: Sequence[SparsePoly], var_name: str) -> SparsePoly:
-    """The polynomial whose coefficients by ascending power of var_name are coeffs."""
-    return _sum_products(
-        (c, SparsePoly.t(k) if var_name == "t" else SparsePoly.sym(var_name, k))
-        for k, c in enumerate(coeffs)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -712,7 +718,8 @@ def _gcd_rec(f: SparsePoly, g: SparsePoly) -> SparsePoly:
     ch = content_of(h)
     h = [c.divexact(ch) for c in h]
     cc = _gcd_rec(cf, cg)
-    return _normalize_sign(_from_var_coeffs(h, main) * cc)
+    powers = (SparsePoly.t(k) if main == "t" else SparsePoly.sym(main, k) for k in range(len(h)))
+    return _normalize_sign(_sum_products(zip(h, powers)) * cc)
 
 
 def poly_gcd_t(p: SparsePoly, q: SparsePoly) -> SparsePoly:
@@ -798,10 +805,11 @@ class PolyMatrix:
                 if j < i and rows[i][j] != rows[j][i]:
                     raise StructuralError(f"matrix is not symmetric at ({i},{j})")
         object.__setattr__(self, "entries", tuple(tuple(row) for row in rows))
-        # (column, entry) pairs of each row's nonzero entries
-        object.__setattr__(
-            self, "nonzero", tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in rows)
-        )
+        # _rows: each row's nonzero entries as (column, terms over the frame)
+        frame = _common_symbols(x._symbols for row in rows for x in row)
+        object.__setattr__(self, "_frame", frame)
+        nonzero = [tuple((j, _lift(x, frame)) for j, x in enumerate(row) if x) for row in rows]
+        object.__setattr__(self, "_rows", tuple(nonzero))
 
     @property
     def dimension(self) -> int:
@@ -811,11 +819,7 @@ class PolyMatrix:
         return self.entries[i][j]
 
     def symbols(self) -> tuple[str, ...]:
-        syms: set[str] = set()
-        for row in self.entries:
-            for x in row:
-                syms.update(x.symbols)
-        return tuple(sorted(syms))
+        return self._frame
 
     def delete(self, drop: Iterable[int]) -> "PolyMatrix":
         drop_set = set(drop)
@@ -826,10 +830,28 @@ class PolyMatrix:
         keep = [i for i in range(n) if i not in drop_set]
         return PolyMatrix([[self.entries[i][j] for j in keep] for i in keep])
 
-    def matvec(self, vec: Sequence[SparsePoly]) -> list[SparsePoly]:
-        if len(vec) != self.dimension:
-            raise StructuralError("vector length does not match dimension")
-        return [_sum_products((x, vec[j]) for j, x in row) for row in self.nonzero]
+    def krylov(self, z: Sequence) -> Iterator[list[SparsePoly]]:
+        """The endless Krylov sequence z, Mz, M^2 z, ... of vectors."""
+        frame, powers = _krylov(self, z)
+        return ([_raw(*_canonical(x, frame)) for x in w] for w in powers)
+
+
+def _krylov(m: PolyMatrix, z: Sequence) -> tuple[tuple[str, ...], Iterator[list[_Terms]]]:
+    """The frame of M and z, and z, Mz, M^2 z, ... as term dicts over it."""
+    vec = [_coerce_entry(x) for x in z]
+    if len(vec) != m.dimension:
+        raise StructuralError("vector length does not match dimension")
+    frame = _common_symbols((m._frame, *(x._symbols for x in vec)))
+    rows = m._rows
+    if frame != m._frame:
+        rows = [[(j, _lift(m.entries[i][j], frame)) for j, _ in r] for i, r in enumerate(rows)]
+
+    def powers(w: list[_Terms]) -> Iterator[list[_Terms]]:
+        while True:
+            yield w
+            w = [_accumulate((x, w[j]) for j, x in row) for row in rows]
+
+    return frame, powers([_lift(x, frame) for x in vec])
 
 
 def _coerce_entry(x) -> SparsePoly:
@@ -853,33 +875,30 @@ def charpoly(m: PolyMatrix) -> SparsePoly:
     vectors and in the Toeplitz step, so a sparse matrix costs far fewer
     polynomial products than a dense one. The empty matrix gives 1.
     """
-    n = m.dimension
-    if n == 0:
-        return SparsePoly.one()
-    a = m.entries
-    one = SparsePoly.one()
+    frame = m._frame
+    if len(frame) > MAX_PARAM_SYMBOLS:  # phi fixes tr(M^2), which holds every symbol
+        raise DomainError(f"operation would mix more than {MAX_PARAM_SYMBOLS} symbols: {frame!r}")
+    one = {(0,) * (1 + len(frame)): _ONE}
     # c[i] is the coefficient of t^(k-i) for the leading k x k block
-    c: list[SparsePoly] = [one, -a[0][0]]
-    for k in range(1, n):
+    c = [one]
+    for k in range(m.dimension):
         # Border the leading block by row k; M is symmetric, so the part of
         # row k left of the diagonal is also the column above it.
-        block = [[(j, x) for j, x in m.nonzero[i] if j < k] for i in range(k)]
-        border = [(j, x) for j, x in m.nonzero[k] if j < k]
-        w = dict(border)
-        toep = [one, -a[k][k]]  # grows to length k + 2
+        block = [[(j, x) for j, x in m._rows[i] if j < k] for i in range(k)]
+        w = {j: x for j, x in m._rows[k] if j < k}
+        border = [(j, _lift(-m.entries[k][j], frame)) for j in w]  # negated
+        toep = [one, _lift(-m.entries[k][k], frame)]  # grows to length k + 2
         for i in range(k):
             if i:
                 w = {
                     r: s
                     for r, row in enumerate(block)
-                    if (s := _sum_products((x, w[j]) for j, x in row if j in w))
+                    if (s := _accumulate((x, w[j]) for j, x in row if j in w))
                 }
-            toep.append(-_sum_products((x, w[j]) for j, x in border if j in w))
-        c = [
-            _sum_products((toep[i - j], c[j]) for j in range(min(i, k) + 1))
-            for i in range(k + 2)
-        ]
-    return _from_var_coeffs(c[::-1], "t")
+            toep.append(_accumulate((x, w[j]) for j, x in border if j in w))
+        c = [_accumulate((toep[i - j], c[j]) for j in range(min(i, k) + 1)) for i in range(k + 2)]
+    terms = {(k, *e[1:]): x for k, ck in enumerate(reversed(c)) for e, x in ck.items()}
+    return _raw(*_canonical(terms, frame))
 
 
 def bareiss_det(rows: Sequence[Sequence[SparsePoly]]) -> SparsePoly:
@@ -930,28 +949,26 @@ def krylov_min_poly(m: PolyMatrix, z: Sequence) -> SparsePoly:
     mean a bug and raises InternalConsistencyError.
     """
     n = m.dimension
-    vec = [_coerce_entry(x) for x in z]
-    if len(vec) != n:
-        raise StructuralError("vector length does not match dimension")
-    if all(x.is_zero() for x in vec):
-        raise DomainError("relative minimal polynomial of the zero vector")
-
-    echelon: list[tuple[int, list[SparsePoly]]] = []  # (pivot index, reduced vector)
-    power = vec  # M^j z for j = len(echelon)
-    while True:
-        w = power + [SparsePoly.t(len(echelon))]  # entry n: the tracked t-polynomial
-        d_prev = SparsePoly.one()
+    frame, powers = _krylov(m, z)
+    echelon: list[tuple[int, list[_Terms]]] = []  # (pivot index, reduced vector)
+    for power in powers:  # M^j z for j = len(echelon)
+        w = [*power, _lift(SparsePoly.t(len(echelon)), frame)]  # entry n: t^j
+        d_prev = {(0,) * (1 + len(frame)): _ONE}
         for p, e in echelon:
-            d, coef = e[p], -w[p]
-            w = [_sum_products(((d, wi), (coef, ei))).divexact(d_prev) for wi, ei in zip(w, e)]
+            d, coef = e[p], {k: -c for k, c in w[p].items()}
+            w = [_divide(_accumulate(((d, wi), (coef, ei))), d_prev) for wi, ei in zip(w, e)]
             d_prev = d
+        if len(frame) > MAX_PARAM_SYMBOLS:  # no entry may hold more symbols than the cap
+            for x in (*power, *w):
+                _canonical(x, frame)
         pivot = next((i for i in range(n) if w[i]), None)
         if pivot is None:
             break
         echelon.append((pivot, w))
-        power = m.matvec(power)
+    if not echelon:
+        raise DomainError("relative minimal polynomial of the zero vector")
 
-    relation = w[n]
+    relation = _raw(*_canonical(w[n], frame))
     try:
         return relation.divexact(relation.lead_coeff_t())
     except ExactDivisionError as exc:

@@ -92,12 +92,8 @@ def is_cospectral(m: PolyMatrix, u: int, v: int) -> bool:
     sparse products and no characteristic polynomial.
     """
     _check_pair(m, u, v)
-    w = [SparsePoly.one() if k in (u, v) else SparsePoly.zero() for k in range(m.dimension)]
-    for _ in range(m.dimension - 1):
-        w = m.matvec(w)
-        if w[u] != w[v]:
-            return False
-    return True
+    z = [int(k in (u, v)) for k in range(m.dimension)]
+    return all(w[u] == w[v] for _, w in zip(range(m.dimension), m.krylov(z)))
 
 
 def decompose(m: PolyMatrix, u: int, v: int) -> CospectralDecomposition:

@@ -29,6 +29,8 @@ SUPPORT_TOL = 1e-9
 # rows, so that no block has one row (a one-row product takes another
 # BLAS path and may differ by an ulp).
 SCAN_CHUNK = 8192
+# A fidelity scan holds its grid and fidelities whole, 16 bytes a point.
+MAX_STEPS = 10**7
 
 
 @dataclass(frozen=True)
@@ -184,16 +186,16 @@ def fidelity_scan(
     """Scan |U(t)[u, v]| on a uniform grid over [0, t_max] and refine the
     best grid point by golden-section search in its bracket.
 
-    The grid is evaluated in blocks of at most SCAN_CHUNK grid-times-cluster
-    entries (at least 3 grid rows). A phase t_max * max|lambda| whose ulp
-    exceeds 1e-6 rad (from 2^33, about 8.6e9) is rejected. The best
-    fidelity is never below the grid maximum.
+    The grid of 2 to MAX_STEPS points is evaluated in blocks of at most
+    SCAN_CHUNK grid-times-cluster entries (at least 3 grid rows). A phase
+    t_max * max|lambda| whose ulp exceeds 1e-6 rad (from 2^33, about
+    8.6e9) is rejected. The best fidelity is never below the grid maximum.
     """
     weights = _weights(spectrum, u, v)
     if not 0 < t_max < math.inf:
         raise DomainError(f"t_max must be positive and finite, got {t_max}")
-    if steps < 2:
-        raise DomainError(f"need at least 2 grid points, got {steps}")
+    if not 2 <= steps <= MAX_STEPS:
+        raise DomainError(f"need 2 to {MAX_STEPS} grid points, got {steps}")
     values = spectrum.cluster_values
     if not math.ulp(t_max * float(np.max(np.abs(values)))) <= 1e-6:
         raise DomainError(

@@ -233,6 +233,8 @@ def test_non_finite_float_option_rejected(capsys, argv, value):
 
 BEYOND_FLOAT = "error: a weight or potential is beyond float range\n"
 HUGE = "1" + "0" * 400
+WIDE = f"error: operation would mix more than 2 symbols: {tuple(f'S{i}' for i in range(9))!r}\n"
+TOO_MANY_STEPS = "error: need 2 to 10000000 grid points, got 100000000000\n"
 
 
 @pytest.mark.parametrize(
@@ -246,6 +248,9 @@ HUGE = "1" + "0" * 400
         (["analyze", "@G_B", "--potential", "Q", "--simulate", "--potential-value", "1e308"], 2, None),
         (["simulate", "@G_B", "--tmax", "1e308", "--steps", "100"], 2, None),
         (["simulate", "@G_B", "--tmax", "1e17", "--steps", "100"], 2, None),
+        (["analyze", "{tmp}/wide.txt", "--u", "0", "--v", "2"], 2, WIDE),
+        (["simulate", "@G_B", "--steps", "100000000000"], 2, TOO_MANY_STEPS),
+        (["analyze", "@G_B", "--simulate", "--steps", "100000000000"], 2, TOO_MANY_STEPS),
         (
             ["construct", "glue-path", "@G_B", "--u", "0", "--v", "1", "--q", "2", "--potential", "Q"],
             2,
@@ -274,6 +279,9 @@ HUGE = "1" + "0" * 400
         "overflow",
         "phase-overflow",
         "phase-precision",
+        "wide-frame",
+        "steps-beyond-max",
+        "steps-beyond-max-analyze",
         "base-not-cospectral",
         "empty-value",
         "empty-value-for-Q",
@@ -289,7 +297,10 @@ HUGE = "1" + "0" * 400
 def test_bad_input_or_output_is_one_error_line(capsys, tmp_path, argv, code, message):
     # 1e308 is finite, but symmetrizing the matrix (overflow) or the phases
     # t*lambda (phase-overflow) overflow to inf; at 1e17 the phases are
-    # finite but one ulp of them exceeds 2*pi (phase-precision). The glued
+    # finite but one ulp of them exceeds 2*pi (phase-precision). A grid of
+    # 10^11 steps would need terabytes (steps-beyond-max*). Nine isolated
+    # vertices with a symbol each are refused before charpoly expands the
+    # product of their nine factors (wide-frame). The glued
     # graph at a non-cospectral pair reaches certify_tr_deg's sym = 0 base
     # check (base-not-cospectral). An empty --potential-value is a bad
     # number, with or without a symbol to bind (empty-value*), and an empty
@@ -297,6 +308,7 @@ def test_bad_input_or_output_is_one_error_line(capsys, tmp_path, argv, code, mes
     # potential of 10^400 is exact, but the numeric lane cannot hold it as a
     # float (*-beyond-float*).
     (tmp_path / "latin1.txt").write_bytes(b"n 9\ne 1 8\n# caf\xe9\n")
+    (tmp_path / "wide.txt").write_text("n 12\ne 0 1\ne 1 2\n" + "".join(f"p {i + 3} S{i}\n" for i in range(9)))
     (tmp_path / "big-weight.txt").write_text("n 9\ne 1 8 1e400\n")
     (tmp_path / "big-potential.txt").write_text(f"n 9\ne 1 8\np 1 {HUGE}\n")
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]

@@ -31,6 +31,7 @@ from pgstkit import (
     to_matrix,
     unit_vector,
 )
+from pgstkit import exact
 from pgstkit.errors import NotLinearInParamError, ParseError, StructuralError
 
 from conftest import random_graph
@@ -397,6 +398,27 @@ def test_krylov_zero_vector_rejected():
     m = to_matrix(path_graph(2))
     with pytest.raises(DomainError):
         krylov_min_poly(m, [SparsePoly.zero(), SparsePoly.zero()])
+
+
+def test_symbol_cap_in_the_matrix_kernels(monkeypatch):
+    # charpoly(M) holds every symbol of M, so a matrix with more than two is
+    # refused before any product (the stubbed kernel would raise TypeError);
+    # krylov_min_poly accepts symbols that z never reaches and refuses once
+    # an entry it builds holds more than two.
+    n = 12
+    rows = [[SparsePoly.zero()] * n for _ in range(n)]
+    rows[0][1] = rows[1][0] = rows[1][2] = rows[2][1] = SparsePoly.one()
+    for i in range(3, n):
+        rows[i][i] = SparsePoly.sym(f"S{i}")
+    wide = PolyMatrix(rows)
+    with monkeypatch.context() as patch:
+        patch.setattr(exact, "_accumulate", None)
+        with pytest.raises(DomainError, match="more than 2 symbols"):
+            charpoly(wide)
+    assert krylov_min_poly(wide, unit_vector(n, 0)) == P("t^3 - 2*t")
+    path = PolyMatrix([[P("Q"), 1, 0], [1, P("R"), 1], [0, 1, P("S")]])
+    with pytest.raises(DomainError, match="more than 2 symbols"):
+        krylov_min_poly(path, unit_vector(3, 0))
 
 
 # ---------------------------------------------------------------------------

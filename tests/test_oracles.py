@@ -149,6 +149,54 @@ def test_isolate_real_roots_matches_sympy(seed):
 
 
 # ---------------------------------------------------------------------------
+# frame boundaries: a symbol of the matrix or of z that the result lacks
+
+FRAME_CASES = ["plus", "minus", "other-component", "z-scaled-by-R"]
+
+
+def _frame_case(seed: int, case: str) -> tuple[PolyMatrix, list[SparsePoly], str]:
+    """Two weighted paths, 0..k-1 with Q at u and v, and k..k+2 with R at
+    one vertex (no R in the matrix for z-scaled-by-R). Returns the matrix,
+    z, and the symbol the relative minimal polynomial must lack."""
+    rng = random.Random(f"frame{seed}")
+    k = rng.randint(3, 5)
+    n = k + 3
+    rows = [[SparsePoly.zero()] * n for _ in range(n)]
+    for i in range(1, n):
+        if i != k:  # no edge joins the two paths
+            rows[i - 1][i] = rows[i][i - 1] = SparsePoly.const(
+                Fraction(rng.choice([1, 2, -1, 3]), rng.choice([1, 2]))
+            )
+    u, v = rng.sample(range(k), 2)
+    q, r = (SparsePoly.sym(s) for s in SYMBOLS)
+    rows[u][u] = rows[v][v] = q
+    if case != "z-scaled-by-R":
+        x = rng.randrange(k, n)
+        rows[x][x] = r + rng.randint(-1, 1)
+    m = PolyMatrix(rows)
+    if case == "other-component":
+        return m, [SparsePoly.const(int(i >= k) * rng.randint(1, 2)) for i in range(n)], "Q"
+    sign = -1 if case == "minus" else 1
+    z = [SparsePoly.const((i == u) + sign * (i == v)) for i in range(n)]
+    if case == "z-scaled-by-R":
+        z = [x * r for x in z]
+    return m, z, "R"
+
+
+@pytest.mark.parametrize("case", FRAME_CASES)
+@pytest.mark.parametrize("seed", range(5))
+def test_frame_symbols_absent_from_the_result_are_pruned(seed, case):
+    m, z, absent = _frame_case(seed, case)
+    assert absent in m.symbols() or any(x.has_sym(absent) for x in z)
+    got = krylov_min_poly(m, z)
+    _assert_same(got, _sympy_min_poly(_sympy_matrix(m), sympy.Matrix([_to_sympy(x) for x in z])))
+    assert not got.has_sym(absent)
+    phi = charpoly(m)
+    _assert_same(phi, _sympy_matrix(m).charpoly(T).as_expr())
+    assert phi.symbols == m.symbols()
+
+
+# ---------------------------------------------------------------------------
 # polynomial arithmetic
 
 SYMBOL_SETS = [(), ("Q",), ("R",), ("Q", "R")]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from pgstkit import SparsePoly
+from pgstkit import ExactDivisionError, SparsePoly
 
 from conftest import assert_stored_form
 
@@ -54,3 +54,19 @@ def test_exact_division_undoes_a_product(p, q):
     quotient = product.divexact(q)
     assert_stored_form(quotient)
     assert quotient == p
+
+
+@PROFILE
+@given(polys(), polys(), polys())
+def test_division_returns_an_exact_quotient_or_raises(p, q, r):
+    # p*q + r is a multiple of q when r is zero, and mostly not otherwise,
+    # so both the quotient and the remainder path run.
+    assume(not q.is_zero())
+    a = p * q + r
+    try:
+        quotient = a.divexact(q)
+    except ExactDivisionError:
+        assert not r.is_zero()
+        return
+    assert_stored_form(quotient)
+    assert quotient * q == a
