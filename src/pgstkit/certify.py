@@ -26,9 +26,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .errors import (
     DomainError,
@@ -54,6 +52,9 @@ from .graphs import (
     verify_equitable,
 )
 from .spectral import CospectralDecomposition, decompose, is_cospectral
+
+if TYPE_CHECKING:  # numpy loads in the functions that use it
+    import numpy as np
 
 
 class Verdict(str, enum.Enum):
@@ -297,6 +298,8 @@ def integer_relation_search(
     their first nonzero coefficient positive and are sorted by coefficient
     mass.
     """
+    import numpy as np
+
     if bound < 1:
         raise DomainError(f"coefficient bound must be >= 1, got {bound}")
     if not 0 < precision < float("inf"):
@@ -345,6 +348,8 @@ def integer_relation_search(
 
 def _half_box(k: int, b: int) -> np.ndarray:
     """All coefficient vectors in [-b, b]^k, one per row, in lexicographic order."""
+    import numpy as np
+
     return np.indices((2 * b + 1,) * k).reshape(k, -1).T - b
 
 

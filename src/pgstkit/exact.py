@@ -946,17 +946,22 @@ def krylov_min_poly(m: PolyMatrix, z: Sequence) -> SparsePoly:
     degree, whose leading coefficient is the last pivot; dividing it out
     gives the monic minimal polynomial. That division is exact because the
     result divides the monic characteristic polynomial; a remainder would
-    mean a bug and raises InternalConsistencyError.
+    mean a bug and raises InternalConsistencyError. No division is by the
+    constant 1: the first pivot step, a later pivot of 1 and a relation that
+    is already monic skip it.
     """
     n = m.dimension
     frame, powers = _krylov(m, z)
+    one = {(0,) * (1 + len(frame)): _ONE}
     echelon: list[tuple[int, list[_Terms]]] = []  # (pivot index, reduced vector)
     for power in powers:  # M^j z for j = len(echelon)
         w = [*power, _lift(SparsePoly.t(len(echelon)), frame)]  # entry n: t^j
-        d_prev = {(0,) * (1 + len(frame)): _ONE}
+        d_prev = one
         for p, e in echelon:
             d, coef = e[p], {k: -c for k, c in w[p].items()}
-            w = [_divide(_accumulate(((d, wi), (coef, ei))), d_prev) for wi, ei in zip(w, e)]
+            w = [_accumulate(((d, wi), (coef, ei))) for wi, ei in zip(w, e)]
+            if d_prev != one:  # _accumulate already gives the stored form
+                w = [_divide(x, d_prev) for x in w]
             d_prev = d
         if len(frame) > MAX_PARAM_SYMBOLS:  # no entry may hold more symbols than the cap
             for x in (*power, *w):
@@ -969,8 +974,11 @@ def krylov_min_poly(m: PolyMatrix, z: Sequence) -> SparsePoly:
         raise DomainError("relative minimal polynomial of the zero vector")
 
     relation = _raw(*_canonical(w[n], frame))
+    lead = relation.lead_coeff_t()
+    if lead.is_one():
+        return relation
     try:
-        return relation.divexact(relation.lead_coeff_t())
+        return relation.divexact(lead)
     except ExactDivisionError as exc:
         raise InternalConsistencyError(
             "relative minimal polynomial coefficient is not polynomial"

@@ -8,18 +8,22 @@ stands for the projector onto its eigenvectors. No projector is formed:
 a question about the pair (u, v) reads only rows u and v of each one.
 Transfer amplitudes and fidelity scans weigh cluster k by the mean of
 its (u, v) and (v, u) entries, so |U(t)[u,v]| equals |U(t)[v,u]|.
+
+numpy is imported inside the functions that use it, so it loads only for
+``simulate`` and ``analyze --simulate``, never at CLI start-up.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence, TextIO
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping, Sequence, TextIO
 
 from .errors import DomainError, StructuralError
 from .graphs import Graph
+
+if TYPE_CHECKING:  # numpy loads in the functions that use it
+    import numpy as np
 
 CLUSTER_RTOL = 1e-8
 SYMMETRY_TOL = 1e-12
@@ -53,6 +57,8 @@ class NumericSpectrum:
 
     def rows(self, u: int, v: int) -> np.ndarray:
         """Rows u and v of every cluster projector, shape (k, 2, n)."""
+        import numpy as np
+
         n = self.dimension
         for x in (u, v):
             if not (0 <= x < n):
@@ -78,6 +84,8 @@ class FidelityScan:
 def numeric_adjacency(g: Graph, params: Mapping[str, float] | None = None) -> np.ndarray:
     """Graph matrix as floats; every potential symbol must get a value, and a
     weight or potential beyond float range is a DomainError."""
+    import numpy as np
+
     a = np.zeros((g.n, g.n))
     try:
         for (i, j), w in g.edges.items():
@@ -98,6 +106,8 @@ def sym_eig(matrix: np.ndarray | Sequence[Sequence[float]]) -> NumericSpectrum:
     diameter fall into one cluster, whose projector spans all of their
     eigenvectors.
     """
+    import numpy as np
+
     a = np.array(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise StructuralError("need a square matrix")
@@ -122,6 +132,8 @@ def sym_eig(matrix: np.ndarray | Sequence[Sequence[float]]) -> NumericSpectrum:
 
 def transfer_amplitude(spectrum: NumericSpectrum, u: int, v: int, t: float) -> complex:
     """U(t)[u, v] where U(t) = exp(i t M), from the clustered data."""
+    import numpy as np
+
     phases = np.exp(1j * t * spectrum.cluster_values)
     return complex(np.sum(phases * _weights(spectrum, u, v)))
 
@@ -133,6 +145,8 @@ def pgst_ceiling(spectrum: NumericSpectrum, u: int, v: int) -> float:
     cospectral; strictly smaller ceilings certify (numerically) that
     fidelity can never reach 1.
     """
+    import numpy as np
+
     return float(np.sum(np.abs(_weights(spectrum, u, v))))
 
 
@@ -145,6 +159,8 @@ def numeric_strong_cospectral(spectrum: NumericSpectrum, u: int, v: int) -> bool
     SUPPORT_TOL * ||E e_u||^2. Clusters whose u and v projections are both
     below SUPPORT_TOL are neutral and impose no constraint.
     """
+    import numpy as np
+
     for row_u, row_v in spectrum.rows(u, v):
         nu = float(np.linalg.norm(row_u))
         nv = float(np.linalg.norm(row_v))
@@ -166,6 +182,8 @@ def classify_spectrum(spectrum: NumericSpectrum, u: int, v: int) -> tuple[list[f
     cospectral pairs the two lists are disjoint; both-sided clusters land
     in both lists.
     """
+    import numpy as np
+
     lambdas: list[float] = []
     mus: list[float] = []
     for value, (row_u, row_v) in zip(spectrum.cluster_values, spectrum.rows(u, v)):
@@ -191,6 +209,8 @@ def fidelity_scan(
     t_max * max|lambda| whose ulp exceeds 1e-6 rad (from 2^33, about
     8.6e9) is rejected. The best fidelity is never below the grid maximum.
     """
+    import numpy as np
+
     weights = _weights(spectrum, u, v)
     if not 0 < t_max < math.inf:
         raise DomainError(f"t_max must be positive and finite, got {t_max}")

@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import json
 import math
+import subprocess
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import pgstkit
 from pgstkit import exact, spectral
 from pgstkit.cli import main
 
@@ -357,3 +360,37 @@ def test_analyze_runs_each_exact_kernel_once_per_question(monkeypatch, capsys):
         "bareiss_det": 0,
         "poly_gcd_t": 1,
     }
+
+
+STARTUP_SCRIPT = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+import pgstkit.cli
+
+def loaded(*argv):
+    if argv:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert pgstkit.cli.main(list(argv)) == 0
+    return {name: name in sys.modules for name in ("numpy", "pgstkit.walk", "pgstkit.certify")}
+
+pair = ("@G_B", "--u", "1", "--v", "8", "--potential", "Q")
+print(json.dumps([
+    loaded(),
+    loaded("analyze", *pair),
+    loaded("construct", "glue-pot", *pair, "--k", "5"),
+    loaded("analyze", *pair, "--simulate", "--tmax", "40", "--steps", "300"),
+]))
+"""
+
+
+def test_exact_questions_start_without_numpy():
+    # A fresh interpreter: this test session has imported numpy already.
+    src = Path(pgstkit.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", STARTUP_SCRIPT, str(src)],
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    after_import, after_analyze, after_construct, after_simulate = json.loads(proc.stdout)
+    exact_only = {"numpy": False, "pgstkit.walk": True, "pgstkit.certify": True}
+    assert after_import == after_analyze == after_construct == exact_only
+    assert after_simulate["numpy"] is True

@@ -19,6 +19,7 @@ from pgstkit import (
     PolyMatrix,
     SparsePoly,
     charpoly,
+    exact,
     is_irreducible_linear_param,
     isolate_real_roots,
     krylov_min_poly,
@@ -105,6 +106,36 @@ def test_krylov_min_poly_matches_sympy_nullspace(seed):
         got = krylov_min_poly(m, z)
         assert_stored_form(got)
         assert sympy.expand(_to_sympy(got) - expected) == 0
+
+
+# Seeds of _instance per symbol set; for () the pair symbol Q is bound to 1/2.
+UNIT_DIVISOR_SEEDS = {(): (0, 2, 6), ("Q",): (0, 2, 9), ("Q", "R"): (5, 8, 11)}
+
+
+@pytest.mark.parametrize("symbols", list(UNIT_DIVISOR_SEEDS), ids=["none", "Q", "QR"])
+def test_krylov_min_poly_never_divides_by_one(monkeypatch, symbols):
+    divisors = []
+    divide = exact._divide
+
+    def recording(a, b):
+        divisors.append(b)
+        return divide(a, b)
+
+    monkeypatch.setattr(exact, "_divide", recording)
+    for seed in UNIT_DIVISOR_SEEDS[symbols]:
+        m, u, v = _instance(seed)
+        n = m.dimension
+        if not symbols:
+            m = PolyMatrix(
+                [[m.entry(i, j).subs_sym("Q", Fraction(1, 2)) for j in range(n)] for i in range(n)]
+            )
+        assert m.symbols() == symbols
+        for sign in (1, -1):
+            z = [SparsePoly.const((k == u) + sign * (k == v)) for k in range(n)]
+            got = krylov_min_poly(m, z)
+            _assert_same(got, _sympy_min_poly(_sympy_matrix(m), sympy.Matrix([_to_sympy(x) for x in z])))
+    assert divisors
+    assert not [b for b in divisors if b == {(0,) * len(next(iter(b))): 1}]
 
 
 def _relative_factors(seed: int) -> tuple[SparsePoly, SparsePoly]:
