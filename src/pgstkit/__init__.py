@@ -40,7 +40,6 @@ from .exact import (
     poly_gcd_t,
     poly_trace,
     split_linear_param,
-    unit_vector,
 )
 from .fixtures import CATALOG, Fixture, get_fixture
 from .graphs import (
@@ -53,7 +52,6 @@ from .graphs import (
     glue,
     glue_path,
     graph_digest,
-    intertwining_residual,
     parse_graph_text,
     path_graph,
     quotient_matrix,

@@ -12,16 +12,16 @@ rational coefficients. A coefficient is an ``int`` when it is integral and
 otherwise a ``fractions.Fraction`` in lowest terms, so the fraction-free
 kernels run on ints wherever the input is integral and only a division
 that leaves a remainder builds a ``Fraction``. The public accessors
-``constant_value``, ``univariate_t_coeffs`` and ``eval_t`` return
-``Fraction``. An exponent vector is a tuple ``(t_exp, *param_exps)``
-aligned with the polynomial's sorted ``symbols`` tuple. The representation
-is canonical: zero coefficients are dropped and symbols that do not occur
-are pruned, so structural equality is semantic equality. Two private
-kernels work on plain term dicts over one frame (a sorted symbol tuple):
-one accumulates sums of products, the other divides exactly, popping
-leading terms off a heap. Operations lift to a frame, run a kernel and
-canonicalize the result; a ``PolyMatrix`` lifts its rows to its frame once,
-when built, so ``charpoly`` and ``krylov_min_poly`` stay in the frame.
+``constant_value`` and ``univariate_t_coeffs`` return ``Fraction``. An
+exponent vector is a tuple ``(t_exp, *param_exps)`` aligned with the
+polynomial's sorted ``symbols`` tuple. The representation is canonical:
+zero coefficients are dropped and symbols that do not occur are pruned, so
+structural equality is semantic equality. Two private kernels work on
+plain term dicts over one frame (a sorted symbol tuple): one accumulates
+sums of products, the other divides exactly, popping leading terms off a
+heap. Operations lift to a frame, run a kernel and canonicalize the
+result; a ``PolyMatrix`` lifts its rows to its frame once, when built, so
+``charpoly`` and ``krylov_min_poly`` stay in the frame.
 
 Monomials are ordered graded lexicographically with ``t`` ranked highest.
 The string form writes terms in decreasing order under that ordering and
@@ -37,7 +37,9 @@ each vector carrying the t-polynomial that produced it; the first vector to
 reduce to zero carries a scalar multiple of the minimal polynomial, which
 one exact division makes monic. Any division that fails to be exact raises
 instead of degrading precision. No step of the analysis pipeline calls
-``bareiss_det`` any more; it stays a public, tested name.
+``bareiss_det`` any more; it stays a public, tested name. A gcd first
+tries a modular image that can only prove coprimality, and runs the
+multivariate recursion on everything else.
 """
 
 from __future__ import annotations
@@ -315,26 +317,13 @@ class SparsePoly:
         value = _coerce(value)
         return _sum_products((c, value**k) for k, c in enumerate(_as_var_coeffs(self, sym)))
 
-    def compose_t(self, g: "SparsePoly") -> "SparsePoly":
-        """Evaluate self with t replaced by the polynomial g (Horner)."""
-        out = SparsePoly.zero()
-        for c in reversed(self.t_coeffs()):
-            out = out * g + c
-        return out
-
     def shift_t(self, c: Scalar) -> "SparsePoly":
-        """p(t) -> p(t - c), i.e. roots move up by c."""
-        return self.compose_t(SparsePoly.t() - SparsePoly.const(c))
-
-    def eval_t(self, x: Scalar) -> Fraction:
-        """Evaluate a univariate polynomial in t at a rational point."""
-        if self._symbols:
-            raise DomainError(f"cannot evaluate with unbound symbols {self._symbols!r}")
-        x = Fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.univariate_t_coeffs()):
-            acc = acc * x + c
-        return acc
+        """p(t) -> p(t - c), i.e. roots move up by c (Horner in t - c)."""
+        g = SparsePoly.t() - SparsePoly.const(c)
+        out = SparsePoly.zero()
+        for k in reversed(self.t_coeffs()):
+            out = out * g + k
+        return out
 
     def univariate_t_coeffs(self) -> list[Fraction]:
         """Coefficients by ascending t power, each a Fraction (integral ones
@@ -618,15 +607,6 @@ def _parse_poly(text: str) -> SparsePoly:
 # gcd machinery
 
 
-def _var_degrees(p: SparsePoly) -> list[int]:
-    width = 1 + len(p.symbols)
-    degs = [0] * width
-    for e in p._terms:
-        for i, x in enumerate(e):
-            degs[i] = max(degs[i], x)
-    return degs
-
-
 def _normalize_sign(p: SparsePoly) -> SparsePoly:
     """Scale by a rational so the graded-lex leading coefficient is 1."""
     if p.is_zero():
@@ -670,27 +650,18 @@ def _gcd_rec(f: SparsePoly, g: SparsePoly) -> SparsePoly:
 
     f = _normalize_sign(f)
     g = _normalize_sign(g)
-    names = ("t",) + tuple(sorted(set(f.symbols) | set(g.symbols)))
-    degs_f = dict(zip(("t",) + f.symbols, _var_degrees(f)))
-    degs_g = dict(zip(("t",) + g.symbols, _var_degrees(g)))
-    # main variable: last (alphabetically greatest symbol, t first) that occurs
-    main = None
-    for v in reversed(names):
-        if degs_f.get(v, 0) > 0 or degs_g.get(v, 0) > 0:
-            main = v
-            break
-    if main is None:
-        return SparsePoly.one()
+    # main variable: the greatest symbol (every listed symbol occurs), else t
+    main = max(f.symbols + g.symbols, default="t")
 
     def content_of(coeffs: list[SparsePoly]) -> SparsePoly:
         c = SparsePoly.zero()
-        for x in coeffs:
-            if x.is_zero():
-                continue
-            c = _gcd_rec(c, x)
-            if c.is_one():
+        for x in filter(None, coeffs):
+            if (c := _gcd_rec(c, x)).is_one():
                 break
         return c
+
+    def divided(coeffs: list[SparsePoly], c: SparsePoly) -> list[SparsePoly]:
+        return coeffs if c.is_one() else [x.divexact(c) for x in coeffs]
 
     fc = _as_var_coeffs(f, main)
     gc = _as_var_coeffs(g, main)
@@ -699,27 +670,70 @@ def _gcd_rec(f: SparsePoly, g: SparsePoly) -> SparsePoly:
         return _gcd_rec(f, content_of(gc))
     if len(gc) == 1:
         return _gcd_rec(g, f)
-
-    cf = content_of(fc)
-    cg = content_of(gc)
-    a = [c.divexact(cf) for c in fc]
-    b = [c.divexact(cg) for c in gc]
+    cf, cg = content_of(fc), content_of(gc)
+    a, b = divided(fc, cf), divided(gc, cg)
     if len(a) < len(b):
         a, b = b, a
-    while True:
-        r = _prem(a, b)
-        if not r or all(c.is_zero() for c in r):
-            h = b
-            break
+    while (r := _prem(a, b)) and any(r):
         if len(r) == 1:
             return _normalize_sign(_gcd_rec(cf, cg))
-        cr = content_of(r)
-        a, b = b, [c.divexact(cr) for c in r]
-    ch = content_of(h)
-    h = [c.divexact(ch) for c in h]
+        a, b = b, divided(r, content_of(r))
+    h = divided(b, content_of(b))
     cc = _gcd_rec(cf, cg)
     powers = (SparsePoly.t(k) if main == "t" else SparsePoly.sym(main, k) for k in range(len(h)))
     return _normalize_sign(_sum_products(zip(h, powers)) * cc)
+
+
+_PROBE_PRIME = 2**61 - 1
+
+
+def _probe_value(name: str) -> int:
+    """The value a symbol takes in ``_coprime_probe``: fixed by its name alone."""
+    return int.from_bytes(name.encode(), "big") * 0x9E3779B97F4A7C15 % _PROBE_PRIME
+
+
+def _coprime_probe(p: SparsePoly, q: SparsePoly) -> bool:
+    """True only if gcd(p, q) = 1; False says nothing.
+
+    A modular image (Brown, J. ACM 18, 1971): both map into F_l[t],
+    l = 2^61 - 1, each symbol to ``_probe_value`` of its name and each
+    coefficient to its residue, and Euclid runs on int lists. If p or q has
+    a constant leading t-coefficient with a nonzero residue, a common factor
+    can be taken monic in t over the UFD Z_(l)[symbols], so its image divides
+    both images at full t-degree: coprime images prove coprime inputs. A
+    denominator divisible by l skips the probe.
+    """
+    ell = _PROBE_PRIME
+    frame = _common_symbols((p._symbols, q._symbols))
+    point = [_probe_value(s) for s in frame]
+    images, kept_degree = [], False
+    for f in (p, q):
+        img = [0] * (f.deg_t() + 1)
+        for e, c in _lift(f, frame).items():
+            if type(c) is Fraction:
+                if not c.denominator % ell:
+                    return False
+                c = c.numerator * pow(c.denominator, -1, ell)
+            for x, k in zip(point, e[1:]):
+                c *= pow(x, k, ell)
+            img[e[0]] = (img[e[0]] + c) % ell
+        kept_degree = kept_degree or bool(img and img[-1] and f.lead_coeff_t().is_constant())
+        while img and not img[-1]:
+            img.pop()
+        images.append(img)
+    if not kept_degree:
+        return False
+    a, b = images
+    while b:  # Euclid in F_l[t], coefficients by ascending power
+        inv = pow(b[-1], -1, ell)
+        while len(a) >= len(b):
+            lead, s = a[-1] * inv % ell, len(a) - len(b)
+            for i, y in enumerate(b):
+                a[s + i] = (a[s + i] - lead * y) % ell
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+    return len(a) == 1
 
 
 def poly_gcd_t(p: SparsePoly, q: SparsePoly) -> SparsePoly:
@@ -731,6 +745,8 @@ def poly_gcd_t(p: SparsePoly, q: SparsePoly) -> SparsePoly:
     """
     if p.is_zero() and q.is_zero():
         raise DomainError("gcd(0, 0) is undefined")
+    if _coprime_probe(p, q):
+        return SparsePoly.one()
     g = _gcd_rec(p, q)
     if g.is_constant():
         return SparsePoly.one()
@@ -775,7 +791,7 @@ def is_irreducible_linear_param(p: SparsePoly, sym: str) -> bool:
     if p.deg_in(sym) != 1:
         raise NotLinearInParamError(f"{p} must have degree exactly 1 in {sym}")
     s, r = split_linear_param(p, sym)
-    return _gcd_rec(s, r).is_constant()
+    return _coprime_probe(s, r) or _gcd_rec(s, r).is_constant()
 
 
 # ---------------------------------------------------------------------------
@@ -830,14 +846,11 @@ class PolyMatrix:
         keep = [i for i in range(n) if i not in drop_set]
         return PolyMatrix([[self.entries[i][j] for j in keep] for i in keep])
 
-    def krylov(self, z: Sequence) -> Iterator[list[SparsePoly]]:
-        """The endless Krylov sequence z, Mz, M^2 z, ... of vectors."""
-        frame, powers = _krylov(self, z)
-        return ([_raw(*_canonical(x, frame)) for x in w] for w in powers)
-
 
 def _krylov(m: PolyMatrix, z: Sequence) -> tuple[tuple[str, ...], Iterator[list[_Terms]]]:
-    """The frame of M and z, and z, Mz, M^2 z, ... as term dicts over it."""
+    """The frame of M and z, and z, Mz, M^2 z, ... as term dicts over it, in
+    stored form. On a frame wider than the cap, every entry of a vector is
+    checked against the cap before the vector is yielded."""
     vec = [_coerce_entry(x) for x in z]
     if len(vec) != m.dimension:
         raise StructuralError("vector length does not match dimension")
@@ -848,6 +861,9 @@ def _krylov(m: PolyMatrix, z: Sequence) -> tuple[tuple[str, ...], Iterator[list[
 
     def powers(w: list[_Terms]) -> Iterator[list[_Terms]]:
         while True:
+            if len(frame) > MAX_PARAM_SYMBOLS:
+                for x in w:
+                    _canonical(x, frame)
             yield w
             w = [_accumulate((x, w[j]) for j, x in row) for row in rows]
 
@@ -859,12 +875,6 @@ def _coerce_entry(x) -> SparsePoly:
     if p is NotImplemented:
         raise StructuralError(f"bad matrix entry {x!r}")
     return p
-
-
-def unit_vector(n: int, i: int) -> list[SparsePoly]:
-    if not (0 <= i < n):
-        raise StructuralError(f"index {i} out of range 0..{n - 1}")
-    return [SparsePoly.one() if k == i else SparsePoly.zero() for k in range(n)]
 
 
 def charpoly(m: PolyMatrix) -> SparsePoly:
@@ -950,12 +960,16 @@ def krylov_min_poly(m: PolyMatrix, z: Sequence) -> SparsePoly:
     constant 1: the first pivot step, a later pivot of 1 and a relation that
     is already monic skip it.
     """
-    n = m.dimension
-    frame, powers = _krylov(m, z)
+    return _min_poly(*_krylov(m, z))
+
+
+def _min_poly(frame: tuple[str, ...], powers: Iterator[list[_Terms]]) -> SparsePoly:
+    """The elimination of ``krylov_min_poly`` on a Krylov sequence from
+    ``_krylov``; it takes vectors until one reduces to zero."""
     one = {(0,) * (1 + len(frame)): _ONE}
     echelon: list[tuple[int, list[_Terms]]] = []  # (pivot index, reduced vector)
     for power in powers:  # M^j z for j = len(echelon)
-        w = [*power, _lift(SparsePoly.t(len(echelon)), frame)]  # entry n: t^j
+        w = [*power, _lift(SparsePoly.t(len(echelon)), frame)]  # last entry: t^j
         d_prev = one
         for p, e in echelon:
             d, coef = e[p], {k: -c for k, c in w[p].items()}
@@ -964,16 +978,16 @@ def krylov_min_poly(m: PolyMatrix, z: Sequence) -> SparsePoly:
                 w = [_divide(x, d_prev) for x in w]
             d_prev = d
         if len(frame) > MAX_PARAM_SYMBOLS:  # no entry may hold more symbols than the cap
-            for x in (*power, *w):
+            for x in w:
                 _canonical(x, frame)
-        pivot = next((i for i in range(n) if w[i]), None)
+        pivot = next((i for i, x in enumerate(w[:-1]) if x), None)
         if pivot is None:
             break
         echelon.append((pivot, w))
     if not echelon:
         raise DomainError("relative minimal polynomial of the zero vector")
 
-    relation = _raw(*_canonical(w[n], frame))
+    relation = _raw(*_canonical(w[-1], frame))
     lead = relation.lead_coeff_t()
     if lead.is_one():
         return relation

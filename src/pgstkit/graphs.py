@@ -346,29 +346,6 @@ def quotient_matrix(g: Graph, partition: Partition) -> QuotientMatrix:
     return QuotientMatrix(partition.parts, entries)
 
 
-def intertwining_residual(g: Graph, partition: Partition) -> list[list[SparsePoly]]:
-    """M @ P - P @ B where P is the partition indicator matrix; all zero
-    exactly when the quotient intertwines. Exposed for tests."""
-    qm = quotient_matrix(g, partition)
-    m = to_matrix(g)
-    n = g.n
-    k = len(qm.parts)
-    part_of = {}
-    for idx, part in enumerate(qm.parts):
-        for v in part:
-            part_of[v] = idx
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(k):
-            mp = SparsePoly.zero()
-            for y in qm.parts[j]:
-                mp = mp + m.entry(i, y)
-            row.append(mp - qm.entries[part_of[i]][j])
-        out.append(row)
-    return out
-
-
 def add_apex(g: Graph, u: int, v: int, weight: Scalar = 1, label: str = "w") -> tuple[Graph, int]:
     """Append one new vertex joined to u and v with the given weight.
 

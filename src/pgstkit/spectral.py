@@ -4,11 +4,12 @@ polynomial at a cospectral pair.
 For a symmetric matrix M and vertices u, v, cospectrality means the vertex
 deleted characteristic polynomials agree. Equivalently (Godsil and Smith,
 Strongly cospectral vertices, arXiv 1709.07975), the closed-walk counts
-(M^k)_uu and (M^k)_vv agree for every k; ``is_cospectral`` decides it that
-way, for k < n, and no other code does. When it holds, the minimal
-polynomials of M relative to e_u + e_v and e_u - e_v (written P_plus and
-P_minus) are coprime-squarefree factors of the characteristic polynomial,
-and the quotient
+(M^k)_uu and (M^k)_vv agree for every k. Both tests here read them from the
+Krylov vectors M^k (e_u + e_v): ``is_cospectral`` for k < n, and
+``decompose`` from the vectors that the Krylov run for P_plus builds anyway.
+When it holds, the minimal polynomials of M relative to e_u + e_v and
+e_u - e_v (written P_plus and P_minus) are coprime-squarefree factors of
+the characteristic polynomial, and the quotient
 
     P_zero = charpoly(M) / (P_plus * P_minus)
 
@@ -30,13 +31,15 @@ from .errors import (
     NotCospectralError,
 )
 from .exact import (
+    MAX_PARAM_SYMBOLS,
     PolyMatrix,
     SparsePoly,
+    _krylov,
+    _min_poly,
     charpoly,
     krylov_min_poly,
     poly_gcd_t,
     poly_trace,
-    unit_vector,
 )
 
 
@@ -89,31 +92,39 @@ def is_cospectral(m: PolyMatrix, u: int, v: int) -> bool:
     the v entry of w = M^k (e_u + e_v). That sequence obeys the recurrence
     of P_plus, the minimal polynomial of M relative to e_u + e_v, so it
     vanishes for all k once it vanishes for k < deg P_plus <= n: n - 1
-    sparse products and no characteristic polynomial.
+    sparse products, compared as stored-form term dicts over one frame.
     """
     _check_pair(m, u, v)
-    z = [int(k in (u, v)) for k in range(m.dimension)]
-    return all(w[u] == w[v] for _, w in zip(range(m.dimension), m.krylov(z)))
+    _, powers = _krylov(m, [int(k in (u, v)) for k in range(m.dimension)])
+    return all(w[u] == w[v] for _, w in zip(range(m.dimension), powers))
 
 
 def decompose(m: PolyMatrix, u: int, v: int) -> CospectralDecomposition:
     """Relative decomposition at a cospectral pair.
 
-    The pair is checked by ``is_cospectral``; when it fails,
-    NotCospectralError is raised. Otherwise P_plus and P_minus come from
-    one Krylov run each and P_zero from one exact division of charpoly(M).
-    That division cannot fail for a genuinely cospectral pair; if it does,
-    that is an engine bug and InternalConsistencyError propagates.
+    P_plus and P_minus come from one Krylov run each and P_zero from one
+    exact division of charpoly(M). P_plus's run also decides the pair: it
+    compares entries u and v of each M^k (e_u + e_v), k <= deg P_plus, before
+    eliminating it (enough, by the recurrence in ``is_cospectral``), and a
+    mismatch raises NotCospectralError. A frame past the symbol cap, which
+    ``charpoly`` refuses, first meets ``is_cospectral``'s own cap checks in
+    their order. A failed division of charpoly(M) is an engine bug and
+    raises InternalConsistencyError.
     """
-    if not is_cospectral(m, u, v):
-        raise NotCospectralError(f"vertices ({u},{v}) are not cospectral")
+    _check_pair(m, u, v)
     n = m.dimension
-    e_u = unit_vector(n, u)
-    e_v = unit_vector(n, v)
-    plus = [a + b for a, b in zip(e_u, e_v)]
-    minus = [a - b for a, b in zip(e_u, e_v)]
-    p_plus = krylov_min_poly(m, plus)
-    p_minus = krylov_min_poly(m, minus)
+    if len(m.symbols()) > MAX_PARAM_SYMBOLS and not is_cospectral(m, u, v):
+        raise NotCospectralError(f"vertices ({u},{v}) are not cospectral")
+    frame, powers = _krylov(m, [int(k in (u, v)) for k in range(n)])
+
+    def closed_walks_agree():
+        for w in powers:
+            if w[u] != w[v]:
+                raise NotCospectralError(f"vertices ({u},{v}) are not cospectral")
+            yield w
+
+    p_plus = _min_poly(frame, closed_walks_agree())
+    p_minus = krylov_min_poly(m, [(k == u) - (k == v) for k in range(n)])
     phi = charpoly(m)
     try:
         p_zero = phi.divexact(p_plus * p_minus)

@@ -333,6 +333,7 @@ def test_analyze_runs_each_exact_kernel_once_per_question(monkeypatch, capsys):
         "is_cospectral": spectral.is_cospectral,
         "charpoly": exact.charpoly,
         "krylov_min_poly": exact.krylov_min_poly,
+        "_min_poly": exact._min_poly,  # the Krylov elimination, once per side
         "bareiss_det": exact.bareiss_det,
         "poly_gcd_t": exact.poly_gcd_t,
     }
@@ -354,9 +355,10 @@ def test_analyze_runs_each_exact_kernel_once_per_question(monkeypatch, capsys):
     run_json(capsys, "analyze", "@G_B", "--u", "1", "--v", "8", "--potential", "Q")
     assert {name: calls[name] for name in kernels} == {
         "decompose": 1,
-        "is_cospectral": 1,
+        "is_cospectral": 0,
         "charpoly": 1,
-        "krylov_min_poly": 2,
+        "krylov_min_poly": 1,
+        "_min_poly": 2,
         "bareiss_det": 0,
         "poly_gcd_t": 1,
     }

@@ -29,7 +29,6 @@ from pgstkit import (
     poly_trace,
     split_linear_param,
     to_matrix,
-    unit_vector,
 )
 from pgstkit import exact
 from pgstkit.errors import NotLinearInParamError, ParseError, StructuralError
@@ -96,7 +95,6 @@ def test_substitution_and_eval():
     p = P("t^2 - Q*t + 1")
     assert p.subs_sym("Q", Fraction(2)) == P("t^2 - 2*t + 1")
     assert p.subs_sym("Q", SparsePoly.sym("R")) == P("t^2 - R*t + 1")
-    assert P("t^2 - 2").eval_t(Fraction(3)) == Fraction(7)
     assert abs(P("t^2 - 2").eval_float(1.5, {}) - 0.25) < 1e-12
 
 
@@ -183,6 +181,56 @@ def test_gcd_with_parameters():
     assert poly_gcd_t(a, b) == T - q
 
 
+# The coprimality probe may only ever answer "coprime"; every other case
+# must reach the full gcd and come back exactly as before.
+
+
+def test_probe_falls_back_where_the_images_mislead():
+    # Q's probe value is a root of t - Q's image, so the images of t - Q and
+    # t - c share it although the polynomials are coprime.
+    c = SparsePoly.const(exact._probe_value("Q"))
+    a, b = T - SparsePoly.sym("Q"), T - c
+    assert not exact._coprime_probe(a, b)
+    assert poly_gcd_t(a, b).is_one()
+    assert poly_gcd_t(a, T - c - ONE).is_one() and exact._coprime_probe(a, T - c - ONE)
+    # A common factor free of t maps to a unit, so coprime images prove
+    # nothing unless one side has a constant leading t-coefficient.
+    r = SparsePoly.sym("R")
+    a, b = r * (T + ONE), r * (T - ONE)
+    assert not exact._coprime_probe(a, b)
+    assert poly_gcd_t(a, b) == r
+
+
+def test_probe_keys_symbol_values_by_name():
+    # p over (Q,), q over (P, Q): keyed by position, Q in p would take P's
+    # value in q and the images of t - Q and (t - Q)(t + P) would be coprime.
+    q, p_sym = SparsePoly.sym("Q"), SparsePoly.sym("P")
+    a, b = T - q, (T - q) * (T + p_sym)
+    assert a.symbols == ("Q",) and b.symbols == ("P", "Q")
+    assert not exact._coprime_probe(a, b)
+    assert poly_gcd_t(a, b) == T - q
+    assert not is_irreducible_linear_param(P("t^2 - Q*t - t + Q"), "Q")
+
+
+def test_probe_leaves_a_planted_two_symbol_factor_to_the_gcd():
+    g = P("t^2 + P*t - Q")
+    for a, b in ((g * P("t - 1"), g * P("t + P")), (g, g * P("Q*t + 1"))):
+        assert not exact._coprime_probe(a, b)
+        assert poly_gcd_t(a, b) == g
+
+
+def test_probe_skips_a_denominator_divisible_by_its_prime():
+    ell = 2**61 - 1
+    a = T - SparsePoly.const(Fraction(1, ell))
+    for b in (T, T - SparsePoly.const(Fraction(1, ell))):
+        assert not exact._coprime_probe(a, b)
+    assert poly_gcd_t(a, T).is_one()
+    assert poly_gcd_t(a, T.scale(ell) - ONE) == a
+    # a leading coefficient that vanishes mod l keeps no degree; t still does
+    assert exact._coprime_probe(T.scale(ell) + ONE, T)
+    assert not exact._coprime_probe(T.scale(ell) + ONE, SparsePoly.const(ell))
+
+
 # ---------------------------------------------------------------------------
 # traces and the linear-parameter split
 
@@ -266,7 +314,7 @@ def test_charpoly_eval_matches_fraction_elimination():
             ]
             for i in range(n)
         ]
-        assert p.eval_t(t0) == _fraction_det(a)
+        assert sum(c * t0**k for k, c in enumerate(p.univariate_t_coeffs())) == _fraction_det(a)
 
 
 def _fraction_det(a: list[list[Fraction]]) -> Fraction:
@@ -327,12 +375,8 @@ def test_polymatrix_validation():
 
 def test_krylov_examples():
     p3 = to_matrix(path_graph(3))
-    e0 = unit_vector(3, 0)
-    e2 = unit_vector(3, 2)
-    plus = [a + b for a, b in zip(e0, e2)]
-    minus = [a - b for a, b in zip(e0, e2)]
-    assert krylov_min_poly(p3, plus) == P("t^2 - 2")
-    assert krylov_min_poly(p3, minus) == T
+    assert krylov_min_poly(p3, [1, 0, 1]) == P("t^2 - 2")
+    assert krylov_min_poly(p3, [1, 0, -1]) == T
 
 
 def test_krylov_annihilates_and_divides_charpoly():
@@ -342,15 +386,12 @@ def test_krylov_annihilates_and_divides_charpoly():
         m = to_matrix(g)
         n = m.dimension
         i, j = rng.sample(range(n), 2) if n >= 2 else (0, 0)
-        z = [
-            a + b
-            for a, b in zip(unit_vector(n, i), unit_vector(n, j))
-        ]
+        z = [int(k == i) + int(k == j) for k in range(n)]
         p = krylov_min_poly(m, z)
         assert p.is_monic_t()
         charpoly(m).divexact(p)  # divides exactly or raises
         # annihilation: sum_k c_k M^k z = 0, checked over plain Fractions
-        zf = [c.constant_value() for c in z]
+        zf = [Fraction(c) for c in z]
         mat = [
             [m.entry(r, c).constant_value() for c in range(n)] for r in range(n)
         ]
@@ -415,10 +456,10 @@ def test_symbol_cap_in_the_matrix_kernels(monkeypatch):
         patch.setattr(exact, "_accumulate", None)
         with pytest.raises(DomainError, match="more than 2 symbols"):
             charpoly(wide)
-    assert krylov_min_poly(wide, unit_vector(n, 0)) == P("t^3 - 2*t")
+    assert krylov_min_poly(wide, [1] + [0] * (n - 1)) == P("t^3 - 2*t")
     path = PolyMatrix([[P("Q"), 1, 0], [1, P("R"), 1], [0, 1, P("S")]])
     with pytest.raises(DomainError, match="more than 2 symbols"):
-        krylov_min_poly(path, unit_vector(3, 0))
+        krylov_min_poly(path, [1, 0, 0])
 
 
 # ---------------------------------------------------------------------------

@@ -322,6 +322,46 @@ def test_poly_gcd_t_matches_sympy(syms):
             assert got.is_one()
 
 
+def _monic(rng: random.Random, symbols: tuple[str, ...], degree: int, terms: int) -> SparsePoly:
+    """t^degree plus random terms of lower t-degree."""
+    p = _random_poly(rng, symbols, terms)
+    return SparsePoly.t(degree) + sum((p.coeff_t(k) * SparsePoly.t(k) for k in range(degree)), SparsePoly.zero())
+
+
+@pytest.mark.parametrize("syms", SYMBOL_SETS, ids=SYMBOL_IDS)
+def test_coprimality_and_irreducibility_match_sympy(syms):
+    # Monic-in-t pairs, half of them with a planted common factor; the
+    # modular probe answers some of them and the full gcd the rest.
+    rng = random.Random(f"probe{syms}")
+    gens = (T, *(LOCALS[s] for s in syms))
+    rest = tuple(s for s in syms if s != "Q")
+    probed = 0
+    for _ in range(12):
+        a, b = _monic(rng, syms, rng.randint(1, 3), 3), _random_poly(rng, syms, terms=4)
+        if rng.random() < 0.5:
+            f = _monic(rng, syms, rng.randint(1, 2), 2)
+            a, b = a * f, b * f
+        if b.is_zero():
+            continue
+        coprime = sympy.Poly(sympy.gcd(_to_sympy(a), _to_sympy(b), *gens), *gens).is_ground
+        assert poly_gcd_t(a, b).is_one() == poly_gcd_t(b, a).is_one() == coprime
+        if exact._coprime_probe(a, b):
+            probed += 1
+            assert coprime
+        # p = S + Q*R, monic in t and of degree 1 in Q
+        s_part, r_part = _monic(rng, rest, 3, 3), _monic(rng, rest, 2, 2) - SparsePoly.t(2)
+        if r_part.is_zero():
+            continue
+        if rng.random() < 0.4:
+            g = _monic(rng, rest, 1, 1)
+            s_part, r_part = s_part * g, r_part * g
+        p = s_part + SparsePoly.sym("Q") * r_part
+        _, factors = sympy.factor_list(_to_sympy(p), T, LOCALS["Q"], LOCALS["R"])
+        moving = [k for fac, k in factors if fac.has(T) or fac.has(LOCALS["Q"])]
+        assert is_irreducible_linear_param(p, "Q") == (moving == [1])
+    assert probed
+
+
 def test_division_leaves_exact_fractions():
     # An inexact int division and a 1/lc scaling by an int lead coefficient
     # must build exact Fractions, never floats.
@@ -341,7 +381,5 @@ def test_division_leaves_exact_fractions():
 def test_public_accessors_return_fractions():
     p = SparsePoly.parse("2*t^2 - 3")
     assert all(type(c) is Fraction for c in p.univariate_t_coeffs())
-    assert type(p.eval_t(2)) is Fraction and p.eval_t(2) == 5
-    assert type(SparsePoly.zero().eval_t(2)) is Fraction
     for c in (SparsePoly.const(4), SparsePoly.zero()):
         assert type(c.constant_value()) is Fraction

@@ -10,6 +10,7 @@ import pytest
 from pgstkit import (
     DomainError,
     NotCospectralError,
+    PolyMatrix,
     SparsePoly,
     add_potential,
     charpoly,
@@ -74,6 +75,11 @@ def _cospectrality_cases():
         g = random_graph(rng, n=rng.randint(3, 6), weighted=True, with_potentials=True)
         u, v, w = rng.sample(range(g.n), 3)
         cases.append((add_potential(_with_pair_potential(g, u, v, q), w, r), u, v))
+    # every pair of a few graphs: decompose reads the pair off P_plus's own
+    # Krylov run, for k <= deg P_plus only
+    for _ in range(4):
+        g, _, _ = random_cospectral_graph(rng, n=rng.randint(4, 7), weighted=True, with_potentials=True)
+        cases += [(g, u, v) for u in range(g.n) for v in range(u + 1, g.n)]
     return [(to_matrix(g), u, v) for g, u, v in cases]
 
 
@@ -104,6 +110,26 @@ def test_is_cospectral_checks_up_to_the_last_power(n):
         assert (power[0][0] == power[n - 1][n - 1]) == (k < n - 1)
     assert not is_cospectral(m, 0, n - 1)
     assert not _deleted_charpolys_agree(m, 0, n - 1)
+    with pytest.raises(NotCospectralError):
+        decompose(m, 0, n - 1)
+
+
+def test_decompose_on_a_wide_frame_reports_as_is_cospectral_does():
+    # Four symbols, so charpoly refuses the matrix. An entry of M^k z for
+    # some k < n mixes B, C and D, and a reduced vector of P_plus's run
+    # mixes all four earlier; decompose names the first, as is_cospectral does.
+    n = 10
+    edges = [(i, i + 1) for i in range(n - 1)] + [(0, 5), (2, 7), (4, 9)]
+    pots = {1: "B", 2: "C", 3: "E", 4: "D", 5: "D", 6: "D", 7: "C", 8: "B"}
+    rows = [[int((i, j) in edges or (j, i) in edges) for j in range(n)] for i in range(n)]
+    for i, name in pots.items():
+        rows[i][i] = SparsePoly.sym(name)
+    m = PolyMatrix(rows)
+    message = "operation would mix more than 2 symbols: ('B', 'C', 'D')"
+    for check in (is_cospectral, decompose):
+        with pytest.raises(DomainError) as err:
+            check(m, 0, n - 1)
+        assert str(err.value) == message
 
 
 def test_decompose_examples():
