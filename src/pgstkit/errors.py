@@ -37,8 +37,8 @@ class ParseError(PgstError):
 class NotCospectralError(DomainError):
     """The vertex pair is not cospectral, so the decomposition is undefined.
 
-    Raised by ``decompose`` and ``q_expansion_residual`` when
-    ``spectral.is_cospectral`` rejects the pair."""
+    Raised by ``decompose`` when the closed-walk counts at the pair differ,
+    and by ``q_expansion_residual`` when ``is_cospectral`` rejects it."""
 
 
 class NotLinearInParamError(DomainError):
