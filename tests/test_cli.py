@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import pgstkit
-from pgstkit import exact, spectral
+from pgstkit import exact, spectral, walk
 from pgstkit.cli import main
 
 
@@ -362,6 +362,29 @@ def test_analyze_runs_each_exact_kernel_once_per_question(monkeypatch, capsys):
         "bareiss_det": 0,
         "poly_gcd_t": 1,
     }
+
+
+def test_numeric_questions_project_their_pair_once(monkeypatch, capsys):
+    # The ceiling, the scan, the support test and (when the exact lane is
+    # inconclusive) the spectrum split all read rows u and v of every cluster
+    # projector; a question projects them once.
+    calls = Counter()
+    rows = walk.NumericSpectrum.rows
+
+    def counting(self, u, v):
+        calls[u, v] += 1
+        return rows(self, u, v)
+
+    monkeypatch.setattr(walk.NumericSpectrum, "rows", counting)
+    run_json(
+        capsys, "simulate", "@G_B", "--u", "1", "--v", "8", "--potential", "Q",
+        "--potential-value", "3", "--tmax", "100", "--steps", "2001",
+    )
+    assert calls == {(1, 8): 1}
+    calls.clear()
+    report = run_json(capsys, "analyze", "@G_A", "--u", "3", "--v", "6", "--simulate", "--tmax", "100")
+    assert report["certificate"]["verdict"] == "HeuristicObstruction"
+    assert calls == {(3, 6): 1}
 
 
 STARTUP_SCRIPT = """

@@ -264,16 +264,82 @@ def test_scan_validation():
     assert fidelity_scan(p3, 0, 2, 1e9, 100).best_fidelity <= 1.0 + 1e-9
 
 
-@pytest.mark.parametrize("steps", [2, 7, 4001, 20001])
-def test_fidelity_scan_blocks_match_the_whole_grid(monkeypatch, steps):
-    monkeypatch.setattr(walk, "SCAN_CHUNK", 3)
+def _scan_cases():
+    # G_B (8 clusters) and a seeded spectrum of 110 clusters
     fb = get_fixture("G_B")
-    spec = sym_eig(numeric_adjacency(fb.graph))
-    scan = fidelity_scan(spec, fb.u, fb.v, 50.0, steps)
-    times = np.linspace(0.0, 50.0, steps)
-    whole = np.abs(np.exp(1j * np.outer(times, spec.cluster_values)) @ _projectors(spec)[:, fb.u, fb.v])
+    a = np.random.default_rng(1201).standard_normal((110, 110))
+    wide = sym_eig((a + a.T) / 2.0)
+    assert len(wide.cluster_values) == 110
+    return {"G_B": (sym_eig(numeric_adjacency(fb.graph)), fb.u, fb.v), "k110": (wide, 3, 70)}
+
+
+SCAN_CASES = _scan_cases()
+_EXACT_AMPLITUDES: dict = {}
+
+
+def _exact_fidelity(name, t):
+    """|sum_k w_k exp(i lambda_k t)| at 32 digits, from the float data."""
+    mpmath = pytest.importorskip("mpmath")
+    if (name, t) not in _EXACT_AMPLITUDES:
+        spec, u, v = SCAN_CASES[name]
+        pairs = zip(spec.cluster_values.tolist(), walk._weights(spec, u, v).tolist())
+        with mpmath.workdps(32):
+            amp = mpmath.fsum(mpmath.mpf(w) * mpmath.expj(mpmath.mpf(lam) * mpmath.mpf(t)) for lam, w in pairs)
+            _EXACT_AMPLITUDES[name, t] = float(abs(amp))
+    return _EXACT_AMPLITUDES[name, t]
+
+
+@pytest.mark.parametrize("name", sorted(SCAN_CASES))
+@pytest.mark.parametrize("chunk", [3, 16, walk.SCAN_CHUNK])
+@pytest.mark.parametrize("steps", [2, 7, 4001, 20001])
+def test_fidelity_scan_is_within_its_error_bound(monkeypatch, name, chunk, steps):
+    # The bound of the fidelity_scan docstring, checked against mpmath at
+    # every block start and head-row start +-1 (the first and last 16 of
+    # each, where there are more), the last grid point and a seeded sample.
+    # Every grid point is also checked against the direct per-point grid,
+    # at twice the bound. A chunk of 3, and of 16 on k110, leaves one grid
+    # point per block; 16 on G_B makes blocks of two head rows of two.
+    monkeypatch.setattr(walk, "SCAN_CHUNK", chunk)
+    spec, u, v = SCAN_CASES[name]
+    t_max = 1000.0
+    scan = fidelity_scan(spec, u, v, t_max, steps)
+    times = np.linspace(0.0, t_max, steps)
     assert np.array_equal(scan.times, times)
-    assert np.array_equal(scan.fidelities, whole)
+    values, weights = spec.cluster_values, walk._weights(spec, u, v)
+    k, eps = len(values), np.finfo(float).eps
+    phase_ulp = math.ulp(t_max * float(np.max(np.abs(values))))
+    bound = (8 * phase_ulp + 2 * (k + 8) * eps) * float(np.sum(np.abs(weights)))
+    b = max(1, min(steps, chunk // k))
+    heads = list(range(0, steps, b))
+    blocks = list(range(0, steps, b * max(1, chunk // max(b, k))))
+    marks = heads[:16] + heads[-16:] + blocks[:16] + blocks[-16:]
+    checked = {s + d for s in marks for d in (-1, 0, 1)}
+    checked |= {steps - 1, *random.Random(steps).sample(range(steps), min(steps, 32))}
+    for i in sorted(checked & set(range(steps))):
+        assert abs(scan.fidelities[i] - _exact_fidelity(name, float(times[i]))) <= bound, i
+    direct = np.abs(np.exp(1j * np.outer(times, values)) @ weights)
+    assert float(np.max(np.abs(scan.fidelities - direct))) <= 2 * bound
+
+
+@pytest.mark.parametrize("name", sorted(SCAN_CASES))
+def test_fidelity_scan_memory_beyond_its_grid_does_not_grow_with_steps(name):
+    # times and fidelities take 16 bytes a grid point; every other temporary
+    # is bounded by SCAN_CHUNK, so what lies above 16 * steps stays put.
+    import tracemalloc
+
+    spec, u, v = SCAN_CASES[name]
+    extra = []
+    for steps in (200_000, 2_000_000):
+        fidelity_scan(spec, u, v, 1000.0, 20)  # warm every lazy allocation
+        tracemalloc.start()
+        try:
+            scan = fidelity_scan(spec, u, v, 1000.0, steps)
+            extra.append(tracemalloc.get_traced_memory()[1] - 16 * steps)
+        finally:
+            tracemalloc.stop()
+        assert scan.fidelities.size == steps
+        del scan
+    assert extra[1] - extra[0] < 256 * 1024, extra
 
 
 def test_numeric_adjacency_matches_entrywise_evaluation():
