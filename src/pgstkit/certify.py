@@ -35,6 +35,7 @@ from .errors import (
     ZeroEigenvalueObstruction,
 )
 from .exact import (
+    PolyMatrix,
     SparsePoly,
     charpoly,
     is_irreducible_linear_param,
@@ -393,10 +394,8 @@ def path_charpoly(m: int) -> SparsePoly:
     """Characteristic polynomial of the unweighted path on m vertices."""
     if m < 0:
         raise DomainError(f"negative path size {m}")
-    prev, cur = SparsePoly.one(), SparsePoly.t()
-    if m == 0:
-        return prev
-    for _ in range(m - 1):
+    prev, cur = SparsePoly.zero(), SparsePoly.one()  # P_{-1} and P_0
+    for _ in range(m):
         prev, cur = cur, SparsePoly.t() * cur - prev
     return cur
 
@@ -408,6 +407,14 @@ def _primes_upto(limit: int) -> list[int]:
         if sieve[i]:
             sieve[i * i :: i] = [False] * len(sieve[i * i :: i])
     return [i for i, ok in enumerate(sieve) if ok]
+
+
+def _require_cospectral(g: Graph, u: int, v: int) -> PolyMatrix:
+    """The matrix of g; DomainError unless u and v are cospectral in it."""
+    m = to_matrix(g)
+    if not is_cospectral(m, u, v):
+        raise DomainError(f"vertices ({u},{v}) are not cospectral")
+    return m
 
 
 MAX_GLUE_PRIME = 1000
@@ -422,10 +429,7 @@ def choose_glue_length(g: Graph, u: int, v: int) -> int:
     ZeroEigenvalueObstruction is raised: use build_glue_pot or
     build_change_trace instead, which shift the path spectrum away.
     """
-    m = to_matrix(g)
-    if not is_cospectral(m, u, v):
-        raise DomainError(f"vertices ({u},{v}) are not cospectral")
-    deleted = charpoly(m.delete([u, v]))
+    deleted = charpoly(_require_cospectral(g, u, v).delete([u, v]))
     if deleted.coeff_t(0).is_zero():
         raise ZeroEigenvalueObstruction(
             "the matrix with u and v deleted has eigenvalue 0, which every "
@@ -468,15 +472,11 @@ def build_glue_pot(g: Graph, u: int, v: int, k: int) -> Graph:
     """
     if k < 3 or k % 2 == 0:
         raise DomainError(f"glue-pot path needs an odd vertex count >= 3, got {k}")
-    m = to_matrix(g)
-    if not is_cospectral(m, u, v):
-        raise DomainError(f"vertices ({u},{v}) are not cospectral")
+    _require_cospectral(g, u, v)
+    path = path_graph(k)  # checks the vertex bound before choose_path_shift's O(k^2) work
     c = choose_path_shift(g, u, v, k)
-    p = path_graph(k)
-    if c:
-        for x in range(k):
-            p = add_potential(p, x, c)
-    return glue(g, u, v, p, 0, k - 1)
+    shifted = Graph(k, path.edges, dict.fromkeys(range(k), c), path.labels)
+    return glue(g, u, v, shifted, 0, k - 1)
 
 
 def build_change_trace(g: Graph, u: int, v: int, k: int, sym: str) -> Graph:
@@ -491,9 +491,7 @@ def build_change_trace(g: Graph, u: int, v: int, k: int, sym: str) -> Graph:
         raise DomainError(f"change-trace path needs an odd vertex count >= 3, got {k}")
     if sym in g.symbols():
         raise DomainError(f"symbol {sym!r} already occurs in the graph")
-    m = to_matrix(g)
-    if not is_cospectral(m, u, v):
-        raise DomainError(f"vertices ({u},{v}) are not cospectral")
+    _require_cospectral(g, u, v)
     p = add_potential(path_graph(k), (k - 1) // 2, SparsePoly.sym(sym))
     return glue(g, u, v, p, 0, k - 1)
 
@@ -520,9 +518,7 @@ def certify_equitable(g: Graph, u: int, v: int, w: int, sym1: str, sym2: str) ->
     for s in (sym1, sym2):
         if s in taken:
             raise DomainError(f"symbol {s!r} already occurs in the graph")
-    m = to_matrix(g)
-    if not is_cospectral(m, u, v):
-        raise DomainError(f"vertices ({u},{v}) are not cospectral")
+    _require_cospectral(g, u, v)
 
     seed_parts = [[u, v], [w]]
     rest = [x for x in range(g.n) if x not in (u, v, w)]

@@ -136,6 +136,16 @@ def _load_graph(ref: str) -> tuple[Graph, str]:
     return parse_graph_text(text), str(path)
 
 
+def _load_pair(args) -> tuple[Graph, str, int, int]:
+    """The graph named by args.graph, its source, and the distinct pair --u, --v."""
+    g, source = _load_graph(args.graph)
+    u = _resolve_vertex(g, args.u)
+    v = _resolve_vertex(g, args.v)
+    if u == v:
+        raise DomainError("u and v must differ")
+    return g, source, u, v
+
+
 def _write_output(path: str, write) -> None:
     """Call write on path opened for writing; an OS error becomes a DomainError."""
     try:
@@ -229,11 +239,7 @@ def _numeric_block(
 
 
 def cmd_analyze(args) -> dict:
-    g, source = _load_graph(args.graph)
-    u = _resolve_vertex(g, args.u)
-    v = _resolve_vertex(g, args.v)
-    if u == v:
-        raise DomainError("u and v must differ")
+    g, source, u, v = _load_pair(args)
 
     sym: str | None = None
     if args.potential is not None:
@@ -253,17 +259,11 @@ def cmd_analyze(args) -> dict:
                 "reason": "the pair is not cospectral, so no route applies",
             },
         )
-    elif sym is not None:
-        certificate = certify_mod.certify_tr_deg(g, u, v, sym, dec)
-        if certificate.verdict is not certify_mod.Verdict.PROVEN_PGST:
-            parity = certify_mod.parity_obstruction(dec)
-            if parity is not None:
-                certificate = parity
-    else:
-        parity = certify_mod.parity_obstruction(dec)
-        if parity is not None:
-            certificate = parity
-        else:
+    else:  # tr-deg when a symbol is given, then parity, then no route
+        certificate = certify_mod.certify_tr_deg(g, u, v, sym, dec) if sym is not None else None
+        if certificate is None or certificate.verdict is not certify_mod.Verdict.PROVEN_PGST:
+            certificate = certify_mod.parity_obstruction(dec) or certificate
+        if certificate is None:
             certificate = certify_mod.Certificate(
                 certify_mod.Verdict.INCONCLUSIVE,
                 {
@@ -302,14 +302,21 @@ def cmd_analyze(args) -> dict:
 
 
 def cmd_construct(args) -> dict:
-    g, source = _load_graph(args.graph)
-    u = _resolve_vertex(g, args.u)
-    v = _resolve_vertex(g, args.v)
-    if u == v:
-        raise DomainError("u and v must differ")
+    g, source, u, v = _load_pair(args)
 
     detail: dict = {}
-    if args.kind == "glue-path":
+    if args.kind == "equitable":
+        if args.w is None:
+            base, w = add_apex(g, u, v)
+            detail["apex_added"] = True
+        else:
+            base, w = g, _resolve_vertex(g, args.w)
+            detail["apex_added"] = False
+        detail["w"] = {"index": w, "label": base.labels[w]}
+        detail["symbols"] = [args.sym1, args.sym2]
+        certificate = certify_mod.certify_equitable(base, u, v, w, args.sym1, args.sym2)
+        built = add_potential(_add_pair_symbol(base, u, v, args.sym1), w, SparsePoly.sym(args.sym2))
+    elif args.kind == "glue-path":
         if args.q is None:
             raise DomainError("glue-path needs --q <edges> or --q auto")
         if args.q == "auto":
@@ -323,43 +330,22 @@ def cmd_construct(args) -> dict:
             detail["q_mode"] = "explicit"
         detail["q"] = q
         built = glue_path(g, u, v, q)
-        sym = _require_symbol_flag(args.potential)
-        built = _add_pair_symbol(built, u, v, sym)
-        certificate = certify_mod.certify_tr_deg(built, u, v, sym)
+    elif args.k is None:
+        raise DomainError("this construction needs --k <odd vertex count>")
     elif args.kind == "glue-pot":
-        k = _require_k(args.k)
-        built = certify_mod.build_glue_pot(g, u, v, k)
-        detail["k"] = k
+        detail["k"] = args.k
+        built = certify_mod.build_glue_pot(g, u, v, args.k)
         detail["path_potential"] = str(built.potential(u) - g.potential(u))
-        sym = _require_symbol_flag(args.potential)
-        built = _add_pair_symbol(built, u, v, sym)
-        certificate = certify_mod.certify_tr_deg(built, u, v, sym)
-    elif args.kind == "change-trace":
-        k = _require_k(args.k)
-        built = certify_mod.build_change_trace(g, u, v, k, args.sym)
-        detail["k"] = k
+    else:  # change-trace
+        detail["k"] = args.k
+        built = certify_mod.build_change_trace(g, u, v, args.k, args.sym)
         detail["center_symbol"] = args.sym
+    if args.kind != "equitable":  # the path recipes share one tail
         sym = _require_symbol_flag(args.potential)
-        if sym == args.sym:
+        if sym == detail.get("center_symbol"):
             raise DomainError("pair symbol and center symbol must differ")
         built = _add_pair_symbol(built, u, v, sym)
         certificate = certify_mod.certify_tr_deg(built, u, v, sym)
-    else:  # equitable
-        if args.w is None:
-            base, w = add_apex(g, u, v)
-            detail["apex_added"] = True
-        else:
-            base, w = g, _resolve_vertex(g, args.w)
-            detail["apex_added"] = False
-        detail["w"] = {"index": w, "label": base.labels[w]}
-        detail["symbols"] = [args.sym1, args.sym2]
-        certificate = certify_mod.certify_equitable(base, u, v, w, args.sym1, args.sym2)
-        built = add_potential(
-            add_potential(base, u, SparsePoly.sym(args.sym1)),
-            v,
-            SparsePoly.sym(args.sym1),
-        )
-        built = add_potential(built, w, SparsePoly.sym(args.sym2))
 
     graph_text = serialize_graph_text(built)
     if args.out:
@@ -384,12 +370,6 @@ def cmd_construct(args) -> dict:
     return report
 
 
-def _require_k(k: int | None) -> int:
-    if k is None:
-        raise DomainError("this construction needs --k <odd vertex count>")
-    return k
-
-
 def _require_symbol_flag(token: str) -> str:
     value, sym = _parse_potential(token)
     if sym is None or value != SparsePoly.sym(sym):
@@ -405,11 +385,7 @@ def _add_pair_symbol(g: Graph, u: int, v: int, sym: str) -> Graph:
 
 
 def cmd_simulate(args) -> dict:
-    g, source = _load_graph(args.graph)
-    u = _resolve_vertex(g, args.u)
-    v = _resolve_vertex(g, args.v)
-    if u == v:
-        raise DomainError("u and v must differ")
+    g, source, u, v = _load_pair(args)
     if args.potential is not None:
         value, _ = _parse_potential(args.potential)
         g = add_potential(add_potential(g, u, value), v, value)

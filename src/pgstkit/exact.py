@@ -210,18 +210,12 @@ class SparsePoly:
         return max(self._terms, key=_order_key)
 
     def lead_coeff_t(self) -> "SparsePoly":
-        """Coefficient of the highest power of t, as a t-free polynomial."""
-        d = self.deg_t()
-        if d < 0:
-            return SparsePoly.zero()
-        return self.coeff_t(d)
+        """Coefficient of the highest power of t, as a t-free polynomial
+        (zero for the zero polynomial, whose deg_t is -1)."""
+        return self.coeff_t(self.deg_t())
 
     def is_monic_t(self) -> bool:
-        d = self.deg_t()
-        if d < 0:
-            return False
-        lc = self.lead_coeff_t()
-        return lc.is_constant() and lc.constant_value() == 1
+        return self.lead_coeff_t().is_one()
 
     def coeff_t(self, power: int) -> "SparsePoly":
         """Coefficient of t**power as a polynomial in the parameters only."""

@@ -21,6 +21,10 @@ from .exact import PolyMatrix, Scalar, SparsePoly, _coerce
 
 PotentialValue = Union[SparsePoly, Fraction, int]
 
+# Both lanes build a dense n x n matrix: to_matrix's grid of references and
+# numeric_adjacency's float64 array take 8 n^2 bytes each, 128 MiB here.
+MAX_VERTICES = 4096
+
 
 def _coerce_potential(value: PotentialValue) -> SparsePoly:
     p = _coerce(value)
@@ -50,6 +54,8 @@ class Graph:
     ):
         if not isinstance(n, int) or n < 0:
             raise StructuralError(f"bad vertex count {n!r}")
+        if n > MAX_VERTICES:
+            raise StructuralError(f"at most {MAX_VERTICES} vertices, got {n}")
         self._n = n
         acc: dict[tuple[int, int], Fraction] = {}
         if isinstance(edges, Mapping):
@@ -247,8 +253,8 @@ def glue(g1: Graph, u1: int, v1: int, g2: Graph, u2: int, v2: int) -> Graph:
 
 def path_graph(m: int) -> Graph:
     """Unweighted path on m >= 2 vertices, endpoints labeled u and v."""
-    if m < 2:
-        raise DomainError(f"path needs at least 2 vertices, got {m}")
+    if not 2 <= m <= MAX_VERTICES:
+        raise DomainError(f"path needs 2 to {MAX_VERTICES} vertices, got {m}")
     labels = ["u"] + [f"x{i}" for i in range(1, m - 1)] + ["v"]
     return Graph(m, [(i, i + 1, 1) for i in range(m - 1)], labels=labels)
 
@@ -289,17 +295,11 @@ def verify_equitable(g: Graph, partition: Partition) -> bool:
     """True iff every part has constant row sums into every part.
 
     Row sums use the full matrix, so potentials count: two vertices in a
-    common part must agree on potential plus internal weighted degree.
+    common part must agree on potential plus internal weighted degree. A
+    partition is equitable exactly when it is its own coarsest equitable
+    refinement, which is how this is decided.
     """
-    if partition.n != g.n:
-        raise StructuralError("partition size does not match graph")
-    m = to_matrix(g)
-    for part in partition.parts:
-        ref = _row_sums(m, partition, part[0])
-        for v in part[1:]:
-            if _row_sums(m, partition, v) != ref:
-                return False
-    return True
+    return coarsest_equitable_refinement(g, partition) == partition
 
 
 def coarsest_equitable_refinement(g: Graph, seed: Partition) -> Partition:
@@ -322,13 +322,10 @@ def coarsest_equitable_refinement(g: Graph, seed: Partition) -> Partition:
         for v in range(g.n):
             parts.setdefault(color[v], []).append(v)
         current = Partition(g.n, parts.values())
-        sigs = {}
+        groups: dict[tuple, list[int]] = {}  # signature -> members
         for v in range(g.n):
             sums = _row_sums(m, current, v)
-            sigs[v] = (color[v], tuple(s.sort_key() for s in sums))
-        groups: dict[tuple, list[int]] = {}
-        for v in range(g.n):
-            groups.setdefault(sigs[v], []).append(v)
+            groups.setdefault((color[v], tuple(s.sort_key() for s in sums)), []).append(v)
         if len(groups) == len(current.parts):
             return current
         ordered = sorted(groups.items(), key=lambda kv: (kv[0][0], kv[0][1], min(kv[1])))
@@ -346,8 +343,8 @@ def quotient_matrix(g: Graph, partition: Partition) -> QuotientMatrix:
     return QuotientMatrix(partition.parts, entries)
 
 
-def add_apex(g: Graph, u: int, v: int, weight: Scalar = 1, label: str = "w") -> tuple[Graph, int]:
-    """Append one new vertex joined to u and v with the given weight.
+def add_apex(g: Graph, u: int, v: int) -> tuple[Graph, int]:
+    """Append one new vertex, labeled w, joined to u and v by unit edges.
 
     Returns the new graph and the index of the new vertex. This is the
     standard way to manufacture a singleton part adjacent to a cospectral
@@ -357,8 +354,8 @@ def add_apex(g: Graph, u: int, v: int, weight: Scalar = 1, label: str = "w") -> 
         raise StructuralError("apex endpoints must be distinct in-range vertices")
     w = g.n
     edges = [(i, j, wt) for (i, j), wt in g.edges.items()]
-    edges += [(u, w, Fraction(weight)), (v, w, Fraction(weight))]
-    labels = list(g.labels) + [_fresh_label(label, set(g.labels))]
+    edges += [(u, w, 1), (v, w, 1)]
+    labels = list(g.labels) + [_fresh_label("w", set(g.labels))]
     return Graph(g.n + 1, edges, g.potentials, labels), w
 
 

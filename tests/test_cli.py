@@ -12,8 +12,9 @@ from pathlib import Path
 import pytest
 
 import pgstkit
-from pgstkit import exact, spectral, walk
+from pgstkit import exact, graphs, spectral, walk
 from pgstkit.cli import main
+from pgstkit.graphs import MAX_VERTICES
 
 
 def run(capsys, *argv):
@@ -238,6 +239,10 @@ BEYOND_FLOAT = "error: a weight or potential is beyond float range\n"
 HUGE = "1" + "0" * 400
 WIDE = f"error: operation would mix more than 2 symbols: {tuple(f'S{i}' for i in range(9))!r}\n"
 TOO_MANY_STEPS = "error: need 2 to 10000000 grid points, got 100000000000\n"
+TOO_MANY_VERTICES = f"error: at most {MAX_VERTICES} vertices, got %d\n"
+TOO_MANY_PATH_VERTICES = f"error: path needs 2 to {MAX_VERTICES} vertices, got %d\n"
+G_A_PAIR = ["@G_A", "--u", "3", "--v", "6"]
+G_C_PAIR = ["@G_C", "--u", "8", "--v", "9"]
 
 
 @pytest.mark.parametrize(
@@ -272,6 +277,52 @@ TOO_MANY_STEPS = "error: need 2 to 10000000 grid points, got 100000000000\n"
         (["simulate", "{tmp}/big-potential.txt"], 2, BEYOND_FLOAT),
         (["analyze", "{tmp}/big-potential.txt", "--simulate"], 2, BEYOND_FLOAT),
         (["analyze", "@G_B", "--potential", HUGE, "--simulate"], 2, BEYOND_FLOAT),
+        (
+            ["construct", "change-trace", *G_A_PAIR, "--k", "3", "--potential", "Qp"],
+            2,
+            "error: pair symbol and center symbol must differ\n",
+        ),
+        (["construct", "glue-pot", "@G_B"], 2, "error: this construction needs --k <odd vertex count>\n"),
+        (
+            ["construct", "glue-pot", "@G_B", "--k", "4", "--potential", "2"],
+            2,
+            "error: glue-pot path needs an odd vertex count >= 3, got 4\n",
+        ),
+        (
+            ["construct", "change-trace", *G_A_PAIR, "--k", "4", "--potential", "2"],
+            2,
+            "error: change-trace path needs an odd vertex count >= 3, got 4\n",
+        ),
+        (
+            ["construct", "glue-path", *G_A_PAIR, "--potential", "2"],
+            2,
+            "error: glue-path needs --q <edges> or --q auto\n",
+        ),
+        (
+            ["construct", "glue-path", *G_A_PAIR, "--q", "x", "--potential", "2"],
+            1,
+            "error: bad --q value 'x'\n",
+        ),
+        (
+            ["construct", "glue-pot", "@G_B", "--k", "3", "--potential", "2*Q"],
+            2,
+            "error: --potential must be a bare symbol here, got '2*Q'\n",
+        ),
+        (["analyze", "@G_B", "--u", "1", "--v", "1"], 2, "error: u and v must differ\n"),
+        (["construct", "glue-pot", "@G_B", "--u", "1", "--v", "1", "--k", "3"], 2, "error: u and v must differ\n"),
+        (["simulate", "@G_B", "--u", "1", "--v", "1"], 2, "error: u and v must differ\n"),
+        (
+            ["construct", "equitable", *G_C_PAIR, "--sym1", "Q", "--sym2", "Q"],
+            2,
+            "error: the two potential symbols must differ\n",
+        ),
+        (
+            ["construct", "equitable", *G_C_PAIR, "--w", "8"],
+            2,
+            "error: u, v, w must be three distinct vertices\n",
+        ),
+        (["analyze", "{tmp}/huge-n.txt", "--u", "0", "--v", "1"], 1, TOO_MANY_VERTICES % 10**8),
+        (["construct", "glue-path", *G_A_PAIR, "--q", str(10**8)], 2, TOO_MANY_PATH_VERTICES % (10**8 + 1)),
     ],
     ids=[
         "potential-1/0",
@@ -295,6 +346,20 @@ TOO_MANY_STEPS = "error: need 2 to 10000000 grid points, got 100000000000\n"
         "potential-beyond-float",
         "potential-beyond-float-analyze",
         "potential-flag-beyond-float",
+        "pair-symbol-is-center-symbol",
+        "construct-without-k",
+        "glue-pot-even-k-before-potential",
+        "change-trace-even-k-before-potential",
+        "glue-path-without-q",
+        "glue-path-bad-q-before-potential",
+        "potential-not-a-bare-symbol",
+        "same-vertex-analyze",
+        "same-vertex-construct",
+        "same-vertex-simulate",
+        "equitable-same-symbols",
+        "equitable-w-in-pair",
+        "vertex-bound-file",
+        "vertex-bound-glue-path",
     ],
 )
 def test_bad_input_or_output_is_one_error_line(capsys, tmp_path, argv, code, message):
@@ -309,11 +374,15 @@ def test_bad_input_or_output_is_one_error_line(capsys, tmp_path, argv, code, mes
     # number, with or without a symbol to bind (empty-value*), and an empty
     # --potential is an empty polynomial (empty-potential*). A weight or
     # potential of 10^400 is exact, but the numeric lane cannot hold it as a
-    # float (*-beyond-float*).
+    # float (*-beyond-float*). A vertex count beyond MAX_VERTICES is refused
+    # before any per-vertex allocation, from a graph file (vertex-bound-file)
+    # or from a flag (vertex-bound-glue-path). The construct rows pin which
+    # of two faults is reported first.
     (tmp_path / "latin1.txt").write_bytes(b"n 9\ne 1 8\n# caf\xe9\n")
     (tmp_path / "wide.txt").write_text("n 12\ne 0 1\ne 1 2\n" + "".join(f"p {i + 3} S{i}\n" for i in range(9)))
     (tmp_path / "big-weight.txt").write_text("n 9\ne 1 8 1e400\n")
     (tmp_path / "big-potential.txt").write_text(f"n 9\ne 1 8\np 1 {HUGE}\n")
+    (tmp_path / "huge-n.txt").write_text(f"n {10**8}\ne 0 1\n")
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
     if "--u" not in argv:
         argv += ["--u", "1", "--v", "8"]
@@ -325,18 +394,13 @@ def test_bad_input_or_output_is_one_error_line(capsys, tmp_path, argv, code, mes
         assert err == message
 
 
-def test_analyze_runs_each_exact_kernel_once_per_question(monkeypatch, capsys):
-    # Counts go through every pgstkit.* binding, so call sites that imported
-    # a kernel by name are counted as well.
-    kernels = {
-        "decompose": spectral.decompose,
-        "is_cospectral": spectral.is_cospectral,
-        "charpoly": exact.charpoly,
-        "krylov_min_poly": exact.krylov_min_poly,
-        "_min_poly": exact._min_poly,  # the Krylov elimination, once per side
-        "bareiss_det": exact.bareiss_det,
-        "poly_gcd_t": exact.poly_gcd_t,
-    }
+def count_calls(monkeypatch, kernels: dict) -> Counter:
+    """Count calls of each named function from now on.
+
+    Counts go through every pgstkit.* binding, so call sites that imported
+    a kernel by name, and calls within the kernel's own module, are counted
+    as well.
+    """
     calls = Counter()
 
     def counting(name, fn):
@@ -352,6 +416,20 @@ def test_analyze_runs_each_exact_kernel_once_per_question(monkeypatch, capsys):
             for name, fn in kernels.items():
                 if value is fn:
                     monkeypatch.setattr(mod, attr, counting(name, fn))
+    return calls
+
+
+def test_analyze_runs_each_exact_kernel_once_per_question(monkeypatch, capsys):
+    kernels = {
+        "decompose": spectral.decompose,
+        "is_cospectral": spectral.is_cospectral,
+        "charpoly": exact.charpoly,
+        "krylov_min_poly": exact.krylov_min_poly,
+        "_min_poly": exact._min_poly,  # the Krylov elimination, once per side
+        "bareiss_det": exact.bareiss_det,
+        "poly_gcd_t": exact.poly_gcd_t,
+    }
+    calls = count_calls(monkeypatch, kernels)
     run_json(capsys, "analyze", "@G_B", "--u", "1", "--v", "8", "--potential", "Q")
     assert {name: calls[name] for name in kernels} == {
         "decompose": 1,
@@ -362,6 +440,36 @@ def test_analyze_runs_each_exact_kernel_once_per_question(monkeypatch, capsys):
         "bareiss_det": 0,
         "poly_gcd_t": 1,
     }
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        # glue-path: with --q auto, the base check and charpoly of the deleted
+        # base matrix (reusing the base check's matrix); then, for either
+        # --q, one decomposition of the built graph and nothing else
+        (["glue-path", "@G_D", "--u", "h1", "--v", "h4", "--q", "auto"], (2, 1, 2, 1)),
+        (["glue-path", "@G_A", "--u", "3", "--v", "6", "--q", "4"], (1, 0, 1, 1)),
+        # glue-pot and change-trace: the base check, then one decomposition;
+        # choose_path_shift builds the base matrix again for the deleted charpoly
+        (["glue-pot", "@G_B", "--u", "1", "--v", "8", "--k", "3"], (3, 1, 2, 1)),
+        (["change-trace", "@G_A", "--u", "3", "--v", "6", "--k", "3"], (2, 1, 1, 1)),
+        # equitable: the base check, the refinement's matrix, the
+        # equitability check of the perturbed graph and one decomposition
+        (["equitable", "@G_C", "--u", "8", "--v", "9"], (4, 1, 1, 1)),
+    ],
+    ids=["glue-path-auto", "glue-path", "glue-pot", "change-trace", "equitable"],
+)
+def test_construct_analyses_each_pair_a_fixed_number_of_times(monkeypatch, capsys, argv, expected):
+    kernels = {
+        "to_matrix": graphs.to_matrix,
+        "is_cospectral": spectral.is_cospectral,
+        "charpoly": exact.charpoly,
+        "decompose": spectral.decompose,
+    }
+    calls = count_calls(monkeypatch, kernels)
+    run_json(capsys, "construct", *argv)
+    assert tuple(calls[name] for name in kernels) == expected
 
 
 def test_numeric_questions_project_their_pair_once(monkeypatch, capsys):
