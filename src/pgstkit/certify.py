@@ -194,8 +194,7 @@ def certify_tr_deg(
         try:
             dec = decompose(to_matrix(g), u, v)
         except NotCospectralError as exc:
-            minus = -SparsePoly.sym(sym)
-            base = add_potential(add_potential(g, u, minus), v, minus)
+            base = add_potential(g, (u, v), -SparsePoly.sym(sym))
             if not is_cospectral(to_matrix(base), u, v):
                 raise DomainError(
                     f"vertices ({u},{v}) are not cospectral once {sym} is set to 0"
@@ -451,10 +450,11 @@ def choose_path_shift(g: Graph, u: int, v: int, k: int) -> int:
     """Smallest integer c >= 0 such that the interior of a k-vertex path with
     constant potential c has spectrum disjoint from the (u,v)-deleted
     spectrum of g. Terminates because the path spectrum lies in
-    (c - 2, c + 2) and the deleted spectrum is bounded."""
+    (c - 2, c + 2) and the deleted spectrum is bounded. DomainError unless
+    u and v are cospectral in g, checked on the one matrix of g it builds."""
     if k < 3:
         raise DomainError(f"need at least 3 path vertices, got {k}")
-    deleted = charpoly(to_matrix(g).delete([u, v]))
+    deleted = charpoly(_require_cospectral(g, u, v).delete([u, v]))
     interior = path_charpoly(k - 2)
     for c in range(MAX_PATH_SHIFT):
         if poly_gcd_t(deleted, interior.shift_t(c)).is_one():
@@ -472,9 +472,8 @@ def build_glue_pot(g: Graph, u: int, v: int, k: int) -> Graph:
     """
     if k < 3 or k % 2 == 0:
         raise DomainError(f"glue-pot path needs an odd vertex count >= 3, got {k}")
-    _require_cospectral(g, u, v)
     path = path_graph(k)  # checks the vertex bound before choose_path_shift's O(k^2) work
-    c = choose_path_shift(g, u, v, k)
+    c = choose_path_shift(g, u, v, k)  # and the base check
     shifted = Graph(k, path.edges, dict.fromkeys(range(k), c), path.labels)
     return glue(g, u, v, shifted, 0, k - 1)
 
@@ -532,7 +531,7 @@ def certify_equitable(g: Graph, u: int, v: int, w: int, sym1: str, sym2: str) ->
             "the coarsest refinement splits them"
         )
 
-    perturbed = add_potential(add_potential(g, u, SparsePoly.sym(sym1)), v, SparsePoly.sym(sym1))
+    perturbed = add_potential(g, (u, v), SparsePoly.sym(sym1))
     perturbed = add_potential(perturbed, w, SparsePoly.sym(sym2))
     if not verify_equitable(perturbed, refined):
         raise InternalConsistencyError(

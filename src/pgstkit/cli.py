@@ -48,9 +48,8 @@ DEFAULT_SURROGATE = math.pi
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         report = args.handler(args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -62,8 +61,15 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """argparse's usage errors raise ParseError: one error line, exit 1."""
+
+    def error(self, message: str):
+        raise ParseError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="pgstkit",
         description="exact certificates and numeric scans for pretty good state transfer",
     )
@@ -244,7 +250,7 @@ def cmd_analyze(args) -> dict:
     sym: str | None = None
     if args.potential is not None:
         value, sym = _parse_potential(args.potential)
-        g = add_potential(add_potential(g, u, value), v, value)
+        g = add_potential(g, (u, v), value)
 
     try:
         dec = decompose(to_matrix(g), u, v)
@@ -380,15 +386,14 @@ def _require_symbol_flag(token: str) -> str:
 def _add_pair_symbol(g: Graph, u: int, v: int, sym: str) -> Graph:
     if sym in g.symbols():
         raise DomainError(f"symbol {sym!r} already occurs in the graph")
-    q = SparsePoly.sym(sym)
-    return add_potential(add_potential(g, u, q), v, q)
+    return add_potential(g, (u, v), SparsePoly.sym(sym))
 
 
 def cmd_simulate(args) -> dict:
     g, source, u, v = _load_pair(args)
     if args.potential is not None:
         value, _ = _parse_potential(args.potential)
-        g = add_potential(add_potential(g, u, value), v, value)
+        g = add_potential(g, (u, v), value)
     syms = g.symbols()
     if syms and args.potential_value is None:
         raise DomainError(

@@ -190,12 +190,18 @@ def to_matrix(g: Graph) -> PolyMatrix:
     return PolyMatrix(rows)
 
 
-def add_potential(g: Graph, v: int, value: PotentialValue) -> Graph:
-    """Add value to the potential at v (summing with whatever is there)."""
-    if not (0 <= v < g.n):
-        raise StructuralError(f"vertex {v} out of range for n={g.n}")
+def add_potential(g: Graph, v: int | Iterable[int], value: PotentialValue) -> Graph:
+    """Add value to the potential at v, or at each vertex of an iterable v,
+    summing with whatever is there. Every vertex is range-checked before the
+    value is, and the graph is rebuilt once however many vertices there are."""
+    vertices = list(v) if isinstance(v, Iterable) else [v]
+    for x in vertices:
+        if not (0 <= x < g.n):
+            raise StructuralError(f"vertex {x} out of range for n={g.n}")
+    p = _coerce_potential(value)
     pots = g.potentials
-    pots[v] = g.potential(v) + _coerce_potential(value)
+    for x in vertices:
+        pots[x] = pots.get(x, SparsePoly.zero()) + p
     return Graph(g.n, g.edges, pots, g.labels)
 
 
@@ -208,9 +214,10 @@ def _fresh_label(name: str, taken: set[str]) -> str:
 def glue(g1: Graph, u1: int, v1: int, g2: Graph, u2: int, v2: int) -> Graph:
     """Two-sum: disjoint union with u1 identified to u2 and v1 to v2.
 
-    Parallel edges merge by adding weights (a zero sum drops the edge) and
-    potentials at the identified vertices add. Vertices of g1 keep their
-    indices; the surviving vertices of g2 are appended in index order.
+    Both edge sets go to ``Graph``, which adds the weights of parallel
+    edges and drops a zero sum; potentials at the identified vertices add,
+    and a zero sum is dropped too. Vertices of g1 keep their indices; the
+    surviving vertices of g2 are appended in index order.
     """
     for name, (gg, a, b) in {"g1": (g1, u1, v1), "g2": (g2, u2, v2)}.items():
         if not (0 <= a < gg.n and 0 <= b < gg.n):
@@ -221,34 +228,18 @@ def glue(g1: Graph, u1: int, v1: int, g2: Graph, u2: int, v2: int) -> Graph:
     mapping: dict[int, int] = {u2: u1, v2: v1}
     labels = list(g1.labels)
     taken = set(labels)
-    next_index = g1.n
     for x in range(g2.n):
-        if x in mapping:
-            continue
-        mapping[x] = next_index
-        lbl = _fresh_label(g2.labels[x], taken)
-        labels.append(lbl)
-        taken.add(lbl)
-        next_index += 1
+        if x not in mapping:
+            mapping[x] = len(labels)
+            labels.append(_fresh_label(g2.labels[x], taken))
+            taken.add(labels[-1])
 
-    edges = g1.edges
-    for (i, j), w in g2.edges.items():
-        a, b = mapping[i], mapping[j]
-        key = (min(a, b), max(a, b))
-        s = edges.get(key, Fraction(0)) + w
-        if s:
-            edges[key] = s
-        elif key in edges:
-            del edges[key]
+    edges = [(i, j, w) for (i, j), w in g1.edges.items()]
+    edges += [(mapping[i], mapping[j], w) for (i, j), w in g2.edges.items()]
     pots = g1.potentials
     for x, p in g2.potentials.items():
-        y = mapping[x]
-        q = pots.get(y, SparsePoly.zero()) + p
-        if q.is_zero():
-            pots.pop(y, None)
-        else:
-            pots[y] = q
-    return Graph(next_index, edges, pots, labels)
+        pots[mapping[x]] = pots.get(mapping[x], SparsePoly.zero()) + p
+    return Graph(len(labels), edges, pots, labels)
 
 
 def path_graph(m: int) -> Graph:

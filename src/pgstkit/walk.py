@@ -161,18 +161,9 @@ def numeric_strong_cospectral(spectrum: NumericSpectrum, u: int, v: int) -> bool
     SUPPORT_TOL * ||E e_u||^2. Clusters whose u and v projections are both
     below SUPPORT_TOL are neutral and impose no constraint.
     """
-    import numpy as np
-
-    for row_u, row_v in _rows(spectrum, u, v):
-        nu = float(np.linalg.norm(row_u))
-        nv = float(np.linalg.norm(row_v))
-        if nu <= SUPPORT_TOL and nv <= SUPPORT_TOL:
-            continue
-        diff = float(np.linalg.norm(row_u - row_v))
-        summ = float(np.linalg.norm(row_u + row_v))
-        if diff * summ > SUPPORT_TOL * nu * nu:
-            return False
-    return True
+    nu, nv, summ, diff = _support_norms(spectrum, u, v)
+    neutral = (nu <= SUPPORT_TOL) & (nv <= SUPPORT_TOL)
+    return not (~neutral & (diff * summ > SUPPORT_TOL * nu * nu)).any()
 
 
 def classify_spectrum(spectrum: NumericSpectrum, u: int, v: int) -> tuple[list[float], list[float]]:
@@ -184,16 +175,9 @@ def classify_spectrum(spectrum: NumericSpectrum, u: int, v: int) -> tuple[list[f
     cospectral pairs the two lists are disjoint; both-sided clusters land
     in both lists.
     """
-    import numpy as np
-
-    lambdas: list[float] = []
-    mus: list[float] = []
-    for value, (row_u, row_v) in zip(spectrum.cluster_values, _rows(spectrum, u, v)):
-        if float(np.linalg.norm(row_u + row_v)) > SUPPORT_TOL:
-            lambdas.append(float(value))
-        if float(np.linalg.norm(row_u - row_v)) > SUPPORT_TOL:
-            mus.append(float(value))
-    return lambdas, mus
+    _, _, summ, diff = _support_norms(spectrum, u, v)
+    values = spectrum.cluster_values
+    return values[summ > SUPPORT_TOL].tolist(), values[diff > SUPPORT_TOL].tolist()
 
 
 def fidelity_scan(
@@ -288,3 +272,14 @@ def _weights(spectrum: NumericSpectrum, u: int, v: int) -> np.ndarray:
     """(E_k[u, v] + E_k[v, u]) / 2 for every cluster k."""
     r = _rows(spectrum, u, v)
     return (r[:, 0, v] + r[:, 1, u]) / 2.0
+
+
+def _support_norms(spectrum: NumericSpectrum, u: int, v: int) -> tuple[np.ndarray, ...]:
+    """||E_k e_u||, ||E_k e_v||, ||E_k (e_u + e_v)|| and ||E_k (e_u - e_v)||
+    for every cluster k, as four arrays; E_k is symmetric, so E_k e_u is
+    row u of E_k."""
+    import numpy as np
+
+    r = _rows(spectrum, u, v)
+    row_u, row_v = r[:, 0], r[:, 1]
+    return tuple(np.linalg.norm(x, axis=1) for x in (row_u, row_v, row_u + row_v, row_u - row_v))

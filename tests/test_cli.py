@@ -323,6 +323,21 @@ G_C_PAIR = ["@G_C", "--u", "8", "--v", "9"]
         ),
         (["analyze", "{tmp}/huge-n.txt", "--u", "0", "--v", "1"], 1, TOO_MANY_VERTICES % 10**8),
         (["construct", "glue-path", *G_A_PAIR, "--q", str(10**8)], 2, TOO_MANY_PATH_VERTICES % (10**8 + 1)),
+        (
+            ["construct", "glue-pot", "@G_B", "--u", "0", "--v", "1", "--k", str(MAX_VERTICES + 1)],
+            2,
+            TOO_MANY_PATH_VERTICES % (MAX_VERTICES + 1),
+        ),
+        (["construct", "glue-pot", "@G_B", "--k", "x"], 1, "error: argument --k: invalid int value: 'x'\n"),
+        (["simulate", "@G_B", "--tmax", "x"], 1, "error: argument --tmax: invalid float value: 'x'\n"),
+        (["analyze", "@G_B", "--u", "1"], 1, "error: the following arguments are required: --v\n"),
+        (
+            ["construct", "glue-x", "@G_B"],
+            1,
+            "error: argument kind: invalid choice: 'glue-x' "
+            "(choose from 'glue-path', 'glue-pot', 'change-trace', 'equitable')\n",
+        ),
+        ([], 1, "error: the following arguments are required: command\n"),
     ],
     ids=[
         "potential-1/0",
@@ -360,6 +375,12 @@ G_C_PAIR = ["@G_C", "--u", "8", "--v", "9"]
         "equitable-w-in-pair",
         "vertex-bound-file",
         "vertex-bound-glue-path",
+        "vertex-bound-before-base-check",
+        "usage-non-integer-k",
+        "usage-non-float-tmax",
+        "usage-missing-v",
+        "usage-unknown-kind",
+        "usage-no-command",
     ],
 )
 def test_bad_input_or_output_is_one_error_line(capsys, tmp_path, argv, code, message):
@@ -377,14 +398,16 @@ def test_bad_input_or_output_is_one_error_line(capsys, tmp_path, argv, code, mes
     # float (*-beyond-float*). A vertex count beyond MAX_VERTICES is refused
     # before any per-vertex allocation, from a graph file (vertex-bound-file)
     # or from a flag (vertex-bound-glue-path). The construct rows pin which
-    # of two faults is reported first.
+    # of two faults is reported first: glue-pot checks the path's vertex
+    # bound before the base pair (vertex-bound-before-base-check). argparse's
+    # own usage errors are parse errors too (usage-*).
     (tmp_path / "latin1.txt").write_bytes(b"n 9\ne 1 8\n# caf\xe9\n")
     (tmp_path / "wide.txt").write_text("n 12\ne 0 1\ne 1 2\n" + "".join(f"p {i + 3} S{i}\n" for i in range(9)))
     (tmp_path / "big-weight.txt").write_text("n 9\ne 1 8 1e400\n")
     (tmp_path / "big-potential.txt").write_text(f"n 9\ne 1 8\np 1 {HUGE}\n")
     (tmp_path / "huge-n.txt").write_text(f"n {10**8}\ne 0 1\n")
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
-    if "--u" not in argv:
+    if argv and "--u" not in argv:
         argv += ["--u", "1", "--v", "8"]
     got, out, err = run(capsys, *argv)
     assert got == code
@@ -451,8 +474,9 @@ def test_analyze_runs_each_exact_kernel_once_per_question(monkeypatch, capsys):
         (["glue-path", "@G_D", "--u", "h1", "--v", "h4", "--q", "auto"], (2, 1, 2, 1)),
         (["glue-path", "@G_A", "--u", "3", "--v", "6", "--q", "4"], (1, 0, 1, 1)),
         # glue-pot and change-trace: the base check, then one decomposition;
-        # choose_path_shift builds the base matrix again for the deleted charpoly
-        (["glue-pot", "@G_B", "--u", "1", "--v", "8", "--k", "3"], (3, 1, 2, 1)),
+        # glue-pot's choose_path_shift makes the base check and reuses its
+        # matrix for the charpoly of the deleted base matrix
+        (["glue-pot", "@G_B", "--u", "1", "--v", "8", "--k", "3"], (2, 1, 2, 1)),
         (["change-trace", "@G_A", "--u", "3", "--v", "6", "--k", "3"], (2, 1, 1, 1)),
         # equitable: the base check, the refinement's matrix, the
         # equitability check of the perturbed graph and one decomposition
@@ -470,6 +494,39 @@ def test_construct_analyses_each_pair_a_fixed_number_of_times(monkeypatch, capsy
     calls = count_calls(monkeypatch, kernels)
     run_json(capsys, "construct", *argv)
     assert tuple(calls[name] for name in kernels) == expected
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["analyze", "@G_B", "--u", "1", "--v", "8", "--potential", "Q"], 1),
+        (["simulate", "@G_B", "--u", "1", "--v", "8", "--potential", "1", "--steps", "100"], 1),
+        (["construct", "glue-pot", "@G_B", "--u", "1", "--v", "8", "--k", "3"], 4),
+        (["construct", "change-trace", *G_A_PAIR, "--k", "3"], 4),
+        (["construct", "glue-path", *G_A_PAIR, "--q", "4"], 3),
+        (["construct", "equitable", *G_C_PAIR], 5),
+    ],
+    ids=["analyze", "simulate", "glue-pot", "change-trace", "glue-path", "equitable"],
+)
+def test_each_question_builds_a_fixed_number_of_graphs(monkeypatch, capsys, argv, expected):
+    # A pair potential is one rebuild. analyze and simulate build only the
+    # graph with --potential (fixtures are built once, at import). glue-pot
+    # builds its path, the shifted path and the glued graph, change-trace its
+    # path, the path with the center symbol and the glued graph, and
+    # glue-path its path and the glued graph; each then adds the pair symbol.
+    # equitable builds the apex graph, the perturbed graph of its
+    # certificate (pair symbol, then outside symbol) and the same two again
+    # for the report.
+    calls = Counter()
+    init = graphs.Graph.__init__
+
+    def counting(self, *args, **kwargs):
+        calls["Graph"] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(graphs.Graph, "__init__", counting)
+    run_json(capsys, *argv)
+    assert calls["Graph"] == expected
 
 
 def test_numeric_questions_project_their_pair_once(monkeypatch, capsys):

@@ -9,11 +9,13 @@ Half of the invocations are clean: a fixture or a well-formed graph text,
 the fixture's cospectral pair, and option values that are valid on their
 own, so that the success paths are reached. The other half may take a
 faulty value anywhere: an unknown fixture, a malformed line, a bad vertex,
-a bad option value. Only argument lists that argparse accepts are
-generated (its own usage errors are two lines by design). Faulty vertex
-counts fall on both sides of MAX_VERTICES; a count above 8 is asked about
-one vertex twice, so that a graph under the bound is loaded (and refused
-as u = v) without building its dense matrix.
+a bad option value. A quarter of those also carry a fault that argparse
+itself rejects: a malformed number for an option it converts, a missing
+--u or --v, or an unknown command or construct kind. Such a usage error
+must end in exit 1. Faulty vertex counts fall on both sides of
+MAX_VERTICES; a count above 8 is asked about one vertex twice, so that a
+graph under the bound is loaded (and refused as u = v) without building
+its dense matrix.
 """
 
 from __future__ import annotations
@@ -44,6 +46,13 @@ JUNK = [
     "e 0 1 1e400\n", "p 1\n", "p 1 t\n", "p 1 1/0\n", "p 1 Q*R\n", f"p 1 1{'0' * 400}\n",
 ]
 POTENTIAL = (["Q", "P", "3", "1/2", "Q+1"], ["2*Q", "t", "", "Q*P", "1/0", "1" + "0" * 400])
+
+# malformed numbers for the options that argparse converts, per command
+MALFORMED = {
+    "analyze": ["--tmax x", "--steps 1.5", "--relation-bound 1e3", "--relation-precision 1/2"],
+    "simulate": ["--tmax 1/2", "--steps x"],
+    "construct": ["--k x", "--k 3.0"],
+}
 
 # command -> (option, valid values, faulty values); None leaves the option out
 OPTIONS = {
@@ -109,7 +118,9 @@ def graph_texts(draw, clean: bool) -> tuple[str, bool]:
 
 
 @st.composite
-def invocations(draw) -> tuple[str | None, list[str]]:
+def invocations(draw) -> tuple[str | None, list[str], bool]:
+    """A graph text or None, the argument list, and whether argparse itself
+    must reject it."""
     clean = draw(st.booleans())
     graph = draw(st.sampled_from(sorted(PAIRS) + ([] if clean else ["@G_Z"])))
     text, large = draw(graph_texts(clean)) if graph == GRAPH_FILE else (None, False)
@@ -125,16 +136,27 @@ def invocations(draw) -> tuple[str | None, list[str]]:
         value = draw(st.sampled_from(valid if clean else valid + faulty))
         if value is not None:
             argv += value.split() if name == "--simulate" else [name, value]
-    return text, argv
+    usage = not clean and draw(st.integers(0, 3)) == 0
+    if usage:
+        fault = draw(st.sampled_from(["number", "missing", "unknown"]))
+        if fault == "number":
+            argv += draw(st.sampled_from(MALFORMED[argv[0]])).split()
+        elif fault == "missing":
+            flag = argv.index(draw(st.sampled_from(["--u", "--v"])))
+            del argv[flag : flag + 2]
+        else:
+            argv[argv.index(command)] += "-x"
+    return text, argv, usage
 
 
 @PROFILE
 @given(invocations())
-@example((f"n {MAX_VERTICES}\ne 0 1\n", ["simulate", GRAPH_FILE, "--u", "0", "--v", "0"]))
-@example((f"n {MAX_VERTICES + 1}\ne 0 1\n", ["analyze", GRAPH_FILE, "--u", "0", "--v", "1"]))
-@example((None, ["construct", "change-trace", "@G_A", "--u", "3", "--v", "6", "--k", str(MAX_VERTICES + 1)]))
+@example((f"n {MAX_VERTICES}\ne 0 1\n", ["simulate", GRAPH_FILE, "--u", "0", "--v", "0"], False))
+@example((f"n {MAX_VERTICES + 1}\ne 0 1\n", ["analyze", GRAPH_FILE, "--u", "0", "--v", "1"], False))
+@example((None, ["construct", "change-trace", "@G_A", "--u", "3", "--v", "6", "--k", str(MAX_VERTICES + 1)], False))
+@example((None, ["construct", "glue-pot", "@G_B", "--u", "1", "--v", "8", "--k", "x"], True))
 def test_every_invocation_ends_in_json_or_one_error_line(tmp_path_factory, case):
-    text, argv = case
+    text, argv, usage = case
     tmp = tmp_path_factory.getbasetemp() / "fuzz"
     tmp.mkdir(exist_ok=True)
     if text is not None:
@@ -145,9 +167,10 @@ def test_every_invocation_ends_in_json_or_one_error_line(tmp_path_factory, case)
         code = main(argv)
     out, err = out.getvalue(), err.getvalue()
     if code == 0:
+        assert not usage, argv
         assert err == ""
         json.loads(out)
     else:
-        assert code in (1, 2), (argv, code)
+        assert code in ((1,) if usage else (1, 2)), (argv, code)
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), (argv, err)

@@ -160,6 +160,36 @@ def test_glue_adds_potentials_at_identified_vertices():
     assert glued.potentials[2] == SparsePoly.const(5)
 
 
+def test_glue_drops_an_edge_and_a_potential_that_cancel():
+    q = SparsePoly.sym("Q")
+    g1 = Graph(3, {(0, 1): Fraction(1), (1, 2): Fraction(2)}, {0: q, 1: SparsePoly.const(3)})
+    g2 = Graph(3, {(0, 2): Fraction(-1), (1, 2): Fraction(1)}, {0: -q, 2: SparsePoly.const(-3)})
+    glued = glue(g1, 0, 1, g2, 0, 2)
+    assert glued.n == 4
+    assert glued.edges == {(1, 2): Fraction(2), (1, 3): Fraction(1)}
+    assert glued.potentials == {}
+    assert glued == Graph(4, [(1, 2, 2), (3, 1, 1)], labels=["0", "1", "2", "1'"])
+
+
+def test_add_potential_at_a_pair_is_one_rebuild_of_two_single_ones():
+    q = SparsePoly.sym("Q")
+    rng = random.Random(71)
+    for _ in range(10):
+        g = random_graph(rng, n=rng.randint(3, 6), weighted=True, with_potentials=True)
+        u, v = rng.sample(range(g.n), 2)
+        for value in (q, SparsePoly.const(Fraction(-2, 3)), -g.potential(u), 4):
+            assert add_potential(g, (u, v), value) == add_potential(add_potential(g, u, value), v, value)
+        assert add_potential(g, (u, u), q) == add_potential(add_potential(g, u, q), u, q)
+        assert add_potential(g, [], q) == g
+    g = path_graph(3)
+    with pytest.raises(StructuralError, match="vertex 3 out of range"):
+        add_potential(g, (0, 3), "not a potential")
+    with pytest.raises(StructuralError, match="bad potential value"):
+        add_potential(g, (0, 2), "not a potential")
+    with pytest.raises(StructuralError, match="involves t"):
+        add_potential(g, (0, 2), SparsePoly.t())
+
+
 def test_glue_charpoly_commutes():
     rng = random.Random(67)
     for _ in range(10):

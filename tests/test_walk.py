@@ -187,6 +187,36 @@ def test_pair_weights_equal_the_dense_projector_entries():
     assert multi > 20
 
 
+def test_support_tests_equal_a_per_cluster_loop():
+    # The support tests take all cluster norms in one axis reduction, which
+    # sums in another order than a norm of one row: the norms agree to a few
+    # ulps (every norm here is at most 2), and a norm within that of
+    # SUPPORT_TOL could flip a decision. Here no decision moves.
+    def loop(spec, u, v):
+        strong, lambdas, mus, norms = True, [], [], []
+        for value, (row_u, row_v) in zip(spec.cluster_values, walk._rows(spec, u, v)):
+            nu, nv = float(np.linalg.norm(row_u)), float(np.linalg.norm(row_v))
+            summ, diff = float(np.linalg.norm(row_u + row_v)), float(np.linalg.norm(row_u - row_v))
+            if (nu > walk.SUPPORT_TOL or nv > walk.SUPPORT_TOL) and diff * summ > walk.SUPPORT_TOL * nu * nu:
+                strong = False
+            if summ > walk.SUPPORT_TOL:
+                lambdas.append(float(value))
+            if diff > walk.SUPPORT_TOL:
+                mus.append(float(value))
+            norms.append((nu, nv, summ, diff))
+        return (strong, (lambdas, mus)), np.array(norms).T
+
+    strong = 0
+    for m in _degenerate_matrices():
+        spec = sym_eig(m)
+        for u, v in itertools.permutations(range(spec.dimension), 2):
+            expected, norms = loop(spec, u, v)
+            assert (numeric_strong_cospectral(spec, u, v), classify_spectrum(spec, u, v)) == expected
+            np.testing.assert_allclose(walk._support_norms(spec, u, v), norms, rtol=0, atol=8 * 2.0**-52)
+            strong += expected[0]
+    assert strong > 0
+
+
 def test_spectrum_holds_no_array_above_n_squared_entries():
     for m in (np.ones((12, 12)) - np.eye(12), numeric_adjacency(get_fixture("G_B").graph)):
         spec = sym_eig(m)
