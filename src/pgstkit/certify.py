@@ -277,6 +277,14 @@ def _searched_bound(count: int, bound: int) -> int:
     return (side - 1) // 2
 
 
+def _check_relation_limits(bound: int, precision: float) -> None:
+    """Refuse a coefficient bound below 1 or a non-positive or non-finite precision."""
+    if bound < 1:
+        raise DomainError(f"coefficient bound must be >= 1, got {bound}")
+    if not 0 < precision < float("inf"):
+        raise DomainError(f"precision must be positive and finite, got {precision}")
+
+
 def integer_relation_search(
     lambdas: Sequence[float],
     mus: Sequence[float],
@@ -300,10 +308,7 @@ def integer_relation_search(
     """
     import numpy as np
 
-    if bound < 1:
-        raise DomainError(f"coefficient bound must be >= 1, got {bound}")
-    if not 0 < precision < float("inf"):
-        raise DomainError(f"precision must be positive and finite, got {precision}")
+    _check_relation_limits(bound, precision)
     r, d = len(lambdas), len(lambdas) + len(mus)
     xs = [float(x) for x in lambdas] + [float(x) for x in mus]
     if not all(math.isfinite(x) for x in xs):

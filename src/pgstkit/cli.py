@@ -20,6 +20,7 @@ Exit codes: 0 success, 1 parse failure, 2 precondition or domain failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -68,6 +69,7 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise ParseError(message)
 
 
+@functools.cache  # one parser per process; parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(
         prog="pgstkit",
@@ -296,6 +298,7 @@ def cmd_analyze(args) -> dict:
         )
         numeric, (spectrum, _) = _numeric_block(g, u, v, args.tmax, args.steps, surrogate)
         report["numeric"] = numeric
+        certify_mod._check_relation_limits(args.relation_bound, args.relation_precision)
         if certificate.verdict is certify_mod.Verdict.INCONCLUSIVE:
             lambdas, mus = walk.classify_spectrum(spectrum, u, v)
             heur = certify_mod.heuristic_obstruction(

@@ -226,11 +226,6 @@ class SparsePoly:
         """Coefficients by ascending t power, length deg_t()+1 (empty for 0)."""
         return _as_var_coeffs(self, "t")
 
-    def sort_key(self) -> tuple:
-        """Deterministic total-order key (used for canonical tie-breaking)."""
-        items = sorted(self._terms.items(), key=lambda kv: _order_key(kv[0]), reverse=True)
-        return (self._symbols, tuple((e, c) for e, c in items))
-
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other):
@@ -531,27 +526,19 @@ def _parse_poly(text: str) -> SparsePoly:
                 raise ParseError(f"bad character in polynomial at {text[pos:]!r}")
             break
         pos = m.end()
-        for kind in ("num", "name", "op"):
-            val = m.group(kind)
-            if val is not None:
-                tokens.append((kind, val))
-                break
+        tokens.append((m.lastgroup, m.group(m.lastgroup)))
 
     result = SparsePoly.zero()
     i = 0
     n = len(tokens)
     sign = 1
-    first = True
     while i < n:
-        # leading sign of the term
+        # leading sign; every term after the first has one, where the factor loop stopped
         if tokens[i][0] == "op" and tokens[i][1] in "+-":
             sign = -1 if tokens[i][1] == "-" else 1
             i += 1
             if i >= n:
                 raise ParseError(f"dangling sign in {text!r}")
-        elif not first:
-            raise ParseError(f"missing +/- between terms in {text!r}")
-        first = False
 
         coeff = Fraction(1)
         factors: list[tuple[str, int]] = []
@@ -593,7 +580,6 @@ def _parse_poly(text: str) -> SparsePoly:
             else:
                 term = term * SparsePoly.sym(name) ** power
         result = result + term
-        sign = 1
     return result
 
 
@@ -799,7 +785,8 @@ class PolyMatrix:
     entries: tuple[tuple[SparsePoly, ...], ...]
 
     def __init__(self, entries):
-        rows = [[_coerce_entry(x) for x in row] for row in entries]
+        # from lists, so each tuple is sized once; from a generator it is resized as it fills
+        rows = tuple([tuple([_coerce_entry(x) for x in row]) for row in entries])
         n = len(rows)
         for row in rows:
             if len(row) != n:
@@ -814,7 +801,7 @@ class PolyMatrix:
                     )
                 if j < i and rows[i][j] != rows[j][i]:
                     raise StructuralError(f"matrix is not symmetric at ({i},{j})")
-        object.__setattr__(self, "entries", tuple(tuple(row) for row in rows))
+        object.__setattr__(self, "entries", rows)
         # _rows: each row's nonzero entries as (column, terms over the frame)
         frame = _common_symbols(x._symbols for row in rows for x in row)
         object.__setattr__(self, "_frame", frame)

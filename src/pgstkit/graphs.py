@@ -21,8 +21,8 @@ from .exact import PolyMatrix, Scalar, SparsePoly, _coerce
 
 PotentialValue = Union[SparsePoly, Fraction, int]
 
-# Both lanes build a dense n x n matrix: to_matrix's grid of references and
-# numeric_adjacency's float64 array take 8 n^2 bytes each, 128 MiB here.
+# Both lanes build dense n x n grids of 8 n^2 bytes, 128 MiB here: to_matrix
+# holds two grids of references at its peak, numeric_adjacency one float64 array.
 MAX_VERTICES = 4096
 
 
@@ -271,15 +271,17 @@ def glue_path(g: Graph, u: int, v: int, q: int) -> Graph:
 # equitable partitions
 
 
-def _row_sums(m: PolyMatrix, partition: Partition, v: int) -> tuple[SparsePoly, ...]:
-    # sum of matrix row v into each part, diagonal included
-    sums = []
-    for part in partition.parts:
-        s = SparsePoly.zero()
-        for y in part:
-            s = s + m.entry(v, y)
-        sums.append(s)
-    return tuple(sums)
+def _row_sums(g: Graph, parts: Sequence[Sequence[int]]) -> list[dict[int, SparsePoly]]:
+    """Each vertex's row sums of g's matrix into the parts, read off the edge list and
+    keyed by part position; the potential counts in its own part, zero sums are left out."""
+    part_of = {x: k for k, part in enumerate(parts) for x in part}
+    sums: list[dict[int, Fraction | SparsePoly]] = [{} for _ in range(g.n)]
+    for (i, j), w in g.edges.items():
+        for a, b in ((i, j), (j, i)):
+            sums[a][part_of[b]] = sums[a].get(part_of[b], 0) + w
+    for v, p in g.potentials.items():  # a sum with a potential becomes a SparsePoly
+        sums[v][part_of[v]] = p + sums[v].get(part_of[v], 0)
+    return [{k: _coerce(s) for k, s in row.items() if s} for row in sums]
 
 
 def verify_equitable(g: Graph, partition: Partition) -> bool:
@@ -296,41 +298,34 @@ def verify_equitable(g: Graph, partition: Partition) -> bool:
 def coarsest_equitable_refinement(g: Graph, seed: Partition) -> Partition:
     """Coarsest equitable partition refining the seed.
 
-    Iterated signature splitting: the signature of a vertex is its current
-    part together with its full row sums (potential included) into every
-    current part. Vertices split when signatures differ; new parts are
-    renumbered deterministically by (old part, signature, least member).
+    Each round takes every vertex's row sums into the current parts
+    (potential included, from the edge list) and splits each part by them;
+    it stops when no part splits. How the parts are numbered cannot change
+    the result, since ``Partition`` orders its parts by least member.
     """
     if seed.n != g.n:
         raise StructuralError("partition size does not match graph")
-    m = to_matrix(g)
-    color = [0] * g.n
-    for idx, part in enumerate(seed.parts):
-        for v in part:
-            color[v] = idx
+    parts = list(seed.parts)
     while True:
-        parts: dict[int, list[int]] = {}
-        for v in range(g.n):
-            parts.setdefault(color[v], []).append(v)
-        current = Partition(g.n, parts.values())
-        groups: dict[tuple, list[int]] = {}  # signature -> members
-        for v in range(g.n):
-            sums = _row_sums(m, current, v)
-            groups.setdefault((color[v], tuple(s.sort_key() for s in sums)), []).append(v)
-        if len(groups) == len(current.parts):
-            return current
-        ordered = sorted(groups.items(), key=lambda kv: (kv[0][0], kv[0][1], min(kv[1])))
-        for new_color, (_, members) in enumerate(ordered):
-            for v in members:
-                color[v] = new_color
+        sums = _row_sums(g, parts)
+        groups: dict[tuple, list[int]] = {}  # (part position, row sums) -> members
+        for k, part in enumerate(parts):
+            for v in part:
+                groups.setdefault((k, frozenset(sums[v].items())), []).append(v)
+        if len(groups) == len(parts):
+            return Partition(g.n, parts)
+        parts = list(groups.values())
 
 
 def quotient_matrix(g: Graph, partition: Partition) -> QuotientMatrix:
     """Quotient matrix over an equitable partition; DomainError otherwise."""
     if not verify_equitable(g, partition):
         raise DomainError("partition is not equitable for this graph")
-    m = to_matrix(g)
-    entries = tuple(_row_sums(m, partition, part[0]) for part in partition.parts)
+    sums = _row_sums(g, partition.parts)
+    entries = tuple(
+        tuple(sums[part[0]].get(j, SparsePoly.zero()) for j in range(len(partition)))
+        for part in partition.parts
+    )
     return QuotientMatrix(partition.parts, entries)
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import pgstkit
-from pgstkit import exact, graphs, spectral, walk
+from pgstkit import cli, exact, graphs, spectral, walk
 from pgstkit.cli import main
 from pgstkit.graphs import MAX_VERTICES
 
@@ -243,6 +243,7 @@ TOO_MANY_VERTICES = f"error: at most {MAX_VERTICES} vertices, got %d\n"
 TOO_MANY_PATH_VERTICES = f"error: path needs 2 to {MAX_VERTICES} vertices, got %d\n"
 G_A_PAIR = ["@G_A", "--u", "3", "--v", "6"]
 G_C_PAIR = ["@G_C", "--u", "8", "--v", "9"]
+G_D_PAIR = ["@G_D", "--u", "h1", "--v", "h4"]
 
 
 @pytest.mark.parametrize(
@@ -338,6 +339,16 @@ G_C_PAIR = ["@G_C", "--u", "8", "--v", "9"]
             "(choose from 'glue-path', 'glue-pot', 'change-trace', 'equitable')\n",
         ),
         ([], 1, "error: the following arguments are required: command\n"),
+        (
+            ["analyze", *G_D_PAIR, "--simulate", "--relation-bound", "0"],
+            2,
+            "error: coefficient bound must be >= 1, got 0\n",
+        ),
+        (
+            ["analyze", *G_D_PAIR, "--simulate", "--relation-precision", "nan"],
+            2,
+            "error: precision must be positive and finite, got nan\n",
+        ),
     ],
     ids=[
         "potential-1/0",
@@ -381,6 +392,8 @@ G_C_PAIR = ["@G_C", "--u", "8", "--v", "9"]
         "usage-missing-v",
         "usage-unknown-kind",
         "usage-no-command",
+        "relation-bound-without-search",
+        "relation-precision-without-search",
     ],
 )
 def test_bad_input_or_output_is_one_error_line(capsys, tmp_path, argv, code, message):
@@ -400,7 +413,9 @@ def test_bad_input_or_output_is_one_error_line(capsys, tmp_path, argv, code, mes
     # or from a flag (vertex-bound-glue-path). The construct rows pin which
     # of two faults is reported first: glue-pot checks the path's vertex
     # bound before the base pair (vertex-bound-before-base-check). argparse's
-    # own usage errors are parse errors too (usage-*).
+    # own usage errors are parse errors too (usage-*). The relation-search
+    # flags are checked even where the parity certificate settles the pair
+    # and no search runs (relation-*-without-search).
     (tmp_path / "latin1.txt").write_bytes(b"n 9\ne 1 8\n# caf\xe9\n")
     (tmp_path / "wide.txt").write_text("n 12\ne 0 1\ne 1 2\n" + "".join(f"p {i + 3} S{i}\n" for i in range(9)))
     (tmp_path / "big-weight.txt").write_text("n 9\ne 1 8 1e400\n")
@@ -478,9 +493,9 @@ def test_analyze_runs_each_exact_kernel_once_per_question(monkeypatch, capsys):
         # matrix for the charpoly of the deleted base matrix
         (["glue-pot", "@G_B", "--u", "1", "--v", "8", "--k", "3"], (2, 1, 2, 1)),
         (["change-trace", "@G_A", "--u", "3", "--v", "6", "--k", "3"], (2, 1, 1, 1)),
-        # equitable: the base check, the refinement's matrix, the
-        # equitability check of the perturbed graph and one decomposition
-        (["equitable", "@G_C", "--u", "8", "--v", "9"], (4, 1, 1, 1)),
+        # equitable: the base check and one decomposition; the refinement
+        # and the equitability check of the perturbed graph read edge lists
+        (["equitable", "@G_C", "--u", "8", "--v", "9"], (2, 1, 1, 1)),
     ],
     ids=["glue-path-auto", "glue-path", "glue-pot", "change-trace", "equitable"],
 )
@@ -494,6 +509,29 @@ def test_construct_analyses_each_pair_a_fixed_number_of_times(monkeypatch, capsy
     calls = count_calls(monkeypatch, kernels)
     run_json(capsys, "construct", *argv)
     assert tuple(calls[name] for name in kernels) == expected
+
+
+def test_a_later_question_builds_no_parser(monkeypatch, capsys):
+    run_json(capsys, "analyze", "@G_B", "--u", "1", "--v", "8", "--potential", "Q")
+    built = Counter()
+    init = cli._ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built["parser"] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._ArgumentParser, "__init__", counting)
+    run_json(capsys, "analyze", "@G_B", "--u", "1", "--v", "8", "--potential", "Q")
+    assert built["parser"] == 0
+    # --help and a usage error behave as they do on a fresh parser
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out, err = capsys.readouterr()
+    assert built["parser"] == 0
+    assert (out, err) == (cli._build_parser.__wrapped__().format_help(), "")
+    got = run(capsys, "construct", "glue-pot", "@G_B", "--u", "1", "--v", "8", "--k", "x")
+    assert got == (1, "", "error: argument --k: invalid int value: 'x'\n")
 
 
 @pytest.mark.parametrize(

@@ -302,3 +302,76 @@ def test_refinement_refines_the_seed():
     seed = Partition(g.n, [[8, 9], list(range(8))])
     ref = coarsest_equitable_refinement(g, seed)
     assert ref.parts == (tuple(range(8)), (8, 9))
+
+
+def _dense_refinement(g: Graph, seed: Partition) -> Partition:
+    """Reference: split parts by row sums read off the dense matrix until
+    no part splits."""
+    m = to_matrix(g)
+    parts = [list(part) for part in seed.parts]
+    while True:
+        split = []
+        for part in parts:
+            groups: dict[tuple, list[int]] = {}
+            for x in part:
+                sums = tuple(sum((m.entry(x, y) for y in p), SparsePoly.zero()) for p in parts)
+                groups.setdefault(sums, []).append(x)
+            split.extend(groups.values())
+        if len(split) == len(parts):
+            return Partition(g.n, parts)
+        parts = split
+
+
+def _lifted_graph(rng: random.Random) -> tuple[Graph, int]:
+    """A cyclic lift of a random weighted graph, and the number of copies:
+    vertex x lies over base vertex x // copies, so the rotation of the copies
+    is an automorphism unless a potential breaks it, and equitable partitions
+    other than the discrete one exist. Potentials are rational or symbolic,
+    in up to two symbols."""
+    base, copies = rng.randint(1, 5), rng.choice([1, 2, 2, 3])
+    n = base * copies
+    weights = [1, 2, 3, Fraction(1, 2), -1]
+    q, r = SparsePoly.sym("Q"), SparsePoly.sym("R")
+    values = [Fraction(1), Fraction(-1, 2), 2, q, q + 1, 2 * q, r, q + r]
+    edges = {}
+    for i in range(base):
+        for j in range(i, base):
+            for shift in range(copies):  # one weight on a whole orbit of edges
+                if rng.random() < 0.35:
+                    w = rng.choice(weights)
+                    for c in range(copies):
+                        a, b = i * copies + c, j * copies + (c + shift) % copies
+                        if a != b:
+                            edges[(min(a, b), max(a, b))] = w
+    potentials = {}
+    for i in range(base):
+        if rng.random() < 0.5:
+            value = rng.choice(values)
+            for c in range(copies):
+                potentials[i * copies + c] = value
+    for _ in range(rng.choice([0, 0, 1])):  # sometimes break the symmetry
+        potentials[rng.randrange(n)] = rng.choice(values)
+    return Graph(n, edges, potentials), copies
+
+
+def test_refinement_and_quotient_equal_a_dense_reference():
+    rng = random.Random(1804)
+    for _ in range(200):
+        g, copies = _lifted_graph(rng) if rng.random() < 0.7 else (random_graph(rng, weighted=True), 1)
+        if rng.random() < 0.3:
+            g = add_potential(g, rng.sample(range(g.n), rng.randint(1, g.n)), SparsePoly.sym("Q"))
+        count = rng.randint(1, 4)
+        labels = [rng.randrange(count) for _ in range(g.n)]
+        if rng.random() < 0.5:  # a seed that the rotation of the copies keeps
+            labels = [labels[x // copies] for x in range(g.n)]
+        seed = Partition(g.n, [[x for x in range(g.n) if labels[x] == k] for k in set(labels)])
+        ref = _dense_refinement(g, seed)
+        assert coarsest_equitable_refinement(g, seed) == ref
+        assert verify_equitable(g, seed) == (ref == seed)
+        m = to_matrix(g)
+        qm = quotient_matrix(g, ref)
+        assert qm.parts == ref.parts
+        for i, part in enumerate(ref.parts):
+            for x in part:
+                for j, other in enumerate(ref.parts):
+                    assert qm.entries[i][j] == sum((m.entry(x, y) for y in other), SparsePoly.zero())
