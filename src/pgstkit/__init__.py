@@ -61,12 +61,9 @@ from .graphs import (
 )
 from .spectral import (
     CospectralDecomposition,
-    TraceMembership,
     decompose,
     is_cospectral,
     is_strongly_cospectral,
-    q_expansion_residual,
-    trace_param_membership,
 )
 from .walk import (
     FidelityScan,

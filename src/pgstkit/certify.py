@@ -514,6 +514,13 @@ def certify_equitable(g: Graph, u: int, v: int, w: int, sym1: str, sym2: str) ->
     the seed partition {{u, v}, {w}, rest} keeps {u, v} and {w} intact
     (equivalently, some equitable partition does).
     """
+    return _certify_equitable(g, u, v, w, sym1, sym2)[0]
+
+
+def _certify_equitable(
+    g: Graph, u: int, v: int, w: int, sym1: str, sym2: str
+) -> tuple[Certificate, Graph]:
+    """``certify_equitable``'s certificate and the perturbed graph it certifies."""
     if len({u, v, w}) != 3:
         raise DomainError("u, v, w must be three distinct vertices")
     if sym1 == sym2:
@@ -536,8 +543,8 @@ def certify_equitable(g: Graph, u: int, v: int, w: int, sym1: str, sym2: str) ->
             "the coarsest refinement splits them"
         )
 
-    perturbed = add_potential(g, (u, v), SparsePoly.sym(sym1))
-    perturbed = add_potential(perturbed, w, SparsePoly.sym(sym2))
+    pots = {x: g.potential(x) + SparsePoly.sym(s) for x, s in ((u, sym1), (v, sym1), (w, sym2))}
+    perturbed = Graph(g.n, g.edges, {**g.potentials, **pots}, g.labels)  # one rebuild
     if not verify_equitable(perturbed, refined):
         raise InternalConsistencyError(
             "adding constant potentials on whole parts broke equitability"
@@ -550,8 +557,6 @@ def certify_equitable(g: Graph, u: int, v: int, w: int, sym1: str, sym2: str) ->
     try:
         dec = decompose(to_matrix(perturbed), u, v)
     except NotCospectralError:
-        return Certificate(
-            Verdict.INCONCLUSIVE,
-            dict(failed_hypothesis="cospectrality_after_perturbation", **extra),
-        )
-    return _run_tr_deg_checks(dec, sym1, extra, membership_sym=sym2)
+        failed = dict(failed_hypothesis="cospectrality_after_perturbation", **extra)
+        return Certificate(Verdict.INCONCLUSIVE, failed), perturbed
+    return _run_tr_deg_checks(dec, sym1, extra, membership_sym=sym2), perturbed

@@ -290,23 +290,23 @@ def cmd_analyze(args) -> dict:
         "certificate": certificate.as_json_dict(),
     }
 
+    # the numeric flags are checked in the same order with or without --simulate
+    value = args.potential_value
+    surrogate = DEFAULT_SURROGATE if value is None else _parse_value(value)
     if args.simulate:
-        surrogate = (
-            _parse_value(args.potential_value)
-            if args.potential_value is not None
-            else DEFAULT_SURROGATE
-        )
         numeric, (spectrum, _) = _numeric_block(g, u, v, args.tmax, args.steps, surrogate)
         report["numeric"] = numeric
-        certify_mod._check_relation_limits(args.relation_bound, args.relation_precision)
-        if certificate.verdict is certify_mod.Verdict.INCONCLUSIVE:
-            lambdas, mus = walk.classify_spectrum(spectrum, u, v)
-            heur = certify_mod.heuristic_obstruction(
-                lambdas, mus, args.relation_bound, args.relation_precision
-            )
-            if heur is not None:
-                heur.evidence["exact_certificate"] = certificate.as_json_dict()
-                report["certificate"] = heur.as_json_dict()
+    else:
+        walk._check_grid(args.tmax, args.steps)
+    certify_mod._check_relation_limits(args.relation_bound, args.relation_precision)
+    if args.simulate and certificate.verdict is certify_mod.Verdict.INCONCLUSIVE:
+        lambdas, mus = walk.classify_spectrum(spectrum, u, v)
+        heur = certify_mod.heuristic_obstruction(
+            lambdas, mus, args.relation_bound, args.relation_precision
+        )
+        if heur is not None:
+            heur.evidence["exact_certificate"] = certificate.as_json_dict()
+            report["certificate"] = heur.as_json_dict()
     return report
 
 
@@ -323,8 +323,7 @@ def cmd_construct(args) -> dict:
             detail["apex_added"] = False
         detail["w"] = {"index": w, "label": base.labels[w]}
         detail["symbols"] = [args.sym1, args.sym2]
-        certificate = certify_mod.certify_equitable(base, u, v, w, args.sym1, args.sym2)
-        built = add_potential(_add_pair_symbol(base, u, v, args.sym1), w, SparsePoly.sym(args.sym2))
+        certificate, built = certify_mod._certify_equitable(base, u, v, w, args.sym1, args.sym2)
     elif args.kind == "glue-path":
         if args.q is None:
             raise DomainError("glue-path needs --q <edges> or --q auto")

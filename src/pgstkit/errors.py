@@ -37,8 +37,7 @@ class ParseError(PgstError):
 class NotCospectralError(DomainError):
     """The vertex pair is not cospectral, so the decomposition is undefined.
 
-    Raised by ``decompose`` when the closed-walk counts at the pair differ,
-    and by ``q_expansion_residual`` when ``is_cospectral`` rejects it."""
+    Raised by ``decompose`` when the closed-walk counts at the pair differ."""
 
 
 class NotLinearInParamError(DomainError):

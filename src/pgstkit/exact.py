@@ -30,16 +30,14 @@ round-trips through ``SparsePoly.parse``.
 The linear algebra layer (``PolyMatrix``, ``charpoly``, ``krylov_min_poly``,
 ``bareiss_det``) is fraction-free and skips zero entries, so sparse matrices
 cost far less than dense ones. Characteristic polynomials come from the
-Berkowitz division-free recursion and determinants from Bareiss elimination
-with lowest-index pivoting. Relative minimal polynomials come from the same
-fraction-free elimination run on the Krylov vectors z, Mz, M^2 z, ..., with
-each vector carrying the t-polynomial that produced it; the first vector to
-reduce to zero carries a scalar multiple of the minimal polynomial, which
-one exact division makes monic. Any division that fails to be exact raises
-instead of degrading precision. No step of the analysis pipeline calls
-``bareiss_det`` any more; it stays a public, tested name. A gcd first
-tries a modular image that can only prove coprimality, and runs the
-multivariate recursion on everything else.
+division-free Berkowitz recursion and determinants from Bareiss elimination
+with lowest-index pivots (public and tested; no pipeline step calls it).
+Relative minimal polynomials come from the same elimination on the Krylov
+vectors z, Mz, M^2 z, ..., each carrying the t-polynomial that produced it.
+The cofactor of known factors of charpoly(M) comes from the power sums
+tr(M^k) by Newton's identities, without charpoly. A division that is not
+exact raises. A gcd first tries a modular image that can only prove
+coprimality, and runs the multivariate recursion on everything else.
 """
 
 from __future__ import annotations
@@ -48,6 +46,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from itertools import islice
 from operator import add, neg, sub
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
@@ -839,16 +838,21 @@ def _krylov(m: PolyMatrix, z: Sequence) -> tuple[tuple[str, ...], Iterator[list[
     rows = m._rows
     if frame != m._frame:
         rows = [[(j, _lift(m.entries[i][j], frame)) for j, _ in r] for i, r in enumerate(rows)]
+    return frame, _powers(rows, frame, [_lift(x, frame) for x in vec])
 
-    def powers(w: list[_Terms]) -> Iterator[list[_Terms]]:
-        while True:
-            if len(frame) > MAX_PARAM_SYMBOLS:
-                for x in w:
-                    _canonical(x, frame)
-            yield w
-            w = [_accumulate((x, w[j]) for j, x in row) for row in rows]
 
-    return frame, powers([_lift(x, frame) for x in vec])
+def _powers(rows: Sequence, frame: tuple[str, ...], w: list[_Terms]) -> Iterator[list[_Terms]]:
+    """w, Mw, M^2 w, ...: each nonzero w[j] spreads along row j of symmetric M."""
+    while True:
+        if len(frame) > MAX_PARAM_SYMBOLS:
+            for x in w:
+                _canonical(x, frame)
+        yield w
+        reached: list[list] = [[] for _ in rows]
+        for j, wj in enumerate(w):
+            for i, x in rows[j] if wj else ():
+                reached[i].append((x, wj))
+        w = [_accumulate(r) if r else {} for r in reached]
 
 
 def _coerce_entry(x) -> SparsePoly:
@@ -890,6 +894,67 @@ def charpoly(m: PolyMatrix) -> SparsePoly:
         c = [_accumulate((toep[i - j], c[j]) for j in range(min(i, k) + 1)) for i in range(k + 2)]
     terms = {(k, *e[1:]): x for k, ck in enumerate(reversed(c)) for e, x in ck.items()}
     return _raw(*_canonical(terms, frame))
+
+
+def _charpoly_cofactor(m: PolyMatrix, factors: Sequence[SparsePoly]) -> SparsePoly:
+    """charpoly(M) divided by the product of monic factors, from power sums.
+
+    The cofactor has degree d = n - (sum of the factors' degrees) and power
+    sums tr(M^k) minus the factors'. Newton's identities (k c_k + p_k + sum
+    of c_j p_(k-j), 0 < j < k, is 0 for coefficients c_j of t^(deg - j))
+    give the factors' p_k, k <= d + 1, then the cofactor's c_k; c_(d+1) must
+    be 0. If not, or if d < 0 or a factor holds a symbol M lacks, the product
+    does not divide: ExactDivisionError. A frame that ``charpoly`` refuses is
+    refused first, with its message."""
+    frame = m._frame
+    if len(frame) > MAX_PARAM_SYMBOLS:
+        raise DomainError(f"operation would mix more than {MAX_PARAM_SYMBOLS} symbols: {frame!r}")
+    d = m.dimension - sum(f.deg_t() for f in factors)
+    if d < 0 or not {s for f in factors for s in f.symbols} <= set(frame):
+        raise ExactDivisionError("the factors cannot divide charpoly")
+    one = {(0,) * (1 + len(frame)): _ONE}
+    sums = _trace_powers(m, d + 1)  # of M, then of the cofactor
+    for f in factors:
+        deg, c = f.deg_t(), [{} for _ in range(d + 2)]  # c[j]: of t^(deg - j)
+        for e, x in _lift(f, frame).items():
+            if deg - e[0] <= d + 1:
+                c[deg - e[0]][(0, *e[1:])] = x
+        p = [{}]
+        for k in range(1, d + 2):  # r = -p_k
+            r = _accumulate([(c[k], {e: k for e in one}), *((c[j], p[k - j]) for j in range(1, k))])
+            p.append({e: -x for e, x in r.items()})
+            sums[k] = _accumulate(((sums[k], one), (r, one)))
+    c = [one]
+    for k in range(1, d + 2):  # r = -k c_k
+        r = _accumulate([(sums[k], one), *((c[j], sums[k - j]) for j in range(1, k))])
+        c.append({e: _div(-x, k) for e, x in r.items()})
+    if c.pop():
+        raise ExactDivisionError("power sums of the cofactor disagree at k = d + 1")
+    terms = {(d - j, *e[1:]): x for j, cj in enumerate(c) for e, x in cj.items()}
+    return _raw(*_canonical(terms, frame))
+
+
+def _trace_powers(m: PolyMatrix, count: int) -> list[_Terms]:
+    """[{}, tr M, ..., tr M^count] over M's frame: tr M from the diagonal, and
+    tr(M^k) as the sum over i of <M^a e_i, M^b e_i>, a = k // 2, b = k - a,
+    from unit vector Krylov runs. M^a and M^b are symmetric, so only their
+    entries l <= i are read, and those above i stand for those below it."""
+    rows, n, top = m._rows, m.dimension, (count + 1) // 2
+    one = {(0,) * (1 + len(m._frame)): _ONE}
+    diag, off = [[] for _ in range(count + 1)], [[] for _ in range(count + 1)]
+    dense = [dict(row) for row in rows]  # M e_i is row i of M
+    diag[1] = [(row[i], one) for i, row in enumerate(dense) if i in row]
+    for i in range(n if count > 1 else 0):
+        col = [dense[i].get(j, {}) for j in range(n)]  # vecs[a - 1] is M^a e_i
+        vecs = [col, *islice(_powers(rows, m._frame, col), 1, top - 1)]
+        if top > 1:  # the top power, at entries l <= i only (the list is built before the append)
+            vecs.append([_accumulate((x, vecs[-1][j]) for j, x in rows[l]) for l in range(i + 1)])
+        for k in range(2, count + 1):
+            x, y = vecs[k // 2 - 1], vecs[k - k // 2 - 1]
+            diag[k].append((x[i], y[i]))
+            off[k] += ((x[l], y[l]) for l in range(i) if x[l] and y[l])
+    two = {e: 2 for e in one}
+    return [_accumulate(((_accumulate(a), one), (_accumulate(b), two))) for a, b in zip(diag, off)]
 
 
 def bareiss_det(rows: Sequence[Sequence[SparsePoly]]) -> SparsePoly:

@@ -1,28 +1,21 @@
 """Cospectrality tests and the relative decomposition of the characteristic
 polynomial at a cospectral pair.
 
-For a symmetric matrix M and vertices u, v, cospectrality means the vertex
-deleted characteristic polynomials agree. Equivalently (Godsil and Smith,
-Strongly cospectral vertices, arXiv 1709.07975), the closed-walk counts
-(M^k)_uu and (M^k)_vv agree for every k. Both tests here read them from the
-Krylov vectors M^k (e_u + e_v): ``is_cospectral`` for k < n, and
-``decompose`` from the vectors that the Krylov run for P_plus builds anyway.
-When it holds, the minimal polynomials of M relative to e_u + e_v and
-e_u - e_v (written P_plus and P_minus) are coprime-squarefree factors of
-the characteristic polynomial, and the quotient
-
-    P_zero = charpoly(M) / (P_plus * P_minus)
-
-is again a polynomial. The triple (P_plus, P_minus, P_zero) together with
-degrees and relative traces is the decomposition everything downstream
-certifies against.
+For a symmetric matrix M, vertices u and v are cospectral when deleting u
+or v leaves the same characteristic polynomial; equivalently (Godsil and
+Smith, Strongly cospectral vertices, arXiv 1709.07975), when the closed-walk
+counts (M^k)_uu and (M^k)_vv agree for every k. There the walk modules of
+e_u + e_v and e_u - e_v are M-invariant and orthogonal, so charpoly(M) is the
+product of P_plus and P_minus, the minimal polynomials of M relative to
+those two vectors, and a cofactor P_zero of degree n - deg P_plus - deg
+P_minus. The triple (P_plus, P_minus, P_zero) with degrees and relative
+traces is the decomposition everything downstream certifies against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 from .errors import (
     DomainError,
@@ -34,9 +27,9 @@ from .exact import (
     MAX_PARAM_SYMBOLS,
     PolyMatrix,
     SparsePoly,
+    _charpoly_cofactor,
     _krylov,
     _min_poly,
-    charpoly,
     krylov_min_poly,
     poly_gcd_t,
     poly_trace,
@@ -86,12 +79,9 @@ def _check_pair(m: PolyMatrix, u: int, v: int) -> None:
 def is_cospectral(m: PolyMatrix, u: int, v: int) -> bool:
     """Closed-walk counts at u and v agree: (M^k)_uu = (M^k)_vv for k < n.
 
-    By Godsil and Smith (Strongly cospectral vertices, arXiv 1709.07975)
-    this holds for every k exactly when u and v are cospectral. For
-    symmetric M the difference (M^k)_uu - (M^k)_vv is the u entry minus
-    the v entry of w = M^k (e_u + e_v). That sequence obeys the recurrence
-    of P_plus, the minimal polynomial of M relative to e_u + e_v, so it
-    vanishes for all k once it vanishes for k < deg P_plus <= n: n - 1
+    For symmetric M, (M^k)_uu - (M^k)_vv is the u entry minus the v entry
+    of w = M^k (e_u + e_v). That sequence obeys the recurrence of P_plus, so
+    it vanishes for all k once it vanishes for k < deg P_plus <= n: n - 1
     sparse products, compared as stored-form term dicts over one frame.
     """
     _check_pair(m, u, v)
@@ -102,14 +92,14 @@ def is_cospectral(m: PolyMatrix, u: int, v: int) -> bool:
 def decompose(m: PolyMatrix, u: int, v: int) -> CospectralDecomposition:
     """Relative decomposition at a cospectral pair.
 
-    P_plus and P_minus come from one Krylov run each and P_zero from one
-    exact division of charpoly(M). P_plus's run also decides the pair: it
-    compares entries u and v of each M^k (e_u + e_v), k <= deg P_plus, before
-    eliminating it (enough, by the recurrence in ``is_cospectral``), and a
-    mismatch raises NotCospectralError. A frame past the symbol cap, which
-    ``charpoly`` refuses, first meets ``is_cospectral``'s own cap checks in
-    their order. A failed division of charpoly(M) is an engine bug and
-    raises InternalConsistencyError.
+    P_plus and P_minus come from one Krylov run each. P_plus's run also
+    decides the pair: it compares entries u and v of each M^k (e_u + e_v),
+    k <= deg P_plus, before eliminating it (enough, by the recurrence in
+    ``is_cospectral``), and a mismatch raises NotCospectralError. P_zero
+    comes from power sums, not from charpoly(M), and a failed check there is
+    an engine bug: InternalConsistencyError. A frame past the symbol cap,
+    which P_zero's kernel refuses, first meets ``is_cospectral``'s own cap
+    checks in their order.
     """
     _check_pair(m, u, v)
     n = m.dimension
@@ -125,9 +115,8 @@ def decompose(m: PolyMatrix, u: int, v: int) -> CospectralDecomposition:
 
     p_plus = _min_poly(frame, closed_walks_agree())
     p_minus = krylov_min_poly(m, [(k == u) - (k == v) for k in range(n)])
-    phi = charpoly(m)
     try:
-        p_zero = phi.divexact(p_plus * p_minus)
+        p_zero = _charpoly_cofactor(m, (p_plus, p_minus))
     except ExactDivisionError as exc:
         raise InternalConsistencyError(
             "charpoly is not divisible by P_plus * P_minus at a cospectral pair"
@@ -151,61 +140,3 @@ def is_strongly_cospectral(m: PolyMatrix, u: int, v: int) -> bool:
     except NotCospectralError:
         return False
     return dec.common_factor.is_one()
-
-
-def q_expansion_residual(m: PolyMatrix, u: int, v: int, sym: str) -> SparsePoly:
-    """Residual of the potential-expansion identity at a cospectral pair.
-
-    For D the diagonal matrix with sym at u and v only,
-
-        charpoly(M + D) - [charpoly(M)
-                           - 2*sym*charpoly(M_u)
-                           + sym^2*charpoly(M_uv)]
-
-    must vanish identically. The residual is returned so callers can
-    assert it is zero; a nonzero residual falsifies the identity.
-    """
-    _check_pair(m, u, v)
-    for row in m.entries:
-        for x in row:
-            if x.has_sym(sym):
-                raise DomainError(f"symbol {sym!r} already occurs in the matrix")
-    if not is_cospectral(m, u, v):
-        raise NotCospectralError(f"vertices ({u},{v}) are not cospectral")
-    q = SparsePoly.sym(sym)
-    perturbed_rows = [
-        [
-            m.entry(i, j) + (q if i == j and i in (u, v) else SparsePoly.zero())
-            for j in range(m.dimension)
-        ]
-        for i in range(m.dimension)
-    ]
-    perturbed = PolyMatrix(perturbed_rows)
-    expected = (
-        charpoly(m)
-        - q.scale(2) * charpoly(m.delete([u]))
-        + q * q * charpoly(m.delete([u, v]))
-    )
-    return charpoly(perturbed) - expected
-
-
-class TraceMembership(NamedTuple):
-    """Whether trace(P_plus) - sym and trace(P_minus) - sym drop the symbol."""
-
-    plus_in_base: bool
-    minus_in_base: bool
-
-
-def trace_param_membership(dec: CospectralDecomposition, sym: str) -> TraceMembership:
-    """Check that each relative trace is sym plus a sym-free constant.
-
-    For a potential placed at the cospectral pair itself, both relative
-    traces shift by exactly the symbol; for a potential placed at one
-    outside vertex that sees the pair, only trace(P_plus) does.
-    """
-    plus = dec.trace_plus - SparsePoly.sym(sym)
-    minus = dec.trace_minus - SparsePoly.sym(sym)
-    return TraceMembership(
-        plus_in_base=not plus.has_sym(sym),
-        minus_in_base=not minus.has_sym(sym),
-    )

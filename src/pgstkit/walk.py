@@ -180,6 +180,13 @@ def classify_spectrum(spectrum: NumericSpectrum, u: int, v: int) -> tuple[list[f
     return values[summ > SUPPORT_TOL].tolist(), values[diff > SUPPORT_TOL].tolist()
 
 
+def _check_grid(t_max: float, steps: int) -> None:
+    if not 0 < t_max < math.inf:
+        raise DomainError(f"t_max must be positive and finite, got {t_max}")
+    if not 2 <= steps <= MAX_STEPS:
+        raise DomainError(f"need 2 to {MAX_STEPS} grid points, got {steps}")
+
+
 def fidelity_scan(
     spectrum: NumericSpectrum,
     u: int,
@@ -204,10 +211,7 @@ def fidelity_scan(
     import numpy as np
 
     weights = _weights(spectrum, u, v)
-    if not 0 < t_max < math.inf:
-        raise DomainError(f"t_max must be positive and finite, got {t_max}")
-    if not 2 <= steps <= MAX_STEPS:
-        raise DomainError(f"need 2 to {MAX_STEPS} grid points, got {steps}")
+    _check_grid(t_max, steps)
     values = spectrum.cluster_values
     if not math.ulp(t_max * float(np.max(np.abs(values)))) <= 1e-6:
         raise DomainError(

@@ -1,15 +1,28 @@
-"""Shared generators for property-style tests.
+"""Shared generators and identity checks for property-style tests.
 
 Random instances are built from seeded Random objects so every run is
-reproducible; no global random state is touched.
+reproducible; no global random state is touched. ``q_expansion_residual``
+and ``trace_param_membership`` check identities of the exact lane that no
+command needs.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from typing import NamedTuple
 
-from pgstkit import Graph, SparsePoly
+from pgstkit import (
+    CospectralDecomposition,
+    DomainError,
+    Graph,
+    NotCospectralError,
+    PolyMatrix,
+    SparsePoly,
+    charpoly,
+    is_cospectral,
+)
+from pgstkit.spectral import _check_pair
 
 
 def assert_stored_form(p: SparsePoly) -> None:
@@ -86,3 +99,61 @@ def random_graph(
                 if val:
                     potentials[i] = SparsePoly.const(val)
     return Graph(n, edges, potentials)
+
+
+def q_expansion_residual(m: PolyMatrix, u: int, v: int, sym: str) -> SparsePoly:
+    """Residual of the potential-expansion identity at a cospectral pair.
+
+    For D the diagonal matrix with sym at u and v only,
+
+        charpoly(M + D) - [charpoly(M)
+                           - 2*sym*charpoly(M_u)
+                           + sym^2*charpoly(M_uv)]
+
+    must vanish identically. The residual is returned so callers can
+    assert it is zero; a nonzero residual falsifies the identity.
+    """
+    _check_pair(m, u, v)
+    for row in m.entries:
+        for x in row:
+            if x.has_sym(sym):
+                raise DomainError(f"symbol {sym!r} already occurs in the matrix")
+    if not is_cospectral(m, u, v):
+        raise NotCospectralError(f"vertices ({u},{v}) are not cospectral")
+    q = SparsePoly.sym(sym)
+    perturbed_rows = [
+        [
+            m.entry(i, j) + (q if i == j and i in (u, v) else SparsePoly.zero())
+            for j in range(m.dimension)
+        ]
+        for i in range(m.dimension)
+    ]
+    perturbed = PolyMatrix(perturbed_rows)
+    expected = (
+        charpoly(m)
+        - q.scale(2) * charpoly(m.delete([u]))
+        + q * q * charpoly(m.delete([u, v]))
+    )
+    return charpoly(perturbed) - expected
+
+
+class TraceMembership(NamedTuple):
+    """Whether trace(P_plus) - sym and trace(P_minus) - sym drop the symbol."""
+
+    plus_in_base: bool
+    minus_in_base: bool
+
+
+def trace_param_membership(dec: CospectralDecomposition, sym: str) -> TraceMembership:
+    """Check that each relative trace is sym plus a sym-free constant.
+
+    For a potential placed at the cospectral pair itself, both relative
+    traces shift by exactly the symbol; for a potential placed at one
+    outside vertex that sees the pair, only trace(P_plus) does.
+    """
+    plus = dec.trace_plus - SparsePoly.sym(sym)
+    minus = dec.trace_minus - SparsePoly.sym(sym)
+    return TraceMembership(
+        plus_in_base=not plus.has_sym(sym),
+        minus_in_base=not minus.has_sym(sym),
+    )

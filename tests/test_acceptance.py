@@ -37,15 +37,18 @@ from pgstkit import (
     path_graph,
     pgst_ceiling,
     poly_gcd_t,
-    q_expansion_residual,
     sym_eig,
     to_matrix,
-    trace_param_membership,
     transfer_amplitude,
     verify_equitable,
 )
 
-from conftest import random_cospectral_graph, random_graph
+from conftest import (
+    q_expansion_residual,
+    random_cospectral_graph,
+    random_graph,
+    trace_param_membership,
+)
 
 Q = SparsePoly.sym("Q")
 

@@ -349,6 +349,15 @@ G_D_PAIR = ["@G_D", "--u", "h1", "--v", "h4"]
             2,
             "error: precision must be positive and finite, got nan\n",
         ),
+        (["analyze", *G_A_PAIR, "--tmax", "-5"], 2, "error: t_max must be positive and finite, got -5.0\n"),
+        (["analyze", *G_A_PAIR, "--steps", "1"], 2, "error: need 2 to 10000000 grid points, got 1\n"),
+        (["analyze", *G_A_PAIR, "--potential-value", "x"], 1, "error: bad numeric value 'x'\n"),
+        (["analyze", *G_A_PAIR, "--relation-bound", "0"], 2, "error: coefficient bound must be >= 1, got 0\n"),
+        (
+            ["analyze", *G_A_PAIR, "--relation-precision", "nan"],
+            2,
+            "error: precision must be positive and finite, got nan\n",
+        ),
     ],
     ids=[
         "potential-1/0",
@@ -394,6 +403,11 @@ G_D_PAIR = ["@G_D", "--u", "h1", "--v", "h4"]
         "usage-no-command",
         "relation-bound-without-search",
         "relation-precision-without-search",
+        "tmax-without-simulate",
+        "steps-without-simulate",
+        "potential-value-without-simulate",
+        "relation-bound-without-simulate",
+        "relation-precision-without-simulate",
     ],
 )
 def test_bad_input_or_output_is_one_error_line(capsys, tmp_path, argv, code, message):
@@ -415,7 +429,8 @@ def test_bad_input_or_output_is_one_error_line(capsys, tmp_path, argv, code, mes
     # bound before the base pair (vertex-bound-before-base-check). argparse's
     # own usage errors are parse errors too (usage-*). The relation-search
     # flags are checked even where the parity certificate settles the pair
-    # and no search runs (relation-*-without-search).
+    # and no search runs (relation-*-without-search), and analyze checks its
+    # numeric flags as with --simulate when no scan runs (*-without-simulate).
     (tmp_path / "latin1.txt").write_bytes(b"n 9\ne 1 8\n# caf\xe9\n")
     (tmp_path / "wide.txt").write_text("n 12\ne 0 1\ne 1 2\n" + "".join(f"p {i + 3} S{i}\n" for i in range(9)))
     (tmp_path / "big-weight.txt").write_text("n 9\ne 1 8 1e400\n")
@@ -430,6 +445,16 @@ def test_bad_input_or_output_is_one_error_line(capsys, tmp_path, argv, code, mes
     assert err.startswith("error:") and err.count("\n") == 1
     if message is not None:
         assert err == message
+
+
+def test_analyze_accepts_valid_numeric_flags_it_does_not_use(capsys):
+    # Without --simulate the numeric flags are checked but change nothing,
+    # even a t_max whose phases would be refused by a scan.
+    plain = run(capsys, "analyze", *G_A_PAIR)
+    unused = ["--tmax", "1e17", "--steps", "2", "--potential-value", "1e308"]
+    unused += ["--relation-bound", "1", "--relation-precision", "0.5"]
+    assert run(capsys, "analyze", *G_A_PAIR, *unused) == plain
+    assert plain[0] == 0
 
 
 def count_calls(monkeypatch, kernels: dict) -> Counter:
@@ -472,7 +497,7 @@ def test_analyze_runs_each_exact_kernel_once_per_question(monkeypatch, capsys):
     assert {name: calls[name] for name in kernels} == {
         "decompose": 1,
         "is_cospectral": 0,
-        "charpoly": 1,
+        "charpoly": 0,
         "krylov_min_poly": 1,
         "_min_poly": 2,
         "bareiss_det": 0,
@@ -486,16 +511,16 @@ def test_analyze_runs_each_exact_kernel_once_per_question(monkeypatch, capsys):
         # glue-path: with --q auto, the base check and charpoly of the deleted
         # base matrix (reusing the base check's matrix); then, for either
         # --q, one decomposition of the built graph and nothing else
-        (["glue-path", "@G_D", "--u", "h1", "--v", "h4", "--q", "auto"], (2, 1, 2, 1)),
-        (["glue-path", "@G_A", "--u", "3", "--v", "6", "--q", "4"], (1, 0, 1, 1)),
+        (["glue-path", "@G_D", "--u", "h1", "--v", "h4", "--q", "auto"], (2, 1, 1, 1)),
+        (["glue-path", "@G_A", "--u", "3", "--v", "6", "--q", "4"], (1, 0, 0, 1)),
         # glue-pot and change-trace: the base check, then one decomposition;
         # glue-pot's choose_path_shift makes the base check and reuses its
         # matrix for the charpoly of the deleted base matrix
-        (["glue-pot", "@G_B", "--u", "1", "--v", "8", "--k", "3"], (2, 1, 2, 1)),
-        (["change-trace", "@G_A", "--u", "3", "--v", "6", "--k", "3"], (2, 1, 1, 1)),
+        (["glue-pot", "@G_B", "--u", "1", "--v", "8", "--k", "3"], (2, 1, 1, 1)),
+        (["change-trace", "@G_A", "--u", "3", "--v", "6", "--k", "3"], (2, 1, 0, 1)),
         # equitable: the base check and one decomposition; the refinement
         # and the equitability check of the perturbed graph read edge lists
-        (["equitable", "@G_C", "--u", "8", "--v", "9"], (2, 1, 1, 1)),
+        (["equitable", "@G_C", "--u", "8", "--v", "9"], (2, 1, 0, 1)),
     ],
     ids=["glue-path-auto", "glue-path", "glue-pot", "change-trace", "equitable"],
 )
@@ -542,7 +567,7 @@ def test_a_later_question_builds_no_parser(monkeypatch, capsys):
         (["construct", "glue-pot", "@G_B", "--u", "1", "--v", "8", "--k", "3"], 4),
         (["construct", "change-trace", *G_A_PAIR, "--k", "3"], 4),
         (["construct", "glue-path", *G_A_PAIR, "--q", "4"], 3),
-        (["construct", "equitable", *G_C_PAIR], 5),
+        (["construct", "equitable", *G_C_PAIR], 2),
     ],
     ids=["analyze", "simulate", "glue-pot", "change-trace", "glue-path", "equitable"],
 )
@@ -552,9 +577,8 @@ def test_each_question_builds_a_fixed_number_of_graphs(monkeypatch, capsys, argv
     # builds its path, the shifted path and the glued graph, change-trace its
     # path, the path with the center symbol and the glued graph, and
     # glue-path its path and the glued graph; each then adds the pair symbol.
-    # equitable builds the apex graph, the perturbed graph of its
-    # certificate (pair symbol, then outside symbol) and the same two again
-    # for the report.
+    # equitable builds the apex graph and the perturbed graph, which carries
+    # both symbols and is the graph its certificate and its report are about.
     calls = Counter()
     init = graphs.Graph.__init__
 

@@ -4,6 +4,8 @@ sympy is a test-only dependency: it computes the same objects by routes
 that share no code with pgstkit. Instances are seeded sparse weighted
 symmetric matrices with one or two parameter symbols on the diagonal, and
 seeded sparse polynomials over each symbol set (), (Q), (R) and (Q, R).
+The cofactor P_zero of a decomposition is checked against charpoly on
+cospectral pairs: paths, stars, G_C and mirror graphs.
 Every result is also checked for the stored coefficient form: an int when
 integral, otherwise a Fraction in lowest terms, and never a float.
 """
@@ -16,18 +18,28 @@ from fractions import Fraction
 import pytest
 
 from pgstkit import (
+    DomainError,
+    ExactDivisionError,
+    Graph,
+    InternalConsistencyError,
     PolyMatrix,
     SparsePoly,
+    add_potential,
     charpoly,
+    decompose,
     exact,
+    get_fixture,
     is_irreducible_linear_param,
     isolate_real_roots,
     krylov_min_poly,
+    path_graph,
     poly_gcd_t,
+    spectral,
     split_linear_param,
+    to_matrix,
 )
 
-from conftest import assert_stored_form
+from conftest import assert_stored_form, random_cospectral_graph
 
 sympy = pytest.importorskip("sympy")
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
@@ -225,6 +237,101 @@ def test_frame_symbols_absent_from_the_result_are_pruned(seed, case):
     phi = charpoly(m)
     _assert_same(phi, _sympy_matrix(m).charpoly(T).as_expr())
     assert phi.symbols == m.symbols()
+
+
+# ---------------------------------------------------------------------------
+# the cofactor P_zero of P_plus and P_minus, from power sums
+
+
+def _cofactor_case(
+    kind: str, size: int, symbols: int
+) -> tuple[PolyMatrix, int, int, int | None]:
+    """A cospectral pair with 0, 1 or 2 symbols, and its d0 where it is known.
+
+    A path's end vertices have d0 = 0, and G_C's pair d0 = 4. On the star
+    K_{1,size} with Q at the leaves 1 and 2, P_minus has degree 1 and P_plus
+    degree 3 (e_1 + e_2, the center, the other leaves), so d0 = size - 3.
+    A mirror graph exchanges 0 and 1 and fixes a third of its vertices.
+    """
+    q, r = (SparsePoly.sym(s) for s in SYMBOLS)
+    if kind == "path":
+        g, u, v, d0, fixed = path_graph(size), 0, size - 1, 0, None
+    elif kind == "star":
+        g = Graph(size + 1, [(0, i, 1) for i in range(1, size + 1)])
+        u, v, d0, fixed = 1, 2, size - 3, 0
+    elif kind == "G_C":
+        f = get_fixture("G_C")
+        g, u, v, d0, fixed = f.graph, f.u, f.v, 4, None
+    else:
+        rng = random.Random(size)
+        g, u, v = random_cospectral_graph(rng, n=size, weighted=True, with_potentials=True)
+        d0, fixed = None, size - 1
+    if symbols >= 1:
+        g = add_potential(g, (u, v), q)
+    if symbols == 2:
+        g = add_potential(g, fixed, r)
+    return to_matrix(g), u, v, d0
+
+
+COFACTOR_CASES = [
+    *(("path", n, s) for n in (4, 7) for s in (0, 1)),
+    *(("star", leaves, leaves % 3) for leaves in range(3, 11)),  # d0 = 0..7
+    ("G_C", 0, 0),
+    ("G_C", 0, 1),
+    *(("mirror", n, n % 3) for n in range(5, 11)),
+]
+
+
+@pytest.mark.parametrize("case", COFACTOR_CASES, ids=lambda c: "-".join(map(str, c)))
+def test_cofactor_times_relative_factors_is_charpoly(case):
+    m, u, v, d0 = _cofactor_case(*case)
+    dec = decompose(m, u, v)
+    assert d0 is None or dec.deg_zero == d0
+    phi = charpoly(m)
+    assert dec.p_zero == phi.divexact(dec.p_plus * dec.p_minus)
+    assert dec.p_plus * dec.p_minus * dec.p_zero == phi
+    _assert_same(dec.p_plus * dec.p_minus * dec.p_zero, _sympy_matrix(m).charpoly(T).as_expr())
+    assert_stored_form(dec.p_zero)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_cofactor_of_no_factors_is_charpoly(seed):
+    # d0 = n: every coefficient of charpoly(M) comes from the power sums
+    m, _, _ = _instance(seed)
+    assert exact._charpoly_cofactor(m, ()) == charpoly(m)
+
+
+@pytest.mark.parametrize("name", ["G_A", "G_B", "G_C"])
+def test_cofactor_guard_refuses_a_wrong_factor(monkeypatch, name):
+    f = get_fixture(name)
+    m = to_matrix(add_potential(f.graph, (f.u, f.v), SparsePoly.sym("Q")))
+    dec = decompose(m, f.u, f.v)
+    wrong = dec.p_plus.shift_t(1)  # every root moved up by 1
+    for factors in [
+        (wrong, dec.p_minus),
+        (dec.p_plus, dec.p_minus, SparsePoly.t(dec.deg_zero + 1)),  # degree past n
+        (dec.p_plus + SparsePoly.sym("Z"), dec.p_minus),  # a symbol M lacks
+    ]:
+        with pytest.raises(ExactDivisionError):
+            exact._charpoly_cofactor(m, factors)
+    # decompose reports a failed guard as an engine bug
+    monkeypatch.setattr(spectral, "_min_poly", lambda frame, powers: wrong)
+    with pytest.raises(InternalConsistencyError) as err:
+        decompose(m, f.u, f.v)
+    assert str(err.value) == "charpoly is not divisible by P_plus * P_minus at a cospectral pair"
+
+
+def test_cofactor_refuses_the_frames_charpoly_refuses():
+    rows = [[SparsePoly.zero()] * 6 for _ in range(6)]
+    rows[0][1] = rows[1][0] = SparsePoly.one()
+    for i in range(2, 6):
+        rows[i][i] = SparsePoly.sym(f"S{i}")
+    wide = PolyMatrix(rows)
+    with pytest.raises(DomainError) as expected:
+        charpoly(wide)
+    with pytest.raises(DomainError) as got:
+        exact._charpoly_cofactor(wide, ())
+    assert str(got.value) == str(expected.value)
 
 
 # ---------------------------------------------------------------------------

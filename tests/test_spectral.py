@@ -19,12 +19,15 @@ from pgstkit import (
     is_cospectral,
     is_strongly_cospectral,
     path_graph,
-    q_expansion_residual,
     to_matrix,
-    trace_param_membership,
 )
 
-from conftest import random_cospectral_graph, random_graph
+from conftest import (
+    q_expansion_residual,
+    random_cospectral_graph,
+    random_graph,
+    trace_param_membership,
+)
 
 P = SparsePoly.parse
 
