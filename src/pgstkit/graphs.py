@@ -21,8 +21,10 @@ from .exact import PolyMatrix, Scalar, SparsePoly, _coerce
 
 PotentialValue = Union[SparsePoly, Fraction, int]
 
-# Both lanes build dense n x n grids of 8 n^2 bytes, 128 MiB here: to_matrix
-# holds two grids of references at its peak, numeric_adjacency one float64 array.
+# Both lanes build dense n x n grids of 8 n^2 bytes, 128 MiB here. to_matrix
+# holds two grids of references at its peak. The numeric lane holds a few float64
+# grids while sym_eig symmetrizes and diagonalizes, then the matrix and its
+# eigenvectors; a pair question reads rows u and v of the eigenvectors, O(n) more.
 MAX_VERTICES = 4096
 
 

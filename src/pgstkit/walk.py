@@ -4,10 +4,10 @@ Exact machinery proves; this module measures. Eigenvalues and
 eigenvectors come from LAPACK's symmetric solver (``numpy.linalg.eigh``),
 get clustered at relative tolerance 1e-8 so that a numerically split
 multiple eigenvalue is treated as one spectral point, and each cluster
-stands for the projector onto its eigenvectors. No projector is formed:
-a question about the pair (u, v) reads only rows u and v of each one.
-Transfer amplitudes and fidelity scans weigh cluster k by the mean of
-its (u, v) and (v, u) entries, so |U(t)[u,v]| equals |U(t)[v,u]|. A scan
+stands for the projector E_k = B B^T onto its eigenvector columns B. No
+projector is formed: a pair (u, v) needs only rows u and v of the
+eigenvectors. Transfer amplitudes and fidelity scans weigh cluster k by
+(E_k[u,v] + E_k[v,u]) / 2, so |U(t)[u,v]| equals |U(t)[v,u]|. A scan
 splits each grid time into a block start plus an offset, so it takes one
 complex matrix product per block, not an exponential per point and cluster.
 
@@ -17,7 +17,6 @@ numpy is imported inside the functions that use it, so it loads only for
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Sequence, TextIO
@@ -39,7 +38,7 @@ SCAN_CHUNK = 8192
 MAX_STEPS = 10**7
 
 
-@dataclass(frozen=True, eq=False)  # hashed by identity: _rows keys on it
+@dataclass(frozen=True, eq=False)  # == on array fields is ambiguous; compare by identity
 class NumericSpectrum:
     """Clustered eigendecomposition of a symmetric matrix.
 
@@ -56,18 +55,6 @@ class NumericSpectrum:
     @property
     def dimension(self) -> int:
         return self.eigenvectors.shape[0]
-
-    def rows(self, u: int, v: int) -> np.ndarray:
-        """Rows u and v of every cluster projector, shape (k, 2, n)."""
-        import numpy as np
-
-        n = self.dimension
-        for x in (u, v):
-            if not (0 <= x < n):
-                raise StructuralError(f"vertex {x} out of range 0..{n - 1}")
-        vecs = self.eigenvectors
-        pair = vecs[[u, v]]
-        return np.array([pair[:, idx] @ vecs[:, idx].T for idx in self.clusters])
 
 
 @dataclass(frozen=True)
@@ -143,9 +130,8 @@ def transfer_amplitude(spectrum: NumericSpectrum, u: int, v: int, t: float) -> c
 def pgst_ceiling(spectrum: NumericSpectrum, u: int, v: int) -> float:
     """sum_k |E_k[u, v]|: an upper bound on |U(t)[u, v]| over all times.
 
-    Equals 1 up to numerical error exactly when the pair is strongly
-    cospectral; strictly smaller ceilings certify (numerically) that
-    fidelity can never reach 1.
+    Equals 1 up to numerical error exactly when the pair is strongly cospectral;
+    a smaller ceiling certifies (numerically) that fidelity never reaches 1.
     """
     import numpy as np
 
@@ -155,11 +141,10 @@ def pgst_ceiling(spectrum: NumericSpectrum, u: int, v: int) -> float:
 def numeric_strong_cospectral(spectrum: NumericSpectrum, u: int, v: int) -> bool:
     """Every cluster projector satisfies E e_u = +-E e_v up to SUPPORT_TOL.
 
-    E is symmetric, so E e_u is row u of E. Parallelism up to sign is
-    tested in product form: one of the two norms ||E(e_u - e_v)||,
-    ||E(e_u + e_v)|| must vanish, so their product is compared against
-    SUPPORT_TOL * ||E e_u||^2. Clusters whose u and v projections are both
-    below SUPPORT_TOL are neutral and impose no constraint.
+    Parallelism up to sign is tested in product form: one of the norms
+    ||E(e_u - e_v)||, ||E(e_u + e_v)|| must vanish, so their product is
+    compared against SUPPORT_TOL * ||E e_u||^2. Clusters whose u and v
+    projections are both below SUPPORT_TOL are neutral: no constraint.
     """
     nu, nv, summ, diff = _support_norms(spectrum, u, v)
     neutral = (nu <= SUPPORT_TOL) & (nv <= SUPPORT_TOL)
@@ -170,10 +155,8 @@ def classify_spectrum(spectrum: NumericSpectrum, u: int, v: int) -> tuple[list[f
     """Split cluster values into plus-support and minus-support lists.
 
     A cluster supports the plus (minus) side when its projector applied to
-    e_u + e_v (e_u - e_v) has norm above SUPPORT_TOL; the projector is
-    symmetric, so that image is row u plus (minus) row v. For strongly
-    cospectral pairs the two lists are disjoint; both-sided clusters land
-    in both lists.
+    e_u + e_v (e_u - e_v) has norm above SUPPORT_TOL. For strongly cospectral
+    pairs the two lists are disjoint; both-sided clusters land in both.
     """
     _, _, summ, diff = _support_norms(spectrum, u, v)
     values = spectrum.cluster_values
@@ -219,9 +202,6 @@ def fidelity_scan(
             "(an ulp above 1e-6 rad); lower t_max"
         )
 
-    def fid(ts: np.ndarray) -> np.ndarray:
-        return np.abs(np.exp(1j * np.outer(ts, values)) @ weights)
-
     times = np.linspace(0.0, t_max, steps)
     fids = np.empty(steps)
     b = max(1, min(steps, SCAN_CHUNK // len(values)))
@@ -231,9 +211,10 @@ def fidelity_scan(
         heads = np.exp(1j * np.outer(times[first : first + span : b], values)) * weights
         fids[first : first + span] = np.abs(heads @ offsets).ravel()[: steps - first]
     k = int(np.argmax(fids))
-    lo = times[max(0, k - 1)]
-    hi = times[min(steps - 1, k + 1)]
-    best_t, best_f = _golden_max(lambda t: float(fid(np.array([t]))[0]), lo, hi)
+    lo, hi = times[max(0, k - 1)], times[min(steps - 1, k + 1)]
+    best_t, best_f = _golden_max(
+        lambda t: float(np.abs(np.exp(1j * np.outer([t], values)) @ weights)[0]), lo, hi
+    )
     if best_f < float(fids[k]):
         best_t, best_f = float(times[k]), float(fids[k])
     return FidelityScan(u, v, float(t_max), times, fids, best_t, best_f)
@@ -266,24 +247,28 @@ def write_fidelity_csv(scan: FidelityScan, stream: TextIO) -> None:
         stream.write(f"{t!r},{f!r}\n")
 
 
-@functools.lru_cache(maxsize=1)
-def _rows(spectrum: NumericSpectrum, u: int, v: int) -> np.ndarray:
-    """spectrum.rows(u, v), kept for the last pair asked: one projection a question."""
-    return spectrum.rows(u, v)
+def _pair(spectrum: NumericSpectrum, u: int, v: int) -> np.ndarray:
+    """Rows u and v of the eigenvectors; a vertex outside 0..n-1 is refused."""
+    n = spectrum.dimension
+    for x in (u, v):
+        if not (0 <= x < n):
+            raise StructuralError(f"vertex {x} out of range 0..{n - 1}")
+    return spectrum.eigenvectors[[u, v]]
 
 
 def _weights(spectrum: NumericSpectrum, u: int, v: int) -> np.ndarray:
-    """(E_k[u, v] + E_k[v, u]) / 2 for every cluster k."""
-    r = _rows(spectrum, u, v)
-    return (r[:, 0, v] + r[:, 1, u]) / 2.0
+    """(E_k[u, v] + E_k[v, u]) / 2 per cluster k; the copy avoids syrk, which rounds differently."""
+    import numpy as np
+
+    pair = _pair(spectrum, u, v)
+    blocks = np.array([b @ b.T.copy() for b in (pair[:, idx] for idx in spectrum.clusters)])
+    return (blocks[:, 0, 1] + blocks[:, 1, 0]) / 2.0
 
 
 def _support_norms(spectrum: NumericSpectrum, u: int, v: int) -> tuple[np.ndarray, ...]:
-    """||E_k e_u||, ||E_k e_v||, ||E_k (e_u + e_v)|| and ||E_k (e_u - e_v)||
-    for every cluster k, as four arrays; E_k is symmetric, so E_k e_u is
-    row u of E_k."""
+    """||E_k x|| = ||B^T x|| per cluster k for x = e_u, e_v, e_u + e_v, e_u - e_v."""
     import numpy as np
 
-    r = _rows(spectrum, u, v)
-    row_u, row_v = r[:, 0], r[:, 1]
-    return tuple(np.linalg.norm(x, axis=1) for x in (row_u, row_v, row_u + row_v, row_u - row_v))
+    a, b = _pair(spectrum, u, v)
+    starts = [idx[0] for idx in spectrum.clusters]
+    return tuple(np.sqrt(np.add.reduceat(x * x, starts)) for x in (a, b, a + b, a - b))

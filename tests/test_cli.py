@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import pgstkit
-from pgstkit import cli, exact, graphs, spectral, walk
+from pgstkit import cli, exact, graphs, spectral
 from pgstkit.cli import main
 from pgstkit.graphs import MAX_VERTICES
 
@@ -589,29 +589,6 @@ def test_each_question_builds_a_fixed_number_of_graphs(monkeypatch, capsys, argv
     monkeypatch.setattr(graphs.Graph, "__init__", counting)
     run_json(capsys, *argv)
     assert calls["Graph"] == expected
-
-
-def test_numeric_questions_project_their_pair_once(monkeypatch, capsys):
-    # The ceiling, the scan, the support test and (when the exact lane is
-    # inconclusive) the spectrum split all read rows u and v of every cluster
-    # projector; a question projects them once.
-    calls = Counter()
-    rows = walk.NumericSpectrum.rows
-
-    def counting(self, u, v):
-        calls[u, v] += 1
-        return rows(self, u, v)
-
-    monkeypatch.setattr(walk.NumericSpectrum, "rows", counting)
-    run_json(
-        capsys, "simulate", "@G_B", "--u", "1", "--v", "8", "--potential", "Q",
-        "--potential-value", "3", "--tmax", "100", "--steps", "2001",
-    )
-    assert calls == {(1, 8): 1}
-    calls.clear()
-    report = run_json(capsys, "analyze", "@G_A", "--u", "3", "--v", "6", "--simulate", "--tmax", "100")
-    assert report["certificate"]["verdict"] == "HeuristicObstruction"
-    assert calls == {(3, 6): 1}
 
 
 STARTUP_SCRIPT = """

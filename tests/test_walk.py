@@ -16,6 +16,7 @@ from pgstkit import walk
 from pgstkit import (
     DomainError,
     SparsePoly,
+    StructuralError,
     add_potential,
     charpoly,
     classify_spectrum,
@@ -188,13 +189,14 @@ def test_pair_weights_equal_the_dense_projector_entries():
 
 
 def test_support_tests_equal_a_per_cluster_loop():
-    # The support tests take all cluster norms in one axis reduction, which
-    # sums in another order than a norm of one row: the norms agree to a few
-    # ulps (every norm here is at most 2), and a norm within that of
+    # The support tests take ||E_k x|| as ||B^T x|| over the eigenvector
+    # entries, not as the norm of a dense projector row: the norms agree to a
+    # few ulps (every norm here is at most 2), and a norm within that of
     # SUPPORT_TOL could flip a decision. Here no decision moves.
-    def loop(spec, u, v):
+    def loop(spec, dense, u, v):
         strong, lambdas, mus, norms = True, [], [], []
-        for value, (row_u, row_v) in zip(spec.cluster_values, walk._rows(spec, u, v)):
+        for value, proj in zip(spec.cluster_values, dense):
+            row_u, row_v = proj[u], proj[v]
             nu, nv = float(np.linalg.norm(row_u)), float(np.linalg.norm(row_v))
             summ, diff = float(np.linalg.norm(row_u + row_v)), float(np.linalg.norm(row_u - row_v))
             if (nu > walk.SUPPORT_TOL or nv > walk.SUPPORT_TOL) and diff * summ > walk.SUPPORT_TOL * nu * nu:
@@ -209,12 +211,59 @@ def test_support_tests_equal_a_per_cluster_loop():
     strong = 0
     for m in _degenerate_matrices():
         spec = sym_eig(m)
+        dense = _projectors(spec)
         for u, v in itertools.permutations(range(spec.dimension), 2):
-            expected, norms = loop(spec, u, v)
+            expected, norms = loop(spec, dense, u, v)
             assert (numeric_strong_cospectral(spec, u, v), classify_spectrum(spec, u, v)) == expected
             np.testing.assert_allclose(walk._support_norms(spec, u, v), norms, rtol=0, atol=8 * 2.0**-52)
             strong += expected[0]
     assert strong > 0
+
+
+def test_pair_questions_hold_far_less_than_the_eigenvectors():
+    # A pair question needs rows u and v of the eigenvectors, 2n numbers, and
+    # a few numbers per cluster: nothing it allocates grows like n^2.
+    import tracemalloc
+
+    g = random_graph(random.Random(463), n=400, weighted=True, with_potentials=True)
+    spec = sym_eig(numeric_adjacency(g))
+
+    def ask(u, v):
+        pgst_ceiling(spec, u, v)
+        numeric_strong_cospectral(spec, u, v)
+        classify_spectrum(spec, u, v)
+        fidelity_scan(spec, u, v, 10.0, 2)
+
+    bound = spec.eigenvectors.nbytes // 4
+    ask(0, 1)  # warm every lazy allocation
+    tracemalloc.start()
+    try:
+        ask(3, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound, (peak, bound)
+
+
+@pytest.mark.parametrize(
+    "question",
+    [
+        pgst_ceiling,
+        numeric_strong_cospectral,
+        classify_spectrum,
+        lambda spec, u, v: fidelity_scan(spec, u, v, -1.0, 0),  # vertices are checked before the grid
+        lambda spec, u, v: transfer_amplitude(spec, u, v, 1.0),
+    ],
+    ids=["pgst_ceiling", "numeric_strong_cospectral", "classify_spectrum", "fidelity_scan", "transfer_amplitude"],
+)
+def test_pair_questions_refuse_vertices_out_of_range(question):
+    # numpy would read row -1 as row n - 1; the vertex check refuses it.
+    spec = sym_eig(numeric_adjacency(get_fixture("G_B").graph))
+    for u, v in ((-1, 1), (1, -1), (9, 1), (1, 9), (-10, 9)):
+        with pytest.raises(StructuralError) as info:
+            question(spec, u, v)
+        bad = u if not 0 <= u < 9 else v
+        assert str(info.value) == f"vertex {bad} out of range 0..8"
 
 
 def test_spectrum_holds_no_array_above_n_squared_entries():
