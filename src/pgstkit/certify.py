@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
@@ -325,30 +326,38 @@ def integer_relation_search(
     lkey = 2 * left.sum(axis=1) + left[:, minus[:h]].sum(axis=1) % 2
     rkey = -2 * right.sum(axis=1) + 1 - right[:, minus[h:]].sum(axis=1) % 2
     order = np.lexsort((rv, rkey))
-    right, rv, rkey = right[order], rv[order], rkey[order]
+    right = right[order]
+    # (key, value) as a complex number orders lexicographically, so one search
+    # over all left rows finds each row's window inside its key group
+    keyed = _keyed(rkey[order], rv[order])
     # matches within precision plus the rounding of the two float sums
     slack = precision + d * 2.0**-52 * b * sum(abs(x) for x in xs)
-    pairs = []
-    for key in np.unique(lkey):
-        lo, hi = np.searchsorted(rkey, key), np.searchsorted(rkey, key, side="right")
-        rows = np.flatnonzero(lkey == key)
-        start = lo + np.searchsorted(rv[lo:hi], -lv[rows] - slack)
-        stop = lo + np.searchsorted(rv[lo:hi], -lv[rows] + slack, side="right")
-        counts = stop - start
-        # left row rows[i] pairs with right rows start[i] .. stop[i] - 1
-        matched = np.arange(counts.sum()) + np.repeat(start - np.cumsum(counts) + counts, counts)
-        pairs.append(np.hstack([left[np.repeat(rows, counts)], right[matched]]))
-    vecs = np.concatenate(pairs)
+    start = np.searchsorted(keyed, _keyed(lkey, -lv - slack))
+    counts = np.searchsorted(keyed, _keyed(lkey, -lv + slack), side="right") - start
+    # left row i pairs with right rows start[i] .. start[i] + counts[i] - 1
+    matched = np.arange(counts.sum()) + np.repeat(start - np.cumsum(counts) + counts, counts)
+    vecs = np.hstack([np.repeat(left, counts, axis=0), right[matched]])
     # the residual is summed on the representative whose first nonzero
     # coefficient is negative, then negated: an exact cancellation reads -0.0
     first = vecs[np.arange(len(vecs)), (vecs != 0).argmax(axis=1)]
-    found = []
-    for coeffs in vecs[first < 0].tolist():
-        residual = sum(c * x for c, x in zip(coeffs, xs))
-        if abs(residual) < precision:
-            vec = tuple(-c for c in coeffs)
-            found.append(Relation(vec[:r], vec[r:], -residual))
-    return sorted(found, key=lambda rel: (sum(abs(c) for c in rel.l + rel.m), rel.l + rel.m))
+    vecs = vecs[first < 0]
+    residuals = np.array([sum(map(operator.mul, coeffs, xs)) for coeffs in vecs.tolist()])
+    keep = np.abs(residuals) < precision
+    vecs, residuals = -vecs[keep], -residuals[keep]
+    # by coefficient mass, then lexicographically; the vectors are distinct
+    order = np.lexsort((*vecs[:, ::-1].T, np.abs(vecs).sum(axis=1)))
+    vecs = vecs[order]
+    ls, ms = map(tuple, vecs[:, :r].tolist()), map(tuple, vecs[:, r:].tolist())
+    return list(map(Relation, ls, ms, residuals[order].tolist()))
+
+
+def _keyed(keys: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """keys + i*values, which numpy sorts and searches by key, then value."""
+    import numpy as np
+
+    out = np.empty(len(keys), dtype=complex)
+    out.real, out.imag = keys, values
+    return out
 
 
 def _half_box(k: int, b: int) -> np.ndarray:

@@ -58,8 +58,91 @@ def main(argv: list[str] | None = None) -> int:
     except (DomainError, StructuralError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(json.dumps(report, indent=2, allow_nan=False))
+    print(_dumps(report))
     return 0
+
+
+# Text of each JSON scalar type, as the json module writes it.
+_TEXT = {
+    str: json.encoder.encode_basestring_ascii,
+    int: int.__repr__,
+    float: float.__repr__,
+    bool: {False: "false", True: "true"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+
+
+class _Unwritten(Exception):
+    """A value that ``_write`` leaves to ``json.dumps``."""
+
+
+def _dumps(report) -> str:
+    """``json.dumps(report, indent=2, allow_nan=False)``, built directly.
+
+    The json module writes indented text with its pure-Python encoder,
+    which costs more than a large report's numeric work. A value of
+    another type than dict, list, tuple or a scalar of ``_TEXT``, and a
+    non-finite float, go to ``json.dumps`` itself, which writes them or
+    raises its own error.
+    """
+    out: list[str] = []
+    try:
+        _write(report, "\n", out)
+    except _Unwritten:
+        return json.dumps(report, indent=2, allow_nan=False)
+    return "".join(out)
+
+
+def _write(obj, newline: str, out: list[str]) -> None:
+    """Append obj's JSON text to out; newline ends the line before obj's
+    closing bracket and holds its indent."""
+    kind = type(obj)
+    text = _TEXT.get(kind)
+    if text is not None:
+        out.append(_finite(text(obj), kind))
+    elif not obj and (kind is dict or kind is list or kind is tuple):
+        out.append("{}" if kind is dict else "[]")
+    elif kind is dict:
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, value in obj.items():
+            out += (sep, _key(key), ": ")
+            _write(value, inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif kind is list or kind is tuple:
+        inner = newline + "  "
+        kinds = set(map(type, obj))
+        kind = kinds.pop() if len(kinds) == 1 else None
+        text = _TEXT.get(kind)
+        if text is not None:  # items of one scalar type: no call per item
+            out += ("[", inner, _finite(("," + inner).join(map(text, obj)), kind), newline, "]")
+        else:
+            sep = "[" + inner
+            for item in obj:
+                out.append(sep)
+                _write(item, inner, out)
+                sep = "," + inner
+            out.append(newline + "]")
+    else:
+        raise _Unwritten
+
+
+def _finite(text: str, kind: type) -> str:
+    """text, unless it holds a float's inf or nan (a finite repr has no n)."""
+    if kind is float and "n" in text:
+        raise _Unwritten
+    return text
+
+
+def _key(key) -> str:
+    """A dict key as json writes it: a string, or a scalar's text quoted."""
+    kind = type(key)
+    if kind is str:
+        return _TEXT[str](key)
+    if kind not in _TEXT:
+        raise _Unwritten
+    return '"' + _finite(_TEXT[kind](key), kind) + '"'
 
 
 class _ArgumentParser(argparse.ArgumentParser):

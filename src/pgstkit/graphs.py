@@ -69,13 +69,16 @@ class Graph:
                 raise StructuralError(f"edge ({i},{j}) out of range for n={n}")
             if i == j:
                 raise StructuralError(f"loop at vertex {i}; use a potential instead")
-            key = (min(i, j), max(i, j))
-            w = Fraction(w)
-            s = acc.get(key, Fraction(0)) + w
-            if s:
-                acc[key] = s
-            elif key in acc:
-                del acc[key]
+            key = (i, j) if i < j else (j, i)
+            if type(w) is not Fraction:
+                w = Fraction(w)
+            if key in acc:  # a repeated edge: the weights add
+                w += acc[key]
+                if not w:
+                    del acc[key]
+                    continue
+            if w:
+                acc[key] = w
         self._edges = acc
         pots: dict[int, SparsePoly] = {}
         for v, value in (potentials or {}).items():
@@ -378,8 +381,10 @@ def parse_graph_text(text: str) -> Graph:
                 if len(fields) not in (3, 4):
                     raise ParseError(f"line {lineno}: expected 'e <i> <j> [weight]'")
                 i, j = int(fields[1]), int(fields[2])
-                w = Fraction(fields[3]) if len(fields) == 4 else Fraction(1)
-                edges.append((i, j, w))
+                w = fields[3] if len(fields) == 4 else "1"
+                # an integer weight, as Fraction would read it, without its regex
+                digits = w[1:] if w[:1] in ("-", "+") else w
+                edges.append((i, j, Fraction(int(w) if digits.isdecimal() else w)))
             elif kind == "p":
                 if len(fields) < 3:
                     raise ParseError(f"line {lineno}: expected 'p <i> <value>'")
@@ -404,8 +409,7 @@ def parse_graph_text(text: str) -> Graph:
 
 def serialize_graph_text(g: Graph) -> str:
     lines = [f"n {g.n}"]
-    for (i, j) in sorted(g.edges):
-        w = g.weight(i, j)
+    for (i, j), w in sorted(g.edges.items()):
         lines.append(f"e {i} {j}" if w == 1 else f"e {i} {j} {w}")
     for v in sorted(g.potentials):
         lines.append(f"p {v} {g.potential(v)}")

@@ -97,25 +97,32 @@ def sym_eig(matrix: np.ndarray | Sequence[Sequence[float]]) -> NumericSpectrum:
     """
     import numpy as np
 
-    a = np.array(matrix, dtype=float)
+    a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise StructuralError("need a square matrix")
     n = a.shape[0]
     if n == 0:
         raise DomainError("empty matrix has no spectrum")
+    # one n x n buffer for every step; the input is only read
+    buf = np.abs(a)
     with np.errstate(over="ignore", invalid="ignore"):
-        scale = max(1.0, float(np.max(np.abs(a))))
-        if float(np.max(np.abs(a - a.T))) > SYMMETRY_TOL * scale:
+        scale = max(1.0, float(np.max(buf)))
+        np.subtract(a, a.T, out=buf)
+        if float(np.max(np.abs(buf, out=buf))) > SYMMETRY_TOL * scale:
             raise DomainError("matrix is not symmetric within 1e-12")
-        a = (a + a.T) / 2.0
+        a = np.divide(np.add(a, a.T, out=buf), 2.0, out=buf)
     if not np.all(np.isfinite(a)):
         raise DomainError("matrix has a non-finite entry (inf, nan or overflow)")
 
     eigs, vecs = np.linalg.eigh(a)
 
     gap = CLUSTER_RTOL * max(float(eigs[-1] - eigs[0]), 1.0)
-    clusters = tuple(np.split(np.arange(n), np.flatnonzero(np.diff(eigs) > gap) + 1))
-    values = np.array([float(np.mean(eigs[idx])) for idx in clusters])
+    bounds = [0, *(np.flatnonzero(np.diff(eigs) > gap) + 1).tolist(), n]
+    columns = np.arange(n)
+    clusters = tuple([columns[i:j] for i, j in zip(bounds, bounds[1:])])
+    values = eigs[bounds[:-1]]  # a singleton's value is its eigenvalue
+    for k in _multiple(bounds[:-1], n):
+        values[k] = np.mean(eigs[clusters[k]])
     return NumericSpectrum(eigenvalues=eigs, cluster_values=values, eigenvectors=vecs, clusters=clusters)
 
 
@@ -217,7 +224,7 @@ def fidelity_scan(
     )
     if best_f < float(fids[k]):
         best_t, best_f = float(times[k]), float(fids[k])
-    return FidelityScan(u, v, float(t_max), times, fids, best_t, best_f)
+    return FidelityScan(u, v, float(t_max), times, fids, float(best_t), best_f)
 
 
 def _golden_max(f, lo: float, hi: float) -> tuple[float, float]:
@@ -256,13 +263,30 @@ def _pair(spectrum: NumericSpectrum, u: int, v: int) -> np.ndarray:
     return spectrum.eigenvectors[[u, v]]
 
 
-def _weights(spectrum: NumericSpectrum, u: int, v: int) -> np.ndarray:
-    """(E_k[u, v] + E_k[v, u]) / 2 per cluster k; the copy avoids syrk, which rounds differently."""
+def _starts(spectrum: NumericSpectrum) -> list[int]:
+    """The first eigenvector column of each cluster."""
+    return [idx[0] for idx in spectrum.clusters]
+
+
+def _multiple(starts: list[int], n: int) -> list[int]:
+    """Positions of the clusters with more than one column, given each cluster's first column."""
     import numpy as np
 
+    return np.flatnonzero(np.diff(starts, append=n) > 1).tolist()
+
+
+def _weights(spectrum: NumericSpectrum, u: int, v: int) -> np.ndarray:
+    """(E_k[u, v] + E_k[v, u]) / 2 per cluster k. A singleton's is ab, since
+    (ab + ba) / 2 = ab; a larger cluster's comes from its 2 x 2 block, where
+    the copy avoids syrk, which rounds differently."""
     pair = _pair(spectrum, u, v)
-    blocks = np.array([b @ b.T.copy() for b in (pair[:, idx] for idx in spectrum.clusters)])
-    return (blocks[:, 0, 1] + blocks[:, 1, 0]) / 2.0
+    starts = _starts(spectrum)
+    weights = pair[0, starts] * pair[1, starts]
+    for k in _multiple(starts, spectrum.dimension):
+        cols = pair[:, spectrum.clusters[k]]
+        block = cols @ cols.T.copy()
+        weights[k] = (block[0, 1] + block[1, 0]) / 2.0
+    return weights
 
 
 def _support_norms(spectrum: NumericSpectrum, u: int, v: int) -> tuple[np.ndarray, ...]:
@@ -270,5 +294,5 @@ def _support_norms(spectrum: NumericSpectrum, u: int, v: int) -> tuple[np.ndarra
     import numpy as np
 
     a, b = _pair(spectrum, u, v)
-    starts = [idx[0] for idx in spectrum.clusters]
+    starts = _starts(spectrum)
     return tuple(np.sqrt(np.add.reduceat(x * x, starts)) for x in (a, b, a + b, a - b))

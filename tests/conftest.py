@@ -3,14 +3,18 @@
 Random instances are built from seeded Random objects so every run is
 reproducible; no global random state is touched. ``q_expansion_residual``
 and ``trace_param_membership`` check identities of the exact lane that no
-command needs.
+command needs. ``relation_search_by_key`` is an oracle for
+``integer_relation_search``: the same relations, found key by key.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from typing import NamedTuple
+
+import numpy as np
 
 from pgstkit import (
     CospectralDecomposition,
@@ -22,6 +26,7 @@ from pgstkit import (
     charpoly,
     is_cospectral,
 )
+from pgstkit.certify import Relation, _check_relation_limits, _half_box, _searched_bound
 from pgstkit.spectral import _check_pair
 
 
@@ -157,3 +162,44 @@ def trace_param_membership(dec: CospectralDecomposition, sym: str) -> TraceMembe
         plus_in_base=not plus.has_sym(sym),
         minus_in_base=not minus.has_sym(sym),
     )
+
+
+def relation_search_by_key(lambdas, mus, bound: int, precision: float) -> list[Relation]:
+    """``integer_relation_search`` with one window search per key group and
+    a Python sort key over the relations, in place of one search over all
+    left halves and ``np.lexsort``."""
+    _check_relation_limits(bound, precision)
+    r, d = len(lambdas), len(lambdas) + len(mus)
+    xs = [float(x) for x in lambdas] + [float(x) for x in mus]
+    if not all(math.isfinite(x) for x in xs):
+        raise DomainError("relation search needs finite values")
+    b = _searched_bound(d, bound)
+    if d < 2 or b == 0:
+        return []
+    h = d // 2
+    left, right = _half_box(h, b), _half_box(d - h, b)
+    lv, rv = left @ np.array(xs[:h]), right @ np.array(xs[h:])
+    minus = np.arange(d) >= r
+    lkey = 2 * left.sum(axis=1) + left[:, minus[:h]].sum(axis=1) % 2
+    rkey = -2 * right.sum(axis=1) + 1 - right[:, minus[h:]].sum(axis=1) % 2
+    order = np.lexsort((rv, rkey))
+    right, rv, rkey = right[order], rv[order], rkey[order]
+    slack = precision + d * 2.0**-52 * b * sum(abs(x) for x in xs)
+    pairs = []
+    for key in np.unique(lkey):
+        lo, hi = np.searchsorted(rkey, key), np.searchsorted(rkey, key, side="right")
+        rows = np.flatnonzero(lkey == key)
+        start = lo + np.searchsorted(rv[lo:hi], -lv[rows] - slack)
+        stop = lo + np.searchsorted(rv[lo:hi], -lv[rows] + slack, side="right")
+        counts = stop - start
+        matched = np.arange(counts.sum()) + np.repeat(start - np.cumsum(counts) + counts, counts)
+        pairs.append(np.hstack([left[np.repeat(rows, counts)], right[matched]]))
+    vecs = np.concatenate(pairs)
+    first = vecs[np.arange(len(vecs)), (vecs != 0).argmax(axis=1)]
+    found = []
+    for coeffs in vecs[first < 0].tolist():
+        residual = sum(c * x for c, x in zip(coeffs, xs))
+        if abs(residual) < precision:
+            vec = tuple(-c for c in coeffs)
+            found.append(Relation(vec[:r], vec[r:], -residual))
+    return sorted(found, key=lambda rel: (sum(abs(c) for c in rel.l + rel.m), rel.l + rel.m))

@@ -40,7 +40,7 @@ from pgstkit import (
     to_matrix,
 )
 
-from conftest import random_cospectral_graph
+from conftest import random_cospectral_graph, relation_search_by_key
 
 Q = SparsePoly.sym("Q")
 
@@ -299,6 +299,37 @@ def test_relation_search_matches_python_enumeration():
                         expected.append((pos[:3], pos[3:], repr(-residual)))
             got = integer_relation_search(lambdas, mus, 3, precision)
             assert sorted(expected) == sorted((rel.l, rel.m, repr(rel.residual)) for rel in got)
+
+
+def test_relation_search_matches_the_per_key_search_in_order():
+    # one-pass matching against a per-key search, relation for relation and
+    # in order: d = 2..10 values split every way between the sides,
+    # one-decimal values that cancel exactly (-0.0 residuals), and bounds
+    # lowered to fit the box (d >= 9 at bound 3, any d at bound 10^6)
+    rng = random.Random(359)
+    found = cancelled = lowered = 0
+    for d in range(2, 11):
+        for trial in range(4):
+            r = rng.randint(0, d)
+            if trial % 2:
+                xs = [round(rng.uniform(-2, 2), 1) for _ in range(d)]
+            else:
+                xs = [rng.uniform(-3, 3) for _ in range(d)]
+            bound = (1, 2, 3, 10**6)[trial]
+            for precision in (1e-300, 1e-9, 0.05):
+                want = relation_search_by_key(xs[:r], xs[r:], bound, precision)
+                got = integer_relation_search(xs[:r], xs[r:], bound, precision)
+                assert [(rel.l, rel.m, repr(rel.residual)) for rel in got] == [
+                    (rel.l, rel.m, repr(rel.residual)) for rel in want
+                ], (xs, r, bound, precision)
+                found += bool(want)
+                cancelled += any(repr(rel.residual) == "-0.0" for rel in want)
+                lowered += bool(want) and certify._searched_bound(d, bound) < bound
+    assert (found, cancelled, lowered) == (28, 21, 18)
+    lambdas, mus = _spectrum("G_A")
+    assert integer_relation_search(lambdas, mus, 3, 1e-9) == relation_search_by_key(
+        lambdas, mus, 3, 1e-9
+    )
 
 
 def test_relation_search_lowers_the_bound_to_fit_the_box():

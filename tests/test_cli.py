@@ -58,6 +58,30 @@ def test_analyze_reports_are_deterministic(capsys):
     assert out1 == out2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "analyze @G_A --u 3 --v 6 --simulate --tmax 10 --steps 50",
+        "analyze @G_B --u 1 --v 8 --potential Q --simulate --tmax 10 --steps 50",
+        "simulate @G_B --u 1 --v 8 --potential Q --potential-value 3 --tmax 10 --steps 50",
+        "construct glue-pot @G_B --u 1 --v 8 --k 3",
+        "construct equitable @G_C --u 8 --v 9",
+    ],
+)
+def test_reports_hold_only_plain_json_types(capsys, monkeypatch, argv):
+    # Every report value is a dict, list, str, int, float, bool or None, so
+    # the report writer never hands a report to json.dumps (a numpy scalar
+    # would: its text is the same, at the pure-Python encoder's cost).
+    def refuse(*args, **kwargs):
+        raise AssertionError("report left to json.dumps")
+
+    monkeypatch.setattr(cli.json, "dumps", refuse)
+    code, out, err = run(capsys, *argv.split())
+    assert code == 0 and err == ""
+    monkeypatch.undo()
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
 def test_analyze_simulate_block(capsys):
     report = run_json(
         capsys,

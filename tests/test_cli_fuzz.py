@@ -16,6 +16,9 @@ must end in exit 1. Faulty vertex counts fall on both sides of
 MAX_VERTICES; a count above 8 is asked about one vertex twice, so that a
 graph under the bound is loaded (and refused as u = v) without building
 its dense matrix.
+
+The report writer is checked on its own against
+``json.dumps(obj, indent=2, allow_nan=False)`` over generated documents.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import json
 
 import pytest
 
-from pgstkit.cli import main
+from pgstkit.cli import _dumps, main
 from pgstkit.graphs import MAX_VERTICES
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -169,8 +172,51 @@ def test_every_invocation_ends_in_json_or_one_error_line(tmp_path_factory, case)
     if code == 0:
         assert not usage, argv
         assert err == ""
-        json.loads(out)
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
     else:
         assert code in ((1,) if usage else (1, 2)), (argv, code)
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), (argv, err)
+
+
+# ---------------------------------------------------------------------------
+# the report writer
+
+TEXTS = st.text(st.one_of(st.sampled_from('"\\[]{},: /'), st.characters()), max_size=6)
+INTS = st.one_of(st.integers(-9, 9), st.integers(-(10**40), 10**40))
+FLOATS = st.one_of(st.floats(), st.sampled_from([-0.0, 0.0, 1e300, -1e-320, 5e-324]))
+SCALARS = st.one_of(st.none(), st.booleans(), INTS, FLOATS, TEXTS)
+KEYS = st.one_of(TEXTS, INTS, FLOATS, st.booleans(), st.none())
+DOCUMENTS = st.recursive(
+    st.one_of(SCALARS, *(st.lists(s, max_size=4) for s in (st.booleans(), INTS, FLOATS, TEXTS))),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(KEYS, children, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+def _written(write, doc) -> str | tuple[str, str]:
+    try:
+        return write(doc)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(DOCUMENTS)
+@example({"l": [0, 1, -3], "m": (True, False), 1: None, 2.5: [], False: {}, None: -0.0})
+@example([[1.0, float("nan")]])
+@example({float("inf"): 1})
+@example({"a": [1, float("-inf")]})
+def test_report_writer_matches_json_dumps(doc):
+    # floats include nan and +-inf, which both writers must refuse alike
+    assert _written(_dumps, doc) == _written(lambda d: json.dumps(d, indent=2, allow_nan=False), doc)
+
+
+@pytest.mark.parametrize("doc", [float("nan"), [1.0, float("inf")], {"x": {-float("inf"): 0}}])
+def test_report_writer_refuses_non_finite_floats(doc):
+    with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
+        _dumps(doc)

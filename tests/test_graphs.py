@@ -50,6 +50,23 @@ def test_edge_merge_and_zero_drop():
     assert g.edges[(0, 1)] == Fraction(3)
 
 
+def test_edges_sum_in_order_and_are_stored_as_fractions():
+    # parallel and reversed edges add; an edge whose weights cancel, or whose
+    # weight is 0, is dropped, and one that returns after a cancellation is
+    # stored again, last
+    g = Graph(
+        3,
+        [
+            (0, 2, 0), (0, 1, 1), (1, 0, 2), (1, 2, Fraction(1, 2)), (2, 1, -0.5),
+            (2, 0, 1), (0, 2, -1), (2, 0, Fraction(5)), (1, 2, 0),
+        ],
+    )
+    assert list(g.edges.items()) == [((0, 1), 3), ((0, 2), 5)]
+    for edges in (g.edges, Graph(3, {(2, 0): 0.25, (1, 2): 2, (0, 1): True}).edges):
+        assert all(type(w) is Fraction for w in edges.values())
+    assert Graph(3, {(2, 0): 0.25, (1, 0): 0}).edges == {(0, 2): Fraction(1, 4)}
+
+
 def test_loops_rejected():
     with pytest.raises(StructuralError):
         Graph(2, {(1, 1): Fraction(1)})
@@ -107,6 +124,31 @@ def test_parse_errors():
     for text in bad_inputs:
         with pytest.raises(ParseError):
             parse_graph_text(text)
+
+
+@pytest.mark.parametrize(
+    "weight, value",
+    [("2", 2), ("-3", -3), ("+7", 7), ("007", 7), ("1/2", Fraction(1, 2)), ("0.5", Fraction(1, 2)),
+     ("1e3", 1000), ("-1/2", Fraction(-1, 2)), ("\u0663", 3)],
+)
+def test_parse_weights(weight, value):
+    (w,) = parse_graph_text(f"n 2\ne 0 1 {weight}\n").edges.values()
+    assert type(w) is Fraction and w == value
+
+
+@pytest.mark.parametrize(
+    "weight, message",
+    [
+        ("abc", "line 2: Invalid literal for Fraction: 'abc'"),
+        ("1/0", "line 2: Fraction(1, 0)"),
+        ("-", "line 2: Invalid literal for Fraction: '-'"),
+        ("+-1", "line 2: Invalid literal for Fraction: '+-1'"),
+    ],
+)
+def test_parse_weight_errors(weight, message):
+    with pytest.raises(ParseError) as info:
+        parse_graph_text(f"n 2\ne 0 1 {weight}\n")
+    assert str(info.value) == message
 
 
 def test_round_trip_fixtures_bit_exact():

@@ -178,6 +178,8 @@ def test_pair_weights_equal_the_dense_projector_entries():
         spec = sym_eig(m)
         dense = _projectors(spec)
         multi += sum(len(idx) > 1 for idx in spec.clusters)
+        means = [np.mean(spec.eigenvalues[idx]) for idx in spec.clusters]
+        assert np.array_equal(spec.cluster_values, means)
         phases = np.exp(1j * 1.7 * spec.cluster_values)
         for u, v in itertools.combinations(range(spec.dimension), 2):
             expected = dense[:, u, v]
@@ -274,6 +276,36 @@ def test_spectrum_holds_no_array_above_n_squared_entries():
             value = getattr(spec, field.name)
             for array in value if isinstance(value, tuple) else (value,):
                 assert np.asarray(array).size <= n * n, field.name
+
+
+def test_sym_eig_symmetrizes_in_one_buffer():
+    # Beyond its input and the eigenvectors, sym_eig holds one n x n float
+    # buffer for the symmetry check and the symmetrized copy, never the
+    # three temporaries of a plain (a + a.T) / 2.0 route: its traced peak
+    # stays near two matrices (eigenvectors and buffer), where that route
+    # peaks at three. The result is the plain route's, bit for bit, and each
+    # cluster, a singleton here, has its eigenvalue as its value.
+    import tracemalloc
+
+    rng = np.random.default_rng(467)
+    n = 600
+    a = np.triu(rng.integers(1, 4, (n, n)) * (rng.random((n, n)) < 0.05), 1).astype(float)
+    a += a.T
+    a[np.diag_indices(n)] = rng.random(n)
+    a[0, 1] += 1e-14  # asymmetric below SYMMETRY_TOL: the halving matters
+    before = a.copy()
+    tracemalloc.start()
+    try:
+        spec = sym_eig(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * a.nbytes, (peak, a.nbytes)
+    assert np.array_equal(a, before)
+    eigs, vecs = np.linalg.eigh((a + a.T) / 2.0)
+    assert np.array_equal(spec.eigenvalues, eigs) and np.array_equal(spec.eigenvectors, vecs)
+    assert np.array_equal(spec.cluster_values, eigs[[idx[0] for idx in spec.clusters]])
+    assert all(len(idx) == 1 for idx in spec.clusters)
 
 
 def test_exact_numeric_eigenvalue_agreement():
