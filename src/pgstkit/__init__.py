@@ -35,7 +35,6 @@ from .exact import (
     bareiss_det,
     charpoly,
     is_irreducible_linear_param,
-    isolate_real_roots,
     krylov_min_poly,
     poly_gcd_t,
     poly_trace,
@@ -45,7 +44,6 @@ from .fixtures import CATALOG, Fixture, get_fixture
 from .graphs import (
     Graph,
     Partition,
-    QuotientMatrix,
     add_apex,
     add_potential,
     coarsest_equitable_refinement,
@@ -54,7 +52,6 @@ from .graphs import (
     graph_digest,
     parse_graph_text,
     path_graph,
-    quotient_matrix,
     serialize_graph_text,
     to_matrix,
     verify_equitable,
@@ -63,7 +60,6 @@ from .spectral import (
     CospectralDecomposition,
     decompose,
     is_cospectral,
-    is_strongly_cospectral,
 )
 from .walk import (
     FidelityScan,
@@ -74,7 +70,6 @@ from .walk import (
     numeric_strong_cospectral,
     pgst_ceiling,
     sym_eig,
-    transfer_amplitude,
     write_fidelity_csv,
 )
 

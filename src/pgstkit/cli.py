@@ -14,7 +14,8 @@ Graphs are given either as @NAME fixture references or as paths to files
 in the text format (see graphs module). Reports are JSON on stdout with
 schema field 1; identical invocations print identical bytes.
 
-Exit codes: 0 success, 1 parse failure, 2 precondition or domain failure.
+Exit codes: 0 success, 1 parse failure or a closed stdout, 2 precondition or
+domain failure.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -58,7 +60,14 @@ def main(argv: list[str] | None = None) -> int:
     except (DomainError, StructuralError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(_dumps(report))
+    try:
+        print(_dumps(report))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout. Point it at devnull, so that the flush at
+        # exit finds nowhere to fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 0
 
 

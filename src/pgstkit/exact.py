@@ -11,33 +11,34 @@ Representation: a polynomial is a map from exponent vectors to nonzero
 rational coefficients. A coefficient is an ``int`` when it is integral and
 otherwise a ``fractions.Fraction`` in lowest terms, so the fraction-free
 kernels run on ints wherever the input is integral and only a division
-that leaves a remainder builds a ``Fraction``. The public accessors
-``constant_value`` and ``univariate_t_coeffs`` return ``Fraction``. An
-exponent vector is a tuple ``(t_exp, *param_exps)`` aligned with the
-polynomial's sorted ``symbols`` tuple. The representation is canonical:
-zero coefficients are dropped and symbols that do not occur are pruned, so
-structural equality is semantic equality. Two private kernels work on
-plain term dicts over one frame (a sorted symbol tuple): one accumulates
-sums of products, the other divides exactly, popping leading terms off a
-heap. Operations lift to a frame, run a kernel and canonicalize the
-result; a ``PolyMatrix`` lifts its rows to its frame once, when built, so
-``charpoly`` and ``krylov_min_poly`` stay in the frame.
+that leaves a remainder builds a ``Fraction``. The public accessor
+``constant_value`` returns a ``Fraction``. An exponent vector is a tuple
+``(t_exp, *param_exps)`` aligned with the polynomial's sorted ``symbols``
+tuple. The representation is canonical: zero coefficients are dropped and
+symbols that do not occur are pruned, so structural equality is semantic
+equality. Two private kernels work on plain term dicts over one frame (a
+sorted symbol tuple): one accumulates sums of products, the other divides
+exactly, popping leading terms off a heap. Operations lift to a frame, run
+a kernel and canonicalize the result; a ``PolyMatrix`` lifts its rows to
+its frame once, when built, so ``charpoly`` and ``krylov_min_poly`` stay in
+the frame.
 
 Monomials are ordered graded lexicographically with ``t`` ranked highest.
 The string form writes terms in decreasing order under that ordering and
 round-trips through ``SparsePoly.parse``.
 
 The linear algebra layer (``PolyMatrix``, ``charpoly``, ``krylov_min_poly``,
-``bareiss_det``) is fraction-free and skips zero entries, so sparse matrices
-cost far less than dense ones. Characteristic polynomials come from the
-division-free Berkowitz recursion and determinants from Bareiss elimination
-with lowest-index pivots (public and tested; no pipeline step calls it).
-Relative minimal polynomials come from the same elimination on the Krylov
-vectors z, Mz, M^2 z, ..., each carrying the t-polynomial that produced it.
-The cofactor of known factors of charpoly(M) comes from the power sums
-tr(M^k) by Newton's identities, without charpoly. A division that is not
-exact raises. A gcd first tries a modular image that can only prove
-coprimality, and runs the multivariate recursion on everything else.
+``bareiss_det``) skips zero entries, so sparse matrices cost far less than
+dense ones. ``charpoly`` is the one characteristic polynomial kernel: it
+takes the power sums tr(M^k) from unit-vector Krylov runs and turns them
+into coefficients by Newton's identities, and with known factors of
+det(tI - M) it gives their cofactor the same way, without the determinant.
+Determinants come from fraction-free Bareiss elimination with lowest-index
+pivots (public and tested; no pipeline step calls it). Relative minimal
+polynomials come from the same elimination on the Krylov vectors z, Mz,
+M^2 z, ..., each carrying the t-polynomial that produced it. A division
+that is not exact raises. A gcd first tries a modular image that can only
+prove coprimality, and runs the multivariate recursion on everything else.
 """
 
 from __future__ import annotations
@@ -312,13 +313,6 @@ class SparsePoly:
         for k in reversed(self.t_coeffs()):
             out = out * g + k
         return out
-
-    def univariate_t_coeffs(self) -> list[Fraction]:
-        """Coefficients by ascending t power, each a Fraction (integral ones
-        too, though stored as int); requires no symbols."""
-        if self._symbols:
-            raise DomainError(f"polynomial has unbound symbols {self._symbols!r}")
-        return [c.constant_value() for c in self.t_coeffs()]
 
     def eval_float(self, t: float | None = None, params: Mapping[str, float] | None = None) -> float:
         """Floating point evaluation; every occurring variable must be bound."""
@@ -862,58 +856,25 @@ def _coerce_entry(x) -> SparsePoly:
     return p
 
 
-def charpoly(m: PolyMatrix) -> SparsePoly:
-    """Characteristic polynomial det(tI - M) by the Berkowitz recursion.
+def charpoly(m: PolyMatrix, factors: Sequence[SparsePoly] = ()) -> SparsePoly:
+    """det(tI - M), divided by the product of the monic factors if any are
+    given, from power sums. The empty matrix gives 1.
 
-    Division free, so parameter symbols on the diagonal flow through
-    untouched. Products with a zero factor are skipped in the bordering
-    vectors and in the Toeplitz step, so a sparse matrix costs far fewer
-    polynomial products than a dense one. The empty matrix gives 1.
-    """
-    frame = m._frame
-    if len(frame) > MAX_PARAM_SYMBOLS:  # phi fixes tr(M^2), which holds every symbol
-        raise DomainError(f"operation would mix more than {MAX_PARAM_SYMBOLS} symbols: {frame!r}")
-    one = {(0,) * (1 + len(frame)): _ONE}
-    # c[i] is the coefficient of t^(k-i) for the leading k x k block
-    c = [one]
-    for k in range(m.dimension):
-        # Border the leading block by row k; M is symmetric, so the part of
-        # row k left of the diagonal is also the column above it.
-        block = [[(j, x) for j, x in m._rows[i] if j < k] for i in range(k)]
-        w = {j: x for j, x in m._rows[k] if j < k}
-        border = [(j, _lift(-m.entries[k][j], frame)) for j in w]  # negated
-        toep = [one, _lift(-m.entries[k][k], frame)]  # grows to length k + 2
-        for i in range(k):
-            if i:
-                w = {
-                    r: s
-                    for r, row in enumerate(block)
-                    if (s := _accumulate((x, w[j]) for j, x in row if j in w))
-                }
-            toep.append(_accumulate((x, w[j]) for j, x in border if j in w))
-        c = [_accumulate((toep[i - j], c[j]) for j in range(min(i, k) + 1)) for i in range(k + 2)]
-    terms = {(k, *e[1:]): x for k, ck in enumerate(reversed(c)) for e, x in ck.items()}
-    return _raw(*_canonical(terms, frame))
-
-
-def _charpoly_cofactor(m: PolyMatrix, factors: Sequence[SparsePoly]) -> SparsePoly:
-    """charpoly(M) divided by the product of monic factors, from power sums.
-
-    The cofactor has degree d = n - (sum of the factors' degrees) and power
+    The result has degree d = n - (sum of the factors' degrees) and power
     sums tr(M^k) minus the factors'. Newton's identities (k c_k + p_k + sum
     of c_j p_(k-j), 0 < j < k, is 0 for coefficients c_j of t^(deg - j))
-    give the factors' p_k, k <= d + 1, then the cofactor's c_k; c_(d+1) must
+    give the factors' p_k, k <= d + 1, then the result's c_k; c_(d+1) must
     be 0. If not, or if d < 0 or a factor holds a symbol M lacks, the product
-    does not divide: ExactDivisionError. A frame that ``charpoly`` refuses is
-    refused first, with its message."""
+    does not divide: ExactDivisionError. A frame past the symbol cap is
+    refused first."""
     frame = m._frame
-    if len(frame) > MAX_PARAM_SYMBOLS:
+    if len(frame) > MAX_PARAM_SYMBOLS:  # phi fixes tr(M^2), which holds every symbol
         raise DomainError(f"operation would mix more than {MAX_PARAM_SYMBOLS} symbols: {frame!r}")
     d = m.dimension - sum(f.deg_t() for f in factors)
     if d < 0 or not {s for f in factors for s in f.symbols} <= set(frame):
         raise ExactDivisionError("the factors cannot divide charpoly")
     one = {(0,) * (1 + len(frame)): _ONE}
-    sums = _trace_powers(m, d + 1)  # of M, then of the cofactor
+    sums = _trace_powers(m, d + 1)  # of M, then of the result
     for f in factors:
         deg, c = f.deg_t(), [{} for _ in range(d + 2)]  # c[j]: of t^(deg - j)
         for e, x in _lift(f, frame).items():
@@ -1043,89 +1004,3 @@ def _min_poly(frame: tuple[str, ...], powers: Iterator[list[_Terms]]) -> SparseP
         raise InternalConsistencyError(
             "relative minimal polynomial coefficient is not polynomial"
         ) from exc
-
-
-# ---------------------------------------------------------------------------
-# real root isolation (univariate, exact)
-
-
-def isolate_real_roots(p: SparsePoly, width: Fraction = Fraction(1, 10**12)) -> list[float]:
-    """Distinct real roots of a univariate polynomial in t, sorted ascending.
-
-    Sturm sequence on the squarefree part, bisected down to intervals of
-    the requested width with exact rational evaluation throughout. The
-    returned floats are interval midpoints.
-    """
-    if p.symbols:
-        raise DomainError("root isolation needs a univariate polynomial")
-    if p.deg_t() < 1:
-        if p.is_zero():
-            raise DomainError("zero polynomial has every point as a root")
-        return []
-    g = p.divexact(poly_gcd_t(p, p.derivative_t()))
-    coeffs = g.univariate_t_coeffs()
-
-    def poly_eval(cs: list[Fraction], x: Fraction) -> Fraction:
-        acc = _ZERO
-        for c in reversed(cs):
-            acc = acc * x + c
-        return acc
-
-    def poly_rem(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-        a = list(a)
-        while len(a) >= len(b) and any(a):
-            while a and a[-1] == 0:
-                a.pop()
-            if len(a) < len(b):
-                break
-            f = a[-1] / b[-1]
-            shift = len(a) - len(b)
-            for i, bc in enumerate(b):
-                a[shift + i] -= f * bc
-            while a and a[-1] == 0:
-                a.pop()
-        return a
-
-    chain = [coeffs, [c * i for i, c in enumerate(coeffs)][1:]]
-    while len(chain[-1]) > 1:
-        r = poly_rem(chain[-2], chain[-1])
-        if not any(r):
-            break
-        chain.append([-c for c in r])
-    if len(chain[-1]) <= 1 and chain[-1] and chain[-1][0] == 0:
-        chain.pop()
-
-    def variations(x: Fraction) -> int:
-        signs = []
-        for cs in chain:
-            v = poly_eval(cs, x)
-            if v:
-                signs.append(1 if v > 0 else -1)
-        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-    lead = coeffs[-1]
-    bound = Fraction(1) + max(abs(c / lead) for c in coeffs)
-    roots: list[Fraction] = []
-    stack = [(-bound - 1, bound + 1)]
-    while stack:
-        lo, hi = stack.pop()
-        count = variations(lo) - variations(hi)
-        if count == 0:
-            continue
-        if count == 1 and hi - lo < width:
-            roots.append((lo + hi) / 2)
-            continue
-        mid = (lo + hi) / 2
-        if poly_eval(coeffs, mid) == 0:
-            # nudge the split point off the root
-            mid += (hi - lo) / 7
-        if count == 1:
-            # narrow the single-root interval
-            if variations(lo) - variations(mid) == 1:
-                stack.append((lo, mid))
-            else:
-                stack.append((mid, hi))
-        else:
-            stack.append((lo, mid))
-            stack.append((mid, hi))
-    return [float(r) for r in sorted(roots)]

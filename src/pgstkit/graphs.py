@@ -167,18 +167,6 @@ class Partition:
         return len(self.parts)
 
 
-@dataclass(frozen=True)
-class QuotientMatrix:
-    """Quotient of a graph matrix over an equitable partition.
-
-    Entries are t-free polynomials: entry (i, j) is the common row sum from
-    any vertex of part i into part j, diagonal potentials included.
-    """
-
-    parts: tuple[tuple[int, ...], ...]
-    entries: tuple[tuple[SparsePoly, ...], ...]
-
-
 # ---------------------------------------------------------------------------
 # matrix construction and surgery
 
@@ -320,18 +308,6 @@ def coarsest_equitable_refinement(g: Graph, seed: Partition) -> Partition:
         if len(groups) == len(parts):
             return Partition(g.n, parts)
         parts = list(groups.values())
-
-
-def quotient_matrix(g: Graph, partition: Partition) -> QuotientMatrix:
-    """Quotient matrix over an equitable partition; DomainError otherwise."""
-    if not verify_equitable(g, partition):
-        raise DomainError("partition is not equitable for this graph")
-    sums = _row_sums(g, partition.parts)
-    entries = tuple(
-        tuple(sums[part[0]].get(j, SparsePoly.zero()) for j in range(len(partition)))
-        for part in partition.parts
-    )
-    return QuotientMatrix(partition.parts, entries)
 
 
 def add_apex(g: Graph, u: int, v: int) -> tuple[Graph, int]:

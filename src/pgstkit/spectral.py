@@ -27,9 +27,9 @@ from .exact import (
     MAX_PARAM_SYMBOLS,
     PolyMatrix,
     SparsePoly,
-    _charpoly_cofactor,
     _krylov,
     _min_poly,
+    charpoly,
     krylov_min_poly,
     poly_gcd_t,
     poly_trace,
@@ -95,11 +95,11 @@ def decompose(m: PolyMatrix, u: int, v: int) -> CospectralDecomposition:
     P_plus and P_minus come from one Krylov run each. P_plus's run also
     decides the pair: it compares entries u and v of each M^k (e_u + e_v),
     k <= deg P_plus, before eliminating it (enough, by the recurrence in
-    ``is_cospectral``), and a mismatch raises NotCospectralError. P_zero
-    comes from power sums, not from charpoly(M), and a failed check there is
-    an engine bug: InternalConsistencyError. A frame past the symbol cap,
-    which P_zero's kernel refuses, first meets ``is_cospectral``'s own cap
-    checks in their order.
+    ``is_cospectral``), and a mismatch raises NotCospectralError. P_zero is
+    ``charpoly(m, (P_plus, P_minus))``, the cofactor from power sums, and a
+    failed check there is an engine bug: InternalConsistencyError. A frame
+    past the symbol cap, which ``charpoly`` refuses, first meets
+    ``is_cospectral``'s own cap checks in their order.
     """
     _check_pair(m, u, v)
     n = m.dimension
@@ -116,7 +116,7 @@ def decompose(m: PolyMatrix, u: int, v: int) -> CospectralDecomposition:
     p_plus = _min_poly(frame, closed_walks_agree())
     p_minus = krylov_min_poly(m, [(k == u) - (k == v) for k in range(n)])
     try:
-        p_zero = _charpoly_cofactor(m, (p_plus, p_minus))
+        p_zero = charpoly(m, (p_plus, p_minus))
     except ExactDivisionError as exc:
         raise InternalConsistencyError(
             "charpoly is not divisible by P_plus * P_minus at a cospectral pair"
@@ -132,11 +132,3 @@ def decompose(m: PolyMatrix, u: int, v: int) -> CospectralDecomposition:
         trace_minus=poly_trace(p_minus),
     )
 
-
-def is_strongly_cospectral(m: PolyMatrix, u: int, v: int) -> bool:
-    """Cospectral with coprime relative factors P_plus and P_minus."""
-    try:
-        dec = decompose(m, u, v)
-    except NotCospectralError:
-        return False
-    return dec.common_factor.is_one()

@@ -6,7 +6,7 @@ get clustered at relative tolerance 1e-8 so that a numerically split
 multiple eigenvalue is treated as one spectral point, and each cluster
 stands for the projector E_k = B B^T onto its eigenvector columns B. No
 projector is formed: a pair (u, v) needs only rows u and v of the
-eigenvectors. Transfer amplitudes and fidelity scans weigh cluster k by
+eigenvectors. Fidelity scans and transfer ceilings weigh cluster k by
 (E_k[u,v] + E_k[v,u]) / 2, so |U(t)[u,v]| equals |U(t)[v,u]|. A scan
 splits each grid time into a block start plus an offset, so it takes one
 complex matrix product per block, not an exponential per point and cluster.
@@ -124,14 +124,6 @@ def sym_eig(matrix: np.ndarray | Sequence[Sequence[float]]) -> NumericSpectrum:
     for k in _multiple(bounds[:-1], n):
         values[k] = np.mean(eigs[clusters[k]])
     return NumericSpectrum(eigenvalues=eigs, cluster_values=values, eigenvectors=vecs, clusters=clusters)
-
-
-def transfer_amplitude(spectrum: NumericSpectrum, u: int, v: int, t: float) -> complex:
-    """U(t)[u, v] where U(t) = exp(i t M), from the clustered data."""
-    import numpy as np
-
-    phases = np.exp(1j * t * spectrum.cluster_values)
-    return complex(np.sum(phases * _weights(spectrum, u, v)))
 
 
 def pgst_ceiling(spectrum: NumericSpectrum, u: int, v: int) -> float:

@@ -4,7 +4,10 @@ Random instances are built from seeded Random objects so every run is
 reproducible; no global random state is touched. ``q_expansion_residual``
 and ``trace_param_membership`` check identities of the exact lane that no
 command needs. ``relation_search_by_key`` is an oracle for
-``integer_relation_search``: the same relations, found key by key.
+``integer_relation_search``: the same relations, found key by key. The
+other oracles answer questions that no command asks: real roots by Sturm
+isolation, strong cospectrality as a yes/no, the quotient matrix of an
+equitable partition, and a transfer amplitude from the plain eigenbasis.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -21,10 +25,15 @@ from pgstkit import (
     DomainError,
     Graph,
     NotCospectralError,
+    Partition,
     PolyMatrix,
     SparsePoly,
     charpoly,
+    decompose,
     is_cospectral,
+    poly_gcd_t,
+    to_matrix,
+    verify_equitable,
 )
 from pgstkit.certify import Relation, _check_relation_limits, _half_box, _searched_bound
 from pgstkit.spectral import _check_pair
@@ -203,3 +212,104 @@ def relation_search_by_key(lambdas, mus, bound: int, precision: float) -> list[R
             vec = tuple(-c for c in coeffs)
             found.append(Relation(vec[:r], vec[r:], -residual))
     return sorted(found, key=lambda rel: (sum(abs(c) for c in rel.l + rel.m), rel.l + rel.m))
+
+
+def univariate_t_coeffs(p: SparsePoly) -> list[Fraction]:
+    """Coefficients by ascending t power, each a Fraction (integral ones
+    too, though stored as int); requires no symbols."""
+    if p.symbols:
+        raise DomainError(f"polynomial has unbound symbols {p.symbols!r}")
+    return [c.constant_value() for c in p.t_coeffs()]
+
+
+def isolate_real_roots(p: SparsePoly, width: Fraction = Fraction(1, 10**12)) -> list[float]:
+    """Distinct real roots of a univariate polynomial in t, sorted ascending.
+
+    Sturm sequence on the squarefree part, bisected down to intervals of
+    the requested width with exact rational evaluation throughout. The
+    returned floats are interval midpoints.
+    """
+    if p.symbols:
+        raise DomainError("root isolation needs a univariate polynomial")
+    if p.deg_t() < 1:
+        if p.is_zero():
+            raise DomainError("zero polynomial has every point as a root")
+        return []
+    g = p.divexact(poly_gcd_t(p, p.derivative_t()))
+    coeffs = univariate_t_coeffs(g)
+
+    def poly_eval(cs: list[Fraction], x: Fraction) -> Fraction:
+        acc = Fraction(0)
+        for c in reversed(cs):
+            acc = acc * x + c
+        return acc
+
+    def poly_rem(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+        # Every list in the chain ends in a nonzero coefficient.
+        a = list(a)
+        while len(a) >= len(b):
+            f = a[-1] / b[-1]
+            shift = len(a) - len(b)
+            for i, bc in enumerate(b):
+                a[shift + i] -= f * bc
+            while a and a[-1] == 0:
+                a.pop()
+        return a
+
+    chain = [coeffs, [c * i for i, c in enumerate(coeffs)][1:]]
+    while len(chain[-1]) > 1:
+        r = poly_rem(chain[-2], chain[-1])
+        if not r:
+            break
+        chain.append([-c for c in r])
+
+    def variations(x: Fraction) -> int:
+        signs = [v > 0 for cs in chain if (v := poly_eval(cs, x))]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    lead = coeffs[-1]
+    bound = Fraction(1) + max(abs(c / lead) for c in coeffs)
+    roots: list[Fraction] = []
+    stack = [(-bound - 1, bound + 1)]
+    while stack:
+        lo, hi = stack.pop()
+        count = variations(lo) - variations(hi)
+        if count == 1 and hi - lo < width:
+            roots.append((lo + hi) / 2)
+        elif count:
+            mid = (lo + hi) / 2
+            if poly_eval(coeffs, mid) == 0:
+                # nudge the split point off the root
+                mid += (hi - lo) / 7
+            stack += [(lo, mid), (mid, hi)]
+    return [float(r) for r in sorted(roots)]
+
+
+def is_strongly_cospectral(m: PolyMatrix, u: int, v: int) -> bool:
+    """Cospectral with coprime relative factors P_plus and P_minus."""
+    try:
+        dec = decompose(m, u, v)
+    except NotCospectralError:
+        return False
+    return dec.common_factor.is_one()
+
+
+def quotient_matrix(g: Graph, partition: Partition) -> SimpleNamespace:
+    """Quotient over an equitable partition (DomainError otherwise), with
+    ``parts`` and ``entries``: entry (i, j) is the row sum of the dense
+    matrix from the first vertex of part i into part j."""
+    if not verify_equitable(g, partition):
+        raise DomainError("partition is not equitable for this graph")
+    m = to_matrix(g)
+    entries = [
+        [sum((m.entry(part[0], y) for y in other), SparsePoly.zero()) for other in partition.parts]
+        for part in partition.parts
+    ]
+    return SimpleNamespace(parts=partition.parts, entries=entries)
+
+
+def transfer_amplitude(spectrum, u: int, v: int, t: float) -> complex:
+    """U(t)[u, v] where U(t) = exp(i t M), as the (u, v) entry of the dense
+    V diag(exp(i t lambda)) V^T over the eigenbasis: no clusters."""
+    vecs = spectrum.eigenvectors
+    return complex((vecs[u] * np.exp(1j * t * spectrum.eigenvalues)) @ vecs[v])

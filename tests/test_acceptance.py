@@ -31,7 +31,6 @@ from pgstkit import (
     get_fixture,
     glue,
     is_cospectral,
-    is_strongly_cospectral,
     numeric_adjacency,
     parity_obstruction,
     path_graph,
@@ -39,15 +38,16 @@ from pgstkit import (
     poly_gcd_t,
     sym_eig,
     to_matrix,
-    transfer_amplitude,
     verify_equitable,
 )
 
 from conftest import (
+    is_strongly_cospectral,
     q_expansion_residual,
     random_cospectral_graph,
     random_graph,
     trace_param_membership,
+    transfer_amplitude,
 )
 
 Q = SparsePoly.sym("Q")

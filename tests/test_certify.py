@@ -32,15 +32,18 @@ from pgstkit import (
     heuristic_obstruction,
     integer_relation_search,
     is_cospectral,
-    is_strongly_cospectral,
-    isolate_real_roots,
     parity_obstruction,
     path_charpoly,
     path_graph,
     to_matrix,
 )
 
-from conftest import random_cospectral_graph, relation_search_by_key
+from conftest import (
+    is_strongly_cospectral,
+    isolate_real_roots,
+    random_cospectral_graph,
+    relation_search_by_key,
+)
 
 Q = SparsePoly.sym("Q")
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import subprocess
 import sys
 from collections import Counter
@@ -521,7 +522,7 @@ def test_analyze_runs_each_exact_kernel_once_per_question(monkeypatch, capsys):
     assert {name: calls[name] for name in kernels} == {
         "decompose": 1,
         "is_cospectral": 0,
-        "charpoly": 0,
+        "charpoly": 1,  # decompose's P_zero, the cofactor of P_plus * P_minus
         "krylov_min_poly": 1,
         "_min_poly": 2,
         "bareiss_det": 0,
@@ -532,19 +533,20 @@ def test_analyze_runs_each_exact_kernel_once_per_question(monkeypatch, capsys):
 @pytest.mark.parametrize(
     "argv, expected",
     [
+        # Each decomposition takes one charpoly, for its P_zero.
         # glue-path: with --q auto, the base check and charpoly of the deleted
         # base matrix (reusing the base check's matrix); then, for either
         # --q, one decomposition of the built graph and nothing else
-        (["glue-path", "@G_D", "--u", "h1", "--v", "h4", "--q", "auto"], (2, 1, 1, 1)),
-        (["glue-path", "@G_A", "--u", "3", "--v", "6", "--q", "4"], (1, 0, 0, 1)),
+        (["glue-path", "@G_D", "--u", "h1", "--v", "h4", "--q", "auto"], (2, 1, 2, 1)),
+        (["glue-path", "@G_A", "--u", "3", "--v", "6", "--q", "4"], (1, 0, 1, 1)),
         # glue-pot and change-trace: the base check, then one decomposition;
         # glue-pot's choose_path_shift makes the base check and reuses its
         # matrix for the charpoly of the deleted base matrix
-        (["glue-pot", "@G_B", "--u", "1", "--v", "8", "--k", "3"], (2, 1, 1, 1)),
-        (["change-trace", "@G_A", "--u", "3", "--v", "6", "--k", "3"], (2, 1, 0, 1)),
+        (["glue-pot", "@G_B", "--u", "1", "--v", "8", "--k", "3"], (2, 1, 2, 1)),
+        (["change-trace", "@G_A", "--u", "3", "--v", "6", "--k", "3"], (2, 1, 1, 1)),
         # equitable: the base check and one decomposition; the refinement
         # and the equitability check of the perturbed graph read edge lists
-        (["equitable", "@G_C", "--u", "8", "--v", "9"], (2, 1, 0, 1)),
+        (["equitable", "@G_C", "--u", "8", "--v", "9"], (2, 1, 1, 1)),
     ],
     ids=["glue-path-auto", "glue-path", "glue-pot", "change-trace", "equitable"],
 )
@@ -647,3 +649,18 @@ def test_exact_questions_start_without_numpy():
     exact_only = {"numpy": False, "pgstkit.walk": True, "pgstkit.certify": True}
     assert after_import == after_analyze == after_construct == exact_only
     assert after_simulate["numpy"] is True
+
+
+def test_a_closed_stdout_is_exit_1_without_a_traceback():
+    # The reader is gone before the report is written, as under `| head -c 1`.
+    src = str(Path(pgstkit.__file__).resolve().parents[1])
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "pgstkit.cli", "analyze", "@G_A", "--u", "3", "--v", "6",
+         "--simulate", "--tmax", "103"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert "Traceback" not in err and "Exception ignored" not in err

@@ -22,7 +22,6 @@ from pgstkit import (
     bareiss_det,
     charpoly,
     is_irreducible_linear_param,
-    isolate_real_roots,
     krylov_min_poly,
     path_graph,
     poly_gcd_t,
@@ -33,7 +32,7 @@ from pgstkit import (
 from pgstkit import exact
 from pgstkit.errors import NotLinearInParamError, ParseError, StructuralError
 
-from conftest import random_graph
+from conftest import isolate_real_roots, random_graph, univariate_t_coeffs
 
 T = SparsePoly.t()
 ONE = SparsePoly.one()
@@ -314,7 +313,7 @@ def test_charpoly_eval_matches_fraction_elimination():
             ]
             for i in range(n)
         ]
-        assert sum(c * t0**k for k, c in enumerate(p.univariate_t_coeffs())) == _fraction_det(a)
+        assert sum(c * t0**k for k, c in enumerate(univariate_t_coeffs(p))) == _fraction_det(a)
 
 
 def _fraction_det(a: list[list[Fraction]]) -> Fraction:
@@ -395,7 +394,7 @@ def test_krylov_annihilates_and_divides_charpoly():
         mat = [
             [m.entry(r, c).constant_value() for c in range(n)] for r in range(n)
         ]
-        coeffs = p.univariate_t_coeffs()
+        coeffs = univariate_t_coeffs(p)
         acc = [Fraction(0)] * n
         power = zf[:]
         for k in range(len(coeffs)):

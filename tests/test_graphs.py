@@ -24,13 +24,12 @@ from pgstkit import (
     graph_digest,
     parse_graph_text,
     path_graph,
-    quotient_matrix,
     serialize_graph_text,
     to_matrix,
     verify_equitable,
 )
 
-from conftest import random_graph
+from conftest import quotient_matrix, random_graph
 
 
 def test_graph_basics():

@@ -25,12 +25,12 @@ from pgstkit import (
     PolyMatrix,
     SparsePoly,
     add_potential,
+    bareiss_det,
     charpoly,
     decompose,
     exact,
     get_fixture,
     is_irreducible_linear_param,
-    isolate_real_roots,
     krylov_min_poly,
     path_graph,
     poly_gcd_t,
@@ -39,7 +39,12 @@ from pgstkit import (
     to_matrix,
 )
 
-from conftest import assert_stored_form, random_cospectral_graph
+from conftest import (
+    assert_stored_form,
+    isolate_real_roots,
+    random_cospectral_graph,
+    univariate_t_coeffs,
+)
 
 sympy = pytest.importorskip("sympy")
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
@@ -98,9 +103,23 @@ def _sympy_min_poly(a, z):
             return sympy.expand(sum(sympy.cancel(null[0, j] / null[0, k]) * T**j for j in range(k + 1)))
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-def test_charpoly_matches_sympy(seed):
-    m, _, _ = _instance(seed)
+def _charpoly_matrix(case) -> PolyMatrix:
+    """A seeded instance; or a matrix that ``construct`` takes the charpoly
+    of: a fixture with its pair deleted, or a star K_{1,k}."""
+    if isinstance(case, int):
+        return _instance(case)[0]
+    if case.startswith("K1,"):
+        return _cofactor_case("star", int(case.removeprefix("K1,")), 0)[0]
+    f = get_fixture(case)
+    return to_matrix(f.graph).delete((f.u, f.v))
+
+
+CHARPOLY_CASES = [*SEEDS, "G_A", "G_B", "G_C", "G_D", *(f"K1,{k}" for k in range(3, 11))]
+
+
+@pytest.mark.parametrize("case", CHARPOLY_CASES)
+def test_charpoly_matches_sympy(case):
+    m = _charpoly_matrix(case)
     expected = _sympy_matrix(m).charpoly(T).as_expr()
     got = charpoly(m)
     assert_stored_form(got)
@@ -296,9 +315,11 @@ def test_cofactor_times_relative_factors_is_charpoly(case):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_cofactor_of_no_factors_is_charpoly(seed):
-    # d0 = n: every coefficient of charpoly(M) comes from the power sums
+    # d0 = n: every coefficient of det(tI - M) comes from the power sums,
+    # and Bareiss elimination of tI - M is a second route to it
     m, _, _ = _instance(seed)
-    assert exact._charpoly_cofactor(m, ()) == charpoly(m)
+    n, t = m.dimension, SparsePoly.t()
+    assert charpoly(m, ()) == bareiss_det([[t * (i == j) - m.entry(i, j) for j in range(n)] for i in range(n)])
 
 
 @pytest.mark.parametrize("name", ["G_A", "G_B", "G_C"])
@@ -313,7 +334,7 @@ def test_cofactor_guard_refuses_a_wrong_factor(monkeypatch, name):
         (dec.p_plus + SparsePoly.sym("Z"), dec.p_minus),  # a symbol M lacks
     ]:
         with pytest.raises(ExactDivisionError):
-            exact._charpoly_cofactor(m, factors)
+            charpoly(m, factors)
     # decompose reports a failed guard as an engine bug
     monkeypatch.setattr(spectral, "_min_poly", lambda frame, powers: wrong)
     with pytest.raises(InternalConsistencyError) as err:
@@ -329,8 +350,8 @@ def test_cofactor_refuses_the_frames_charpoly_refuses():
     wide = PolyMatrix(rows)
     with pytest.raises(DomainError) as expected:
         charpoly(wide)
-    with pytest.raises(DomainError) as got:
-        exact._charpoly_cofactor(wide, ())
+    with pytest.raises(DomainError) as got:  # before the factor's degree, past n
+        charpoly(wide, (SparsePoly.t(7),))
     assert str(got.value) == str(expected.value)
 
 
@@ -475,7 +496,7 @@ def test_division_leaves_exact_fractions():
     third = SparsePoly.parse("3*t + 1").divexact(SparsePoly.const(3))
     assert_stored_form(third)
     assert third == SparsePoly.parse("t + 1/3")
-    assert third.univariate_t_coeffs() == [Fraction(1, 3), 1]
+    assert univariate_t_coeffs(third) == [Fraction(1, 3), 1]
     for a, b, expected in [
         ("2*t^2 + 2*t - 4", "2*t^2 - 8*t + 6", "t - 1"),
         ("2*t^2*Q + 2*t*Q + 3*t + 3", "2*t^2*Q - 2*t*Q + 3*t - 3", "t*Q + 3/2"),
@@ -487,6 +508,6 @@ def test_division_leaves_exact_fractions():
 
 def test_public_accessors_return_fractions():
     p = SparsePoly.parse("2*t^2 - 3")
-    assert all(type(c) is Fraction for c in p.univariate_t_coeffs())
+    assert all(type(c) is Fraction for c in univariate_t_coeffs(p))
     for c in (SparsePoly.const(4), SparsePoly.zero()):
         assert type(c.constant_value()) is Fraction

@@ -17,12 +17,12 @@ from pgstkit import (
     decompose,
     get_fixture,
     is_cospectral,
-    is_strongly_cospectral,
     path_graph,
     to_matrix,
 )
 
 from conftest import (
+    is_strongly_cospectral,
     q_expansion_residual,
     random_cospectral_graph,
     random_graph,
@@ -52,7 +52,7 @@ def test_is_cospectral_examples():
 
 
 def _deleted_charpolys_agree(m, u, v):
-    # the definition, by Berkowitz on both vertex-deleted matrices
+    # the definition: the charpolys of both vertex-deleted matrices
     return charpoly(m.delete([u])) == charpoly(m.delete([v]))
 
 
