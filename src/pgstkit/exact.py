@@ -19,20 +19,20 @@ symbols that do not occur are pruned, so structural equality is semantic
 equality. Two private kernels work on plain term dicts over one frame (a
 sorted symbol tuple): one accumulates sums of products, the other divides
 exactly, popping leading terms off a heap. Operations lift to a frame, run
-a kernel and canonicalize the result; a ``PolyMatrix`` lifts its rows to
-its frame once, when built, so ``charpoly`` and ``krylov_min_poly`` stay in
-the frame.
+a kernel and canonicalize the result; a ``PolyMatrix`` lifts its nonzero
+entries to its frame once, when built, so ``charpoly`` and
+``krylov_min_poly`` stay in the frame.
 
 Monomials are ordered graded lexicographically with ``t`` ranked highest.
 The string form writes terms in decreasing order under that ordering and
 round-trips through ``SparsePoly.parse``.
 
-The linear algebra layer (``PolyMatrix``, ``charpoly``, ``krylov_min_poly``,
-``bareiss_det``) skips zero entries, so sparse matrices cost far less than
-dense ones. ``charpoly`` is the one characteristic polynomial kernel: it
-takes the power sums tr(M^k) from unit-vector Krylov runs and turns them
-into coefficients by Newton's identities, and with known factors of
-det(tI - M) it gives their cofactor the same way, without the determinant.
+The linear algebra layer skips zero entries: a ``PolyMatrix``, from dense
+rows or mappings from column to entry, keeps only its nonzero entries.
+``charpoly`` is the one characteristic polynomial kernel: it takes the
+power sums tr(M^k) from unit-vector Krylov runs and turns them into
+coefficients by Newton's identities, and with known factors of det(tI - M)
+it gives their cofactor the same way, without the determinant.
 Determinants come from fraction-free Bareiss elimination with lowest-index
 pivots (public and tested; no pipeline step calls it). Relative minimal
 polynomials come from the same elimination on the Krylov vectors z, Mz,
@@ -44,7 +44,6 @@ prove coprimality, and runs the multivariate recursion on everything else.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import islice
@@ -771,54 +770,56 @@ def is_irreducible_linear_param(p: SparsePoly, sym: str) -> bool:
 # exact linear algebra
 
 
-@dataclass(frozen=True)
 class PolyMatrix:
-    """Symmetric matrix with t-free polynomial diagonal and rational off-diagonal."""
+    """Symmetric matrix with t-free polynomial diagonal and rational off-diagonal,
+    from rows that are sequences of n entries or mappings from column to entry
+    (absent entries are zero). ``_rows[i]`` maps each nonzero column to its
+    terms over the frame; zero entries are not kept."""
 
-    entries: tuple[tuple[SparsePoly, ...], ...]
+    __slots__ = ("_n", "_frame", "_rows")
 
-    def __init__(self, entries):
-        # from lists, so each tuple is sized once; from a generator it is resized as it fills
-        rows = tuple([tuple([_coerce_entry(x) for x in row]) for row in entries])
-        n = len(rows)
-        for row in rows:
-            if len(row) != n:
-                raise StructuralError("matrix is not square")
-        for i in range(n):
-            for j in range(n):
-                if not rows[i][j].is_t_free():
+    def __init__(self, rows):
+        rows = [row if isinstance(row, Mapping) else list(row) for row in rows]
+        n = self._n = len(rows)
+        if any(isinstance(row, list) and len(row) != n for row in rows):
+            raise StructuralError("matrix is not square")
+        items = (row.items() if isinstance(row, Mapping) else enumerate(row) for row in rows)
+        nonzero = [{j: p for j, x in row if (p := _coerce_entry(x))} for row in items]
+        for i, row in enumerate(nonzero):  # one pass over the nonzero entries
+            for j, x in row.items():
+                _check_indices(n, j)
+                if not x.is_t_free():
                     raise StructuralError(f"entry ({i},{j}) involves t")
-                if i != j and not rows[i][j].is_constant():
-                    raise StructuralError(
-                        f"off-diagonal entry ({i},{j}) carries a parameter symbol"
-                    )
-                if j < i and rows[i][j] != rows[j][i]:
-                    raise StructuralError(f"matrix is not symmetric at ({i},{j})")
-        object.__setattr__(self, "entries", rows)
-        # _rows: each row's nonzero entries as (column, terms over the frame)
-        frame = _common_symbols(x._symbols for row in rows for x in row)
-        object.__setattr__(self, "_frame", frame)
-        nonzero = [tuple((j, _lift(x, frame)) for j, x in enumerate(row) if x) for row in rows]
-        object.__setattr__(self, "_rows", tuple(nonzero))
+                if i != j and not x.is_constant():
+                    raise StructuralError(f"off-diagonal entry ({i},{j}) carries a parameter symbol")
+                if nonzero[j].get(i) != x:
+                    raise StructuralError(f"matrix is not symmetric at ({max(i, j)},{min(i, j)})")
+        frame = self._frame = _common_symbols(x._symbols for row in nonzero for x in row.values())
+        self._rows = tuple({j: _lift(x, frame) for j, x in row.items()} for row in nonzero)
 
     @property
     def dimension(self) -> int:
-        return len(self.entries)
+        return self._n
 
     def entry(self, i: int, j: int) -> SparsePoly:
-        return self.entries[i][j]
+        _check_indices(self._n, i, j)
+        x = self._rows[i].get(j)
+        return _raw(*_canonical(x, self._frame)) if x else SparsePoly.zero()
 
     def symbols(self) -> tuple[str, ...]:
         return self._frame
 
     def delete(self, drop: Iterable[int]) -> "PolyMatrix":
         drop_set = set(drop)
-        n = self.dimension
-        for k in drop_set:
-            if not (0 <= k < n):
-                raise StructuralError(f"vertex index {k} out of range 0..{n - 1}")
-        keep = [i for i in range(n) if i not in drop_set]
-        return PolyMatrix([[self.entries[i][j] for j in keep] for i in keep])
+        _check_indices(self._n, *drop_set)
+        new = {i: k for k, i in enumerate(i for i in range(self._n) if i not in drop_set)}
+        return PolyMatrix([{new[j]: self.entry(i, j) for j in self._rows[i] if j in new} for i in new])
+
+
+def _check_indices(n: int, *indices: int) -> None:
+    for k in indices:
+        if not (0 <= k < n):
+            raise StructuralError(f"vertex index {k} out of range 0..{n - 1}")
 
 
 def _krylov(m: PolyMatrix, z: Sequence) -> tuple[tuple[str, ...], Iterator[list[_Terms]]]:
@@ -831,7 +832,7 @@ def _krylov(m: PolyMatrix, z: Sequence) -> tuple[tuple[str, ...], Iterator[list[
     frame = _common_symbols((m._frame, *(x._symbols for x in vec)))
     rows = m._rows
     if frame != m._frame:
-        rows = [[(j, _lift(m.entries[i][j], frame)) for j, _ in r] for i, r in enumerate(rows)]
+        rows = [{j: _lift(_raw(x, m._frame), frame) for j, x in r.items()} for r in rows]
     return frame, _powers(rows, frame, [_lift(x, frame) for x in vec])
 
 
@@ -844,7 +845,7 @@ def _powers(rows: Sequence, frame: tuple[str, ...], w: list[_Terms]) -> Iterator
         yield w
         reached: list[list] = [[] for _ in rows]
         for j, wj in enumerate(w):
-            for i, x in rows[j] if wj else ():
+            for i, x in rows[j].items() if wj else ():
                 reached[i].append((x, wj))
         w = [_accumulate(r) if r else {} for r in reached]
 
@@ -903,13 +904,12 @@ def _trace_powers(m: PolyMatrix, count: int) -> list[_Terms]:
     rows, n, top = m._rows, m.dimension, (count + 1) // 2
     one = {(0,) * (1 + len(m._frame)): _ONE}
     diag, off = [[] for _ in range(count + 1)], [[] for _ in range(count + 1)]
-    dense = [dict(row) for row in rows]  # M e_i is row i of M
-    diag[1] = [(row[i], one) for i, row in enumerate(dense) if i in row]
+    diag[1] = [(row[i], one) for i, row in enumerate(rows) if i in row]
     for i in range(n if count > 1 else 0):
-        col = [dense[i].get(j, {}) for j in range(n)]  # vecs[a - 1] is M^a e_i
+        col = [rows[i].get(j, {}) for j in range(n)]  # M e_i is row i of M; vecs[a - 1] is M^a e_i
         vecs = [col, *islice(_powers(rows, m._frame, col), 1, top - 1)]
         if top > 1:  # the top power, at entries l <= i only (the list is built before the append)
-            vecs.append([_accumulate((x, vecs[-1][j]) for j, x in rows[l]) for l in range(i + 1)])
+            vecs.append([_accumulate((x, vecs[-1][j]) for j, x in rows[l].items()) for l in range(i + 1)])
         for k in range(2, count + 1):
             x, y = vecs[k // 2 - 1], vecs[k - k // 2 - 1]
             diag[k].append((x[i], y[i]))

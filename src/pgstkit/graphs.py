@@ -21,10 +21,10 @@ from .exact import PolyMatrix, Scalar, SparsePoly, _coerce
 
 PotentialValue = Union[SparsePoly, Fraction, int]
 
-# Both lanes build dense n x n grids of 8 n^2 bytes, 128 MiB here. to_matrix
-# holds two grids of references at its peak. The numeric lane holds a few float64
-# grids while sym_eig symmetrizes and diagonalizes, then the matrix and its
-# eigenvectors; a pair question reads rows u and v of the eigenvectors, O(n) more.
+# Only the numeric lane builds dense n x n grids, of 8 n^2 bytes, 128 MiB here: a
+# few float64 grids while sym_eig symmetrizes and diagonalizes, then the matrix and
+# its eigenvectors; a pair question reads rows u and v of the eigenvectors, O(n)
+# more. The exact lane's matrix keeps only its nonzero entries.
 MAX_VERTICES = 4096
 
 
@@ -111,11 +111,6 @@ class Graph:
     def labels(self) -> tuple[str, ...]:
         return self._labels
 
-    def weight(self, i: int, j: int) -> Fraction:
-        if i == j:
-            raise StructuralError("no diagonal edges; query potentials instead")
-        return self._edges.get((min(i, j), max(i, j)), Fraction(0))
-
     def potential(self, v: int) -> SparsePoly:
         return self._potentials.get(v, SparsePoly.zero())
 
@@ -172,10 +167,9 @@ class Partition:
 
 
 def to_matrix(g: Graph) -> PolyMatrix:
-    """Weighted adjacency matrix plus diagonal potential."""
-    n = g.n
-    zero = SparsePoly.zero()
-    rows: list[list[SparsePoly]] = [[zero] * n for _ in range(n)]
+    """Weighted adjacency matrix plus diagonal potential, from the edge list:
+    one dict of nonzero entries per row."""
+    rows: list[dict[int, SparsePoly]] = [{} for _ in range(g.n)]
     for (i, j), w in g.edges.items():
         rows[i][j] = rows[j][i] = SparsePoly.const(w)
     for v, p in g.potentials.items():

@@ -128,10 +128,8 @@ def q_expansion_residual(m: PolyMatrix, u: int, v: int, sym: str) -> SparsePoly:
     assert it is zero; a nonzero residual falsifies the identity.
     """
     _check_pair(m, u, v)
-    for row in m.entries:
-        for x in row:
-            if x.has_sym(sym):
-                raise DomainError(f"symbol {sym!r} already occurs in the matrix")
+    if sym in m.symbols():
+        raise DomainError(f"symbol {sym!r} already occurs in the matrix")
     if not is_cospectral(m, u, v):
         raise NotCospectralError(f"vertices ({u},{v}) are not cospectral")
     q = SparsePoly.sym(sym)

@@ -17,6 +17,7 @@ import pytest
 from pgstkit import (
     DomainError,
     ExactDivisionError,
+    Graph,
     PolyMatrix,
     SparsePoly,
     bareiss_det,
@@ -32,7 +33,7 @@ from pgstkit import (
 from pgstkit import exact
 from pgstkit.errors import NotLinearInParamError, ParseError, StructuralError
 
-from conftest import isolate_real_roots, random_graph, univariate_t_coeffs
+from conftest import assert_stored_form, isolate_real_roots, random_graph, univariate_t_coeffs
 
 T = SparsePoly.t()
 ONE = SparsePoly.one()
@@ -366,6 +367,83 @@ def test_polymatrix_validation():
         PolyMatrix([[z, q], [q, z]])  # symbol off the diagonal
     with pytest.raises(StructuralError):
         PolyMatrix([[z, ONE], [z, z]])  # asymmetric
+
+
+def _seeded_symmetric_rows(rng: random.Random, n: int) -> list[list[SparsePoly]]:
+    """A symmetric n x n matrix as dense rows: rational off-diagonal entries,
+    about half of them zero, and a diagonal of rationals, zeros and Q, R terms."""
+    rows = [[SparsePoly.zero()] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i):
+            if rng.random() < 0.5:
+                rows[i][j] = rows[j][i] = SparsePoly.const(Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
+        rows[i][i] = rng.choice([SparsePoly.zero(), SparsePoly.const(rng.randint(-2, 2)), P("Q"), P("2*R - 1")])
+    return rows
+
+
+def test_mapping_rows_build_the_same_matrix_as_dense_rows():
+    rng = random.Random(2003)
+    for _ in range(30):
+        n = rng.randint(1, 7)
+        rows = _seeded_symmetric_rows(rng, n)
+        dense = PolyMatrix(rows)
+        # absent columns are zero; a zero given explicitly is dropped too
+        sparse = PolyMatrix([{j: x for j, x in enumerate(row) if x or rng.random() < 0.2} for row in rows])
+        assert dense.dimension == sparse.dimension == n
+        for i in range(n):
+            for j in range(n):
+                assert dense.entry(i, j) == sparse.entry(i, j) == rows[i][j]
+                assert_stored_form(sparse.entry(i, j))
+        assert dense.symbols() == sparse.symbols()
+        assert charpoly(dense) == charpoly(sparse)
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([{0: ONE}, {2: ONE}], "vertex index 2 out of range"),  # column n
+        ([{-1: ONE}, {}], "vertex index -1 out of range"),
+        ([{1: ONE}, {}], "not symmetric at \\(1,0\\)"),  # no mirror entry
+        ([{1: P("Q")}, {0: P("Q")}], "carries a parameter symbol"),
+        ([{0: P("t + 1")}, {}], "involves t"),
+    ],
+    ids=["column-n", "column-minus-1", "no-mirror", "symbol-off-diagonal", "t-in-entry"],
+)
+def test_mapping_rows_are_validated(rows, message):
+    with pytest.raises(StructuralError, match=message):
+        PolyMatrix(rows)
+
+
+@pytest.mark.parametrize("i, j", [(-1, 0), (0, 3), (3, 3)])
+def test_entry_refuses_an_index_out_of_range(i, j):
+    m = to_matrix(path_graph(3))
+    with pytest.raises(StructuralError, match="out of range 0..2"):
+        m.entry(i, j)
+
+
+def test_polymatrix_attributes_are_read_only():
+    m = to_matrix(path_graph(3))
+    with pytest.raises(AttributeError):
+        m.dimension = 4
+    with pytest.raises(AttributeError):
+        m.entries = ()
+
+
+def test_to_matrix_memory_grows_with_the_edges_not_n_squared():
+    # A seeded tree on 2000 vertices: 3998 nonzero entries, so the matrix is
+    # far below one n x n grid of references (32 MB).
+    import tracemalloc
+
+    rng = random.Random(2000)
+    g = Graph(2000, [(rng.randrange(i), i, rng.randint(1, 3)) for i in range(1, 2000)], {0: P("Q")})
+    tracemalloc.start()
+    try:
+        m = to_matrix(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert m.dimension == 2000 and m.entry(0, 0) == P("Q")
+    assert peak < 8 * 2**20, peak
 
 
 # ---------------------------------------------------------------------------

@@ -459,7 +459,8 @@ def test_numeric_adjacency_matches_entrywise_evaluation():
         g = random_graph(rng, n=rng.randint(2, 10), weighted=True, with_potentials=True)
         g = add_potential(g, rng.randrange(g.n), SparsePoly.sym("Q") * Fraction(1, 3) + 1)
         params = {"Q": rng.uniform(-2.0, 2.0)}
-        expected = [[x.eval_float(params=params) for x in row] for row in to_matrix(g).entries]
+        m = to_matrix(g)
+        expected = [[m.entry(i, j).eval_float(params=params) for j in range(g.n)] for i in range(g.n)]
         assert np.array_equal(numeric_adjacency(g, params), np.array(expected))
     with pytest.raises(DomainError, match="no value"):
         numeric_adjacency(g)
