@@ -3,11 +3,13 @@ vertices, and constructions that manufacture certifiable instances.
 
 Verdict semantics:
 
-* ProvenPGST: exact sufficient conditions verified symbolically. For a
-  graph carrying parameter symbols this certifies the family: transfer
-  approaches fidelity 1 for every choice of algebraically independent
-  transcendental values of the symbols (and all but countably many
-  rational rays).
+* ProvenPGST: the hypotheses of the trace/degree theorem of arXiv
+  1804.01645 hold as identities in the symbols: the pair is strongly
+  cospectral, P_plus and P_minus are irreducible as polynomials linear in
+  the pair symbol over the field of the other symbols, and their average
+  roots differ. That theorem turns them into PGST for the values of the
+  symbols it names; no value of a symbol is checked here, and this is the
+  one statement of what the verdict certifies.
 * ProvenNoPGST: an exact integer eigenvalue relation with odd minus-side
   coefficient sum exists identically in the parameters, so the phase
   alignment required for PGST is impossible no matter the potential.
@@ -185,8 +187,8 @@ def certify_tr_deg(
     check: ``is_cospectral`` on the graph with -sym added at u and v, which
     is the graph at sym = 0 because sym has coefficient 1 there.
 
-    Verdict is ProvenPGST or Inconclusive; this route never proves a
-    negative.
+    Verdict is ProvenPGST, in the sense the module docstring states, or
+    Inconclusive; this route never proves a negative.
     """
     if u == v:
         raise DomainError("need two distinct vertices")

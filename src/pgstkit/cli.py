@@ -345,6 +345,10 @@ def cmd_analyze(args) -> dict:
     if args.potential is not None:
         value, sym = _parse_potential(args.potential)
         g = add_potential(g, (u, v), value)
+    # the numeric flags are checked before any exact or numeric work, with or without --simulate
+    surrogate = DEFAULT_SURROGATE if args.potential_value is None else _parse_value(args.potential_value)
+    walk._check_grid(args.tmax, args.steps)
+    certify_mod._check_relation_limits(args.relation_bound, args.relation_precision)
 
     try:
         dec = decompose(to_matrix(g), u, v)
@@ -381,24 +385,16 @@ def cmd_analyze(args) -> dict:
         "exact": _exact_block(dec),
         "certificate": certificate.as_json_dict(),
     }
-
-    # the numeric flags are checked in the same order with or without --simulate
-    value = args.potential_value
-    surrogate = DEFAULT_SURROGATE if value is None else _parse_value(value)
     if args.simulate:
-        numeric, (spectrum, _) = _numeric_block(g, u, v, args.tmax, args.steps, surrogate)
-        report["numeric"] = numeric
-    else:
-        walk._check_grid(args.tmax, args.steps)
-    certify_mod._check_relation_limits(args.relation_bound, args.relation_precision)
-    if args.simulate and certificate.verdict is certify_mod.Verdict.INCONCLUSIVE:
-        lambdas, mus = walk.classify_spectrum(spectrum, u, v)
-        heur = certify_mod.heuristic_obstruction(
-            lambdas, mus, args.relation_bound, args.relation_precision
-        )
-        if heur is not None:
-            heur.evidence["exact_certificate"] = certificate.as_json_dict()
-            report["certificate"] = heur.as_json_dict()
+        report["numeric"], (spectrum, _) = _numeric_block(g, u, v, args.tmax, args.steps, surrogate)
+        if certificate.verdict is certify_mod.Verdict.INCONCLUSIVE:
+            lambdas, mus = walk.classify_spectrum(spectrum, u, v)
+            heur = certify_mod.heuristic_obstruction(
+                lambdas, mus, args.relation_bound, args.relation_precision
+            )
+            if heur is not None:
+                heur.evidence["exact_certificate"] = certificate.as_json_dict()
+                report["certificate"] = heur.as_json_dict()
     return report
 
 
@@ -494,6 +490,7 @@ def cmd_simulate(args) -> dict:
             f"graph carries symbols {list(syms)}; pass --potential-value to bind them"
         )
     surrogate = _parse_value(args.potential_value) if args.potential_value is not None else None
+    walk._check_grid(args.tmax, args.steps)
     numeric, (_, scan) = _numeric_block(g, u, v, args.tmax, args.steps, surrogate)
     report = {
         "schema": SCHEMA_VERSION,

@@ -3,9 +3,12 @@
 Everything in this module is exact: no floating point enters any
 computation. Polynomials live in ``Q[t, s1, s2]`` where ``t`` is the
 distinguished spectral variable and ``s1``, ``s2`` are optional parameter
-symbols. At most two parameter symbols may appear in any one polynomial;
-that is all the perturbation constructions need, and the cap keeps the
-multivariate gcd recursion shallow.
+symbols. At most two parameter symbols may appear in any one polynomial
+or exact matrix: that is all the constructions of arXiv 1804.01645 need,
+and it keeps the multivariate gcd recursion shallow. One helper checks the
+cap where a frame is formed (a polynomial, a ``PolyMatrix``, a Krylov run
+whose z adds symbols), so no kernel meets a wider frame; the numeric lane
+binds every symbol to a number and has no cap.
 
 Representation: a polynomial is a map from exponent vectors to nonzero
 rational coefficients. A coefficient is an ``int`` when it is integral and
@@ -112,8 +115,6 @@ class SparsePoly:
             _check_symbol_name(s)
         if len(set(symbols)) != len(symbols):
             raise DomainError(f"duplicate symbols in {symbols!r}")
-        if len(symbols) > MAX_PARAM_SYMBOLS:
-            raise DomainError(f"at most {MAX_PARAM_SYMBOLS} parameter symbols supported, got {symbols!r}")
         items = terms.items() if isinstance(terms, Mapping) else terms
         width = 1 + len(symbols)
         acc: dict[tuple[int, ...], Scalar] = {}
@@ -341,6 +342,8 @@ class SparsePoly:
         return self._symbols == other._symbols and self._terms == other._terms
 
     def __hash__(self) -> int:
+        if self.is_constant():  # equal to its value, so hashed as that number
+            return hash(self._terms.get((0,), 0))
         return hash((self._symbols, frozenset(self._terms.items())))
 
     def __bool__(self) -> bool:
@@ -384,9 +387,7 @@ def _canonical(
     if not acc:
         return {}, ()
     kept = sorted((s, 1 + i) for i, s in enumerate(symbols) if any(e[1 + i] for e in acc))
-    new_syms = tuple(s for s, _ in kept)
-    if len(new_syms) > MAX_PARAM_SYMBOLS:
-        raise DomainError(f"operation would mix more than {MAX_PARAM_SYMBOLS} symbols: {new_syms!r}")
+    new_syms = _capped(tuple(s for s, _ in kept))
     if new_syms == symbols:
         return acc, symbols
     pos = [k for _, k in kept]
@@ -409,6 +410,13 @@ def _coerce(x) -> SparsePoly:
     if isinstance(x, (int, Fraction)):
         return SparsePoly.const(x)
     return NotImplemented
+
+
+def _capped(frame: tuple[str, ...]) -> tuple[str, ...]:
+    """The frame, unless it holds more symbols than the cap: the one check."""
+    if len(frame) > MAX_PARAM_SYMBOLS:
+        raise DomainError(f"operation would mix more than {MAX_PARAM_SYMBOLS} symbols: {frame!r}")
+    return frame
 
 
 def _common_symbols(groups: Iterable[Sequence[str]]) -> tuple[str, ...]:
@@ -774,7 +782,7 @@ class PolyMatrix:
     """Symmetric matrix with t-free polynomial diagonal and rational off-diagonal,
     from rows that are sequences of n entries or mappings from column to entry
     (absent entries are zero). ``_rows[i]`` maps each nonzero column to its
-    terms over the frame; zero entries are not kept."""
+    terms over the frame, of at most two symbols; zero entries are not kept."""
 
     __slots__ = ("_n", "_frame", "_rows")
 
@@ -794,7 +802,7 @@ class PolyMatrix:
                     raise StructuralError(f"off-diagonal entry ({i},{j}) carries a parameter symbol")
                 if nonzero[j].get(i) != x:
                     raise StructuralError(f"matrix is not symmetric at ({max(i, j)},{min(i, j)})")
-        frame = self._frame = _common_symbols(x._symbols for row in nonzero for x in row.values())
+        frame = self._frame = _capped(_common_symbols(x._symbols for r in nonzero for x in r.values()))
         self._rows = tuple({j: _lift(x, frame) for j, x in row.items()} for row in nonzero)
 
     @property
@@ -824,24 +832,21 @@ def _check_indices(n: int, *indices: int) -> None:
 
 def _krylov(m: PolyMatrix, z: Sequence) -> tuple[tuple[str, ...], Iterator[list[_Terms]]]:
     """The frame of M and z, and z, Mz, M^2 z, ... as term dicts over it, in
-    stored form. On a frame wider than the cap, every entry of a vector is
-    checked against the cap before the vector is yielded."""
+    stored form. The frame holds at most two symbols: z may add symbols to
+    M's frame only within the cap."""
     vec = [_coerce_entry(x) for x in z]
     if len(vec) != m.dimension:
         raise StructuralError("vector length does not match dimension")
-    frame = _common_symbols((m._frame, *(x._symbols for x in vec)))
+    frame = _capped(_common_symbols((m._frame, *(x._symbols for x in vec))))
     rows = m._rows
     if frame != m._frame:
         rows = [{j: _lift(_raw(x, m._frame), frame) for j, x in r.items()} for r in rows]
-    return frame, _powers(rows, frame, [_lift(x, frame) for x in vec])
+    return frame, _powers(rows, [_lift(x, frame) for x in vec])
 
 
-def _powers(rows: Sequence, frame: tuple[str, ...], w: list[_Terms]) -> Iterator[list[_Terms]]:
+def _powers(rows: Sequence, w: list[_Terms]) -> Iterator[list[_Terms]]:
     """w, Mw, M^2 w, ...: each nonzero w[j] spreads along row j of symmetric M."""
     while True:
-        if len(frame) > MAX_PARAM_SYMBOLS:
-            for x in w:
-                _canonical(x, frame)
         yield w
         reached: list[list] = [[] for _ in rows]
         for j, wj in enumerate(w):
@@ -866,11 +871,9 @@ def charpoly(m: PolyMatrix, factors: Sequence[SparsePoly] = ()) -> SparsePoly:
     of c_j p_(k-j), 0 < j < k, is 0 for coefficients c_j of t^(deg - j))
     give the factors' p_k, k <= d + 1, then the result's c_k; c_(d+1) must
     be 0. If not, or if d < 0 or a factor holds a symbol M lacks, the product
-    does not divide: ExactDivisionError. A frame past the symbol cap is
-    refused first."""
+    does not divide: ExactDivisionError. M's frame holds at most two symbols,
+    so every power sum does too."""
     frame = m._frame
-    if len(frame) > MAX_PARAM_SYMBOLS:  # phi fixes tr(M^2), which holds every symbol
-        raise DomainError(f"operation would mix more than {MAX_PARAM_SYMBOLS} symbols: {frame!r}")
     d = m.dimension - sum(f.deg_t() for f in factors)
     if d < 0 or not {s for f in factors for s in f.symbols} <= set(frame):
         raise ExactDivisionError("the factors cannot divide charpoly")
@@ -907,7 +910,7 @@ def _trace_powers(m: PolyMatrix, count: int) -> list[_Terms]:
     diag[1] = [(row[i], one) for i, row in enumerate(rows) if i in row]
     for i in range(n if count > 1 else 0):
         col = [rows[i].get(j, {}) for j in range(n)]  # M e_i is row i of M; vecs[a - 1] is M^a e_i
-        vecs = [col, *islice(_powers(rows, m._frame, col), 1, top - 1)]
+        vecs = [col, *islice(_powers(rows, col), 1, top - 1)]
         if top > 1:  # the top power, at entries l <= i only (the list is built before the append)
             vecs.append([_accumulate((x, vecs[-1][j]) for j, x in rows[l].items()) for l in range(i + 1)])
         for k in range(2, count + 1):
@@ -984,9 +987,6 @@ def _min_poly(frame: tuple[str, ...], powers: Iterator[list[_Terms]]) -> SparseP
             if d_prev != one:  # _accumulate already gives the stored form
                 w = [_divide(x, d_prev) for x in w]
             d_prev = d
-        if len(frame) > MAX_PARAM_SYMBOLS:  # no entry may hold more symbols than the cap
-            for x in w:
-                _canonical(x, frame)
         pivot = next((i for i, x in enumerate(w[:-1]) if x), None)
         if pivot is None:
             break

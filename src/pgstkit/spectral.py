@@ -24,7 +24,6 @@ from .errors import (
     NotCospectralError,
 )
 from .exact import (
-    MAX_PARAM_SYMBOLS,
     PolyMatrix,
     SparsePoly,
     _krylov,
@@ -97,14 +96,11 @@ def decompose(m: PolyMatrix, u: int, v: int) -> CospectralDecomposition:
     k <= deg P_plus, before eliminating it (enough, by the recurrence in
     ``is_cospectral``), and a mismatch raises NotCospectralError. P_zero is
     ``charpoly(m, (P_plus, P_minus))``, the cofactor from power sums, and a
-    failed check there is an engine bug: InternalConsistencyError. A frame
-    past the symbol cap, which ``charpoly`` refuses, first meets
-    ``is_cospectral``'s own cap checks in their order.
+    failed check there is an engine bug: InternalConsistencyError. M holds
+    at most two symbols, so no step meets a wider frame.
     """
     _check_pair(m, u, v)
     n = m.dimension
-    if len(m.symbols()) > MAX_PARAM_SYMBOLS and not is_cospectral(m, u, v):
-        raise NotCospectralError(f"vertices ({u},{v}) are not cospectral")
     frame, powers = _krylov(m, [int(k in (u, v)) for k in range(n)])
 
     def closed_walks_agree():

@@ -1,7 +1,9 @@
 """Shared generators and identity checks for property-style tests.
 
 Random instances are built from seeded Random objects so every run is
-reproducible; no global random state is touched. ``q_expansion_residual``
+reproducible; no global random state is touched. A mirror graph's pair is
+swapped by an automorphism; the pair of ``asymmetric_cospectral_graph``
+is swapped by none, as the paper's constructions assume. ``q_expansion_residual``
 and ``trace_param_membership`` check identities of the exact lane that no
 command needs. ``relation_search_by_key`` is an oracle for
 ``integer_relation_search``: the same relations, found key by key. The
@@ -30,6 +32,7 @@ from pgstkit import (
     SparsePoly,
     charpoly,
     decompose,
+    get_fixture,
     is_cospectral,
     poly_gcd_t,
     to_matrix,
@@ -86,6 +89,57 @@ def random_cospectral_graph(
                     potentials[i] = SparsePoly.const(val)
                     potentials[swap01(i)] = SparsePoly.const(val)
     return Graph(n, edges, potentials), 0, 1
+
+
+def maps_by_automorphism(g: Graph, u: int, v: int) -> bool:
+    """Whether some automorphism of g, keeping weights and potentials, maps
+    u to v: a backtracking search over the vertices in breadth-first order
+    from u, each image checked against the images of the earlier ones."""
+    nbrs = [dict() for _ in range(g.n)]
+    for (i, j), w in g.edges.items():
+        nbrs[i][j] = nbrs[j][i] = w
+    order = [u]
+    for x in order:
+        order += [y for y in sorted(nbrs[x]) if y not in order]
+    order += [x for x in range(g.n) if x not in order]
+
+    def fits(x: int, y: int, image: dict[int, int]) -> bool:
+        if len(nbrs[x]) != len(nbrs[y]) or g.potential(x) != g.potential(y):
+            return False
+        return all(nbrs[x].get(a) == nbrs[y].get(b) for a, b in image.items())
+
+    def extend(image: dict[int, int]) -> bool:
+        if len(image) == g.n:
+            return True
+        x = order[len(image)]
+        taken = set(image.values())
+        return any(
+            extend({**image, x: y}) for y in range(g.n) if y not in taken and fits(x, y, image)
+        )
+
+    return fits(u, v, {}) and extend({u: v})
+
+
+def asymmetric_cospectral_graph(rng: random.Random) -> tuple[Graph, int, int]:
+    """G_C with the same random weighted rooted tree, of 1 or 2 vertices
+    besides its root, attached at its hubs 8 and 9 (n = 12 or 14).
+
+    Attaching one rooted graph at both vertices of a cospectral pair keeps
+    it cospectral. An instance is kept only if ``is_cospectral`` confirms
+    that and no automorphism maps 8 to 9; the next draw is tried otherwise.
+    """
+    base = get_fixture("G_C").graph
+    for _ in range(20):
+        size = rng.randint(1, 2)
+        tree = [(rng.randrange(k), k, rng.choice([1, 2, 3])) for k in range(1, size + 1)]
+        edges = dict(base.edges)
+        for u, first in ((8, base.n), (9, base.n + size)):
+            at = [u] + [first + k for k in range(size)]  # the root is u
+            edges.update({(at[a], at[b]): Fraction(w) for a, b, w in tree})
+        g = Graph(base.n + 2 * size, edges)
+        if is_cospectral(to_matrix(g), 8, 9) and not maps_by_automorphism(g, 8, 9):
+            return g, 8, 9
+    raise AssertionError("no asymmetric cospectral instance in 20 draws")
 
 
 def random_graph(

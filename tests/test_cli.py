@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import pgstkit
-from pgstkit import cli, exact, graphs, spectral
+from pgstkit import cli, exact, graphs, spectral, walk
 from pgstkit.cli import main
 from pgstkit.graphs import MAX_VERTICES
 
@@ -283,6 +283,7 @@ G_D_PAIR = ["@G_D", "--u", "h1", "--v", "h4"]
         (["simulate", "@G_B", "--tmax", "1e308", "--steps", "100"], 2, None),
         (["simulate", "@G_B", "--tmax", "1e17", "--steps", "100"], 2, None),
         (["analyze", "{tmp}/wide.txt", "--u", "0", "--v", "2"], 2, WIDE),
+        (["analyze", "{tmp}/wide.txt", "--u", "0", "--v", "1"], 2, WIDE),
         (["simulate", "@G_B", "--steps", "100000000000"], 2, TOO_MANY_STEPS),
         (["analyze", "@G_B", "--simulate", "--steps", "100000000000"], 2, TOO_MANY_STEPS),
         (
@@ -394,6 +395,7 @@ G_D_PAIR = ["@G_D", "--u", "h1", "--v", "h4"]
         "phase-overflow",
         "phase-precision",
         "wide-frame",
+        "wide-frame-not-cospectral",
         "steps-beyond-max",
         "steps-beyond-max-analyze",
         "base-not-cospectral",
@@ -440,8 +442,8 @@ def test_bad_input_or_output_is_one_error_line(capsys, tmp_path, argv, code, mes
     # t*lambda (phase-overflow) overflow to inf; at 1e17 the phases are
     # finite but one ulp of them exceeds 2*pi (phase-precision). A grid of
     # 10^11 steps would need terabytes (steps-beyond-max*). Nine isolated
-    # vertices with a symbol each are refused before charpoly expands the
-    # product of their nine factors (wide-frame). The glued
+    # vertices with a symbol each are refused when the exact matrix is
+    # formed, at a cospectral pair and at one that is not (wide-frame*). The glued
     # graph at a non-cospectral pair reaches certify_tr_deg's sym = 0 base
     # check (base-not-cospectral). An empty --potential-value is a bad
     # number, with or without a symbol to bind (empty-value*), and an empty
@@ -480,6 +482,31 @@ def test_analyze_accepts_valid_numeric_flags_it_does_not_use(capsys):
     unused += ["--relation-bound", "1", "--relation-precision", "0.5"]
     assert run(capsys, "analyze", *G_A_PAIR, *unused) == plain
     assert plain[0] == 0
+
+
+def test_bad_numeric_flags_are_found_before_any_exact_or_numeric_work(monkeypatch, capsys):
+    # Each bad flag is reported once the graph, the pair and --potential are
+    # read, with the numeric flags in their order: --tmax, --steps, then the
+    # relation-search flags, and no decomposition or eigensolver runs.
+    def refuse(*args, **kwargs):
+        raise AssertionError("called before the numeric flags were checked")
+
+    work = (spectral.decompose, walk.numeric_adjacency, walk.sym_eig)
+    for mod in [m for name, m in list(sys.modules.items()) if name.startswith("pgstkit")]:
+        for attr, value in list(vars(mod).items()):
+            if any(value is fn for fn in work):
+                monkeypatch.setattr(mod, attr, refuse)
+    tmax = ["--tmax", "-5"], "error: t_max must be positive and finite, got -5.0\n"
+    steps = ["--steps", "1"], "error: need 2 to 10000000 grid points, got 1\n"
+    bound = ["--relation-bound", "0"], "error: coefficient bound must be >= 1, got 0\n"
+    precision = ["--relation-precision", "nan"], "error: precision must be positive and finite, got nan\n"
+    for flags, message in (tmax, steps, bound, precision):
+        for simulate in ([], ["--simulate"]):
+            assert run(capsys, "analyze", *G_A_PAIR, "--potential", "Q", *simulate, *flags) == (2, "", message)
+    for flags, message in (tmax, steps):
+        assert run(capsys, "simulate", *G_A_PAIR, *flags) == (2, "", message)
+    assert run(capsys, "analyze", *G_A_PAIR, *precision[0], *bound[0], *steps[0], *tmax[0]) == (2, "", tmax[1])
+    assert run(capsys, "analyze", *G_A_PAIR, *precision[0], *bound[0]) == (2, "", bound[1])
 
 
 def count_calls(monkeypatch, kernels: dict) -> Counter:

@@ -84,6 +84,16 @@ def test_parse_rejects_garbage():
     assert str(SparsePoly.parse("2t")) == "2*t"
 
 
+def test_equal_constants_hash_equal():
+    # A constant polynomial equals its value, so it hashes as that value.
+    for c in (0, 3, -2, Fraction(3), Fraction(-1, 3), Fraction(0)):
+        p = SparsePoly.const(c)
+        assert p == c and hash(p) == hash(c)
+        assert len({c, p}) == 1
+    assert hash(SparsePoly.zero()) == hash(0)
+    assert len({3, SparsePoly.const(3), ONE + 2, P("3")}) == 1
+
+
 @pytest.mark.parametrize("op", [operator.mul, operator.add], ids=["mul", "add"])
 def test_symbol_cap_enforced(op):
     a = SparsePoly.sym("A") * SparsePoly.sym("B")
@@ -518,25 +528,36 @@ def test_krylov_zero_vector_rejected():
         krylov_min_poly(m, [SparsePoly.zero(), SparsePoly.zero()])
 
 
-def test_symbol_cap_in_the_matrix_kernels(monkeypatch):
-    # charpoly(M) holds every symbol of M, so a matrix with more than two is
-    # refused before any product (the stubbed kernel would raise TypeError);
-    # krylov_min_poly accepts symbols that z never reaches and refuses once
-    # an entry it builds holds more than two.
+def test_symbol_cap_where_a_matrix_frame_is_formed():
+    # Nine symbols on isolated vertices: the matrix is refused when built,
+    # from dense rows or from column maps, whichever of its vertices a
+    # later question would ask about. A polynomial may declare unused
+    # symbols, since only the ones that occur count against the cap.
     n = 12
     rows = [[SparsePoly.zero()] * n for _ in range(n)]
     rows[0][1] = rows[1][0] = rows[1][2] = rows[2][1] = SparsePoly.one()
     for i in range(3, n):
         rows[i][i] = SparsePoly.sym(f"S{i}")
-    wide = PolyMatrix(rows)
-    with monkeypatch.context() as patch:
-        patch.setattr(exact, "_accumulate", None)
-        with pytest.raises(DomainError, match="more than 2 symbols"):
-            charpoly(wide)
-    assert krylov_min_poly(wide, [1] + [0] * (n - 1)) == P("t^3 - 2*t")
-    path = PolyMatrix([[P("Q"), 1, 0], [1, P("R"), 1], [0, 1, P("S")]])
-    with pytest.raises(DomainError, match="more than 2 symbols"):
-        krylov_min_poly(path, [1, 0, 0])
+    message = f"operation would mix more than 2 symbols: {tuple(sorted(f'S{i}' for i in range(3, n)))!r}"
+    for wide in (rows, [{j: x for j, x in enumerate(row) if x} for row in rows]):
+        with pytest.raises(DomainError) as err:
+            PolyMatrix(wide)
+        assert str(err.value) == message
+    within = PolyMatrix([[P("Q"), 1, 0], [1, P("R"), 1], [0, 1, P("R")]])
+    assert within.symbols() == ("Q", "R")
+    assert within.delete([0]).symbols() == ("R",)
+    assert SparsePoly({(1, 0, 0, 0): 1}, ("A", "B", "C")) == T
+
+
+def test_symbol_cap_where_z_widens_the_frame():
+    # z may add a symbol to the matrix's frame within the cap; one that
+    # takes the frame past two is refused before the first product.
+    path = PolyMatrix([[P("Q"), 1, 0], [1, P("R"), 1], [0, 1, 0]])
+    assert krylov_min_poly(PolyMatrix([[0, 1], [1, 0]]), [P("S"), 0]) == P("t^2 - 1")
+    assert krylov_min_poly(path, [1, 0, 0]).symbols == ("Q", "R")
+    with pytest.raises(DomainError) as err:
+        krylov_min_poly(path, [P("S"), 0, 0])
+    assert str(err.value) == "operation would mix more than 2 symbols: ('Q', 'R', 'S')"
 
 
 # ---------------------------------------------------------------------------

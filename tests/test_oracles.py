@@ -18,7 +18,6 @@ from fractions import Fraction
 import pytest
 
 from pgstkit import (
-    DomainError,
     ExactDivisionError,
     Graph,
     InternalConsistencyError,
@@ -41,6 +40,7 @@ from pgstkit import (
 
 from conftest import (
     assert_stored_form,
+    asymmetric_cospectral_graph,
     isolate_real_roots,
     random_cospectral_graph,
     univariate_t_coeffs,
@@ -342,17 +342,15 @@ def test_cofactor_guard_refuses_a_wrong_factor(monkeypatch, name):
     assert str(err.value) == "charpoly is not divisible by P_plus * P_minus at a cospectral pair"
 
 
-def test_cofactor_refuses_the_frames_charpoly_refuses():
-    rows = [[SparsePoly.zero()] * 6 for _ in range(6)]
-    rows[0][1] = rows[1][0] = SparsePoly.one()
-    for i in range(2, 6):
-        rows[i][i] = SparsePoly.sym(f"S{i}")
-    wide = PolyMatrix(rows)
-    with pytest.raises(DomainError) as expected:
-        charpoly(wide)
-    with pytest.raises(DomainError) as got:  # before the factor's degree, past n
-        charpoly(wide, (SparsePoly.t(7),))
-    assert str(got.value) == str(expected.value)
+@pytest.mark.parametrize("seed", range(6))
+def test_decomposition_at_an_asymmetric_pair_is_charpoly(seed):
+    # The paper's subject: a cospectral pair that no automorphism swaps,
+    # with the pair symbol Q at both of its vertices.
+    g, u, v = asymmetric_cospectral_graph(random.Random(seed))
+    m = to_matrix(add_potential(g, (u, v), SparsePoly.sym("Q")))
+    dec = decompose(m, u, v)
+    assert dec.deg_plus + dec.deg_minus + dec.deg_zero == m.dimension
+    _assert_same(dec.p_plus * dec.p_minus * dec.p_zero, _sympy_matrix(m).charpoly(T).as_expr())
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,8 @@ import pytest
 
 from pgstkit import (
     DomainError,
+    Graph,
     NotCospectralError,
-    PolyMatrix,
     SparsePoly,
     add_potential,
     charpoly,
@@ -22,7 +22,9 @@ from pgstkit import (
 )
 
 from conftest import (
+    asymmetric_cospectral_graph,
     is_strongly_cospectral,
+    maps_by_automorphism,
     q_expansion_residual,
     random_cospectral_graph,
     random_graph,
@@ -117,22 +119,31 @@ def test_is_cospectral_checks_up_to_the_last_power(n):
         decompose(m, 0, n - 1)
 
 
-def test_decompose_on_a_wide_frame_reports_as_is_cospectral_does():
-    # Four symbols, so charpoly refuses the matrix. An entry of M^k z for
-    # some k < n mixes B, C and D, and a reduced vector of P_plus's run
-    # mixes all four earlier; decompose names the first, as is_cospectral does.
+def test_asymmetric_pairs_are_swapped_by_no_automorphism():
+    # The search finds the swap of a mirror pair and of a path's ends, and
+    # none for G_C's hubs or for the generated instances built on them.
+    for seed in range(6):
+        g, u, v = random_cospectral_graph(random.Random(seed), weighted=True, with_potentials=True)
+        assert maps_by_automorphism(g, u, v)
+        g, u, v = asymmetric_cospectral_graph(random.Random(seed))
+        assert g.n in (12, 14) and is_cospectral(to_matrix(g), u, v)
+        assert not maps_by_automorphism(g, u, v)
+    assert maps_by_automorphism(path_graph(5), 0, 4)
+    assert not maps_by_automorphism(path_graph(5), 0, 1)
+    assert not maps_by_automorphism(get_fixture("G_C").graph, 8, 9)
+
+
+def test_a_wide_graph_is_refused_at_every_pair():
+    # Five symbols: the exact matrix is refused when it is formed, so a
+    # cospectral pair and a non-cospectral one get the same error, before
+    # either question is asked.
     n = 10
     edges = [(i, i + 1) for i in range(n - 1)] + [(0, 5), (2, 7), (4, 9)]
     pots = {1: "B", 2: "C", 3: "E", 4: "D", 5: "D", 6: "D", 7: "C", 8: "B"}
-    rows = [[int((i, j) in edges or (j, i) in edges) for j in range(n)] for i in range(n)]
-    for i, name in pots.items():
-        rows[i][i] = SparsePoly.sym(name)
-    m = PolyMatrix(rows)
-    message = "operation would mix more than 2 symbols: ('B', 'C', 'D')"
-    for check in (is_cospectral, decompose):
-        with pytest.raises(DomainError) as err:
-            check(m, 0, n - 1)
-        assert str(err.value) == message
+    g = Graph(n, {e: 1 for e in edges}, {i: SparsePoly.sym(name) for i, name in pots.items()})
+    with pytest.raises(DomainError) as err:
+        to_matrix(g)
+    assert str(err.value) == "operation would mix more than 2 symbols: ('B', 'C', 'D', 'E')"
 
 
 def test_decompose_examples():
