@@ -38,10 +38,15 @@ coefficients by Newton's identities, and with known factors of det(tI - M)
 it gives their cofactor the same way, without the determinant.
 Determinants come from fraction-free Bareiss elimination with lowest-index
 pivots (public and tested; no pipeline step calls it). Relative minimal
-polynomials come from the same elimination on the Krylov vectors z, Mz,
-M^2 z, ..., each carrying the t-polynomial that produced it. A division
-that is not exact raises. A gcd first tries a modular image that can only
-prove coprimality, and runs the multivariate recursion on everything else.
+polynomials come from modular images, proven by one exact check: images of
+the Krylov run z, Mz, M^2 z, ... over F_p at points of the symbols give
+the minimal polynomial at each point, of a degree no larger than the true
+one; interpolation in the symbols, the Chinese remainder theorem over
+primes below 2^61 and rational reconstruction give a monic candidate; and
+the candidate is accepted only if it annihilates z on the exact vectors,
+which makes it the minimal polynomial. A division that is not exact
+raises. A gcd first tries a modular image that can only prove coprimality,
+and runs the multivariate recursion on everything else.
 """
 
 from __future__ import annotations
@@ -49,14 +54,14 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import islice
+from itertools import count, islice, product
+from math import gcd
 from operator import add, neg, sub
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import (
     DomainError,
     ExactDivisionError,
-    InternalConsistencyError,
     NotLinearInParamError,
     ParseError,
     StructuralError,
@@ -143,7 +148,7 @@ class SparsePoly:
 
     @staticmethod
     def const(c: Scalar) -> "SparsePoly":
-        c = _norm(Fraction(c))
+        c = _norm(c if type(c) in (int, Fraction) else Fraction(c))
         return _raw({(0,): c} if c else {}, ())
 
     @staticmethod
@@ -672,6 +677,42 @@ def _probe_value(name: str) -> int:
     return int.from_bytes(name.encode(), "big") * 0x9E3779B97F4A7C15 % _PROBE_PRIME
 
 
+def _residue(c: Scalar, p: int) -> int | None:
+    """c modulo the prime p, or None when p divides c's denominator."""
+    if type(c) is int:
+        return c % p
+    den = c.denominator % p
+    return c.numerator * pow(den, -1, p) % p if den else None
+
+
+def _primes() -> Iterator[int]:
+    """2^61 - 1, then every prime below it in descending order."""
+    yield (q := _PROBE_PRIME)
+    while True:
+        q -= 2
+        if _is_prime(q):
+            yield q
+
+
+def _is_prime(q: int) -> bool:
+    """Miller-Rabin for odd q > 37 with the first twelve primes as bases,
+    which decides every such q below 3.1e23."""
+    d, s = q - 1, 0
+    while not d & 1:
+        d, s = d >> 1, s + 1
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        x = pow(a, d, q)
+        if x == 1 or x == q - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % q
+            if x == q - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def _coprime_probe(p: SparsePoly, q: SparsePoly) -> bool:
     """True only if gcd(p, q) = 1; False says nothing.
 
@@ -690,10 +731,8 @@ def _coprime_probe(p: SparsePoly, q: SparsePoly) -> bool:
     for f in (p, q):
         img = [0] * (f.deg_t() + 1)
         for e, c in _lift(f, frame).items():
-            if type(c) is Fraction:
-                if not c.denominator % ell:
-                    return False
-                c = c.numerator * pow(c.denominator, -1, ell)
+            if (c := _residue(c, ell)) is None:
+                return False
             for x, k in zip(point, e[1:]):
                 c *= pow(x, k, ell)
             img[e[0]] = (img[e[0]] + c) % ell
@@ -795,6 +834,8 @@ class PolyMatrix:
         nonzero = [{j: p for j, x in row if (p := _coerce_entry(x))} for row in items]
         for i, row in enumerate(nonzero):  # one pass over the nonzero entries
             for j, x in row.items():
+                if 0 <= j < i and i in nonzero[j]:
+                    continue  # checked at its mirror (j, i), which equals it
                 _check_indices(n, j)
                 if not x.is_t_free():
                     raise StructuralError(f"entry ({i},{j}) involves t")
@@ -830,10 +871,13 @@ def _check_indices(n: int, *indices: int) -> None:
             raise StructuralError(f"vertex index {k} out of range 0..{n - 1}")
 
 
-def _krylov(m: PolyMatrix, z: Sequence) -> tuple[tuple[str, ...], Iterator[list[_Terms]]]:
-    """The frame of M and z, and z, Mz, M^2 z, ... as term dicts over it, in
-    stored form. The frame holds at most two symbols: z may add symbols to
-    M's frame only within the cap."""
+def _krylov(
+    m: PolyMatrix, z: Sequence
+) -> tuple[tuple[str, ...], Sequence[dict[int, _Terms]], list[_Terms]]:
+    """The frame of M and z, with M's rows and z as term dicts over it, in
+    stored form; ``_powers`` of those gives z, Mz, M^2 z, .... The frame
+    holds at most two symbols: z may add symbols to M's frame only within
+    the cap."""
     vec = [_coerce_entry(x) for x in z]
     if len(vec) != m.dimension:
         raise StructuralError("vector length does not match dimension")
@@ -841,7 +885,7 @@ def _krylov(m: PolyMatrix, z: Sequence) -> tuple[tuple[str, ...], Iterator[list[
     rows = m._rows
     if frame != m._frame:
         rows = [{j: _lift(_raw(x, m._frame), frame) for j, x in r.items()} for r in rows]
-    return frame, _powers(rows, [_lift(x, frame) for x in vec])
+    return frame, rows, [_lift(x, frame) for x in vec]
 
 
 def _powers(rows: Sequence, w: list[_Terms]) -> Iterator[list[_Terms]]:
@@ -958,49 +1002,217 @@ def krylov_min_poly(m: PolyMatrix, z: Sequence) -> SparsePoly:
     """Minimal polynomial of M relative to z: the monic generator of the
     relation ideal of z, Mz, M^2 z, ...
 
-    Each Krylov vector M^j z enters an incremental fraction-free (Bareiss)
-    elimination with one extra entry, the polynomial t^j, and that entry
-    goes through the same row operations. A reduced vector w then always
-    satisfies w = T(M) z for the polynomial T it carries. The first vector
-    that reduces to zero therefore carries a relation T(M) z = 0 of least
-    degree, whose leading coefficient is the last pivot; dividing it out
-    gives the monic minimal polynomial. That division is exact because the
-    result divides the monic characteristic polynomial; a remainder would
-    mean a bug and raises InternalConsistencyError. No division is by the
-    constant 1: the first pivot step, a later pivot of 1 and a relation that
-    is already monic skip it.
+    ``_min_poly`` finds it from modular images and proves it exactly: see
+    there. The zero vector raises DomainError.
     """
-    return _min_poly(*_krylov(m, z))
+    frame, rows, vec = _krylov(m, z)
+    return _min_poly(frame, rows, vec, _powers(rows, vec))
 
 
-def _min_poly(frame: tuple[str, ...], powers: Iterator[list[_Terms]]) -> SparsePoly:
-    """The elimination of ``krylov_min_poly`` on a Krylov sequence from
-    ``_krylov``; it takes vectors until one reduces to zero."""
-    one = {(0,) * (1 + len(frame)): _ONE}
-    echelon: list[tuple[int, list[_Terms]]] = []  # (pivot index, reduced vector)
-    for power in powers:  # M^j z for j = len(echelon)
-        w = [*power, _lift(SparsePoly.t(len(echelon)), frame)]  # last entry: t^j
-        d_prev = one
-        for p, e in echelon:
-            d, coef = e[p], {k: -c for k, c in w[p].items()}
-            w = [_accumulate(((d, wi), (coef, ei))) for wi, ei in zip(w, e)]
-            if d_prev != one:  # _accumulate already gives the stored form
-                w = [_divide(x, d_prev) for x in w]
-            d_prev = d
-        pivot = next((i for i, x in enumerate(w[:-1]) if x), None)
-        if pivot is None:
-            break
-        echelon.append((pivot, w))
-    if not echelon:
+def _min_poly(
+    frame: tuple[str, ...],
+    rows: Sequence[dict[int, _Terms]],
+    z: list[_Terms],
+    powers: Iterator[list[_Terms]],
+) -> SparsePoly:
+    """The relative minimal polynomial P of M and z from ``_krylov``, given
+    the exact vectors z, Mz, ... of ``powers``, which it takes only as far
+    as it needs them.
+
+    Each round takes the next prime p below 2^61 (skipping one that divides
+    a denominator of M or z) and a grid of points for the symbols that
+    changes from round to round. At each point a, in lockstep with the
+    exact vectors, an image over F_p runs z(a), M(a) z(a), ... through
+    Gaussian elimination, each vector carrying the t-power it started as,
+    until one reduces to zero: its t-polynomial is the minimal polynomial at
+    a. Specialization cannot raise a Krylov rank, so no image has a degree
+    above deg P, and one of degree deg P is P(a) mod p (the denominators of
+    P divide powers of M's). D is the largest degree seen; images of lower
+    degree are dropped with their round. P divides det(tI - M), which is
+    monic, so by Gauss's lemma P has polynomial coefficients of degree at
+    most B_s = sum of deg_s M_ii in each symbol s (off-diagonal entries are
+    constant): B_s + 1 values of s interpolate them over F_p, and a symbol
+    only z carries has B_s = 0. Rounds combine by the Chinese remainder
+    theorem, and maximal-quotient rational reconstruction (Monagan, ISSAC
+    2004) lifts the coefficients to Q. The candidate t^D + ... is then
+    checked exactly: sum of c_k M^k z = 0 over the exact vectors. A monic
+    annihilator of degree D <= deg P is P itself, so what this returns is
+    proven; a failed reconstruction or check only costs another round.
+    """
+    n, width = len(rows), len(frame)
+    origin = (0,) * (1 + width)
+    vecs = [next(powers)]
+    if not any(vecs[0]):
         raise DomainError("relative minimal polynomial of the zero vector")
+    diagonal = [row.get(i, {}) for i, row in enumerate(rows)]
+    bounds = [sum(max(e[s] for e in x) for x in diagonal if x) for s in range(1, 1 + width)]
+    grid = list(product(*(range(b + 1) for b in bounds)))
+    degree, modulus, combined = 0, 1, {}
+    for attempt, p in enumerate(_primes()):
+        edges = [
+            (i, j, _residue(x[origin], p)) for i, row in enumerate(rows) for j, x in row.items() if j != i
+        ]
+        diag = [[(e[1:], _residue(c, p)) for e, c in x.items()] for x in diagonal]
+        zres = [[(e[1:], _residue(c, p)) for e, c in x.items()] for x in z]
+        if None in [c for *_, c in edges] + [c for x in (*diag, *zres) for _, c in x]:
+            continue
+        # Values move with the round: a point where the rank drops over Q
+        # would drop it at every prime.
+        axes = [
+            [(_probe_value(s) * (attempt + 1) + j) % p for j in range(b + 1)]
+            for s, b in zip(frame, bounds)
+        ]
+        points = list(product(*axes))
+        diags = [[_at(x, a, p) for x in diag] for a in points]
+        zs = [[_at(x, a, p) for x in zres] for a in points]
+        relations = _images(diags, zs, edges, p, vecs, powers)
+        if (top := max(map(len, relations)) - 1) > degree:
+            degree, modulus, combined = top, 1, {}
+        if any(len(rel) != degree + 1 for rel in relations):
+            continue
+        images = _interpolate_grid(dict(zip(grid, (rel[:-1] for rel in relations))), axes, p)
+        inv = pow(modulus, -1, p)
+        combined = {
+            key: [x + modulus * ((y - x) * inv % p) for x, y in zip(combined.get(key, ys), ys)]
+            for key, ys in images.items()
+        }
+        modulus *= p
+        coeffs = _reconstructed(combined, modulus, degree, origin)
+        if coeffs and not any(_accumulate(zip((v[i] for v in vecs), coeffs)) for i in range(n)):
+            terms = {(k, *e[1:]): c for k, ck in enumerate(coeffs) for e, c in ck.items()}
+            return _raw(*_canonical(terms, frame))
 
-    relation = _raw(*_canonical(w[-1], frame))
-    lead = relation.lead_coeff_t()
-    if lead.is_one():
-        return relation
-    try:
-        return relation.divexact(lead)
-    except ExactDivisionError as exc:
-        raise InternalConsistencyError(
-            "relative minimal polynomial coefficient is not polynomial"
-        ) from exc
+
+def _reconstructed(
+    combined: dict[tuple[int, ...], list[int]], modulus: int, degree: int, origin: tuple[int, ...]
+) -> list[_Terms] | None:
+    """The candidate's coefficients of t^0, ..., t^degree as term dicts, from
+    residues modulo ``modulus`` keyed by symbol exponents; None at the first
+    residue that reconstructs no rational."""
+    coeffs: list[_Terms] = [{} for _ in range(degree)]
+    for key, column in combined.items():
+        for k, u in enumerate(column):
+            if u:
+                if (c := _rational(u, modulus)) is None:
+                    return None
+                coeffs[k][(0, *key)] = c
+    return [*coeffs, {origin: _ONE}]
+
+
+def _at(terms: list[tuple[tuple[int, ...], int]], point: tuple[int, ...], p: int) -> int:
+    """The residues of a polynomial's terms, summed at a point over F_p."""
+    total = 0
+    for exps, c in terms:
+        for x, k in zip(point, exps):
+            if k:
+                c = c * pow(x, k, p)
+        total += c
+    return total % p
+
+
+def _images(
+    diags: list[list[int]],
+    zs: list[list[int]],
+    edges: list[tuple[int, int, int]],
+    p: int,
+    vecs: list[list[_Terms]],
+    powers: Iterator[list[_Terms]],
+) -> list[list[int]]:
+    """The minimal polynomial over F_p of M(a) relative to z(a) at each point
+    a, from M(a)'s diagonal ``diags[g]``, its constant off-diagonal entries
+    ``edges`` (row, column, residue) and ``zs[g]``, as coefficient lists by
+    ascending power of t (monic).
+
+    Step k advances every unfinished image by one product and reduces
+    [M(a)^k z(a) | t^k] against that image's echelon rows, after taking the
+    exact vector M^k z into ``vecs`` if it is not there yet.
+    """
+    n = len(zs[0])
+    vs = [list(v) for v in zs]
+    echelons: list[list[tuple[int, int, list[int]]]] = [[] for _ in zs]  # (pivot, its inverse, row)
+    relations: list[list[int] | None] = [None] * len(zs)
+    for k in count():
+        if k == len(vecs):
+            vecs.append(next(powers))
+        t_k = [0] * k + [1]
+        for g, d in enumerate(diags):
+            if relations[g] is not None:
+                continue
+            v = vs[g]
+            if k:
+                u = [x * y for x, y in zip(d, v)]
+                for i, j, c in edges:
+                    u[i] += c * v[j]
+                v = vs[g] = [x % p for x in u]
+            w = v + t_k
+            for piv, inv, row in echelons[g]:  # entries are reduced once, after the last row
+                if c := w[piv] * inv % p:
+                    w[: len(row)] = [x - c * y for x, y in zip(w, row)]
+            w = [x % p for x in w]
+            piv = next(filter(w.__getitem__, range(n)), None)
+            if piv is None:
+                relations[g] = w[n:]
+            else:
+                echelons[g].append((piv, pow(w[piv], -1, p), w))
+        if all(rel is not None for rel in relations):
+            return relations
+
+
+def _interpolate_grid(
+    values: dict[tuple[int, ...], list[int]], axes: list[list[int]], p: int
+) -> dict[tuple[int, ...], list[int]]:
+    """From vectors at the points of a grid, keyed by the index of each
+    coordinate on its axis, to coefficient vectors keyed by exponent: one
+    axis at a time, the lines along it are interpolated entrywise, all in
+    one call on their vectors laid end to end."""
+    size = len(next(iter(values.values())))
+    for d, xs in enumerate(axes):
+        lines = sorted({key[:d] + key[d + 1 :] for key in values})
+        ys = [[y for rest in lines for y in values[(*rest[:d], j, *rest[d:])]] for j in range(len(xs))]
+        values = {
+            (*rest[:d], e, *rest[d:]): c[i * size : (i + 1) * size]
+            for e, c in enumerate(_interpolate(xs, ys, p))
+            for i, rest in enumerate(lines)
+        }
+    return values
+
+
+def _interpolate(xs: list[int], ys: list[list[int]], p: int) -> list[list[int]]:
+    """Coefficient vectors, by ascending power, of the polynomial over F_p of
+    degree < len(xs) through (xs[i], ys[i]), entrywise: Newton's divided
+    differences, then Horner's rule in the factors x - xs[i]."""
+    c = [list(y) for y in ys]
+    for j in range(1, len(xs)):
+        for i in range(len(xs) - 1, j - 1, -1):
+            inv = pow(xs[i] - xs[i - j], -1, p)
+            c[i] = [(a - b) * inv % p for a, b in zip(c[i], c[i - 1])]
+    out = [c[-1]]
+    for i in range(len(xs) - 2, -1, -1):
+        out = [[0] * len(c[i]), *out]
+        for e in range(len(out) - 1):
+            out[e] = [(a - xs[i] * b) % p for a, b in zip(out[e], out[e + 1])]
+        out[0] = [(a + b) % p for a, b in zip(out[0], c[i])]
+    return out
+
+
+def _rational(u: int, m: int) -> Scalar | None:
+    """The rational a/b = u mod m in stored form, or None: maximal-quotient
+    rational reconstruction (Monagan, ISSAC 2004). Of the remainders of
+    Euclid on (m, u), it takes the one before the largest quotient, and only
+    if that quotient exceeds 2^20 log2 m, so that residues of no small
+    rational rarely pass."""
+    if not u:
+        return 0
+    bound = m.bit_length() << 20
+    a = b = 0
+    r0, r1, t0, t1 = m, u, 0, 1
+    while r1 and r0 > bound:
+        q = r0 // r1
+        if q > bound:
+            a, b, bound = r1, t1, q
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    if not b or gcd(a, b) != 1:
+        return None
+    if b < 0:
+        a, b = -a, -b
+    return a if b == 1 else Fraction(a, b)

@@ -28,6 +28,7 @@ from .exact import (
     SparsePoly,
     _krylov,
     _min_poly,
+    _powers,
     charpoly,
     krylov_min_poly,
     poly_gcd_t,
@@ -84,16 +85,18 @@ def is_cospectral(m: PolyMatrix, u: int, v: int) -> bool:
     sparse products, compared as stored-form term dicts over one frame.
     """
     _check_pair(m, u, v)
-    _, powers = _krylov(m, [int(k in (u, v)) for k in range(m.dimension)])
-    return all(w[u] == w[v] for _, w in zip(range(m.dimension), powers))
+    _, rows, z = _krylov(m, [int(k in (u, v)) for k in range(m.dimension)])
+    return all(w[u] == w[v] for _, w in zip(range(m.dimension), _powers(rows, z)))
 
 
 def decompose(m: PolyMatrix, u: int, v: int) -> CospectralDecomposition:
     """Relative decomposition at a cospectral pair.
 
-    P_plus and P_minus come from one Krylov run each. P_plus's run also
-    decides the pair: it compares entries u and v of each M^k (e_u + e_v),
-    k <= deg P_plus, before eliminating it (enough, by the recurrence in
+    P_plus and P_minus come from one Krylov run each, proven from modular
+    images by an exact check on the run's vectors (``exact._min_poly``).
+    P_plus's run also decides the pair: it compares entries u and v of each
+    exact vector M^k (e_u + e_v) as it is built, k <= deg P_plus, in
+    lockstep with the images (enough, by the recurrence in
     ``is_cospectral``), and a mismatch raises NotCospectralError. P_zero is
     ``charpoly(m, (P_plus, P_minus))``, the cofactor from power sums, and a
     failed check there is an engine bug: InternalConsistencyError. M holds
@@ -101,15 +104,15 @@ def decompose(m: PolyMatrix, u: int, v: int) -> CospectralDecomposition:
     """
     _check_pair(m, u, v)
     n = m.dimension
-    frame, powers = _krylov(m, [int(k in (u, v)) for k in range(n)])
+    frame, rows, z = _krylov(m, [int(k in (u, v)) for k in range(n)])
 
     def closed_walks_agree():
-        for w in powers:
+        for w in _powers(rows, z):
             if w[u] != w[v]:
                 raise NotCospectralError(f"vertices ({u},{v}) are not cospectral")
             yield w
 
-    p_plus = _min_poly(frame, closed_walks_agree())
+    p_plus = _min_poly(frame, rows, z, closed_walks_agree())
     p_minus = krylov_min_poly(m, [(k == u) - (k == v) for k in range(n)])
     try:
         p_zero = charpoly(m, (p_plus, p_minus))

@@ -474,6 +474,18 @@ def test_bad_input_or_output_is_one_error_line(capsys, tmp_path, argv, code, mes
         assert err == message
 
 
+def test_a_weight_of_10_to_400_is_exact(capsys, tmp_path):
+    # P_plus and P_minus are t - Q -+ 10^400: their constant coefficients
+    # take some two dozen 61-bit primes to reconstruct.
+    (tmp_path / "big-weight.txt").write_text("n 9\ne 1 8 1e400\n")
+    report = run_json(capsys, "analyze", str(tmp_path / "big-weight.txt"), "--u", "1", "--v", "8", "--potential", "Q")
+    dec = report["exact"]["decomposition"]
+    assert (dec["p_plus"], dec["p_minus"], dec["p_zero"]) == (f"t - Q - {HUGE}", f"t - Q + {HUGE}", "t^7")
+    assert (dec["trace_plus"], dec["trace_minus"]) == (f"Q + {HUGE}", f"Q - {HUGE}")
+    assert report["certificate"]["verdict"] == "ProvenPGST"
+    assert report["certificate"]["evidence"]["separation"] == "2" + HUGE[1:]
+
+
 def test_analyze_accepts_valid_numeric_flags_it_does_not_use(capsys):
     # Without --simulate the numeric flags are checked but change nothing,
     # even a t_max whose phases would be refused by a scan.

@@ -524,8 +524,57 @@ def _krylov_rank(mat: list[list[Fraction]], z: list[Fraction]) -> int:
 
 def test_krylov_zero_vector_rejected():
     m = to_matrix(path_graph(2))
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError) as err:
         krylov_min_poly(m, [SparsePoly.zero(), SparsePoly.zero()])
+    assert str(err.value) == "relative minimal polynomial of the zero vector"
+
+
+def _two_symbol_matrix(seed: int) -> tuple[PolyMatrix, int, int]:
+    """A seeded sparse weighted symmetric matrix of order 8 or 9 with Q at u
+    and v and R at a third vertex w."""
+    rng = random.Random(f"twosym{seed}")
+    n = rng.choice([8, 9])
+    rows = [[SparsePoly.zero()] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < 0.3:
+                rows[i][j] = rows[j][i] = SparsePoly.const(Fraction(rng.choice([1, 2, -1, 3]), rng.choice([1, 2])))
+        if rng.random() < 0.4:
+            rows[i][i] = SparsePoly.const(rng.randint(-2, 2))
+    u, v, w = rng.sample(range(n), 3)
+    rows[u][u] += P("Q")
+    rows[v][v] += P("Q")
+    rows[w][w] += P("R")
+    return PolyMatrix(rows), u, v
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_two_symbol_krylov_above_n_7_is_the_minimal_polynomial(seed):
+    # p(M) z = 0 exactly, so the minimal polynomial divides p; and deg p is
+    # the Krylov rank at a rational point, which no specialization raises
+    # above the degree of the minimal polynomial. So p is that polynomial.
+    m, u, v = _two_symbol_matrix(seed)
+    n = m.dimension
+    assert m.symbols() == ("Q", "R")
+    rng = random.Random(seed)
+    point = {s: Fraction(rng.randint(-20, 20), rng.randint(1, 7)) for s in ("Q", "R")}
+    nonzero = [[(j, m.entry(i, j)) for j in range(n) if m.entry(i, j)] for i in range(n)]
+    at_point = [[Fraction(0)] * n for _ in range(n)]
+    for i, row in enumerate(nonzero):
+        for j, x in row:
+            at_point[i][j] = x.subs_sym("Q", point["Q"]).subs_sym("R", point["R"]).constant_value()
+    for sign in (1, -1):
+        z = [int(k == u) + sign * int(k == v) for k in range(n)]
+        p = krylov_min_poly(m, z)
+        assert p.is_monic_t()
+        assert_stored_form(p)
+        w = [SparsePoly.const(x) for x in z]
+        acc = [SparsePoly.zero()] * n
+        for c in p.t_coeffs():
+            acc = [a + c * x for a, x in zip(acc, w)]
+            w = [sum((x * w[j] for j, x in row), SparsePoly.zero()) for row in nonzero]
+        assert all(a.is_zero() for a in acc)
+        assert p.deg_t() == _krylov_rank(at_point, [Fraction(x) for x in z])
 
 
 def test_symbol_cap_where_a_matrix_frame_is_formed():

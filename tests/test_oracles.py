@@ -69,7 +69,8 @@ def _instance(seed: int) -> tuple[PolyMatrix, int, int]:
             rows[i][i] = SparsePoly.const(rng.randint(-2, 2))
     # The placements the program certifies: a pair symbol at u and v, and
     # optionally a second symbol at one other vertex. The second symbol is
-    # kept to n <= 7: at n = 8-9 one Krylov case takes 5-10 s on each side.
+    # kept to n <= 7, where sympy's nullspace oracle takes well under a
+    # second; test_exact checks two symbols at n = 8-9 without it.
     u, v, w = rng.sample(range(n), 3)
     q, r = (SparsePoly.sym(s) for s in SYMBOLS)
     rows[u][u] = rows[u][u] + q
@@ -140,20 +141,12 @@ def test_krylov_min_poly_matches_sympy_nullspace(seed):
 
 
 # Seeds of _instance per symbol set; for () the pair symbol Q is bound to 1/2.
-UNIT_DIVISOR_SEEDS = {(): (0, 2, 6), ("Q",): (0, 2, 9), ("Q", "R"): (5, 8, 11)}
+ROUND_SEEDS = {(): (0, 2, 6), ("Q",): (0, 2, 9), ("Q", "R"): (5, 8, 11)}
 
 
-@pytest.mark.parametrize("symbols", list(UNIT_DIVISOR_SEEDS), ids=["none", "Q", "QR"])
-def test_krylov_min_poly_never_divides_by_one(monkeypatch, symbols):
-    divisors = []
-    divide = exact._divide
-
-    def recording(a, b):
-        divisors.append(b)
-        return divide(a, b)
-
-    monkeypatch.setattr(exact, "_divide", recording)
-    for seed in UNIT_DIVISOR_SEEDS[symbols]:
+def _round_cases(symbols: tuple[str, ...]):
+    """(matrix, z) for both sides of the pair of each seed in ROUND_SEEDS."""
+    for seed in ROUND_SEEDS[symbols]:
         m, u, v = _instance(seed)
         n = m.dimension
         if not symbols:
@@ -162,11 +155,118 @@ def test_krylov_min_poly_never_divides_by_one(monkeypatch, symbols):
             )
         assert m.symbols() == symbols
         for sign in (1, -1):
-            z = [SparsePoly.const((k == u) + sign * (k == v)) for k in range(n)]
-            got = krylov_min_poly(m, z)
-            _assert_same(got, _sympy_min_poly(_sympy_matrix(m), sympy.Matrix([_to_sympy(x) for x in z])))
-    assert divisors
-    assert not [b for b in divisors if b == {(0,) * len(next(iter(b))): 1}]
+            yield m, [SparsePoly.const((k == u) + sign * (k == v)) for k in range(n)]
+
+
+def _oracle(m: PolyMatrix, z: list[SparsePoly]):
+    return _sympy_min_poly(_sympy_matrix(m), sympy.Matrix([_to_sympy(x) for x in z]))
+
+
+@pytest.mark.parametrize("symbols", list(ROUND_SEEDS), ids=["none", "Q", "QR"])
+def test_krylov_min_poly_proves_its_first_round(monkeypatch, symbols):
+    # Small coefficients reconstruct from one prime, so when every image is
+    # right the first candidate passes the exact check: a wrong image or a
+    # wrong interpolation would cost a second prime.
+    def first_only():
+        yield next(primes())
+        raise AssertionError("a second round")
+
+    primes = exact._primes
+    monkeypatch.setattr(exact, "_primes", first_only)
+    for m, z in _round_cases(symbols):
+        _assert_same(krylov_min_poly(m, z), _oracle(m, z))
+
+
+def _first_round_refuted(monkeypatch, how: str) -> list[int]:
+    """Make the first round's candidate wrong. A spurious reconstruction:
+    the first nonzero coefficient reconstructs one too large, and the list
+    returned records that modulus. An unlucky round: every image of the
+    first round has degree one less (its relation less the constant term,
+    divided by t), as at points where the Krylov rank drops, and the list
+    records the prime of every round."""
+    primes: list[int] = []
+    if how == "spurious-reconstruction":
+        rational = exact._rational
+
+        def planted(u, m):
+            c = rational(u, m)
+            if not primes and c:
+                primes.append(m)
+                return c + 1
+            return c
+
+        monkeypatch.setattr(exact, "_rational", planted)
+    else:
+        images = exact._images
+
+        def planted(diags, zs, edges, p, vecs, powers):
+            relations = images(diags, zs, edges, p, vecs, powers)
+            primes.append(p)
+            return [rel[1:] for rel in relations] if len(primes) == 1 else relations
+
+        monkeypatch.setattr(exact, "_images", planted)
+    return primes
+
+
+@pytest.mark.parametrize("how", ["spurious-reconstruction", "unlucky-round"])
+@pytest.mark.parametrize("symbols", list(ROUND_SEEDS), ids=["none", "Q", "QR"])
+def test_a_wrong_candidate_is_refused_by_the_exact_check(monkeypatch, symbols, how):
+    # The first round yields a wrong monic candidate, the exact check refuses
+    # it, and the next prime gives the minimal polynomial.
+    primes = _first_round_refuted(monkeypatch, how)
+    for m, z in _round_cases(symbols):
+        primes.clear()
+        _assert_same(krylov_min_poly(m, z), _oracle(m, z))
+        assert len(primes) == 2 if how == "unlucky-round" else primes == [exact._PROBE_PRIME]
+
+
+def test_a_denominator_of_the_first_prime_skips_it(monkeypatch):
+    # A weight 1/(2^61 - 1) has no residue modulo the first prime, 2^61 - 1
+    # itself, so every image comes from later primes.
+    images = exact._images
+    primes = []
+
+    def spy(diags, zs, edges, p, vecs, powers):
+        primes.append(p)
+        return images(diags, zs, edges, p, vecs, powers)
+
+    monkeypatch.setattr(exact, "_images", spy)
+    w = SparsePoly.const(Fraction(1, exact._PROBE_PRIME))
+    q, zero, one = SparsePoly.sym("Q"), SparsePoly.zero(), SparsePoly.one()
+    m = PolyMatrix([[q, w, zero, zero], [w, zero, one, zero], [zero, one, zero, w], [zero, zero, w, q]])
+    for sign in (1, -1):
+        z = [one, zero, zero, SparsePoly.const(sign)]
+        _assert_same(krylov_min_poly(m, z), _oracle(m, z))
+    assert primes and exact._PROBE_PRIME not in primes
+
+
+def test_rational_coefficients_need_more_than_one_prime(monkeypatch):
+    # Weights with three-digit numerators and denominators give both sides
+    # rational coefficients that one 61-bit prime cannot reconstruct; the
+    # Chinese remainder theorem combines rounds until every one does.
+    images = exact._images
+    primes = []
+
+    def spy(diags, zs, edges, p, vecs, powers):
+        primes.append(p)
+        return images(diags, zs, edges, p, vecs, powers)
+
+    monkeypatch.setattr(exact, "_images", spy)
+    rng = random.Random("rational")
+    n = 6
+    rows = [[SparsePoly.zero()] * n for _ in range(n)]
+    for i in range(n - 1):
+        rows[i][i + 1] = rows[i + 1][i] = SparsePoly.const(Fraction(rng.randint(100, 999), rng.randint(100, 999)))
+    rows[0][0] = rows[n - 1][n - 1] = SparsePoly.sym("Q")
+    rows[2][2] = SparsePoly.const(Fraction(rng.randint(100, 999), rng.randint(100, 999)))
+    m = PolyMatrix(rows)
+    for sign in (1, -1):
+        primes.clear()
+        z = [SparsePoly.const((k == 0) + sign * (k == n - 1)) for k in range(n)]
+        got = krylov_min_poly(m, z)
+        _assert_same(got, _oracle(m, z))
+        assert len(primes) > 1
+        assert any(type(c) is Fraction for c in got._terms.values())
 
 
 def _relative_factors(seed: int) -> tuple[SparsePoly, SparsePoly]:
@@ -336,7 +436,7 @@ def test_cofactor_guard_refuses_a_wrong_factor(monkeypatch, name):
         with pytest.raises(ExactDivisionError):
             charpoly(m, factors)
     # decompose reports a failed guard as an engine bug
-    monkeypatch.setattr(spectral, "_min_poly", lambda frame, powers: wrong)
+    monkeypatch.setattr(spectral, "_min_poly", lambda *args: wrong)
     with pytest.raises(InternalConsistencyError) as err:
         decompose(m, f.u, f.v)
     assert str(err.value) == "charpoly is not divisible by P_plus * P_minus at a cospectral pair"
