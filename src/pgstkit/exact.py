@@ -5,16 +5,17 @@ computation. Polynomials live in ``Q[t, s1, s2]`` where ``t`` is the
 distinguished spectral variable and ``s1``, ``s2`` are optional parameter
 symbols. At most two parameter symbols may appear in any one polynomial
 or exact matrix: that is all the constructions of arXiv 1804.01645 need,
-and it keeps the multivariate gcd recursion shallow. One helper checks the
-cap where a frame is formed (a polynomial, a ``PolyMatrix``, a Krylov run
-whose z adds symbols), so no kernel meets a wider frame; the numeric lane
-binds every symbol to a number and has no cap.
+and it keeps the modular kernels' grids of points small, as does the cap
+``MAX_SYMBOL_DEGREE`` on a diagonal entry's degree in a symbol. One helper
+checks the symbol cap where a frame is formed (a polynomial, a
+``PolyMatrix``, a Krylov run whose z adds symbols, a gcd), so no kernel
+meets a wider frame; the numeric lane binds every symbol to a number.
 
 Representation: a polynomial is a map from exponent vectors to nonzero
 rational coefficients. A coefficient is an ``int`` when it is integral and
 otherwise a ``fractions.Fraction`` in lowest terms, so the fraction-free
-kernels run on ints wherever the input is integral and only a division
-that leaves a remainder builds a ``Fraction``. The public accessor
+Bareiss kernel runs on ints wherever the input is integral and only a
+division that leaves a remainder builds a ``Fraction``. The public accessor
 ``constant_value`` returns a ``Fraction``. An exponent vector is a tuple
 ``(t_exp, *param_exps)`` aligned with the polynomial's sorted ``symbols``
 tuple. The representation is canonical: zero coefficients are dropped and
@@ -44,14 +45,17 @@ the minimal polynomial at each point, of a degree no larger than the true
 one; interpolation in the symbols, the Chinese remainder theorem over
 primes below 2^61 and rational reconstruction give a monic candidate; and
 the candidate is accepted only if it annihilates z on the exact vectors,
-which makes it the minimal polynomial. A division that is not exact
-raises. A gcd first tries a modular image that can only prove coprimality,
-and runs the multivariate recursion on everything else.
+which makes it the minimal polynomial. A gcd comes the same way, from
+images by Euclid, and is proven by dividing both arguments exactly; an
+image of degree 0 proves coprimality at once. A division that is not
+exact raises.
 """
 
 from __future__ import annotations
 
 import re
+from collections import defaultdict
+from contextlib import suppress
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import count, islice, product
@@ -69,8 +73,10 @@ from .errors import (
 
 Scalar = Union[Fraction, int]
 _Terms = dict[tuple[int, ...], Scalar]
+_Residues = dict[tuple[int, ...], list]  # residues modulo a prime, keyed by symbol exponents
 
 MAX_PARAM_SYMBOLS = 2
+MAX_SYMBOL_DEGREE = 10
 
 _SYMBOL_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
 
@@ -179,7 +185,7 @@ class SparsePoly:
         return self._terms == {(0,) * (1 + len(self._symbols)): _ONE}
 
     def is_constant(self) -> bool:
-        return all(all(e == 0 for e in exps) for exps in self._terms)
+        return not any(map(any, self._terms))
 
     def constant_value(self) -> Fraction:
         if not self._terms:
@@ -192,7 +198,7 @@ class SparsePoly:
         """Degree in t; -1 for the zero polynomial."""
         if not self._terms:
             return -1
-        return max(e[0] for e in self._terms)
+        return max(self._terms)[0]  # t's exponent leads every exponent tuple
 
     def deg_in(self, sym: str) -> int:
         """Degree in the parameter symbol; -1 for zero, 0 if absent."""
@@ -208,11 +214,6 @@ class SparsePoly:
 
     def is_t_free(self) -> bool:
         return self.deg_t() <= 0
-
-    def lead_exponents(self) -> tuple[int, ...]:
-        if not self._terms:
-            raise DomainError("zero polynomial has no leading term")
-        return max(self._terms, key=_order_key)
 
     def lead_coeff_t(self) -> "SparsePoly":
         """Coefficient of the highest power of t, as a t-free polynomial
@@ -592,88 +593,13 @@ def _parse_poly(text: str) -> SparsePoly:
 # gcd machinery
 
 
-def _normalize_sign(p: SparsePoly) -> SparsePoly:
-    """Scale by a rational so the graded-lex leading coefficient is 1."""
-    if p.is_zero():
-        return p
-    return p.scale(Fraction(1, p._terms[p.lead_exponents()]))
-
-
-def _prem(f: list[SparsePoly], g: list[SparsePoly]) -> list[SparsePoly]:
-    """Pseudo-remainder of coefficient lists (univariate views, deg f >= deg g)."""
-    r = list(f)
-    dg = len(g) - 1
-    lc = g[-1]
-    while len(r) - 1 >= dg and any(not c.is_zero() for c in r):
-        while r and r[-1].is_zero():
-            r.pop()
-        if len(r) - 1 < dg:
-            break
-        shift = len(r) - 1 - dg
-        minus_lead = -r[-1]
-        r = [c * lc for c in r[:shift]] + [
-            _sum_products(((c, lc), (minus_lead, gj))) for c, gj in zip(r[shift:], g)
-        ]
-        while r and r[-1].is_zero():
-            r.pop()
-    return r
-
-
-def _gcd_rec(f: SparsePoly, g: SparsePoly) -> SparsePoly:
-    """Multivariate gcd over Q, normalized to leading coefficient 1.
-
-    Primitive pseudo-remainder sequence in the highest variable present,
-    recursing into the coefficient ring for contents. Constants are units,
-    so any nonzero constant input short-circuits to 1.
-    """
-    if f.is_zero():
-        return _normalize_sign(g)
-    if g.is_zero():
-        return _normalize_sign(f)
-    if f.is_constant() or g.is_constant():
-        return SparsePoly.one()
-
-    f = _normalize_sign(f)
-    g = _normalize_sign(g)
-    # main variable: the greatest symbol (every listed symbol occurs), else t
-    main = max(f.symbols + g.symbols, default="t")
-
-    def content_of(coeffs: list[SparsePoly]) -> SparsePoly:
-        c = SparsePoly.zero()
-        for x in filter(None, coeffs):
-            if (c := _gcd_rec(c, x)).is_one():
-                break
-        return c
-
-    def divided(coeffs: list[SparsePoly], c: SparsePoly) -> list[SparsePoly]:
-        return coeffs if c.is_one() else [x.divexact(c) for x in coeffs]
-
-    fc = _as_var_coeffs(f, main)
-    gc = _as_var_coeffs(g, main)
-    if len(fc) == 1:
-        # f is free of main: gcd(f, content_main(g))
-        return _gcd_rec(f, content_of(gc))
-    if len(gc) == 1:
-        return _gcd_rec(g, f)
-    cf, cg = content_of(fc), content_of(gc)
-    a, b = divided(fc, cf), divided(gc, cg)
-    if len(a) < len(b):
-        a, b = b, a
-    while (r := _prem(a, b)) and any(r):
-        if len(r) == 1:
-            return _normalize_sign(_gcd_rec(cf, cg))
-        a, b = b, divided(r, content_of(r))
-    h = divided(b, content_of(b))
-    cc = _gcd_rec(cf, cg)
-    powers = (SparsePoly.t(k) if main == "t" else SparsePoly.sym(main, k) for k in range(len(h)))
-    return _normalize_sign(_sum_products(zip(h, powers)) * cc)
-
-
 _PROBE_PRIME = 2**61 - 1
 
 
 def _probe_value(name: str) -> int:
-    """The value a symbol takes in ``_coprime_probe``: fixed by its name alone."""
+    """The value a symbol takes at the first point of a modular kernel's
+    first round (the gcd's and the minimal polynomial's): fixed by its name
+    alone, so that symbols are matched by name across frames."""
     return int.from_bytes(name.encode(), "big") * 0x9E3779B97F4A7C15 % _PROBE_PRIME
 
 
@@ -713,66 +639,70 @@ def _is_prime(q: int) -> bool:
     return True
 
 
-def _coprime_probe(p: SparsePoly, q: SparsePoly) -> bool:
-    """True only if gcd(p, q) = 1; False says nothing.
+def poly_gcd_t(p: SparsePoly, q: SparsePoly) -> SparsePoly:
+    """Gcd of p and q, monic in t (1 if coprime); one of them must have a
+    nonzero constant leading t-coefficient, as P+, P-, characteristic
+    polynomials and S in S + sym*R do, or DomainError. See ``_gcd``."""
+    return _gcd(p, q)
 
-    A modular image (Brown, J. ACM 18, 1971): both map into F_l[t],
-    l = 2^61 - 1, each symbol to ``_probe_value`` of its name and each
-    coefficient to its residue, and Euclid runs on int lists. If p or q has
-    a constant leading t-coefficient with a nonzero residue, a common factor
-    can be taken monic in t over the UFD Z_(l)[symbols], so its image divides
-    both images at full t-degree: coprime images prove coprime inputs. A
-    denominator divisible by l skips the probe.
-    """
-    ell = _PROBE_PRIME
-    frame = _common_symbols((p._symbols, q._symbols))
-    point = [_probe_value(s) for s in frame]
-    images, kept_degree = [], False
-    for f in (p, q):
-        img = [0] * (f.deg_t() + 1)
-        for e, c in _lift(f, frame).items():
-            if (c := _residue(c, ell)) is None:
-                return False
-            for x, k in zip(point, e[1:]):
-                c *= pow(x, k, ell)
-            img[e[0]] = (img[e[0]] + c) % ell
-        kept_degree = kept_degree or bool(img and img[-1] and f.lead_coeff_t().is_constant())
-        while img and not img[-1]:
-            img.pop()
-        images.append(img)
-    if not kept_degree:
-        return False
-    a, b = images
-    while b:  # Euclid in F_l[t], coefficients by ascending power
-        inv = pow(b[-1], -1, ell)
+
+def _gcd(a: SparsePoly, b: SparsePoly) -> SparsePoly:
+    """The gcd h of ``poly_gcd_t`` (Brown, J. ACM 18, 1971) in rounds as in
+    ``_min_poly``, by Euclid over F_p at each point in turn. The argument f
+    with a constant leading t-coefficient is scaled to make it 1, so h is
+    monic in t with polynomial coefficients (Gauss's lemma), of degree in
+    each symbol s at most B_s, the least deg_s of a nonzero argument. No
+    image has a degree below deg h: one of degree 0 proves the answer 1, and
+    D is the least seen. A candidate t^D + ... dividing both exactly is h."""
+    for f, g in ((a, b), (b, a)):
+        if f and (lead := f.lead_coeff_t()).is_constant():
+            break
+    else:
+        raise DomainError("gcd needs an argument with a constant leading coefficient in t")
+    f = f if lead.is_one() else f.scale(1 / lead.constant_value())
+    frame = _capped(_common_symbols((f._symbols, g._symbols)))
+    lifted, sizes = [_lift(f, frame), _lift(g, frame)], [f.deg_t() + 1, g.deg_t() + 1]
+    degree, modulus, combined = sizes[0] - 1, 1, {}
+    for attempt, p in enumerate(_primes()):
+        fres, gres = [_residues(x.items(), p) for x in lifted]
+        if fres is None or gres is None:
+            continue
+        bounds = [min(max(e[s] for e in x) for x in (fres, gres) if x) for s in range(len(frame))]
+        axes, images = _axes(frame, bounds, attempt, p), []
+        for point in product(*axes):
+            images.append(_euclid(_at(fres, sizes[0], point, p), _at(gres, sizes[1], point, p), p))
+            if len(images[-1]) == 1:
+                return _ONE_POLY
+        if (low := min(map(len, images)) - 1) < degree:
+            degree, modulus, combined = low, 1, {}
+        combined, modulus, coeffs = _lifted(images, degree, axes, p, combined, modulus)
+        if coeffs:
+            terms = {(k, *e[1:]): c for k, ck in enumerate(coeffs) for e, c in ck.items()}
+            with suppress(ExactDivisionError):
+                _divide(lifted[0], terms), _divide(lifted[1], terms)
+                return _raw(*_canonical(terms, frame))
+
+
+def _euclid(a: list[int], b: list[int], p: int) -> list[int]:
+    """The monic gcd over F_p of a nonzero a and b, coefficient lists by
+    ascending power; remainders are scaled, not divided, by b's leading one."""
+    while b and not b[-1]:
+        b.pop()
+    while b:
+        lead_b = b[-1]
         while len(a) >= len(b):
-            lead, s = a[-1] * inv % ell, len(a) - len(b)
+            lead_a, s = a[-1], len(a) - len(b)
+            for i in range(s):
+                a[i] = a[i] * lead_b % p
             for i, y in enumerate(b):
-                a[s + i] = (a[s + i] - lead * y) % ell
+                a[s + i] = (a[s + i] * lead_b - lead_a * y) % p
             while a and not a[-1]:
                 a.pop()
         a, b = b, a
-    return len(a) == 1
-
-
-def poly_gcd_t(p: SparsePoly, q: SparsePoly) -> SparsePoly:
-    """Gcd of two polynomials, normalized deterministically.
-
-    If the leading t-coefficient of the gcd is constant the result is monic
-    in t; otherwise the graded-lex leading coefficient is scaled to 1.
-    Coprime inputs give the constant 1.
-    """
-    if p.is_zero() and q.is_zero():
-        raise DomainError("gcd(0, 0) is undefined")
-    if _coprime_probe(p, q):
-        return SparsePoly.one()
-    g = _gcd_rec(p, q)
-    if g.is_constant():
-        return SparsePoly.one()
-    lc = g.lead_coeff_t()
-    if lc.is_constant():
-        return g.scale(1 / lc.constant_value())
-    return _normalize_sign(g)
+    if len(a) == 1:
+        return [1]
+    inv = pow(a[-1], -1, p)
+    return [x * inv % p for x in a]
 
 
 # ---------------------------------------------------------------------------
@@ -803,14 +733,14 @@ def is_irreducible_linear_param(p: SparsePoly, sym: str) -> bool:
 
     With p = S + sym*R and deg-in-sym exactly 1, any factorization must put
     sym in a single factor, which forces the sym-free cofactor to divide
-    both S and R. So p is irreducible iff gcd(S, R) is constant.
+    both S and R. So p is irreducible iff gcd(S, R) is 1.
     """
     if not p.is_monic_t():
         raise DomainError(f"need a monic polynomial in t, got {p}")
     if p.deg_in(sym) != 1:
         raise NotLinearInParamError(f"{p} must have degree exactly 1 in {sym}")
-    s, r = split_linear_param(p, sym)
-    return _coprime_probe(s, r) or _gcd_rec(s, r).is_constant()
+    s, r = _as_var_coeffs(p, sym)
+    return _gcd(s, r).is_one()
 
 
 # ---------------------------------------------------------------------------
@@ -841,6 +771,8 @@ class PolyMatrix:
                     raise StructuralError(f"entry ({i},{j}) involves t")
                 if i != j and not x.is_constant():
                     raise StructuralError(f"off-diagonal entry ({i},{j}) carries a parameter symbol")
+                if x._symbols and max(max(e[1:]) for e in x._terms) > MAX_SYMBOL_DEGREE:
+                    raise DomainError(f"entry ({i},{i}) has degree above {MAX_SYMBOL_DEGREE} in a symbol")
                 if nonzero[j].get(i) != x:
                     raise StructuralError(f"matrix is not symmetric at ({max(i, j)},{min(i, j)})")
         frame = self._frame = _capped(_common_symbols(x._symbols for r in nonzero for x in r.values()))
@@ -1045,69 +977,87 @@ def _min_poly(
     if not any(vecs[0]):
         raise DomainError("relative minimal polynomial of the zero vector")
     diagonal = [row.get(i, {}) for i, row in enumerate(rows)]
+    indexed = [[((i, *e[1:]), c) for i, x in enumerate(v) for e, c in x.items()] for v in (diagonal, z)]
     bounds = [sum(max(e[s] for e in x) for x in diagonal if x) for s in range(1, 1 + width)]
-    grid = list(product(*(range(b + 1) for b in bounds)))
     degree, modulus, combined = 0, 1, {}
     for attempt, p in enumerate(_primes()):
         edges = [
             (i, j, _residue(x[origin], p)) for i, row in enumerate(rows) for j, x in row.items() if j != i
         ]
-        diag = [[(e[1:], _residue(c, p)) for e, c in x.items()] for x in diagonal]
-        zres = [[(e[1:], _residue(c, p)) for e, c in x.items()] for x in z]
-        if None in [c for *_, c in edges] + [c for x in (*diag, *zres) for _, c in x]:
+        diag, zres = (_residues(x, p) for x in indexed)
+        if None in [diag, zres, *(c for *_, c in edges)]:
             continue
-        # Values move with the round: a point where the rank drops over Q
-        # would drop it at every prime.
-        axes = [
-            [(_probe_value(s) * (attempt + 1) + j) % p for j in range(b + 1)]
-            for s, b in zip(frame, bounds)
-        ]
+        axes = _axes(frame, bounds, attempt, p)
         points = list(product(*axes))
-        diags = [[_at(x, a, p) for x in diag] for a in points]
-        zs = [[_at(x, a, p) for x in zres] for a in points]
+        diags = [_at(diag, n, a, p) for a in points]
+        zs = [_at(zres, n, a, p) for a in points]
         relations = _images(diags, zs, edges, p, vecs, powers)
         if (top := max(map(len, relations)) - 1) > degree:
             degree, modulus, combined = top, 1, {}
-        if any(len(rel) != degree + 1 for rel in relations):
-            continue
-        images = _interpolate_grid(dict(zip(grid, (rel[:-1] for rel in relations))), axes, p)
-        inv = pow(modulus, -1, p)
-        combined = {
-            key: [x + modulus * ((y - x) * inv % p) for x, y in zip(combined.get(key, ys), ys)]
-            for key, ys in images.items()
-        }
-        modulus *= p
-        coeffs = _reconstructed(combined, modulus, degree, origin)
+        combined, modulus, coeffs = _lifted(relations, degree, axes, p, combined, modulus)
         if coeffs and not any(_accumulate(zip((v[i] for v in vecs), coeffs)) for i in range(n)):
             terms = {(k, *e[1:]): c for k, ck in enumerate(coeffs) for e, c in ck.items()}
             return _raw(*_canonical(terms, frame))
 
 
-def _reconstructed(
-    combined: dict[tuple[int, ...], list[int]], modulus: int, degree: int, origin: tuple[int, ...]
-) -> list[_Terms] | None:
-    """The candidate's coefficients of t^0, ..., t^degree as term dicts, from
-    residues modulo ``modulus`` keyed by symbol exponents; None at the first
-    residue that reconstructs no rational."""
-    coeffs: list[_Terms] = [{} for _ in range(degree)]
+def _axes(frame: tuple[str, ...], bounds: list[int], attempt: int, p: int) -> list[range]:
+    """B_s + 1 values of each symbol s from _probe_value(s) * (attempt + 1) on,
+    moved by the round: where a degree drops over Q it drops at every prime."""
+    return [range(x := _probe_value(s) * (attempt + 1) % p, x + b + 1) for s, b in zip(frame, bounds)]
+
+
+def _lifted(
+    images: list[list[int]], degree: int, axes: list[range], p: int, combined: _Residues, modulus: int
+) -> tuple[_Residues, int, list[_Terms] | None]:
+    """A round's monic images over F_p at the grid of ``axes``, interpolated
+    in the symbols and combined by the Chinese remainder theorem with the
+    earlier rounds' ``combined`` residues modulo ``modulus``: those two, and
+    the candidate's coefficients of t^0, ..., t^degree as term dicts, or
+    None if an image has another degree or a residue reconstructs no rational."""
+    if any(len(image) != degree + 1 for image in images):
+        return combined, modulus, None
+    grid = product(*(range(len(xs)) for xs in axes))
+    values = _interpolate_grid(dict(zip(grid, (image[:-1] for image in images))), axes, p)
+    inv = pow(modulus, -1, p)
+    combined = {
+        key: [x + modulus * ((y - x) * inv % p) for x, y in zip(combined.get(key, ys), ys)]
+        for key, ys in values.items()
+    }
+    modulus *= p
+    coeffs: list[_Terms] = [{} for _ in range(degree + 1)]
+    coeffs[-1][(0,) * (1 + len(axes))] = _ONE
     for key, column in combined.items():
         for k, u in enumerate(column):
             if u:
                 if (c := _rational(u, modulus)) is None:
-                    return None
+                    return combined, modulus, None
                 coeffs[k][(0, *key)] = c
-    return [*coeffs, {origin: _ONE}]
+    return combined, modulus, coeffs
 
 
-def _at(terms: list[tuple[tuple[int, ...], int]], point: tuple[int, ...], p: int) -> int:
-    """The residues of a polynomial's terms, summed at a point over F_p."""
-    total = 0
-    for exps, c in terms:
-        for x, k in zip(point, exps):
-            if k:
-                c = c * pow(x, k, p)
-        total += c
-    return total % p
+def _residues(terms: Iterable[tuple[tuple[int, ...], Scalar]], p: int) -> _Residues | None:
+    """Terms (exponents, coefficient) modulo p: (first exponent, residue)
+    pairs keyed by the rest; None when p divides a denominator."""
+    out = defaultdict(list)
+    for e, c in terms:
+        if (r := _residue(c, p)) is None:
+            return None
+        out[e[1:]].append((e[0], r))
+    return out
+
+
+def _at(residues: _Residues, size: int, point: tuple[int, ...], p: int) -> list[int]:
+    """``_residues`` at a point over F_p, summed by first exponent into a
+    list of ``size``, evaluating each monomial in the symbols once."""
+    values = [0] * size
+    for exps, column in residues.items():
+        m = 1
+        for x, j in zip(point, exps):
+            if j:
+                m = m * pow(x, j, p) % p
+        for k, c in column:
+            values[k] += c * m
+    return [c % p for c in values]
 
 
 def _images(

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -472,6 +473,23 @@ def test_bad_input_or_output_is_one_error_line(capsys, tmp_path, argv, code, mes
     assert err.startswith("error:") and err.count("\n") == 1
     if message is not None:
         assert err == message
+
+
+@pytest.mark.parametrize(
+    "argv, vertex",
+    [(["@G_B", "--u", "1", "--v", "8", "--potential", "Q^99999999999"], 1), (["{tmp}", "--u", "0", "--v", "1"], 0)],
+    ids=["huge-power", "Q^1000-at-the-pair"],
+)
+def test_a_high_degree_potential_is_refused_when_the_matrix_is_formed(capsys, tmp_path, argv, vertex):
+    # The grids of modular images grow with the degree of the diagonal in a
+    # symbol; above MAX_SYMBOL_DEGREE the exact matrix is refused, at once.
+    (tmp_path / "q1000.txt").write_text("n 2\ne 0 1\np 0 Q^1000\np 1 Q^1000\n")
+    argv = [a.replace("{tmp}", str(tmp_path / "q1000.txt")) for a in argv]
+    start = time.perf_counter()
+    code, out, err = run(capsys, "analyze", *argv)
+    assert time.perf_counter() - start < 5
+    assert (code, out) == (2, "")
+    assert err == f"error: entry ({vertex},{vertex}) has degree above {exact.MAX_SYMBOL_DEGREE} in a symbol\n"
 
 
 def test_a_weight_of_10_to_400_is_exact(capsys, tmp_path):

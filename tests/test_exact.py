@@ -8,6 +8,7 @@ root isolation.
 
 from __future__ import annotations
 
+import inspect
 import operator
 import random
 from fractions import Fraction
@@ -159,15 +160,22 @@ def test_gcd_examples():
         poly_gcd_t(SparsePoly.zero(), SparsePoly.zero())
 
 
+def _monic_poly(rng: random.Random) -> SparsePoly:
+    """A random polynomial plus t to one more than its t-degree."""
+    p = _random_poly(rng)
+    return p + T ** (p.deg_t() + 1)
+
+
 def test_gcd_divides_both_and_is_symmetric():
     rng = random.Random(13)
     for _ in range(25):
-        a = _random_poly(rng)
+        a = _monic_poly(rng)
         b = _random_poly(rng)
-        if a.is_zero() or b.is_zero():
+        if b.is_zero():
             continue
         g = poly_gcd_t(a, b)
         assert poly_gcd_t(b, a) == g
+        assert g.is_monic_t()
         a.divexact(g)
         b.divexact(g)
 
@@ -176,9 +184,9 @@ def test_gcd_finds_planted_common_factor():
     rng = random.Random(17)
     for _ in range(25):
         f = T - SparsePoly.const(rng.randint(-3, 3))
-        a = f * _random_poly(rng)
+        a = f * _monic_poly(rng)
         b = f * _random_poly(rng)
-        if a.is_zero() or b.is_zero():
+        if b.is_zero():
             continue
         g = poly_gcd_t(a, b)
         g.divexact(f)  # planted factor divides the gcd
@@ -191,54 +199,105 @@ def test_gcd_with_parameters():
     assert poly_gcd_t(a, b) == T - q
 
 
-# The coprimality probe may only ever answer "coprime"; every other case
-# must reach the full gcd and come back exactly as before.
-
-
-def test_probe_falls_back_where_the_images_mislead():
-    # Q's probe value is a root of t - Q's image, so the images of t - Q and
-    # t - c share it although the polynomials are coprime.
-    c = SparsePoly.const(exact._probe_value("Q"))
-    a, b = T - SparsePoly.sym("Q"), T - c
-    assert not exact._coprime_probe(a, b)
-    assert poly_gcd_t(a, b).is_one()
-    assert poly_gcd_t(a, T - c - ONE).is_one() and exact._coprime_probe(a, T - c - ONE)
-    # A common factor free of t maps to a unit, so coprime images prove
-    # nothing unless one side has a constant leading t-coefficient.
+def test_gcd_needs_a_constant_leading_coefficient():
+    # R is a common factor of both, but neither leading t-coefficient is
+    # constant: the gcd is outside its domain.
     r = SparsePoly.sym("R")
-    a, b = r * (T + ONE), r * (T - ONE)
-    assert not exact._coprime_probe(a, b)
-    assert poly_gcd_t(a, b) == r
+    with pytest.raises(DomainError, match="constant leading coefficient"):
+        poly_gcd_t(r * (T + ONE), r * (T - ONE))
+    with pytest.raises(DomainError, match="constant leading coefficient"):
+        poly_gcd_t(SparsePoly.zero(), r)
 
 
-def test_probe_keys_symbol_values_by_name():
+# Every image has degree at least deg gcd, so one of degree 0 proves the
+# answer 1; any other answer must be lifted and divide both exactly.
+
+
+def _spy(monkeypatch, name: str) -> list:
+    """Record (the prime p, the result) of every call to exact.<name>."""
+    seen, fn = [], getattr(exact, name)
+    where = list(inspect.signature(fn).parameters).index("p")
+
+    def spy(*args):
+        seen.append((args[where], out := fn(*args)))
+        return out
+
+    monkeypatch.setattr(exact, name, spy)
+    return seen
+
+
+def test_gcd_where_the_first_image_misleads(monkeypatch):
+    # Q's first value is a root of t - Q's image, so at the first point the
+    # images of t - Q and t - c share it although the polynomials are
+    # coprime. b is free of Q, so that is the first round's one point, and
+    # it gives no candidate that divides a (t - c would not); the next
+    # prime's point proves them coprime.
+    c = SparsePoly.const(exact._probe_value("Q"))
+    calls = _spy(monkeypatch, "_euclid")
+    a, b = T - SparsePoly.sym("Q"), T - c
+    assert poly_gcd_t(a, b).is_one()
+    (p0, first), (p1, second) = calls
+    assert p0 == exact._PROBE_PRIME != p1 and (len(first), len(second)) == (2, 1)
+    calls.clear()
+    assert poly_gcd_t(a, T - c - ONE).is_one() and len(calls) == 1
+
+
+def test_gcd_refuses_a_spurious_extra_root(monkeypatch):
+    # (t - Q)(t - 1) and (t - c)(t - 1) agree at Q = c. b is free of Q, so
+    # the first round has that one point, of degree 2, and gives no
+    # candidate that divides a ((t - c)(t - 1) would not): the next prime's
+    # round gives t - 1.
+    c = SparsePoly.const(exact._probe_value("Q"))
+    calls = _spy(monkeypatch, "_lifted")
+    a, b = (T - SparsePoly.sym("Q")) * (T - ONE), (T - c) * (T - ONE)
+    assert poly_gcd_t(a, b) == T - ONE
+    (p0, _), (p1, (_, _, coeffs)) = calls
+    assert p0 == exact._PROBE_PRIME != p1 and len(coeffs) == 2  # of t^0 and t^1
+    # With Q in b too, the first round's second point has degree 1: the
+    # round is dropped, with no candidate.
+    calls.clear()
+    assert poly_gcd_t(a, b * P("t - Q - 5")) == T - ONE
+    assert [coeffs is None for _, (_, _, coeffs) in calls] == [True, False]
+
+
+def test_gcd_keys_symbol_values_by_name():
     # p over (Q,), q over (P, Q): keyed by position, Q in p would take P's
     # value in q and the images of t - Q and (t - Q)(t + P) would be coprime.
     q, p_sym = SparsePoly.sym("Q"), SparsePoly.sym("P")
     a, b = T - q, (T - q) * (T + p_sym)
     assert a.symbols == ("Q",) and b.symbols == ("P", "Q")
-    assert not exact._coprime_probe(a, b)
     assert poly_gcd_t(a, b) == T - q
     assert not is_irreducible_linear_param(P("t^2 - Q*t - t + Q"), "Q")
 
 
-def test_probe_leaves_a_planted_two_symbol_factor_to_the_gcd():
+def test_gcd_lifts_a_planted_two_symbol_factor():
     g = P("t^2 + P*t - Q")
     for a, b in ((g * P("t - 1"), g * P("t + P")), (g, g * P("Q*t + 1"))):
-        assert not exact._coprime_probe(a, b)
         assert poly_gcd_t(a, b) == g
+        assert poly_gcd_t(b, a) == g
 
 
-def test_probe_skips_a_denominator_divisible_by_its_prime():
+def test_gcd_coefficient_above_one_prime_needs_two(monkeypatch):
+    # A coefficient above 2^61 has no reconstruction modulo one prime below
+    # it; the Chinese remainder theorem combines two.
+    big = SparsePoly.const(2**64 + 1)
+    calls = _spy(monkeypatch, "_lifted")
+    a, b = (T - big) * (T + ONE), (T - big) * P("t^2 - Q")
+    assert poly_gcd_t(a, b) == T - big
+    assert len(calls) == 2
+
+
+def test_gcd_skips_a_prime_that_divides_a_denominator(monkeypatch):
     ell = 2**61 - 1
     a = T - SparsePoly.const(Fraction(1, ell))
-    for b in (T, T - SparsePoly.const(Fraction(1, ell))):
-        assert not exact._coprime_probe(a, b)
+    calls = _spy(monkeypatch, "_euclid")
     assert poly_gcd_t(a, T).is_one()
+    assert poly_gcd_t(a, a) == a
     assert poly_gcd_t(a, T.scale(ell) - ONE) == a
-    # a leading coefficient that vanishes mod l keeps no degree; t still does
-    assert exact._coprime_probe(T.scale(ell) + ONE, T)
-    assert not exact._coprime_probe(T.scale(ell) + ONE, SparsePoly.const(ell))
+    # a leading coefficient divisible by l puts l in f's denominators
+    assert poly_gcd_t(T.scale(ell) + ONE, T).is_one()
+    assert poly_gcd_t(T.scale(ell) + ONE, SparsePoly.const(ell)).is_one()
+    assert calls and ell not in [p for p, _ in calls]
 
 
 # ---------------------------------------------------------------------------

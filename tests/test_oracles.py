@@ -534,10 +534,9 @@ def test_poly_gcd_t_matches_sympy(syms):
     rng = random.Random(f"gcd{syms}")
     gens = (T, *(LOCALS[s] for s in syms))
     for _ in range(4):
-        g, f1, f2 = (_random_poly(rng, syms, terms=3) for _ in range(3))
-        a, b = g * f1, g * f2
-        if a.is_zero() and b.is_zero():
-            continue
+        # a is monic in t, as one argument must have a constant leading t-coefficient
+        g, f1 = (_monic(rng, syms, rng.randint(1, 2), 3) for _ in range(2))
+        a, b = g * f1, g * _random_poly(rng, syms, terms=3)
         got = poly_gcd_t(a, b)
         assert_stored_form(got)
         expected = sympy.gcd(_to_sympy(a), _to_sympy(b), *gens)
@@ -556,12 +555,11 @@ def _monic(rng: random.Random, symbols: tuple[str, ...], degree: int, terms: int
 
 @pytest.mark.parametrize("syms", SYMBOL_SETS, ids=SYMBOL_IDS)
 def test_coprimality_and_irreducibility_match_sympy(syms):
-    # Monic-in-t pairs, half of them with a planted common factor; the
-    # modular probe answers some of them and the full gcd the rest.
+    # Pairs with a monic-in-t side, half of them with a planted common
+    # factor.
     rng = random.Random(f"probe{syms}")
     gens = (T, *(LOCALS[s] for s in syms))
     rest = tuple(s for s in syms if s != "Q")
-    probed = 0
     for _ in range(12):
         a, b = _monic(rng, syms, rng.randint(1, 3), 3), _random_poly(rng, syms, terms=4)
         if rng.random() < 0.5:
@@ -571,9 +569,6 @@ def test_coprimality_and_irreducibility_match_sympy(syms):
             continue
         coprime = sympy.Poly(sympy.gcd(_to_sympy(a), _to_sympy(b), *gens), *gens).is_ground
         assert poly_gcd_t(a, b).is_one() == poly_gcd_t(b, a).is_one() == coprime
-        if exact._coprime_probe(a, b):
-            probed += 1
-            assert coprime
         # p = S + Q*R, monic in t and of degree 1 in Q
         s_part, r_part = _monic(rng, rest, 3, 3), _monic(rng, rest, 2, 2) - SparsePoly.t(2)
         if r_part.is_zero():
@@ -585,7 +580,6 @@ def test_coprimality_and_irreducibility_match_sympy(syms):
         _, factors = sympy.factor_list(_to_sympy(p), T, LOCALS["Q"], LOCALS["R"])
         moving = [k for fac, k in factors if fac.has(T) or fac.has(LOCALS["Q"])]
         assert is_irreducible_linear_param(p, "Q") == (moving == [1])
-    assert probed
 
 
 def test_division_leaves_exact_fractions():
@@ -597,7 +591,7 @@ def test_division_leaves_exact_fractions():
     assert univariate_t_coeffs(third) == [Fraction(1, 3), 1]
     for a, b, expected in [
         ("2*t^2 + 2*t - 4", "2*t^2 - 8*t + 6", "t - 1"),
-        ("2*t^2*Q + 2*t*Q + 3*t + 3", "2*t^2*Q - 2*t*Q + 3*t - 3", "t*Q + 3/2"),
+        ("2*t^2 + 3*t + 1", "2*t^2*Q + t*Q + 4*t + 2", "t + 1/2"),
     ]:
         g = poly_gcd_t(SparsePoly.parse(a), SparsePoly.parse(b))
         assert_stored_form(g)
