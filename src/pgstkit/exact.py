@@ -44,8 +44,12 @@ the Krylov run z, Mz, M^2 z, ... over F_p at points of the symbols give
 the minimal polynomial at each point, of a degree no larger than the true
 one; interpolation in the symbols, the Chinese remainder theorem over
 primes below 2^61 and rational reconstruction give a monic candidate; and
-the candidate is accepted only if it annihilates z on the exact vectors,
-which makes it the minimal polynomial. A gcd comes the same way, from
+the candidate is accepted only if it annihilates z, which makes it the
+minimal polynomial. That check runs at one integer point: with the
+denominators cleared and each symbol sent to a power of an integer N
+larger than every coefficient the identity can have (Kronecker
+substitution), the integer Krylov vectors at N sum to zero exactly when
+the polynomial ones do. A gcd comes the same way, from
 images by Euclid, and is proven by dividing both arguments exactly; an
 image of degree 0 proves coprimality at once. A division that is not
 exact raises.
@@ -59,13 +63,14 @@ from contextlib import suppress
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import count, islice, product
-from math import gcd
-from operator import add, neg, sub
+from math import gcd, lcm
+from operator import add, mul, neg, sub
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import (
     DomainError,
     ExactDivisionError,
+    NotCospectralError,
     NotLinearInParamError,
     ParseError,
     StructuralError,
@@ -221,7 +226,7 @@ class SparsePoly:
         return self.coeff_t(self.deg_t())
 
     def is_monic_t(self) -> bool:
-        return self.lead_coeff_t().is_one()
+        return _constant_lead_t(self) == 1
 
     def coeff_t(self, power: int) -> "SparsePoly":
         """Coefficient of t**power as a polynomial in the parameters only."""
@@ -398,6 +403,15 @@ def _canonical(
         return acc, symbols
     pos = [k for _, k in kept]
     return {(e[0], *[e[k] for k in pos]): c for e, c in acc.items()}, new_syms
+
+
+def _constant_lead_t(p: SparsePoly) -> Scalar | None:
+    """p's leading t-coefficient if it is a constant, else None (also for 0).
+    t leads every exponent tuple, so the largest tuple has t-exponent deg_t,
+    and any symbol in the leading coefficient would make a larger one."""
+    if p._terms and not any((top := max(p._terms))[1:]):
+        return p._terms[top]
+    return None
 
 
 def _raw(terms: dict[tuple[int, ...], Scalar], symbols: tuple[str, ...]) -> SparsePoly:
@@ -655,11 +669,11 @@ def _gcd(a: SparsePoly, b: SparsePoly) -> SparsePoly:
     image has a degree below deg h: one of degree 0 proves the answer 1, and
     D is the least seen. A candidate t^D + ... dividing both exactly is h."""
     for f, g in ((a, b), (b, a)):
-        if f and (lead := f.lead_coeff_t()).is_constant():
+        if (lead := _constant_lead_t(f)) is not None:
             break
     else:
         raise DomainError("gcd needs an argument with a constant leading coefficient in t")
-    f = f if lead.is_one() else f.scale(1 / lead.constant_value())
+    f = f if lead == 1 else f.scale(Fraction(1, lead))
     frame = _capped(_common_symbols((f._symbols, g._symbols)))
     lifted, sizes = [_lift(f, frame), _lift(g, frame)], [f.deg_t() + 1, g.deg_t() + 1]
     degree, modulus, combined = sizes[0] - 1, 1, {}
@@ -807,7 +821,7 @@ def _krylov(
     m: PolyMatrix, z: Sequence
 ) -> tuple[tuple[str, ...], Sequence[dict[int, _Terms]], list[_Terms]]:
     """The frame of M and z, with M's rows and z as term dicts over it, in
-    stored form; ``_powers`` of those gives z, Mz, M^2 z, .... The frame
+    stored form, for ``_min_poly`` or for ``_powers``. The frame
     holds at most two symbols: z may add symbols to M's frame only within
     the cap."""
     vec = [_coerce_entry(x) for x in z]
@@ -937,44 +951,60 @@ def krylov_min_poly(m: PolyMatrix, z: Sequence) -> SparsePoly:
     ``_min_poly`` finds it from modular images and proves it exactly: see
     there. The zero vector raises DomainError.
     """
-    frame, rows, vec = _krylov(m, z)
-    return _min_poly(frame, rows, vec, _powers(rows, vec))
+    return _min_poly(*_krylov(m, z))
 
 
 def _min_poly(
     frame: tuple[str, ...],
     rows: Sequence[dict[int, _Terms]],
     z: list[_Terms],
-    powers: Iterator[list[_Terms]],
+    pair: tuple[int, int] | None = None,
 ) -> SparsePoly:
-    """The relative minimal polynomial P of M and z from ``_krylov``, given
-    the exact vectors z, Mz, ... of ``powers``, which it takes only as far
-    as it needs them.
+    """The relative minimal polynomial P of M and z from ``_krylov``. Given
+    ``pair`` = (u, v), it also checks that the entries u and v of M^k z
+    agree for k <= deg P, or raises NotCospectralError.
 
     Each round takes the next prime p below 2^61 (skipping one that divides
     a denominator of M or z) and a grid of points for the symbols that
-    changes from round to round. At each point a, in lockstep with the
-    exact vectors, an image over F_p runs z(a), M(a) z(a), ... through
-    Gaussian elimination, each vector carrying the t-power it started as,
-    until one reduces to zero: its t-polynomial is the minimal polynomial at
-    a. Specialization cannot raise a Krylov rank, so no image has a degree
-    above deg P, and one of degree deg P is P(a) mod p (the denominators of
-    P divide powers of M's). D is the largest degree seen; images of lower
-    degree are dropped with their round. P divides det(tI - M), which is
-    monic, so by Gauss's lemma P has polynomial coefficients of degree at
-    most B_s = sum of deg_s M_ii in each symbol s (off-diagonal entries are
-    constant): B_s + 1 values of s interpolate them over F_p, and a symbol
-    only z carries has B_s = 0. Rounds combine by the Chinese remainder
-    theorem, and maximal-quotient rational reconstruction (Monagan, ISSAC
-    2004) lifts the coefficients to Q. The candidate t^D + ... is then
-    checked exactly: sum of c_k M^k z = 0 over the exact vectors. A monic
-    annihilator of degree D <= deg P is P itself, so what this returns is
-    proven; a failed reconstruction or check only costs another round.
+    changes from round to round. At each point a, an image over F_p runs
+    z(a), M(a) z(a), ... through Gaussian elimination, each vector carrying
+    the t-power it started as, until one reduces to zero: its t-polynomial
+    is the minimal polynomial at a. Specialization cannot raise a Krylov
+    rank, so no image has a degree above deg P, and one of degree deg P is
+    P(a) mod p (the denominators of P divide powers of M's). D is the
+    largest degree seen; images of lower degree are dropped with their
+    round. P divides det(tI - M), which is monic, so by Gauss's lemma P has
+    polynomial coefficients of degree at most B_s = sum of deg_s M_ii in
+    each symbol s (off-diagonal entries are constant): B_s + 1 values of s
+    interpolate them over F_p, and a symbol only z carries has B_s = 0.
+    Rounds combine by the Chinese remainder theorem, and maximal-quotient
+    rational reconstruction (Monagan, ISSAC 2004) lifts the coefficients to
+    Q. The candidate t^D + c_(D-1) t^(D-1) + ... + c_0 is then checked
+    exactly: sum of c_k M^k z = 0. A monic annihilator of degree D <= deg P
+    is P itself, so what this returns is proven; a failed reconstruction or
+    check only costs another round.
+
+    The check (``_annihilates``) runs at one integer point, by Kronecker
+    substitution. L, L_z and L_c are the lcms of the denominators of M, z
+    and the c_k, so M' = L M, z' = L_z z and c'_k = L_c L^(D-k) c_k are
+    integral, with sum of c'_k M'^k z' = L_c L_z L^D sum of c_k M^k z. The
+    symbols go to powers of one integer N: s1 to N and s2 to N^d1, with
+    d1 = max_k deg_s1 c_k + D max_i deg_s1 M_ii + max_i deg_s1 z_i + 1.
+    Every entry of that sum, and every difference of entries u and v of
+    M'^k z' for k <= D, has degree below d1 in s1, so distinct monomials go
+    to distinct powers of N and the coefficients are kept. They are at most
+    H = max_i |z'_i| max(sum of |c'_k| r^k, 2 r^D) in absolute value, where
+    |x| is the sum of the absolute values of x's coefficients and r is the
+    largest row sum of |M'_ij|, or 1 if that is less. Lemma: a nonzero
+    integer polynomial f of degree m with coefficients at most H in absolute
+    value has no root N >= H + 2, since |f(N)| >= N^m - H (N^m - 1)/(N - 1)
+    > 0. So with N the least power of two >= H + 2, D sparse integer
+    products v_(k+1) = M'(N) v_k from v_0 = z'(N) decide the identity over
+    Q[s1, s2] (sum of c'_k(N) v_k = 0) and the agreement of entries u and v.
     """
     n, width = len(rows), len(frame)
     origin = (0,) * (1 + width)
-    vecs = [next(powers)]
-    if not any(vecs[0]):
+    if not any(z):
         raise DomainError("relative minimal polynomial of the zero vector")
     diagonal = [row.get(i, {}) for i, row in enumerate(rows)]
     indexed = [[((i, *e[1:]), c) for i, x in enumerate(v) for e, c in x.items()] for v in (diagonal, z)]
@@ -991,13 +1021,72 @@ def _min_poly(
         points = list(product(*axes))
         diags = [_at(diag, n, a, p) for a in points]
         zs = [_at(zres, n, a, p) for a in points]
-        relations = _images(diags, zs, edges, p, vecs, powers)
+        relations = _images(diags, zs, edges, p, pair)
         if (top := max(map(len, relations)) - 1) > degree:
             degree, modulus, combined = top, 1, {}
         combined, modulus, coeffs = _lifted(relations, degree, axes, p, combined, modulus)
-        if coeffs and not any(_accumulate(zip((v[i] for v in vecs), coeffs)) for i in range(n)):
+        if coeffs and _annihilates(rows, z, coeffs, pair):
             terms = {(k, *e[1:]): c for k, ck in enumerate(coeffs) for e, c in ck.items()}
             return _raw(*_canonical(terms, frame))
+
+
+def _annihilates(
+    rows: Sequence[dict[int, _Terms]],
+    z: list[_Terms],
+    coeffs: list[_Terms],
+    pair: tuple[int, int] | None,
+) -> bool:
+    """Whether sum of c_k M^k z = 0 for the candidate's coefficients
+    c_0, ..., c_D, decided at N by the lemma in ``_min_poly``; given
+    ``pair`` = (u, v), entries u and v of M^k z must also agree for k <= D,
+    or NotCospectralError."""
+    top = len(coeffs) - 1
+    lcm_m = lcm(*(c.denominator for row in rows for x in row.values() for c in x.values()))
+    lcm_z = lcm(*(c.denominator for x in z for c in x.values()))
+    lcm_c = lcm(*(c.denominator for x in coeffs for c in x.values()))
+    m = [{j: _integral(x, lcm_m) for j, x in row.items()} for row in rows]
+    w = [_integral(x, lcm_z) for x in z]
+    c = [_integral(x, lcm_c * lcm_m ** (top - k)) for k, x in enumerate(coeffs)]
+    r = max(1, max(sum(_size(x) for x in row.values()) for row in m))
+    h = max(map(_size, w)) * max(sum(_size(x) * r**k for k, x in enumerate(c)), 2 * r**top)
+    shift = (h + 1).bit_length()  # N = 2^shift
+    d1 = _deg_s1(c) + top * _deg_s1(row.get(i, {}) for i, row in enumerate(m)) + _deg_s1(w) + 1
+    weights = (0, shift, shift * d1)
+    m = [[(j, _kronecker(x, weights)) for j, x in row.items()] for row in m]
+    vec = [_kronecker(x, weights) for x in w]
+    residual = [0] * len(vec)
+    for k, ck in enumerate(c):
+        if k:
+            vec = [sum(x * vec[j] for j, x in row) for row in m]
+        if pair and vec[pair[0]] != vec[pair[1]]:
+            raise _not_cospectral(pair)
+        ck = _kronecker(ck, weights)
+        residual = [x + ck * y for x, y in zip(residual, vec)]
+    return not any(residual)
+
+
+def _not_cospectral(pair: tuple[int, int]) -> NotCospectralError:
+    return NotCospectralError("vertices ({},{}) are not cospectral".format(*pair))
+
+
+def _integral(terms: _Terms, scale: int) -> dict[tuple[int, ...], int]:
+    """Terms times ``scale``, a multiple of every denominator, as ints."""
+    return {e: (c * scale).numerator for e, c in terms.items()}
+
+
+def _deg_s1(terms: Iterable[_Terms]) -> int:
+    """The largest exponent of the first symbol in the term dicts (0 if none)."""
+    return max((e[1] for x in terms for e in x if len(e) > 1), default=0)
+
+
+def _size(terms: dict[tuple[int, ...], int]) -> int:
+    """The sum of the absolute values of the coefficients."""
+    return sum(map(abs, terms.values()))
+
+
+def _kronecker(terms: dict[tuple[int, ...], int], weights: tuple[int, ...]) -> int:
+    """Integral terms at t = 1, s1 = 2^weights[1], s2 = 2^weights[2]."""
+    return sum(c << sum(map(mul, e, weights)) for e, c in terms.items())
 
 
 def _axes(frame: tuple[str, ...], bounds: list[int], attempt: int, p: int) -> list[range]:
@@ -1065,8 +1154,7 @@ def _images(
     zs: list[list[int]],
     edges: list[tuple[int, int, int]],
     p: int,
-    vecs: list[list[_Terms]],
-    powers: Iterator[list[_Terms]],
+    pair: tuple[int, int] | None,
 ) -> list[list[int]]:
     """The minimal polynomial over F_p of M(a) relative to z(a) at each point
     a, from M(a)'s diagonal ``diags[g]``, its constant off-diagonal entries
@@ -1074,16 +1162,15 @@ def _images(
     ascending power of t (monic).
 
     Step k advances every unfinished image by one product and reduces
-    [M(a)^k z(a) | t^k] against that image's echelon rows, after taking the
-    exact vector M^k z into ``vecs`` if it is not there yet.
+    [M(a)^k z(a) | t^k] against that image's echelon rows. Given ``pair`` =
+    (u, v), entries u and v of each M(a)^k z(a) are compared first: residues
+    that differ prove the exact entries of M^k z differ, NotCospectralError.
     """
     n = len(zs[0])
     vs = [list(v) for v in zs]
     echelons: list[list[tuple[int, int, list[int]]]] = [[] for _ in zs]  # (pivot, its inverse, row)
     relations: list[list[int] | None] = [None] * len(zs)
     for k in count():
-        if k == len(vecs):
-            vecs.append(next(powers))
         t_k = [0] * k + [1]
         for g, d in enumerate(diags):
             if relations[g] is not None:
@@ -1094,6 +1181,8 @@ def _images(
                 for i, j, c in edges:
                     u[i] += c * v[j]
                 v = vs[g] = [x % p for x in u]
+            if pair and v[pair[0]] != v[pair[1]]:
+                raise _not_cospectral(pair)
             w = v + t_k
             for piv, inv, row in echelons[g]:  # entries are reduced once, after the last row
                 if c := w[piv] * inv % p:

@@ -21,7 +21,6 @@ from .errors import (
     DomainError,
     ExactDivisionError,
     InternalConsistencyError,
-    NotCospectralError,
 )
 from .exact import (
     PolyMatrix,
@@ -92,27 +91,20 @@ def is_cospectral(m: PolyMatrix, u: int, v: int) -> bool:
 def decompose(m: PolyMatrix, u: int, v: int) -> CospectralDecomposition:
     """Relative decomposition at a cospectral pair.
 
-    P_plus and P_minus come from one Krylov run each, proven from modular
-    images by an exact check on the run's vectors (``exact._min_poly``).
-    P_plus's run also decides the pair: it compares entries u and v of each
-    exact vector M^k (e_u + e_v) as it is built, k <= deg P_plus, in
-    lockstep with the images (enough, by the recurrence in
-    ``is_cospectral``), and a mismatch raises NotCospectralError. P_zero is
+    P_plus and P_minus come from one Krylov run each: modular images give a
+    candidate, proven by one exact check at a single integer point
+    (``exact._min_poly``). P_plus's run also decides the pair: its images
+    compare entries u and v of each M(a)^k (e_u + e_v) over F_p, where
+    residues that differ prove a mismatch, and its exact check compares the
+    exact entries for k <= deg P_plus (enough, by the recurrence in
+    ``is_cospectral``); a mismatch raises NotCospectralError. P_zero is
     ``charpoly(m, (P_plus, P_minus))``, the cofactor from power sums, and a
     failed check there is an engine bug: InternalConsistencyError. M holds
     at most two symbols, so no step meets a wider frame.
     """
     _check_pair(m, u, v)
     n = m.dimension
-    frame, rows, z = _krylov(m, [int(k in (u, v)) for k in range(n)])
-
-    def closed_walks_agree():
-        for w in _powers(rows, z):
-            if w[u] != w[v]:
-                raise NotCospectralError(f"vertices ({u},{v}) are not cospectral")
-            yield w
-
-    p_plus = _min_poly(frame, rows, z, closed_walks_agree())
+    p_plus = _min_poly(*_krylov(m, [int(k in (u, v)) for k in range(n)]), (u, v))
     p_minus = krylov_min_poly(m, [(k == u) - (k == v) for k in range(n)])
     try:
         p_zero = charpoly(m, (p_plus, p_minus))

@@ -570,7 +570,7 @@ def test_analyze_runs_each_exact_kernel_once_per_question(monkeypatch, capsys):
         "is_cospectral": spectral.is_cospectral,
         "charpoly": exact.charpoly,
         "krylov_min_poly": exact.krylov_min_poly,
-        "_min_poly": exact._min_poly,  # the Krylov elimination, once per side
+        "_min_poly": exact._min_poly,  # images and the exact check, once per side
         "bareiss_det": exact.bareiss_det,
         "poly_gcd_t": exact.poly_gcd_t,
     }

@@ -21,6 +21,7 @@ from pgstkit import (
     ExactDivisionError,
     Graph,
     InternalConsistencyError,
+    NotCospectralError,
     PolyMatrix,
     SparsePoly,
     add_potential,
@@ -199,8 +200,8 @@ def _first_round_refuted(monkeypatch, how: str) -> list[int]:
     else:
         images = exact._images
 
-        def planted(diags, zs, edges, p, vecs, powers):
-            relations = images(diags, zs, edges, p, vecs, powers)
+        def planted(diags, zs, edges, p, pair):
+            relations = images(diags, zs, edges, p, pair)
             primes.append(p)
             return [rel[1:] for rel in relations] if len(primes) == 1 else relations
 
@@ -226,9 +227,9 @@ def test_a_denominator_of_the_first_prime_skips_it(monkeypatch):
     images = exact._images
     primes = []
 
-    def spy(diags, zs, edges, p, vecs, powers):
+    def spy(diags, zs, edges, p, pair):
         primes.append(p)
-        return images(diags, zs, edges, p, vecs, powers)
+        return images(diags, zs, edges, p, pair)
 
     monkeypatch.setattr(exact, "_images", spy)
     w = SparsePoly.const(Fraction(1, exact._PROBE_PRIME))
@@ -247,9 +248,9 @@ def test_rational_coefficients_need_more_than_one_prime(monkeypatch):
     images = exact._images
     primes = []
 
-    def spy(diags, zs, edges, p, vecs, powers):
+    def spy(diags, zs, edges, p, pair):
         primes.append(p)
-        return images(diags, zs, edges, p, vecs, powers)
+        return images(diags, zs, edges, p, pair)
 
     monkeypatch.setattr(exact, "_images", spy)
     rng = random.Random("rational")
@@ -267,6 +268,56 @@ def test_rational_coefficients_need_more_than_one_prime(monkeypatch):
         _assert_same(got, _oracle(m, z))
         assert len(primes) > 1
         assert any(type(c) is Fraction for c in got._terms.values())
+
+
+@pytest.mark.parametrize("images_compare", [True, False], ids=["images", "exact-only"])
+def test_a_pair_cospectral_modulo_the_first_prime_is_refused(monkeypatch, images_compare):
+    # A path a-u-...-v-b with end edges of weight 1 and 2^61: modulo the
+    # first prime, 2^61 - 1, the two ends weigh the same, so every image of
+    # the first round sees a cospectral pair. Over Q the walk counts at u
+    # and v differ, so a later prime's images or the exact check refuse it;
+    # with images that compare nothing, the exact check alone.
+    images = exact._images
+    rounds = []
+
+    def spy(diags, zs, edges, p, pair):
+        rounds.append([p, "raised"])
+        relations = images(diags, zs, edges, p, pair if images_compare else None)
+        rounds[-1][1] = "returned"
+        return relations
+
+    monkeypatch.setattr(exact, "_images", spy)
+    n = 8
+    edges = [(i, i + 1, 1) for i in range(n - 2)] + [(n - 2, n - 1, 2**61)]
+    g = add_potential(Graph(n, edges), (1, n - 2), SparsePoly.sym("Q"))
+    with pytest.raises(NotCospectralError):
+        decompose(to_matrix(g), 1, n - 2)
+    assert rounds[0] == [exact._PROBE_PRIME, "returned"]
+
+
+@pytest.mark.parametrize("symbols", [("Q",), ("Q", "R")], ids=["Q", "QR"])
+def test_a_candidate_that_vanishes_at_a_small_power_of_two_is_refused(monkeypatch, symbols):
+    # The first candidate gets Q - 4 added to its constant term, so its
+    # residual is (Q - 4) z: zero at Q = 4, the point 2^2, but not at the
+    # point the exact check picks, which is larger than every coefficient.
+    lifted = exact._lifted
+    rounds = []
+
+    def planted(images, degree, axes, p, combined, modulus):
+        combined, modulus, coeffs = lifted(images, degree, axes, p, combined, modulus)
+        rounds.append(p)
+        if coeffs and len(rounds) == 1:
+            const = coeffs[0] = dict(coeffs[0])
+            for e, c in [((0,) * (1 + len(axes)), -4), ((0, 1) + (0,) * (len(axes) - 1), 1)]:
+                if x := const.pop(e, 0) + c:
+                    const[e] = x
+        return combined, modulus, coeffs
+
+    monkeypatch.setattr(exact, "_lifted", planted)
+    for m, z in _round_cases(symbols):
+        rounds.clear()
+        _assert_same(krylov_min_poly(m, z), _oracle(m, z))
+        assert len(rounds) == 2
 
 
 def _relative_factors(seed: int) -> tuple[SparsePoly, SparsePoly]:
