@@ -39,20 +39,14 @@ coefficients by Newton's identities, and with known factors of det(tI - M)
 it gives their cofactor the same way, without the determinant.
 Determinants come from fraction-free Bareiss elimination with lowest-index
 pivots (public and tested; no pipeline step calls it). Relative minimal
-polynomials come from modular images, proven by one exact check: images of
-the Krylov run z, Mz, M^2 z, ... over F_p at points of the symbols give
-the minimal polynomial at each point, of a degree no larger than the true
-one; interpolation in the symbols, the Chinese remainder theorem over
-primes below 2^61 and rational reconstruction give a monic candidate; and
-the candidate is accepted only if it annihilates z, which makes it the
-minimal polynomial. That check runs at one integer point: with the
-denominators cleared and each symbol sent to a power of an integer N
-larger than every coefficient the identity can have (Kronecker
-substitution), the integer Krylov vectors at N sum to zero exactly when
-the polynomial ones do. A gcd comes the same way, from
-images by Euclid, and is proven by dividing both arguments exactly; an
-image of degree 0 proves coprimality at once. A division that is not
-exact raises.
+polynomials come from modular images of the Krylov run z, Mz, M^2 z, ...,
+interpolated, combined over primes below 2^61 and reconstructed, and the
+monic candidate is accepted only if it annihilates z, checked exactly at
+one integer point (Kronecker substitution; see ``_min_poly``). What that
+needs of M alone is prepared once per matrix, for every vector run on it.
+A gcd comes the same way, from images by Euclid, and is proven by dividing
+both arguments exactly; an image of degree 0 proves coprimality at once. A
+division that is not exact raises.
 """
 
 from __future__ import annotations
@@ -62,7 +56,7 @@ from collections import defaultdict
 from contextlib import suppress
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import count, islice, product
+from itertools import count, product
 from math import gcd, lcm
 from operator import add, mul, neg, sub
 from typing import Iterable, Iterator, Mapping, Sequence, Union
@@ -817,32 +811,47 @@ def _check_indices(n: int, *indices: int) -> None:
             raise StructuralError(f"vertex index {k} out of range 0..{n - 1}")
 
 
-def _krylov(
-    m: PolyMatrix, z: Sequence
-) -> tuple[tuple[str, ...], Sequence[dict[int, _Terms]], list[_Terms]]:
-    """The frame of M and z, with M's rows and z as term dicts over it, in
-    stored form, for ``_min_poly`` or for ``_powers``. The frame
-    holds at most two symbols: z may add symbols to M's frame only within
-    the cap."""
-    vec = [_coerce_entry(x) for x in z]
-    if len(vec) != m.dimension:
+def _krylov(m: PolyMatrix, *vectors: Sequence) -> tuple:
+    """M over the frame of M and the vectors, then each vector as term dicts
+    over it, in stored form. The frame holds at most two symbols: a vector
+    may add symbols to M's frame only within the cap."""
+    vecs = [[_coerce_entry(x) for x in z] for z in vectors]
+    if any(len(vec) != m.dimension for vec in vecs):
         raise StructuralError("vector length does not match dimension")
-    frame = _capped(_common_symbols((m._frame, *(x._symbols for x in vec))))
+    frame = _capped(_common_symbols((m._frame, *(x._symbols for vec in vecs for x in vec))))
     rows = m._rows
     if frame != m._frame:
         rows = [{j: _lift(_raw(x, m._frame), frame) for j, x in r.items()} for r in rows]
-    return frame, rows, [_lift(x, frame) for x in vec]
+    return (_KrylovMatrix(frame, rows), *([_lift(x, frame) for x in vec] for vec in vecs))
 
 
-def _powers(rows: Sequence, w: list[_Terms]) -> Iterator[list[_Terms]]:
-    """w, Mw, M^2 w, ...: each nonzero w[j] spreads along row j of symmetric M."""
-    while True:
-        yield w
-        reached: list[list] = [[] for _ in rows]
-        for j, wj in enumerate(w):
-            for i, x in rows[j].items() if wj else ():
-                reached[i].append((x, wj))
-        w = [_accumulate(r) if r else {} for r in reached]
+class _KrylovMatrix:
+    """M's rows over a frame and what ``_min_poly`` derives from M alone,
+    once for every vector it runs on: the diagonal as (row, *symbol
+    exponents) terms, the bounds B_s, the off-diagonal entries and the
+    first prime's ``at_prime``; for ``_annihilates``, L (the lcm of M's
+    denominators), M' = L M, r and the largest deg_s1 on the diagonal."""
+
+    def __init__(self, frame: tuple[str, ...], rows: Sequence[dict[int, _Terms]]):
+        self.frame, self.rows = frame, rows
+        diagonal = [row.get(i, {}) for i, row in enumerate(rows)]
+        self.diagonal = [((i, *e[1:]), c) for i, x in enumerate(diagonal) for e, c in x.items()]
+        self.bounds = [sum(max(e[s] for e in x) for x in diagonal if x) for s in range(1, 1 + len(frame))]
+        self.edges = [(i, j, *x.values()) for i, row in enumerate(rows) for j, x in row.items() if j != i]
+        self.first = self.at_prime(0, _PROBE_PRIME)
+        self.lcm = lcm(*(c.denominator for row in rows for x in row.values() for c in x.values()))
+        self.integral = [{j: _integral(x, self.lcm) for j, x in row.items()} for row in rows]
+        self.r = max(1, max((sum(map(_size, row.values())) for row in self.integral), default=0))
+        self.deg_diag = _deg_s1(diagonal)
+
+    def at_prime(self, attempt: int, p: int) -> tuple | None:
+        """Round ``attempt``'s grid modulo the prime p, M's diagonal at its points
+        and the edges (row, column, residue); None if p divides a denominator."""
+        edges = [(i, j, _residue(c, p)) for i, j, c in self.edges]
+        if (diag := _residues(self.diagonal, p)) is None or None in (c for *_, c in edges):
+            return None
+        axes = _axes(self.frame, self.bounds, attempt, p)
+        return axes, [_at(diag, len(self.rows), a, p) for a in product(*axes)], edges
 
 
 def _coerce_entry(x) -> SparsePoly:
@@ -899,8 +908,13 @@ def _trace_powers(m: PolyMatrix, count: int) -> list[_Terms]:
     diag, off = [[] for _ in range(count + 1)], [[] for _ in range(count + 1)]
     diag[1] = [(row[i], one) for i, row in enumerate(rows) if i in row]
     for i in range(n if count > 1 else 0):
-        col = [rows[i].get(j, {}) for j in range(n)]  # M e_i is row i of M; vecs[a - 1] is M^a e_i
-        vecs = [col, *islice(_powers(rows, col), 1, top - 1)]
+        vecs = [[rows[i].get(j, {}) for j in range(n)]]  # M e_i is row i of M; vecs[a - 1] is M^a e_i
+        while len(vecs) < top - 1:  # each nonzero entry j of M^a e_i spreads along row j of symmetric M
+            reached: list[list] = [[] for _ in rows]
+            for j, wj in enumerate(vecs[-1]):
+                for l, x in rows[j].items() if wj else ():
+                    reached[l].append((x, wj))
+            vecs.append([_accumulate(r) if r else {} for r in reached])
         if top > 1:  # the top power, at entries l <= i only (the list is built before the append)
             vecs.append([_accumulate((x, vecs[-1][j]) for j, x in rows[l].items()) for l in range(i + 1)])
         for k in range(2, count + 1):
@@ -954,12 +968,7 @@ def krylov_min_poly(m: PolyMatrix, z: Sequence) -> SparsePoly:
     return _min_poly(*_krylov(m, z))
 
 
-def _min_poly(
-    frame: tuple[str, ...],
-    rows: Sequence[dict[int, _Terms]],
-    z: list[_Terms],
-    pair: tuple[int, int] | None = None,
-) -> SparsePoly:
+def _min_poly(mat: _KrylovMatrix, z: list[_Terms], pair: tuple[int, int] | None = None) -> SparsePoly:
     """The relative minimal polynomial P of M and z from ``_krylov``. Given
     ``pair`` = (u, v), it also checks that the entries u and v of M^k z
     agree for k <= deg P, or raises NotCospectralError.
@@ -1002,57 +1011,43 @@ def _min_poly(
     products v_(k+1) = M'(N) v_k from v_0 = z'(N) decide the identity over
     Q[s1, s2] (sum of c'_k(N) v_k = 0) and the agreement of entries u and v.
     """
-    n, width = len(rows), len(frame)
-    origin = (0,) * (1 + width)
     if not any(z):
         raise DomainError("relative minimal polynomial of the zero vector")
-    diagonal = [row.get(i, {}) for i, row in enumerate(rows)]
-    indexed = [[((i, *e[1:]), c) for i, x in enumerate(v) for e, c in x.items()] for v in (diagonal, z)]
-    bounds = [sum(max(e[s] for e in x) for x in diagonal if x) for s in range(1, 1 + width)]
+    indexed = [((i, *e[1:]), c) for i, x in enumerate(z) for e, c in x.items()]
     degree, modulus, combined = 0, 1, {}
     for attempt, p in enumerate(_primes()):
-        edges = [
-            (i, j, _residue(x[origin], p)) for i, row in enumerate(rows) for j, x in row.items() if j != i
-        ]
-        diag, zres = (_residues(x, p) for x in indexed)
-        if None in [diag, zres, *(c for *_, c in edges)]:
+        at_p = mat.at_prime(attempt, p) if attempt else mat.first
+        zres = _residues(indexed, p)
+        if at_p is None or zres is None:
             continue
-        axes = _axes(frame, bounds, attempt, p)
-        points = list(product(*axes))
-        diags = [_at(diag, n, a, p) for a in points]
-        zs = [_at(zres, n, a, p) for a in points]
+        axes, diags, edges = at_p
+        zs = [_at(zres, len(z), a, p) for a in product(*axes)]
         relations = _images(diags, zs, edges, p, pair)
         if (top := max(map(len, relations)) - 1) > degree:
             degree, modulus, combined = top, 1, {}
         combined, modulus, coeffs = _lifted(relations, degree, axes, p, combined, modulus)
-        if coeffs and _annihilates(rows, z, coeffs, pair):
+        if coeffs and _annihilates(mat, z, coeffs, pair):
             terms = {(k, *e[1:]): c for k, ck in enumerate(coeffs) for e, c in ck.items()}
-            return _raw(*_canonical(terms, frame))
+            return _raw(*_canonical(terms, mat.frame))
 
 
 def _annihilates(
-    rows: Sequence[dict[int, _Terms]],
-    z: list[_Terms],
-    coeffs: list[_Terms],
-    pair: tuple[int, int] | None,
+    mat: _KrylovMatrix, z: list[_Terms], coeffs: list[_Terms], pair: tuple[int, int] | None
 ) -> bool:
     """Whether sum of c_k M^k z = 0 for the candidate's coefficients
     c_0, ..., c_D, decided at N by the lemma in ``_min_poly``; given
     ``pair`` = (u, v), entries u and v of M^k z must also agree for k <= D,
     or NotCospectralError."""
     top = len(coeffs) - 1
-    lcm_m = lcm(*(c.denominator for row in rows for x in row.values() for c in x.values()))
     lcm_z = lcm(*(c.denominator for x in z for c in x.values()))
     lcm_c = lcm(*(c.denominator for x in coeffs for c in x.values()))
-    m = [{j: _integral(x, lcm_m) for j, x in row.items()} for row in rows]
     w = [_integral(x, lcm_z) for x in z]
-    c = [_integral(x, lcm_c * lcm_m ** (top - k)) for k, x in enumerate(coeffs)]
-    r = max(1, max(sum(_size(x) for x in row.values()) for row in m))
-    h = max(map(_size, w)) * max(sum(_size(x) * r**k for k, x in enumerate(c)), 2 * r**top)
+    c = [_integral(x, lcm_c * mat.lcm ** (top - k)) for k, x in enumerate(coeffs)]
+    h = max(map(_size, w)) * max(sum(_size(x) * mat.r**k for k, x in enumerate(c)), 2 * mat.r**top)
     shift = (h + 1).bit_length()  # N = 2^shift
-    d1 = _deg_s1(c) + top * _deg_s1(row.get(i, {}) for i, row in enumerate(m)) + _deg_s1(w) + 1
+    d1 = _deg_s1(c) + top * mat.deg_diag + _deg_s1(w) + 1
     weights = (0, shift, shift * d1)
-    m = [[(j, _kronecker(x, weights)) for j, x in row.items()] for row in m]
+    m = [[(j, _kronecker(x, weights)) for j, x in row.items()] for row in mat.integral]
     vec = [_kronecker(x, weights) for x in w]
     residual = [0] * len(vec)
     for k, ck in enumerate(c):

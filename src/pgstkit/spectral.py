@@ -10,10 +10,12 @@ product of P_plus and P_minus, the minimal polynomials of M relative to
 those two vectors, and a cofactor P_zero of degree n - deg P_plus - deg
 P_minus. The triple (P_plus, P_minus, P_zero) with degrees and relative
 traces is the decomposition everything downstream certifies against.
+Cospectrality has one route, P_plus's Krylov run: see ``is_cospectral``.
 """
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -21,15 +23,14 @@ from .errors import (
     DomainError,
     ExactDivisionError,
     InternalConsistencyError,
+    NotCospectralError,
 )
 from .exact import (
     PolyMatrix,
     SparsePoly,
     _krylov,
     _min_poly,
-    _powers,
     charpoly,
-    krylov_min_poly,
     poly_gcd_t,
     poly_trace,
 )
@@ -76,36 +77,39 @@ def _check_pair(m: PolyMatrix, u: int, v: int) -> None:
 
 
 def is_cospectral(m: PolyMatrix, u: int, v: int) -> bool:
-    """Closed-walk counts at u and v agree: (M^k)_uu = (M^k)_vv for k < n.
+    """Closed-walk counts at u and v agree: (M^k)_uu = (M^k)_vv for every k.
 
     For symmetric M, (M^k)_uu - (M^k)_vv is the u entry minus the v entry
-    of w = M^k (e_u + e_v). That sequence obeys the recurrence of P_plus, so
-    it vanishes for all k once it vanishes for k < deg P_plus <= n: n - 1
-    sparse products, compared as stored-form term dicts over one frame.
+    of M^k (e_u + e_v). That sequence obeys the recurrence of P_plus, so it
+    vanishes for all k once it vanishes for k <= deg P_plus, which the exact
+    check of P_plus's run (``exact._min_poly``, as in ``decompose``) proves.
     """
     _check_pair(m, u, v)
-    _, rows, z = _krylov(m, [int(k in (u, v)) for k in range(m.dimension)])
-    return all(w[u] == w[v] for _, w in zip(range(m.dimension), _powers(rows, z)))
+    with suppress(NotCospectralError):
+        _min_poly(*_krylov(m, [int(k in (u, v)) for k in range(m.dimension)]), (u, v))
+        return True
+    return False
 
 
 def decompose(m: PolyMatrix, u: int, v: int) -> CospectralDecomposition:
     """Relative decomposition at a cospectral pair.
 
-    P_plus and P_minus come from one Krylov run each: modular images give a
-    candidate, proven by one exact check at a single integer point
-    (``exact._min_poly``). P_plus's run also decides the pair: its images
-    compare entries u and v of each M(a)^k (e_u + e_v) over F_p, where
-    residues that differ prove a mismatch, and its exact check compares the
-    exact entries for k <= deg P_plus (enough, by the recurrence in
-    ``is_cospectral``); a mismatch raises NotCospectralError. P_zero is
+    P_plus and P_minus come from one Krylov run each, on one preparation of
+    M: modular images give a candidate, proven by one exact check at a
+    single integer point (``exact._min_poly``). P_plus's run also decides
+    the pair, as ``is_cospectral`` does: its images compare entries u and v
+    of each M(a)^k (e_u + e_v) over F_p, where residues that differ prove a
+    mismatch, and its exact check compares the exact entries for k <= deg
+    P_plus; a mismatch raises NotCospectralError. P_zero is
     ``charpoly(m, (P_plus, P_minus))``, the cofactor from power sums, and a
     failed check there is an engine bug: InternalConsistencyError. M holds
     at most two symbols, so no step meets a wider frame.
     """
     _check_pair(m, u, v)
     n = m.dimension
-    p_plus = _min_poly(*_krylov(m, [int(k in (u, v)) for k in range(n)]), (u, v))
-    p_minus = krylov_min_poly(m, [(k == u) - (k == v) for k in range(n)])
+    mat, plus, minus = _krylov(m, *([(k == u) + s * (k == v) for k in range(n)] for s in (1, -1)))
+    p_plus = _min_poly(mat, plus, (u, v))
+    p_minus = _min_poly(mat, minus)
     try:
         p_zero = charpoly(m, (p_plus, p_minus))
     except ExactDivisionError as exc:

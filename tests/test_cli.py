@@ -580,7 +580,7 @@ def test_analyze_runs_each_exact_kernel_once_per_question(monkeypatch, capsys):
         "decompose": 1,
         "is_cospectral": 0,
         "charpoly": 1,  # decompose's P_zero, the cofactor of P_plus * P_minus
-        "krylov_min_poly": 1,
+        "krylov_min_poly": 0,  # decompose runs _min_poly for both sides on one prepared matrix
         "_min_poly": 2,
         "bareiss_det": 0,
         "poly_gcd_t": 1,

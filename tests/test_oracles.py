@@ -30,6 +30,7 @@ from pgstkit import (
     decompose,
     exact,
     get_fixture,
+    is_cospectral,
     is_irreducible_linear_param,
     krylov_min_poly,
     path_graph,
@@ -270,13 +271,22 @@ def test_rational_coefficients_need_more_than_one_prime(monkeypatch):
         assert any(type(c) is Fraction for c in got._terms.values())
 
 
-@pytest.mark.parametrize("images_compare", [True, False], ids=["images", "exact-only"])
-def test_a_pair_cospectral_modulo_the_first_prime_is_refused(monkeypatch, images_compare):
+@pytest.mark.parametrize(
+    "images_compare, entry",
+    [
+        pytest.param(True, decompose, id="images"),
+        pytest.param(False, decompose, id="exact-only"),
+        pytest.param(True, is_cospectral, id="is_cospectral-images"),
+        pytest.param(False, is_cospectral, id="is_cospectral-exact-only"),
+    ],
+)
+def test_a_pair_cospectral_modulo_the_first_prime_is_refused(monkeypatch, images_compare, entry):
     # A path a-u-...-v-b with end edges of weight 1 and 2^61: modulo the
     # first prime, 2^61 - 1, the two ends weigh the same, so every image of
     # the first round sees a cospectral pair. Over Q the walk counts at u
     # and v differ, so a later prime's images or the exact check refuse it;
-    # with images that compare nothing, the exact check alone.
+    # with images that compare nothing, the exact check alone. decompose
+    # raises, and is_cospectral, which is the same run, answers False.
     images = exact._images
     rounds = []
 
@@ -290,8 +300,11 @@ def test_a_pair_cospectral_modulo_the_first_prime_is_refused(monkeypatch, images
     n = 8
     edges = [(i, i + 1, 1) for i in range(n - 2)] + [(n - 2, n - 1, 2**61)]
     g = add_potential(Graph(n, edges), (1, n - 2), SparsePoly.sym("Q"))
-    with pytest.raises(NotCospectralError):
-        decompose(to_matrix(g), 1, n - 2)
+    if entry is decompose:
+        with pytest.raises(NotCospectralError):
+            decompose(to_matrix(g), 1, n - 2)
+    else:
+        assert is_cospectral(to_matrix(g), 1, n - 2) is False
     assert rounds[0] == [exact._PROBE_PRIME, "returned"]
 
 
