@@ -42,8 +42,14 @@ pivots (public and tested; no pipeline step calls it). Relative minimal
 polynomials come from modular images of the Krylov run z, Mz, M^2 z, ...,
 interpolated, combined over primes below 2^61 and reconstructed, and the
 monic candidate is accepted only if it annihilates z, checked exactly at
-one integer point (Kronecker substitution; see ``_min_poly``). What that
-needs of M alone is prepared once per matrix, for every vector run on it.
+one integer point (Kronecker substitution; see ``_min_poly``). At a pair
+(u, v), a pair symbol (one whose diagonal terms all sit at u and v) takes
+one grid point: the images run on M0, which is M with the pair symbols at
+0. M adds g (E_uu + E_vv) to M0, a rank-one term on the walk module of
+e_u + e_v or e_u - e_v when the pair is cospectral, so the candidate is
+P0 - (g/2) Q, with Q read from the moments z^T M0^k z of the same runs.
+What the images need of M alone is prepared once per matrix, for every
+vector run on it; what the check needs, on its first call.
 A gcd comes the same way, from images by Euclid, and is proven by dividing
 both arguments exactly; an image of degree 0 proves coprimality at once. A
 division that is not exact raises.
@@ -54,6 +60,7 @@ from __future__ import annotations
 import re
 from collections import defaultdict
 from contextlib import suppress
+from functools import cached_property
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import count, product
@@ -811,8 +818,9 @@ def _check_indices(n: int, *indices: int) -> None:
             raise StructuralError(f"vertex index {k} out of range 0..{n - 1}")
 
 
-def _krylov(m: PolyMatrix, *vectors: Sequence) -> tuple:
-    """M over the frame of M and the vectors, then each vector as term dicts
+def _krylov(m: PolyMatrix, *vectors: Sequence, pair: tuple[int, int] | None = None) -> tuple:
+    """M over the frame of M and the vectors, prepared for runs at ``pair``
+    if one is given (see ``_KrylovMatrix``), then each vector as term dicts
     over it, in stored form. The frame holds at most two symbols: a vector
     may add symbols to M's frame only within the cap."""
     vecs = [[_coerce_entry(x) for x in z] for z in vectors]
@@ -822,30 +830,55 @@ def _krylov(m: PolyMatrix, *vectors: Sequence) -> tuple:
     rows = m._rows
     if frame != m._frame:
         rows = [{j: _lift(_raw(x, m._frame), frame) for j, x in r.items()} for r in rows]
-    return (_KrylovMatrix(frame, rows), *([_lift(x, frame) for x in vec] for vec in vecs))
+    return (_KrylovMatrix(frame, rows, pair), *([_lift(x, frame) for x in vec] for vec in vecs))
 
 
 class _KrylovMatrix:
     """M's rows over a frame and what ``_min_poly`` derives from M alone,
-    once for every vector it runs on: the diagonal as (row, *symbol
+    once for every vector it runs on: the diagonal of M0 as (row, *symbol
     exponents) terms, the bounds B_s, the off-diagonal entries and the
-    first prime's ``at_prime``; for ``_annihilates``, L (the lcm of M's
-    denominators), M' = L M, r and the largest deg_s1 on the diagonal."""
+    first prime's ``at_prime``; for ``_annihilates``, built on its first
+    call, L (the lcm of M's denominators), M' = L M, r and the largest
+    deg_s1 on M's diagonal.
 
-    def __init__(self, frame: tuple[str, ...], rows: Sequence[dict[int, _Terms]]):
+    At a pair (u, v), a pair symbol is one whose diagonal terms all sit at
+    u and v; M0 is M with the pair symbols set to 0 and g, the terms of M_uu
+    they carry, is M_uu - M0_uu. With no pair, or no pair symbol, M0 = M
+    and g = 0."""
+
+    def __init__(self, frame: tuple[str, ...], rows: Sequence[dict[int, _Terms]], pair: tuple[int, int] | None):
         self.frame, self.rows = frame, rows
         diagonal = [row.get(i, {}) for i, row in enumerate(rows)]
+        self.g: _Terms = {}
+        if pair:  # the pair symbols' places in an exponent vector; then g, and M0's entries at the pair
+            off = {s for i, x in enumerate(diagonal) if i not in pair for e in x for s in range(1, len(e)) if e[s]}
+            moving = [s for s in range(1, 1 + len(frame)) if s not in off]
+            self.g = {e: c for e, c in diagonal[pair[0]].items() if any(e[s] for s in moving)}
+            for i in pair:
+                diagonal[i] = {e: c for e, c in diagonal[i].items() if not any(e[s] for s in moving)}
         self.diagonal = [((i, *e[1:]), c) for i, x in enumerate(diagonal) for e, c in x.items()]
         self.bounds = [sum(max(e[s] for e in x) for x in diagonal if x) for s in range(1, 1 + len(frame))]
         self.edges = [(i, j, *x.values()) for i, row in enumerate(rows) for j, x in row.items() if j != i]
         self.first = self.at_prime(0, _PROBE_PRIME)
-        self.lcm = lcm(*(c.denominator for row in rows for x in row.values() for c in x.values()))
-        self.integral = [{j: _integral(x, self.lcm) for j, x in row.items()} for row in rows]
-        self.r = max(1, max((sum(map(_size, row.values())) for row in self.integral), default=0))
-        self.deg_diag = _deg_s1(diagonal)
+
+    @cached_property
+    def lcm(self) -> int:
+        return lcm(*(c.denominator for row in self.rows for x in row.values() for c in x.values()))
+
+    @cached_property
+    def integral(self) -> list[dict[int, dict[tuple[int, ...], int]]]:
+        return [{j: _integral(x, self.lcm) for j, x in row.items()} for row in self.rows]
+
+    @cached_property
+    def r(self) -> int:
+        return max(1, max((sum(map(_size, row.values())) for row in self.integral), default=0))
+
+    @cached_property
+    def deg_diag(self) -> int:
+        return _deg_s1(row.get(i, {}) for i, row in enumerate(self.rows))
 
     def at_prime(self, attempt: int, p: int) -> tuple | None:
-        """Round ``attempt``'s grid modulo the prime p, M's diagonal at its points
+        """Round ``attempt``'s grid modulo the prime p, M0's diagonal at its points
         and the edges (row, column, residue); None if p divides a denominator."""
         edges = [(i, j, _residue(c, p)) for i, j, c in self.edges]
         if (diag := _residues(self.diagonal, p)) is None or None in (c for *_, c in edges):
@@ -976,22 +1009,51 @@ def _min_poly(mat: _KrylovMatrix, z: list[_Terms], pair: tuple[int, int] | None 
     Each round takes the next prime p below 2^61 (skipping one that divides
     a denominator of M or z) and a grid of points for the symbols that
     changes from round to round. At each point a, an image over F_p runs
-    z(a), M(a) z(a), ... through Gaussian elimination, each vector carrying
+    z(a), M0(a) z(a), ... through Gaussian elimination, each vector carrying
     the t-power it started as, until one reduces to zero: its t-polynomial
-    is the minimal polynomial at a. Specialization cannot raise a Krylov
-    rank, so no image has a degree above deg P, and one of degree deg P is
-    P(a) mod p (the denominators of P divide powers of M's). D is the
-    largest degree seen; images of lower degree are dropped with their
-    round. P divides det(tI - M), which is monic, so by Gauss's lemma P has
-    polynomial coefficients of degree at most B_s = sum of deg_s M_ii in
-    each symbol s (off-diagonal entries are constant): B_s + 1 values of s
-    interpolate them over F_p, and a symbol only z carries has B_s = 0.
-    Rounds combine by the Chinese remainder theorem, and maximal-quotient
-    rational reconstruction (Monagan, ISSAC 2004) lifts the coefficients to
-    Q. The candidate t^D + c_(D-1) t^(D-1) + ... + c_0 is then checked
-    exactly: sum of c_k M^k z = 0. A monic annihilator of degree D <= deg P
-    is P itself, so what this returns is proven; a failed reconstruction or
-    check only costs another round.
+    is the minimal polynomial P0 of M0 relative to z at a. Specialization
+    cannot raise a Krylov rank, so no image has a degree above deg P0, and
+    one of degree deg P0 is P0(a) mod p (the denominators of P0 divide
+    powers of M's). D is the largest degree seen; images of lower degree are
+    dropped with their round. P0 divides det(tI - M0), which is monic, so by
+    Gauss's lemma P0 has polynomial coefficients of degree at most B_s = sum
+    of deg_s M0_ii in each symbol s (off-diagonal entries are constant):
+    B_s + 1 values of s interpolate them over F_p, and a symbol M0 lacks
+    (a pair symbol, or one only z carries) takes one value. Rounds combine
+    by the Chinese remainder theorem, and maximal-quotient rational
+    reconstruction (Monagan, ISSAC 2004) lifts the coefficients to Q.
+
+    Off a pair, M0 = M and the candidate is t^D + c_(D-1) t^(D-1) + ... +
+    c_0 = P0. At a pair, with z = e_u + e_v or e_u - e_v, M = M0 + g (E_uu +
+    E_vv) (see ``_KrylovMatrix``); if the pair is cospectral, the walk
+    module W = span{M^k z} is orthogonal to e_u - e_v or e_u + e_v, so
+    E_uu + E_vv acts on W as z z^T / 2. W is then M0-invariant and the same
+    for M0, and by the matrix determinant lemma P = P0 - (g/2) Q, with Q the
+    polynomial part of P0(t) z^T (tI - M0)^-1 z: the coefficient of t^j is
+    the sum over k of p0_(j+k+1) a_k, where a_k = z^T M0^k z. Each image
+    records a_k = z(a) . M0(a)^k z(a) mod p as it runs, so it yields Q at a
+    too, and P0 and Q are interpolated and reconstructed together. Q is -2
+    times the coefficient of h in the P of M0 + h (E_uu + E_vv) for a new
+    symbol h, so its coefficients have P0's degree bounds. The candidate
+    P0 - (g/2) Q is formed over the full frame. ``krylov_min_poly`` names
+    no pair, so there every symbol keeps its B_s + 1 values.
+
+    The candidate is then checked exactly with M itself: sum of c_k M^k z =
+    0, and given ``pair``, entries u and v of M^k z agree for k <= D. A
+    monic annihilator of degree D is a multiple of P; if D <= deg P, it is
+    P itself, so what this returns is proven; a failed reconstruction or
+    check only costs another round. Off a pair, D <= deg P0 = deg P. At a
+    pair the sequence (M^k z)_u - (M^k z)_v obeys the recurrence of any
+    annihilator of degree D, so a passing check for e_u + e_v proves the
+    pair cospectral, and then W is the same for M0 and M: deg P0 = deg P.
+    The run for e_u - e_v, on the same ``mat``, takes no ``pair``: it must
+    come after that proof. If the pair is not cospectral, either M_uu !=
+    M_vv, and the entries of M z differ; or g is the same at u and v, so
+    M0's pair is not cospectral either (if it were, W would be the same for
+    M), and at the first k where the entries of M0^k z differ, k < deg P0,
+    M^k z is M0^k z plus earlier M0^i z, whose entries agree. Either way the
+    check raises at some k <= deg P0, at the latest in the first round
+    whose images reach that degree, so the run cannot loop.
 
     The check (``_annihilates``) runs at one integer point, by Kronecker
     substitution. L, L_z and L_c are the lcms of the denominators of M, z
@@ -1022,10 +1084,19 @@ def _min_poly(mat: _KrylovMatrix, z: list[_Terms], pair: tuple[int, int] | None 
             continue
         axes, diags, edges = at_p
         zs = [_at(zres, len(z), a, p) for a in product(*axes)]
-        relations = _images(diags, zs, edges, p, pair)
+        relations, moments = _images(diags, zs, edges, p, pair)
+        if mat.g:  # each image as Q's coefficients, then P0's: one vector of length 2 D + 1
+            relations = [
+                [sum(map(mul, c[j + 1 :], a)) % p for j in range(len(c) - 1)] + c
+                for c, a in zip(relations, moments)
+            ]
         if (top := max(map(len, relations)) - 1) > degree:
             degree, modulus, combined = top, 1, {}
         combined, modulus, coeffs = _lifted(relations, degree, axes, p, combined, modulus)
+        if coeffs and mat.g:  # P0 - (g/2) Q
+            one, half = {(0,) * (1 + len(mat.frame)): _ONE}, {e: _div(-c, 2) for e, c in mat.g.items()}
+            p0, q = coeffs[degree // 2 :], coeffs[: degree // 2]
+            coeffs = [_accumulate(((c, one), (x, half))) for c, x in zip(p0, q)] + p0[-1:]
         if coeffs and _annihilates(mat, z, coeffs, pair):
             terms = {(k, *e[1:]): c for k, ck in enumerate(coeffs) for e, c in ck.items()}
             return _raw(*_canonical(terms, mat.frame))
@@ -1150,11 +1221,12 @@ def _images(
     edges: list[tuple[int, int, int]],
     p: int,
     pair: tuple[int, int] | None,
-) -> list[list[int]]:
+) -> tuple[list[list[int]], list[list[int]]]:
     """The minimal polynomial over F_p of M(a) relative to z(a) at each point
     a, from M(a)'s diagonal ``diags[g]``, its constant off-diagonal entries
     ``edges`` (row, column, residue) and ``zs[g]``, as coefficient lists by
-    ascending power of t (monic).
+    ascending power of t (monic); and for each, the moments z(a) . M(a)^k
+    z(a), k = 0, ..., its degree, read off the same vectors.
 
     Step k advances every unfinished image by one product and reduces
     [M(a)^k z(a) | t^k] against that image's echelon rows. Given ``pair`` =
@@ -1163,6 +1235,8 @@ def _images(
     """
     n = len(zs[0])
     vs = [list(v) for v in zs]
+    supports = [[(i, x) for i, x in enumerate(v) if x] for v in zs]
+    moments: list[list[int]] = [[] for _ in zs]
     echelons: list[list[tuple[int, int, list[int]]]] = [[] for _ in zs]  # (pivot, its inverse, row)
     relations: list[list[int] | None] = [None] * len(zs)
     for k in count():
@@ -1178,6 +1252,7 @@ def _images(
                 v = vs[g] = [x % p for x in u]
             if pair and v[pair[0]] != v[pair[1]]:
                 raise _not_cospectral(pair)
+            moments[g].append(sum(x * v[i] for i, x in supports[g]) % p)
             w = v + t_k
             for piv, inv, row in echelons[g]:  # entries are reduced once, after the last row
                 if c := w[piv] * inv % p:
@@ -1189,7 +1264,7 @@ def _images(
             else:
                 echelons[g].append((piv, pow(w[piv], -1, p), w))
         if all(rel is not None for rel in relations):
-            return relations
+            return relations, moments
 
 
 def _interpolate_grid(

@@ -86,7 +86,7 @@ def is_cospectral(m: PolyMatrix, u: int, v: int) -> bool:
     """
     _check_pair(m, u, v)
     with suppress(NotCospectralError):
-        _min_poly(*_krylov(m, [int(k in (u, v)) for k in range(m.dimension)]), (u, v))
+        _min_poly(*_krylov(m, [int(k in (u, v)) for k in range(m.dimension)], pair=(u, v)), (u, v))
         return True
     return False
 
@@ -95,19 +95,25 @@ def decompose(m: PolyMatrix, u: int, v: int) -> CospectralDecomposition:
     """Relative decomposition at a cospectral pair.
 
     P_plus and P_minus come from one Krylov run each, on one preparation of
-    M: modular images give a candidate, proven by one exact check at a
-    single integer point (``exact._min_poly``). P_plus's run also decides
-    the pair, as ``is_cospectral`` does: its images compare entries u and v
-    of each M(a)^k (e_u + e_v) over F_p, where residues that differ prove a
-    mismatch, and its exact check compares the exact entries for k <= deg
-    P_plus; a mismatch raises NotCospectralError. P_zero is
+    M for the pair: modular images give a candidate, proven by one exact
+    check at a single integer point (``exact._min_poly``). A pair symbol,
+    one whose diagonal terms all sit at u and v, takes one grid point: the
+    images run on M0, M with the pair symbols at 0. At a cospectral pair
+    P_plus and P_minus are linear in the pair symbols' increment g, and each
+    candidate is rebuilt from its run's moments as P0 - (g/2) Q. P_plus's
+    run also decides the pair, as ``is_cospectral`` does: its images compare
+    entries u and v of each M0(a)^k (e_u + e_v) over F_p, where residues
+    that differ prove a mismatch, and its exact check compares the exact
+    entries of M^k (e_u + e_v) for k <= deg P_plus; a mismatch raises
+    NotCospectralError. P_minus's run compares nothing: its candidate
+    relies on that proof, so it comes second. P_zero is
     ``charpoly(m, (P_plus, P_minus))``, the cofactor from power sums, and a
     failed check there is an engine bug: InternalConsistencyError. M holds
     at most two symbols, so no step meets a wider frame.
     """
     _check_pair(m, u, v)
     n = m.dimension
-    mat, plus, minus = _krylov(m, *([(k == u) + s * (k == v) for k in range(n)] for s in (1, -1)))
+    mat, plus, minus = _krylov(m, *([(k == u) + s * (k == v) for k in range(n)] for s in (1, -1)), pair=(u, v))
     p_plus = _min_poly(mat, plus, (u, v))
     p_minus = _min_poly(mat, minus)
     try:

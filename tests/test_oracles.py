@@ -164,19 +164,55 @@ def _oracle(m: PolyMatrix, z: list[SparsePoly]):
     return _sympy_min_poly(_sympy_matrix(m), sympy.Matrix([_to_sympy(x) for x in z]))
 
 
-@pytest.mark.parametrize("symbols", list(ROUND_SEEDS), ids=["none", "Q", "QR"])
-def test_krylov_min_poly_proves_its_first_round(monkeypatch, symbols):
-    # Small coefficients reconstruct from one prime, so when every image is
-    # right the first candidate passes the exact check: a wrong image or a
-    # wrong interpolation would cost a second prime.
+def _one_prime(monkeypatch) -> None:
+    """Let every modular run take the first prime only: a second round fails."""
+
     def first_only():
         yield next(primes())
         raise AssertionError("a second round")
 
     primes = exact._primes
     monkeypatch.setattr(exact, "_primes", first_only)
+
+
+@pytest.mark.parametrize("symbols", list(ROUND_SEEDS), ids=["none", "Q", "QR"])
+def test_krylov_min_poly_proves_its_first_round(monkeypatch, symbols):
+    # Small coefficients reconstruct from one prime, so when every image is
+    # right the first candidate passes the exact check: a wrong image or a
+    # wrong interpolation would cost a second prime.
+    _one_prime(monkeypatch)
     for m, z in _round_cases(symbols):
         _assert_same(krylov_min_poly(m, z), _oracle(m, z))
+
+
+def _pair_round_cases(symbols: tuple[str, ...]):
+    """(matrix, u, v) for each seed in ROUND_SEEDS: a weighted graph whose
+    automorphism exchanges u = 0 and v = 1, with Q at both and, for (Q, R),
+    R at a vertex the automorphism fixes."""
+    for seed in ROUND_SEEDS[symbols]:
+        g, u, v = random_cospectral_graph(random.Random(seed), weighted=True)
+        g = add_potential(g, (u, v), SparsePoly.sym("Q"))
+        if "R" in symbols:
+            g = add_potential(g, (g.n - 1,), SparsePoly.sym("R"))
+        yield to_matrix(g), u, v
+
+
+def _assert_sides(m: PolyMatrix, u: int, v: int, dec) -> None:
+    """P_plus and P_minus of ``dec`` are the oracle's relative minimal polynomials."""
+    for sign, got in ((1, dec.p_plus), (-1, dec.p_minus)):
+        _assert_same(got, _oracle(m, [SparsePoly.const((k == u) + sign * (k == v)) for k in range(m.dimension)]))
+
+
+@pytest.mark.parametrize("symbols", [("Q",), ("Q", "R")], ids=["Q", "QR"])
+def test_decompose_proves_its_first_round(monkeypatch, symbols):
+    # The pair symbol Q takes one point: P = P0 - (g/2) Q(t), with g = Q
+    # here, comes from the images at Q = 0 and their moments (see
+    # exact._min_poly). A wrong correction (its factor, sign or moment
+    # index) gives a candidate the exact check refuses, which would cost a
+    # second prime.
+    _one_prime(monkeypatch)
+    for m, u, v in _pair_round_cases(symbols):
+        _assert_sides(m, u, v, decompose(m, u, v))
 
 
 def _first_round_refuted(monkeypatch, how: str) -> list[int]:
@@ -202,9 +238,9 @@ def _first_round_refuted(monkeypatch, how: str) -> list[int]:
         images = exact._images
 
         def planted(diags, zs, edges, p, pair):
-            relations = images(diags, zs, edges, p, pair)
+            relations, moments = images(diags, zs, edges, p, pair)
             primes.append(p)
-            return [rel[1:] for rel in relations] if len(primes) == 1 else relations
+            return [rel[1:] for rel in relations] if len(primes) == 1 else relations, moments
 
         monkeypatch.setattr(exact, "_images", planted)
     return primes
@@ -331,6 +367,88 @@ def test_a_candidate_that_vanishes_at_a_small_power_of_two_is_refused(monkeypatc
         rounds.clear()
         _assert_same(krylov_min_poly(m, z), _oracle(m, z))
         assert len(rounds) == 2
+
+
+def _with_pendants(g: Graph, u: int, v: int, potential: SparsePoly) -> Graph:
+    """g with a new pendant vertex at u and one at v, both carrying the
+    potential: one rooted graph attached at both vertices of a cospectral
+    pair keeps it cospectral."""
+    n = g.n
+    return add_potential(Graph(n + 2, {**g.edges, (u, n): 1, (v, n + 1): 1}), (n, n + 1), potential)
+
+
+# A potential at the pair, and one at pendant vertices attached to both.
+PAIR_POTENTIALS = {
+    "Q^2+1/3": ("Q^2 + 1/3", None),
+    "2/3*Q": ("2/3*Q", None),
+    "Q*R": ("Q*R", None),
+    "Q,R^2-off-the-pair": ("Q", "R^2"),
+    "Q,Q-off-the-pair": ("Q", "Q"),  # Q is then no pair symbol
+}
+
+
+@pytest.mark.parametrize("case", list(PAIR_POTENTIALS))
+@pytest.mark.parametrize("seed", range(2))
+def test_pair_potentials_match_sympy_at_an_asymmetric_pair(monkeypatch, seed, case):
+    # Small coefficients: one prime, so a wrong candidate fails at once.
+    _one_prime(monkeypatch)
+    g, u, v = asymmetric_cospectral_graph(random.Random(seed))
+    at_pair, off_pair = PAIR_POTENTIALS[case]
+    if off_pair:
+        g = _with_pendants(g, u, v, SparsePoly.parse(off_pair))
+    m = to_matrix(add_potential(g, (u, v), SparsePoly.parse(at_pair)))
+    _assert_sides(m, u, v, decompose(m, u, v))
+
+
+@pytest.mark.parametrize("at_v", ["2*Q", "Q + R"])
+@pytest.mark.parametrize("base", ["G_B", "asymmetric"])
+def test_unequal_increments_at_the_pair_are_refused_in_one_prime(monkeypatch, base, at_v):
+    # Q at u and 2Q or Q + R at v: every symbol is a pair symbol, so the
+    # images run M0, whose pair is cospectral, and the exact check finds
+    # that entries u and v of M (e_u + e_v) differ.
+    _one_prime(monkeypatch)
+    if base == "G_B":
+        f = get_fixture("G_B")
+        g, u, v = f.graph, f.u, f.v
+    else:
+        g, u, v = asymmetric_cospectral_graph(random.Random(0))
+    m = to_matrix(add_potential(add_potential(g, (u,), SparsePoly.sym("Q")), (v,), SparsePoly.parse(at_v)))
+    with pytest.raises(NotCospectralError):
+        decompose(m, u, v)
+    assert is_cospectral(m, u, v) is False
+
+
+@pytest.mark.parametrize("at_centre, points", [(None, 1), ("R^2", 3), ("Q", 4)], ids=["Q", "R^2", "Q-off-the-pair"])
+def test_a_pair_symbol_takes_one_grid_point(monkeypatch, at_centre, points):
+    # A path 0..6 with Q at the pair (0, 6): Q takes one point per prime.
+    # R^2 at the centre adds B_R + 1 = 3 points; Q at the centre makes Q no
+    # pair symbol, and it keeps its B_Q + 1 = 4.
+    images = exact._images
+    widths = []
+
+    def spy(diags, zs, edges, p, pair):
+        widths.append(len(zs))
+        return images(diags, zs, edges, p, pair)
+
+    monkeypatch.setattr(exact, "_images", spy)
+    g = add_potential(path_graph(7), (0, 6), SparsePoly.sym("Q"))
+    if at_centre:
+        g = add_potential(g, (3,), SparsePoly.parse(at_centre))
+    decompose(to_matrix(g), 0, 6)
+    assert widths and set(widths) == {points}
+
+
+def test_a_refusal_by_the_images_prepares_no_exact_check(monkeypatch):
+    # G_B's (0, 1) is refused by the first images, before any candidate:
+    # the exact check's integral rows are never built.
+    def prepared(*args):
+        raise AssertionError("the exact check was prepared")
+
+    monkeypatch.setattr(exact, "_integral", prepared)
+    m = to_matrix(get_fixture("G_B").graph)
+    assert is_cospectral(m, 0, 1) is False
+    with pytest.raises(NotCospectralError):
+        decompose(m, 0, 1)
 
 
 def _relative_factors(seed: int) -> tuple[SparsePoly, SparsePoly]:
