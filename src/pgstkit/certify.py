@@ -301,13 +301,30 @@ def integer_relation_search(
     (2b + 1)^(r + s) has at most EXHAUSTIVE_LIMIT = 10^7 points; with more
     than 14 values even b = 1 does not fit, and the result is empty. The
     box is searched completely, so an empty result means that no relation
-    exists within b.
+    exists within b. Values whose box sums overflow a float are refused,
+    as non-finite values are.
 
-    Split and match (Horowitz-Sahni): each half of the box is enumerated,
-    grouped by coefficient sum and minus-side parity and sorted by value,
-    and halves whose sums and values cancel are matched. Relations have
-    their first nonzero coefficient positive and are sorted by coefficient
-    mass.
+    Split and match (Horowitz-Sahni): each half of the box is enumerated
+    with its value and a key for its coefficient sum and minus-side
+    parity, and a left half matches the right halves of its key whose
+    values lie in [-value - slack, -value + slack]; slack is precision
+    plus d * 2^-52 * b * sum(|x|), which covers the rounding of the two
+    halves' sums and of the residual together. The windows are searched on
+    float keys key + scale * value (key * K + value for K = 1 / scale),
+    with scale * |value| <= 1/4 for every value and window end, so a
+    window never reaches another key's rows. Rounding is monotone, so a
+    window holds every row of its key within its bounds; a row that the
+    keys' rounding lets in from just outside misses by more than slack,
+    so its residual is at least precision and the residual test drops it
+    (with d = 2 the residual is the sum of the halves' own products).
+
+    Each residual is the sum of coefficient times value, added left to
+    right from +0.0 and bit for bit the same as a Python loop would add it
+    (``_residuals``), on the representative whose first nonzero
+    coefficient is negative, then negated, so an exact cancellation reads
+    -0.0. Relations have
+    their first nonzero coefficient positive and are sorted by
+    coefficient mass, then lexicographically.
     """
     import numpy as np
 
@@ -319,47 +336,61 @@ def integer_relation_search(
     b = _searched_bound(d, bound)
     if d < 2 or b == 0:  # a nonzero vector with coefficient sum 0 has two entries
         return []
+    size = sum(abs(x) for x in xs)
+    # matches within precision plus the rounding of the two float sums
+    slack = precision + d * 2.0**-52 * b * size
+    # b * size bounds every sum in the box, and b * size + slack every window end
+    if not math.isfinite(b * size + slack):
+        raise DomainError("relation search sums overflow a float at this bound")
     h = d // 2
-    left, right = _half_box(h, b), _half_box(d - h, b)
+    left = _half_box(h, b)
+    right = left if 2 * h == d else _half_box(d - h, b)
     lv, rv = left @ np.array(xs[:h]), right @ np.array(xs[h:])
     minus = np.arange(d) >= r
     # a left half with key k pairs with right halves whose wanted key is k:
     # the sums cancel and the two minus-side parities add up to odd
     lkey = 2 * left.sum(axis=1) + left[:, minus[:h]].sum(axis=1) % 2
     rkey = -2 * right.sum(axis=1) + 1 - right[:, minus[h:]].sum(axis=1) % 2
-    order = np.lexsort((rv, rkey))
-    right = right[order]
-    # (key, value) as a complex number orders lexicographically, so one search
-    # over all left rows finds each row's window inside its key group
-    keyed = _keyed(rkey[order], rv[order])
-    # matches within precision plus the rounding of the two float sums
-    slack = precision + d * 2.0**-52 * b * sum(abs(x) for x in xs)
-    start = np.searchsorted(keyed, _keyed(lkey, -lv - slack))
-    counts = np.searchsorted(keyed, _keyed(lkey, -lv + slack), side="right") - start
-    # left row i pairs with right rows start[i] .. start[i] + counts[i] - 1
+    lo, hi = -lv - slack, -lv + slack
+    widest = max(float(np.abs(rv).max()), float(np.abs(lv).max()) + slack)
+    scale = 0.25 / max(widest, 0.25)
+    keyed = rkey + scale * rv
+    right_order = np.argsort(keyed)
+    keyed = keyed[right_order]
+    # searchsorted is fastest on ascending queries: left rows by window start
+    lo_keyed = lkey + scale * lo
+    left_order = np.argsort(lo_keyed)
+    start = np.searchsorted(keyed, lo_keyed[left_order])
+    counts = np.searchsorted(keyed, (lkey + scale * hi)[left_order], side="right") - start
+    # left row left_order[i] pairs with sorted right rows start[i] .. start[i] + counts[i] - 1
     matched = np.arange(counts.sum()) + np.repeat(start - np.cumsum(counts) + counts, counts)
-    vecs = np.hstack([np.repeat(left, counts, axis=0), right[matched]])
-    # the residual is summed on the representative whose first nonzero
-    # coefficient is negative, then negated: an exact cancellation reads -0.0
-    first = vecs[np.arange(len(vecs)), (vecs != 0).argmax(axis=1)]
-    vecs = vecs[first < 0]
-    residuals = np.array([sum(map(operator.mul, coeffs, xs)) for coeffs in vecs.tolist()])
+    lrow, rrow = np.repeat(left_order, counts), right_order[matched]
+    # a box lists its rows lexicographically, so a row's first nonzero
+    # coefficient is negative exactly when it comes before the zero row,
+    # the middle one: keep the pairs whose first nonzero is negative
+    negative = (lrow < len(left) // 2) | ((lrow == len(left) // 2) & (rrow < len(right) // 2))
+    vecs = np.hstack([left[lrow[negative]], right[rrow[negative]]])
+    residuals = _residuals(vecs, xs)
     keep = np.abs(residuals) < precision
     vecs, residuals = -vecs[keep], -residuals[keep]
-    # by coefficient mass, then lexicographically; the vectors are distinct
-    order = np.lexsort((*vecs[:, ::-1].T, np.abs(vecs).sum(axis=1)))
-    vecs = vecs[order]
-    ls, ms = map(tuple, vecs[:, :r].tolist()), map(tuple, vecs[:, r:].tolist())
-    return list(map(Relation, ls, ms, residuals[order].tolist()))
+    # by coefficient mass, then lexicographically: the box rank in base
+    # 2b + 1 orders the vectors lexicographically, and (2b + 1)^d <= 10^7
+    digits = (2 * b + 1) ** np.arange(d - 1, -1, -1)
+    order = np.argsort(np.abs(vecs).sum(axis=1) * (2 * b + 1) ** d + (vecs + b) @ digits)
+    rows = list(zip(*[iter(vecs[order].ravel().tolist())] * d))
+    ls, ms = map(operator.itemgetter(slice(r)), rows), map(operator.itemgetter(slice(r, d)), rows)
+    return list(map(Relation._make, zip(ls, ms, residuals[order].tolist())))
 
 
-def _keyed(keys: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """keys + i*values, which numpy sorts and searches by key, then value."""
+def _residuals(vecs: np.ndarray, xs: list[float]) -> np.ndarray:
+    """Each row's products with xs added left to right from +0.0, a column
+    at a time: bit for bit the sum a Python loop over the row makes."""
     import numpy as np
 
-    out = np.empty(len(keys), dtype=complex)
-    out.real, out.imag = keys, values
-    return out
+    total = np.zeros(len(vecs))
+    for column, x in zip(vecs.T, xs):
+        total += column * x
+    return total
 
 
 def _half_box(k: int, b: int) -> np.ndarray:
@@ -384,17 +415,19 @@ def heuristic_obstruction(
     proof: eigenvalues are floating point.
     """
     relations = integer_relation_search(lambdas, mus, bound, precision)
-    verified = [rel for rel in relations if abs(rel.residual) < precision / 4]
-    if not verified:
+    tight = precision / 4
+    rows = [
+        {"l": [*l], "m": [*m], "residual": residual}
+        for l, m, residual in relations
+        if abs(residual) < tight
+    ]
+    if not rows:
         return None
     evidence = {
-        "relations": [
-            {"l": list(rel.l), "m": list(rel.m), "residual": rel.residual}
-            for rel in verified
-        ],
+        "relations": rows,
         "bound": _searched_bound(len(lambdas) + len(mus), bound),
         "precision": precision,
-        "reverified_at": precision / 4,
+        "reverified_at": tight,
         "lambdas": [float(x) for x in lambdas],
         "mus": [float(x) for x in mus],
     }

@@ -89,8 +89,10 @@ def _dumps(report) -> str:
     """``json.dumps(report, indent=2, allow_nan=False)``, built directly.
 
     The json module writes indented text with its pure-Python encoder,
-    which costs more than a large report's numeric work. A value of
-    another type than dict, list, tuple or a scalar of ``_TEXT``, and a
+    which costs more than a large report's numeric work. A list of
+    same-shape records, such as a report's relations, is written by one
+    %-format (see ``_records``), and any other value item by item. A value
+    of another type than dict, list, tuple or a scalar of ``_TEXT``, and a
     non-finite float, go to ``json.dumps`` itself, which writes them or
     raises its own error.
     """
@@ -104,7 +106,11 @@ def _dumps(report) -> str:
 
 def _write(obj, newline: str, out: list[str]) -> None:
     """Append obj's JSON text to out; newline ends the line before obj's
-    closing bracket and holds its indent."""
+    closing bracket and holds its indent.
+
+    A list of two or more dicts of one shape takes the record path,
+    ``_records``; a list it declines, like any other container, is written
+    item by item."""
     kind = type(obj)
     text = _TEXT.get(kind)
     if text is not None:
@@ -126,6 +132,8 @@ def _write(obj, newline: str, out: list[str]) -> None:
         text = _TEXT.get(kind)
         if text is not None:  # items of one scalar type: no call per item
             out += ("[", inner, _finite(("," + inner).join(map(text, obj)), kind), newline, "]")
+        elif kind is dict and len(obj) > 1 and (records := _records(obj, inner)) is not None:
+            out += ("[", inner, records, newline, "]")
         else:
             sep = "[" + inner
             for item in obj:
@@ -135,6 +143,66 @@ def _write(obj, newline: str, out: list[str]) -> None:
             out.append(newline + "]")
     else:
         raise _Unwritten
+
+
+def _records(dicts, newline: str) -> str | None:
+    """The items of a list of dicts of one shape, joined, from one %-format
+    of a record template built from the first dict; None for a list of
+    another kind, which ``_write`` then writes item by item.
+
+    One shape: the same string keys in the same order, each value an
+    exact int (``%d``), a finite float, or a nonempty list of one of
+    those, with one type and one list length down each column. A ``%`` in
+    a key is written ``%%``. A bool, an int or float subclass, a
+    non-finite float, a string, None, a nested container, an empty or
+    ragged list and an empty dict all return None. A float column goes in
+    as text (``%s``) made by repr once per distinct bit pattern: repr is
+    the costly part of a float, and the relations of a report repeat few
+    residuals.
+    """
+    from itertools import chain
+
+    first = dicts[0]
+    keys = tuple(first)
+    if set(map(type, keys)) != {str} or set(map(tuple, dicts)) != {keys}:
+        return None
+    inner, nested = newline + "  ", newline + "    "
+    fields, columns = [], []
+    for key, column in zip(keys, zip(*map(dict.values, dicts))):
+        value = first[key]
+        listed = type(value) is list
+        if not listed:
+            parts = [column]
+        elif value and set(map(type, column)) == {list} and set(map(len, column)) == {len(value)}:
+            parts = list(zip(*column))
+        else:
+            return None
+        slots = []
+        for part in parts:
+            kinds = set(map(type, part))
+            if kinds == {int}:
+                slots.append("%d")
+            elif kinds == {float} and (part := _float_texts(part)) is not None:
+                slots.append("%s")
+            else:
+                return None
+            columns.append(part)
+        text = "[" + nested + ("," + nested).join(slots) + inner + "]" if listed else slots[0]
+        fields.append(_key(key).replace("%", "%%") + ": " + text)
+    template = "{" + inner + ("," + inner).join(fields) + newline + "}"
+    return ("," + newline).join([template] * len(dicts)) % tuple(chain.from_iterable(zip(*columns)))
+
+
+def _float_texts(values) -> list[str] | None:
+    """repr of each float, computed once per bit pattern (a dict keyed by
+    the floats would merge 0.0 and -0.0); None if one is not finite."""
+    from array import array
+
+    bits = array("q", array("d", values).tobytes())
+    texts = {b: float.__repr__(x) for b, x in dict(zip(bits, values)).items()}
+    if "n" in "".join(texts.values()):  # inf or nan: a finite repr has no n
+        return None
+    return list(map(texts.__getitem__, bits))
 
 
 def _finite(text: str, kind: type) -> str:

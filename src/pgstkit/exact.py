@@ -221,11 +221,6 @@ class SparsePoly:
     def is_t_free(self) -> bool:
         return self.deg_t() <= 0
 
-    def lead_coeff_t(self) -> "SparsePoly":
-        """Coefficient of the highest power of t, as a t-free polynomial
-        (zero for the zero polynomial, whose deg_t is -1)."""
-        return self.coeff_t(self.deg_t())
-
     def is_monic_t(self) -> bool:
         return _constant_lead_t(self) == 1
 
@@ -838,8 +833,8 @@ class _KrylovMatrix:
     once for every vector it runs on: the diagonal of M0 as (row, *symbol
     exponents) terms, the bounds B_s, the off-diagonal entries and the
     first prime's ``at_prime``; for ``_annihilates``, built on its first
-    call, L (the lcm of M's denominators), M' = L M, r and the largest
-    deg_s1 on M's diagonal.
+    call, L (the lcm of M's denominators), M' = L M with its constant
+    entries' integers apart, r and the largest deg_s1 on M's diagonal.
 
     At a pair (u, v), a pair symbol is one whose diagonal terms all sit at
     u and v; M0 is M with the pair symbols set to 0 and g, the terms of M_uu
@@ -868,6 +863,20 @@ class _KrylovMatrix:
     @cached_property
     def integral(self) -> list[dict[int, dict[tuple[int, ...], int]]]:
         return [{j: _integral(x, self.lcm) for j, x in row.items()} for row in self.rows]
+
+    @cached_property
+    def split(self) -> list[tuple[list[tuple[int, int]], list[tuple[int, dict[tuple[int, ...], int]]]]]:
+        """Each row of M' as (column, integer) for its constant entries,
+        whose Kronecker integer is the same at every N, and (column, terms)
+        for the entries that carry a symbol."""
+        zero = (0,) * (1 + len(self.frame))
+        return [
+            (
+                [(j, x[zero]) for j, x in row.items() if x.keys() == {zero}],
+                [(j, x) for j, x in row.items() if x.keys() != {zero}],
+            )
+            for row in self.integral
+        ]
 
     @cached_property
     def r(self) -> int:
@@ -1118,7 +1127,7 @@ def _annihilates(
     shift = (h + 1).bit_length()  # N = 2^shift
     d1 = _deg_s1(c) + top * mat.deg_diag + _deg_s1(w) + 1
     weights = (0, shift, shift * d1)
-    m = [[(j, _kronecker(x, weights)) for j, x in row.items()] for row in mat.integral]
+    m = [constant + [(j, _kronecker(x, weights)) for j, x in symbolic] for constant, symbolic in mat.split]
     vec = [_kronecker(x, weights) for x in w]
     residual = [0] * len(vec)
     for k, ck in enumerate(c):

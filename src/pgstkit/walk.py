@@ -212,7 +212,7 @@ def fidelity_scan(
     k = int(np.argmax(fids))
     lo, hi = times[max(0, k - 1)], times[min(steps - 1, k + 1)]
     best_t, best_f = _golden_max(
-        lambda t: float(np.abs(np.exp(1j * np.outer([t], values)) @ weights)[0]), lo, hi
+        lambda t: float(np.abs(np.exp(1j * (t * values))[None] @ weights)[0]), lo, hi
     )
     if best_f < float(fids[k]):
         best_t, best_f = float(times[k]), float(fids[k])

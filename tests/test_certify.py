@@ -335,6 +335,110 @@ def test_relation_search_matches_the_per_key_search_in_order():
     )
 
 
+def _planted(rng, r, coeffs, bound, low, integral):
+    """Values of magnitude 10^low to 10^6 carrying the relation coeffs +
+    [last], last = -sum(coeffs), and its residual summed left to right; None
+    unless 0 < |last| <= bound and the minus-side sum is odd. The last value
+    is solved from the others, exactly when ``integral`` and else up to 1000
+    ulps."""
+    last = -sum(coeffs)
+    if not 0 < abs(last) <= bound or (sum(coeffs[r:]) + last) % 2 == 0:
+        return None
+    xs = [rng.choice([-1, 1]) * 10.0 ** rng.uniform(low, 6) for _ in range(len(coeffs) + 1)]
+    if integral:
+        xs = [float(round(x)) for x in xs]
+    xs[-1] = -sum(c * x for c, x in zip(coeffs, xs)) / last
+    if not integral:
+        xs[-1] += rng.randint(-1000, 1000) * math.ulp(xs[-1])
+    residual = 0.0
+    for c, x in zip(coeffs + [last], xs):
+        residual += c * x
+    return xs, residual
+
+
+def _same_relations(xs, r, bound, precision):
+    got = integer_relation_search(xs[:r], xs[r:], bound, precision)
+    want = relation_search_by_key(xs[:r], xs[r:], bound, precision)
+    assert [(rel.l, rel.m, rel.residual.hex()) for rel in got] == [
+        (rel.l, rel.m, rel.residual.hex()) for rel in want
+    ], (xs, r, bound, precision)
+    return got
+
+
+def test_relation_search_matches_the_per_key_search_at_large_magnitudes():
+    # values of 1e3 to 1e6 with a planted relation, exact or not: the
+    # relations are the per-key search's, in order and bit for bit, at
+    # precisions below, around and far above the planted residual
+    rng = random.Random(373)
+    found = exact = trial = 0
+    while trial < 40:
+        d = rng.randint(3, 9)
+        r, bound = rng.randint(1, d - 1), rng.choice([1, 2, 3])
+        coeffs = [rng.randint(-bound, bound) for _ in range(d - 1)]
+        if (planted := _planted(rng, r, coeffs, bound, 3, trial % 2 == 0)) is None:
+            continue
+        xs, residual = planted
+        for precision in (1e-300, 1e-9, 1e-3, 10.0, math.nextafter(abs(residual), 1.0)):
+            got = _same_relations(xs, r, bound, precision)
+            found += len(got)
+            exact += sum(rel.residual == 0 for rel in got)
+        trial += 1
+    assert (found, exact) == (161, 90)
+
+
+def test_relations_at_their_windows_end_under_a_far_key_are_found():
+    # a left half of coefficients all b has a key far from 0, where key +
+    # scale * value rounds more coarsely than a window is wide, and a
+    # precision just above the planted relation's residual puts that
+    # relation at its window's end: the window's ends must round as the rows
+    # do (about 5 in 200 of these are lost when an end is rounded from the
+    # window's centre instead)
+    rng = random.Random(389)
+    checked = 0
+    while checked < 300:
+        d = rng.randint(3, 6)
+        r, b = rng.randint(1, d - 1), rng.choice([2, 3])
+        coeffs = [b] * (d // 2) + [rng.randint(-b, b) for _ in range(d - d // 2 - 1)]
+        if (planted := _planted(rng, r, coeffs, b, 0, False)) is None or planted[1] == 0:
+            continue
+        xs, residual = planted
+        got = _same_relations(xs, r, b, math.nextafter(abs(residual), 1.0))
+        vec = tuple(coeffs + [-sum(coeffs)])
+        assert vec in {rel.l + rel.m for rel in got} | {tuple(-c for c in rel.l + rel.m) for rel in got}
+        checked += 1
+
+
+def test_residuals_are_the_sequential_sum():
+    # column by column from +0.0 is the left-to-right sum of the products bit
+    # for bit: -0.0 products sum to +0.0, and 1e16 + 1 - 1e16 reads 0.0 where
+    # another order would read 1.0
+    rng = random.Random(379)
+    cases = [
+        ([0.0, -0.0], [[-1, 1], [1, -1], [0, 0], [2, -3]]),
+        ([1e16, 1.0, -1e16], [[1, 1, 1], [1, -1, 1], [-1, 1, -1], [3, 2, 3]]),
+    ]
+    for d in range(2, 9):
+        xs = [rng.choice([-1, 1]) * 10.0 ** rng.uniform(-3, 6) for _ in range(d)]
+        cases.append((xs, [[rng.randint(-3, 3) for _ in xs] for _ in range(200)]))
+    for xs, rows in cases:
+        want = []
+        for row in rows:
+            total = 0.0
+            for c, x in zip(row, xs):
+                total += c * x
+            want.append(total.hex())
+        assert [x.hex() for x in certify._residuals(np.array(rows), xs).tolist()] == want, xs
+
+
+def test_relation_search_refuses_sums_that_overflow():
+    # sums of these values overflow a float: refused, not searched on
+    # infinite sums; a tenth of them still fits
+    with pytest.raises(DomainError, match="overflow"):
+        integer_relation_search([1e308, 1e308], [1e308], 3, 1e-9)
+    lambdas, mus = [1e307, 1e307], [1e307]
+    assert integer_relation_search(lambdas, mus, 3, 1e-9) == relation_search_by_key(lambdas, mus, 3, 1e-9)
+
+
 def test_relation_search_lowers_the_bound_to_fit_the_box():
     # G_D has 5 + 5 values: 7^10 points exceed the limit, 5^10 fit
     lambdas, mus = _spectrum("G_D")

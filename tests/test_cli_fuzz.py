@@ -18,7 +18,10 @@ graph under the bound is loaded (and refused as u = v) without building
 its dense matrix.
 
 The report writer is checked on its own against
-``json.dumps(obj, indent=2, allow_nan=False)`` over generated documents.
+``json.dumps(obj, indent=2, allow_nan=False)`` over generated documents,
+and over lists of same-shape records, which it writes with one %-format,
+with and without one perturbation that must send it back to writing item
+by item.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import json
 
 import pytest
 
-from pgstkit.cli import _dumps, main
+from pgstkit.cli import _dumps, _records, main
 from pgstkit.graphs import MAX_VERTICES
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -220,3 +223,118 @@ def test_report_writer_matches_json_dumps(doc):
 def test_report_writer_refuses_non_finite_floats(doc):
     with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
         _dumps(doc)
+
+
+# lists of records of one shape: the writer's record path
+
+RECORD_KEYS = ["l", "m", "residual", "%d", "a%sb", "100%", "\u00e9", ""]
+RECORD_FLOATS = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from([-0.0, 0.0, 5e-324]))
+# (scalar strategy, list length or None) for each column kind
+COLUMNS = st.one_of(
+    st.tuples(st.sampled_from([INTS, RECORD_FLOATS]), st.none()),
+    st.tuples(st.sampled_from([INTS, RECORD_FLOATS]), st.integers(1, 4)),
+)
+# one item changed so that the list is no longer of one shape
+PERTURBATIONS = [
+    "bool", "int subclass", "float for int", "nan", "inf", "ragged", "empty list", "string",
+    "none", "nested", "reordered", "missing key", "extra key", "not a dict", "empty dict", "tuple",
+]
+
+
+class _Int(int):
+    pass
+
+
+@st.composite
+def same_shape_records(draw) -> list:
+    keys = draw(st.lists(st.sampled_from(RECORD_KEYS), min_size=1, max_size=4, unique=True))
+    columns = [draw(COLUMNS) for _ in keys]
+    count = draw(st.integers(2, 6))
+
+    def value(scalar, length):
+        return draw(scalar) if length is None else draw(st.lists(scalar, min_size=length, max_size=length))
+
+    return [{key: value(*column) for key, column in zip(keys, columns)} for _ in range(count)]
+
+
+@st.composite
+def perturbed_records(draw) -> tuple[list, str]:
+    records = draw(same_shape_records())
+    i = draw(st.integers(0, len(records) - 1))
+    item = records[i]
+    key = draw(st.sampled_from(sorted(item)))
+    kind = draw(st.sampled_from(PERTURBATIONS))
+    listed = type(item[key]) is list
+    if kind == "bool":
+        item[key] = [True] * len(item[key]) if listed else False
+    elif kind == "int subclass":
+        item[key] = _Int(7)
+    elif kind == "float for int":  # a float where the first record has an int, or the reverse
+        first = records[0][key][0] if listed else records[0][key]
+        item[key] = 1.5 if type(first) is int else 1
+    elif kind in ("nan", "inf"):
+        item[key] = float(kind)
+    elif kind == "ragged":
+        item[key] = [1] * (len(item[key]) + 1) if listed else [1]
+    elif kind == "empty list":
+        for record in records:
+            record[key] = []
+    elif kind == "string":
+        item[key] = "x"
+    elif kind == "none":
+        item[key] = None
+    elif kind == "nested":
+        item[key] = {"x": 1}
+    elif kind == "reordered":
+        item = records[i] = {k: item[k] for k in [key] + [k for k in item if k != key]}
+        if list(item) == list(records[(i + 1) % len(records)]):
+            item["zz"] = 1
+    elif kind == "missing key":
+        del item[key]
+    elif kind == "extra key":
+        item["zz"] = 1
+    elif kind == "not a dict":
+        records[i] = draw(st.sampled_from([None, 1, [1], "x"]))
+    elif kind == "empty dict":
+        records = [{} for _ in records]
+    else:  # a tuple in place of a list
+        item[key] = tuple(item[key]) if listed else (item[key],)
+    return records, kind
+
+
+def _same_text(doc) -> None:
+    assert _written(_dumps, doc) == _written(lambda d: json.dumps(d, indent=2, allow_nan=False), doc)
+
+
+@PROFILE
+@given(same_shape_records())
+@example([{"l": [1, -2], "m": [3], "residual": -0.0}, {"l": [0, 2], "m": [-1], "residual": 0.0}])
+@example([{"%d": 1}, {"%d": 2}])
+@example([{"a": 10**40, "b": [5e-324, -1e300]}, {"a": -(10**40), "b": [-0.0, 0.1]}])
+def test_same_shape_records_take_the_record_path(records):
+    assert _records(records, "\n  ") is not None
+    _same_text(records)
+    _same_text({"relations": records, "bound": 3})
+
+
+@PROFILE
+@given(perturbed_records())
+@example(([{}, None], "not a dict"))
+@example(([{"a": 1}, {"a": True}], "bool"))
+@example(([{"a": 1.0}, {"a": float("nan")}], "nan"))
+@example(([{"a": [1, 2]}, {"a": [1]}], "ragged"))
+@example(([{"a": 1, "b": 2}, {"b": 2, "a": 1}], "reordered"))
+@example(([{"a": 1}, {"b": 1}], "missing key"))
+@example(([{1: 1}, {1.0: 1}], "keys of another type"))
+def test_records_of_another_shape_are_written_item_by_item(case):
+    records, _kind = case
+    if all(type(record) is dict for record in records):  # what _write hands to _records
+        assert _records(records, "\n  ") is None
+    _same_text(records)
+    _same_text({"relations": records})
+
+
+@pytest.mark.parametrize("doc", [[{"a": 1}], [{"%d": 1}, {"%d": 2}], [{"a": [1.5, -0.0]}, {"a": [0.0, 2.0]}]])
+def test_short_and_percent_records_match_json_dumps(doc):
+    # one record is written item by item; a % in a key is not a format
+    _same_text(doc)

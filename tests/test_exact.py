@@ -588,6 +588,37 @@ def test_krylov_zero_vector_rejected():
     assert str(err.value) == "relative minimal polynomial of the zero vector"
 
 
+def test_the_exact_check_converts_only_symbol_entries_per_candidate(monkeypatch):
+    # M' keeps its constant entries' integers from one candidate to the next;
+    # an entry that carries a symbol is converted at each candidate's own N.
+    # Two checks on one matrix at different N: a wrong candidate whose large
+    # constant term raises N, then the minimal polynomial itself.
+    m = PolyMatrix(
+        [[P("Q"), Fraction(1, 2), 0, 0], [Fraction(1, 2), 0, 2, 0], [0, 2, P("Q^2 + 1"), 1], [0, 0, 1, 3]]
+    )
+    z = [1, 0, 0, 1]
+    p = krylov_min_poly(m, z)
+    mat, w = exact._krylov(m, z)
+    assert p.symbols == mat.frame == ("Q",)
+    right = [{(0, *e[1:]): c for e, c in p._terms.items() if e[0] == k} for k in range(p.deg_t() + 1)]
+    wrong = [dict(c) for c in right]
+    wrong[0][(0, 0)] = wrong[0].get((0, 0), 0) + 10**6
+    kronecker, weights = exact._kronecker, []
+
+    def spy(terms, at):
+        weights.append(at)
+        return kronecker(terms, at)
+
+    monkeypatch.setattr(exact, "_kronecker", spy)
+    assert not exact._annihilates(mat, w, wrong, None)
+    first = weights[:]
+    weights.clear()
+    assert exact._annihilates(mat, w, right, None)
+    assert first[0] != weights[0]
+    # per check: the two diagonal entries with Q, the vector and the coefficients
+    assert len(first) == 2 + len(w) + len(wrong) and len(weights) == 2 + len(w) + len(right)
+
+
 def _two_symbol_matrix(seed: int) -> tuple[PolyMatrix, int, int]:
     """A seeded sparse weighted symmetric matrix of order 8 or 9 with Q at u
     and v and R at a third vertex w."""
