@@ -28,6 +28,7 @@ from __future__ import annotations
 import enum
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
@@ -318,13 +319,12 @@ def integer_relation_search(
     so its residual is at least precision and the residual test drops it
     (with d = 2 the residual is the sum of the halves' own products).
 
-    Each residual is the sum of coefficient times value, added left to
-    right from +0.0 and bit for bit the same as a Python loop would add it
-    (``_residuals``), on the representative whose first nonzero
+    Each residual is the sum of coefficient times value, bit for bit the
+    builtin ``sum`` of those products (``_residuals``; compensated from
+    Python 3.12 on), on the representative whose first nonzero
     coefficient is negative, then negated, so an exact cancellation reads
-    -0.0. Relations have
-    their first nonzero coefficient positive and are sorted by
-    coefficient mass, then lexicographically.
+    -0.0. Relations have their first nonzero coefficient positive and are
+    sorted by coefficient mass, then lexicographically.
     """
     import numpy as np
 
@@ -382,15 +382,28 @@ def integer_relation_search(
     return list(map(Relation._make, zip(ls, ms, residuals[order].tolist())))
 
 
-def _residuals(vecs: np.ndarray, xs: list[float]) -> np.ndarray:
-    """Each row's products with xs added left to right from +0.0, a column
-    at a time: bit for bit the sum a Python loop over the row makes."""
+def _residuals(
+    vecs: np.ndarray, xs: list[float], compensated: bool = sys.version_info >= (3, 12)
+) -> np.ndarray:
+    """Each row's products with xs summed a column at a time, bit for bit
+    as ``sum(map(operator.mul, row, xs))`` sums them on this Python: left
+    to right from +0.0 before 3.12, and from 3.12 on with Neumaier's
+    compensation, which CPython's ``sum`` of floats carries in a second
+    running total and adds at the end when it is nonzero and finite."""
     import numpy as np
 
-    total = np.zeros(len(vecs))
+    total, compensation = np.zeros(len(vecs)), np.zeros(len(vecs))
     for column, x in zip(vecs.T, xs):
-        total += column * x
-    return total
+        product = column * x
+        new = total + product
+        if compensated:
+            compensation += np.where(
+                np.abs(total) >= np.abs(product), (total - new) + product, (product - new) + total
+            )
+        total = new
+    if not compensated:
+        return total
+    return np.where((compensation != 0) & np.isfinite(compensation), total + compensation, total)
 
 
 def _half_box(k: int, b: int) -> np.ndarray:

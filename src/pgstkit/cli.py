@@ -156,9 +156,7 @@ def _records(dicts, newline: str) -> str | None:
     a key is written ``%%``. A bool, an int or float subclass, a
     non-finite float, a string, None, a nested container, an empty or
     ragged list and an empty dict all return None. A float column goes in
-    as text (``%s``) made by repr once per distinct bit pattern: repr is
-    the costly part of a float, and the relations of a report repeat few
-    residuals.
+    as its reprs (``%s``), which also show whether every float is finite.
     """
     from itertools import chain
 
@@ -182,7 +180,10 @@ def _records(dicts, newline: str) -> str | None:
             kinds = set(map(type, part))
             if kinds == {int}:
                 slots.append("%d")
-            elif kinds == {float} and (part := _float_texts(part)) is not None:
+            elif kinds == {float}:
+                part = list(map(float.__repr__, part))
+                if "n" in "".join(part):  # inf or nan: a finite repr has no n
+                    return None
                 slots.append("%s")
             else:
                 return None
@@ -191,18 +192,6 @@ def _records(dicts, newline: str) -> str | None:
         fields.append(_key(key).replace("%", "%%") + ": " + text)
     template = "{" + inner + ("," + inner).join(fields) + newline + "}"
     return ("," + newline).join([template] * len(dicts)) % tuple(chain.from_iterable(zip(*columns)))
-
-
-def _float_texts(values) -> list[str] | None:
-    """repr of each float, computed once per bit pattern (a dict keyed by
-    the floats would merge 0.0 and -0.0); None if one is not finite."""
-    from array import array
-
-    bits = array("q", array("d", values).tobytes())
-    texts = {b: float.__repr__(x) for b, x in dict(zip(bits, values)).items()}
-    if "n" in "".join(texts.values()):  # inf or nan: a finite repr has no n
-        return None
-    return list(map(texts.__getitem__, bits))
 
 
 def _finite(text: str, kind: type) -> str:

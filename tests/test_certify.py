@@ -5,7 +5,9 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -337,23 +339,21 @@ def test_relation_search_matches_the_per_key_search_in_order():
 
 def _planted(rng, r, coeffs, bound, low, integral):
     """Values of magnitude 10^low to 10^6 carrying the relation coeffs +
-    [last], last = -sum(coeffs), and its residual summed left to right; None
-    unless 0 < |last| <= bound and the minus-side sum is odd. The last value
-    is solved from the others, exactly when ``integral`` and else up to 1000
-    ulps."""
+    [last], last = -sum(coeffs), and its residual as the search sums it
+    (the builtin sum of the products); None unless 0 < |last| <= bound and
+    the minus-side sum is odd. The last value is solved from the others
+    with a left-to-right sum, the same on every Python, exactly when
+    ``integral`` and else up to 1000 ulps."""
     last = -sum(coeffs)
     if not 0 < abs(last) <= bound or (sum(coeffs[r:]) + last) % 2 == 0:
         return None
     xs = [rng.choice([-1, 1]) * 10.0 ** rng.uniform(low, 6) for _ in range(len(coeffs) + 1)]
     if integral:
         xs = [float(round(x)) for x in xs]
-    xs[-1] = -sum(c * x for c, x in zip(coeffs, xs)) / last
+    xs[-1] = -_sequential_sum(map(operator.mul, coeffs, xs)) / last
     if not integral:
         xs[-1] += rng.randint(-1000, 1000) * math.ulp(xs[-1])
-    residual = 0.0
-    for c, x in zip(coeffs + [last], xs):
-        residual += c * x
-    return xs, residual
+    return xs, sum(map(operator.mul, coeffs + [last], xs))
 
 
 def _same_relations(xs, r, bound, precision):
@@ -408,26 +408,59 @@ def test_relations_at_their_windows_end_under_a_far_key_are_found():
         checked += 1
 
 
-def test_residuals_are_the_sequential_sum():
-    # column by column from +0.0 is the left-to-right sum of the products bit
-    # for bit: -0.0 products sum to +0.0, and 1e16 + 1 - 1e16 reads 0.0 where
-    # another order would read 1.0
+def _sequential_sum(products) -> float:
+    """sum() of floats before Python 3.12: left to right from 0."""
+    total = 0
+    for x in products:
+        total += x
+    return total
+
+
+def _compensated_sum(products) -> float:
+    """sum() of floats from Python 3.12 on, as CPython's builtin_sum_impl
+    computes it: 0 plus the first item, then Neumaier's compensated
+    summation, the compensation added at the end when nonzero and finite."""
+    rest = iter(products)
+    total, compensation = 0 + next(rest), 0.0
+    for x in rest:
+        t = total + x
+        if abs(total) >= abs(x):
+            compensation += (total - t) + x
+        else:
+            compensation += (x - t) + total
+        total = t
+    return total + compensation if compensation and math.isfinite(compensation) else total
+
+
+def test_residuals_are_the_builtin_sum():
+    # column by column, the residuals are sum(map(mul, row, xs)) bit for bit
+    # on this Python, and each of the two ways sum() has added floats is
+    # reproduced on any Python: -0.0 products sum to +0.0, and
+    # 1e16 + 1 - 1e16 reads 0.0 left to right but 1.0 compensated
     rng = random.Random(379)
     cases = [
         ([0.0, -0.0], [[-1, 1], [1, -1], [0, 0], [2, -3]]),
         ([1e16, 1.0, -1e16], [[1, 1, 1], [1, -1, 1], [-1, 1, -1], [3, 2, 3]]),
+        ([0.1, 0.2, 0.3, -0.6], [[1, 1, 1, 1], [3, 3, 3, 3], [-1, 2, -3, 1], [1, 0, 0, 1]]),
     ]
     for d in range(2, 9):
         xs = [rng.choice([-1, 1]) * 10.0 ** rng.uniform(-3, 6) for _ in range(d)]
         cases.append((xs, [[rng.randint(-3, 3) for _ in xs] for _ in range(200)]))
+    this_python = _compensated_sum if sys.version_info >= (3, 12) else _sequential_sum
+    differ = 0
     for xs, rows in cases:
-        want = []
-        for row in rows:
-            total = 0.0
-            for c, x in zip(row, xs):
-                total += c * x
-            want.append(total.hex())
-        assert [x.hex() for x in certify._residuals(np.array(rows), xs).tolist()] == want, xs
+        vecs = np.array(rows)
+        products = [list(map(operator.mul, row, xs)) for row in rows]
+        builtin = [sum(row).hex() for row in products]
+        assert [this_python(row).hex() for row in products] == builtin, xs
+        assert [x.hex() for x in certify._residuals(vecs, xs).tolist()] == builtin, xs
+        for compensated, model in ((False, _sequential_sum), (True, _compensated_sum)):
+            got = certify._residuals(vecs, xs, compensated).tolist()
+            assert [x.hex() for x in got] == [model(row).hex() for row in products], (xs, compensated)
+        sequential = certify._residuals(vecs, xs, False).tolist()
+        differ += sum(map(operator.ne, sequential, certify._residuals(vecs, xs, True).tolist()))
+    assert certify._residuals(np.array([[1, 1, 1]]), [1e16, 1.0, -1e16], True).tolist() == [1.0]
+    assert differ > 100
 
 
 def test_relation_search_refuses_sums_that_overflow():

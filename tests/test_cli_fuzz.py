@@ -214,6 +214,7 @@ def _written(write, doc) -> str | tuple[str, str]:
 @example([[1.0, float("nan")]])
 @example({float("inf"): 1})
 @example({"a": [1, float("-inf")]})
+@example([{"a": 1}])  # one record is written item by item
 def test_report_writer_matches_json_dumps(doc):
     # floats include nan and +-inf, which both writers must refuse alike
     assert _written(_dumps, doc) == _written(lambda d: json.dumps(d, indent=2, allow_nan=False), doc)
@@ -311,6 +312,7 @@ def _same_text(doc) -> None:
 @example([{"l": [1, -2], "m": [3], "residual": -0.0}, {"l": [0, 2], "m": [-1], "residual": 0.0}])
 @example([{"%d": 1}, {"%d": 2}])
 @example([{"a": 10**40, "b": [5e-324, -1e300]}, {"a": -(10**40), "b": [-0.0, 0.1]}])
+@example([{"a": [1.5, -0.0]}, {"a": [0.0, 2.0]}])
 def test_same_shape_records_take_the_record_path(records):
     assert _records(records, "\n  ") is not None
     _same_text(records)
@@ -333,8 +335,3 @@ def test_records_of_another_shape_are_written_item_by_item(case):
     _same_text(records)
     _same_text({"relations": records})
 
-
-@pytest.mark.parametrize("doc", [[{"a": 1}], [{"%d": 1}, {"%d": 2}], [{"a": [1.5, -0.0]}, {"a": [0.0, 2.0]}]])
-def test_short_and_percent_records_match_json_dumps(doc):
-    # one record is written item by item; a % in a key is not a format
-    _same_text(doc)
