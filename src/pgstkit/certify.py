@@ -29,13 +29,15 @@ import enum
 import math
 import operator
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 from .errors import (
     DomainError,
     InternalConsistencyError,
     NotCospectralError,
+    PgstError,
     ZeroEigenvalueObstruction,
 )
 from .exact import (
@@ -56,7 +58,7 @@ from .graphs import (
     to_matrix,
     verify_equitable,
 )
-from .spectral import CospectralDecomposition, decompose, is_cospectral
+from .spectral import CospectralDecomposition, decompose, is_cospectral, is_refuted
 
 if TYPE_CHECKING:  # numpy loads in the functions that use it
     import numpy as np
@@ -478,6 +480,20 @@ def _require_cospectral(g: Graph, u: int, v: int) -> PolyMatrix:
     return m
 
 
+@contextmanager
+def _base_pair_checked_on_error(g: Graph, u: int, v: int) -> Iterator[None]:
+    """Run the block; if it raises, check first that u and v are cospectral
+    in g, whose error then takes precedence. A construction whose built
+    graph's decomposition proves the base pair cospectral (see the builders)
+    runs its base check only this way, so every error reads as if g had been
+    checked before the block."""
+    try:
+        yield
+    except PgstError:
+        _require_cospectral(g, u, v)
+        raise
+
+
 MAX_GLUE_PRIME = 1000
 
 
@@ -512,11 +528,16 @@ def choose_path_shift(g: Graph, u: int, v: int, k: int) -> int:
     """Smallest integer c >= 0 such that the interior of a k-vertex path with
     constant potential c has spectrum disjoint from the (u,v)-deleted
     spectrum of g. Terminates because the path spectrum lies in
-    (c - 2, c + 2) and the deleted spectrum is bounded. DomainError unless
-    u and v are cospectral in g, checked on the one matrix of g it builds."""
+    (c - 2, c + 2) and the deleted spectrum is bounded. DomainError if the
+    first images of ``is_cospectral``'s run already tell u and v apart,
+    before the O(n^3) work on the deleted matrix; ``build_glue_pot`` leaves
+    the proof that they are cospectral to the built graph."""
     if k < 3:
         raise DomainError(f"need at least 3 path vertices, got {k}")
-    deleted = charpoly(_require_cospectral(g, u, v).delete([u, v]))
+    m = to_matrix(g)
+    if is_refuted(m, u, v):
+        raise DomainError(f"vertices ({u},{v}) are not cospectral")
+    deleted = charpoly(m.delete([u, v]))
     interior = path_charpoly(k - 2)
     for c in range(MAX_PATH_SHIFT):
         if poly_gcd_t(deleted, interior.shift_t(c)).is_one():
@@ -531,13 +552,27 @@ def build_glue_pot(g: Graph, u: int, v: int, k: int) -> Graph:
 
     The identified endpoints receive the path potential on top of whatever
     they carry, which is what keeps the attachment a clean two-sum.
+
+    The base pair's cospectrality is not checked here: the built graph's
+    pair is cospectral exactly when u and v are in g. Let R = (tI - A)^-1
+    for g's adjacency A. Gluing a path that reads the same from both ends,
+    with potentials at its ends and its centre or a symbol at the pair,
+    turns the inverse of R's block on {u, v} into that inverse minus
+    gamma(t) I + beta(t) (E_uv + E_vu). The inverse of [[a, b], [b, d]], of
+    determinant D, is [[d, -b], [-b, a]] / D, so the new block is the
+    inverse of [[d / D - gamma, .], [., a / D - gamma]], whose diagonal
+    entries are equal exactly when a = R_uu equals d = R_vv. A caller that
+    must refuse a base pair that is not cospectral, as ``construct`` does,
+    needs that check only when the built graph's decomposition fails, or
+    before any other error (``_base_pair_checked_on_error``).
     """
     if k < 3 or k % 2 == 0:
         raise DomainError(f"glue-pot path needs an odd vertex count >= 3, got {k}")
     path = path_graph(k)  # checks the vertex bound before choose_path_shift's O(k^2) work
-    c = choose_path_shift(g, u, v, k)  # and the base check
-    shifted = Graph(k, path.edges, dict.fromkeys(range(k), c), path.labels)
-    return glue(g, u, v, shifted, 0, k - 1)
+    with _base_pair_checked_on_error(g, u, v):
+        c = choose_path_shift(g, u, v, k)
+        shifted = Graph(k, path.edges, dict.fromkeys(range(k), c), path.labels)
+        return glue(g, u, v, shifted, 0, k - 1)
 
 
 def build_change_trace(g: Graph, u: int, v: int, k: int, sym: str) -> Graph:
@@ -547,14 +582,17 @@ def build_change_trace(g: Graph, u: int, v: int, k: int, sym: str) -> Graph:
     walk count that feeds the center potential into the plus-side trace is
     2 and never vanishes; the minus-side trace is left alone. That
     one-sided trace shift is what the certificate exploits downstream.
+
+    As in ``build_glue_pot``, the built graph's pair is cospectral exactly
+    when u and v are in g, so the base pair is checked only on an error.
     """
     if k < 3 or k % 2 == 0:
         raise DomainError(f"change-trace path needs an odd vertex count >= 3, got {k}")
     if sym in g.symbols():
         raise DomainError(f"symbol {sym!r} already occurs in the graph")
-    _require_cospectral(g, u, v)
-    p = add_potential(path_graph(k), (k - 1) // 2, SparsePoly.sym(sym))
-    return glue(g, u, v, p, 0, k - 1)
+    with _base_pair_checked_on_error(g, u, v):
+        p = add_potential(path_graph(k), (k - 1) // 2, SparsePoly.sym(sym))
+        return glue(g, u, v, p, 0, k - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -570,6 +608,11 @@ def certify_equitable(g: Graph, u: int, v: int, w: int, sym1: str, sym2: str) ->
     absent from g; u, v cospectral; the coarsest equitable refinement of
     the seed partition {{u, v}, {w}, rest} keeps {u, v} and {w} intact
     (equivalently, some equitable partition does).
+
+    Setting both symbols to 0 in the perturbed graph gives g, so a
+    decomposition of the perturbed graph proves u and v cospectral in g:
+    the base pair is checked only when that decomposition fails, or before
+    any other error the check preceded.
     """
     return _certify_equitable(g, u, v, w, sym1, sym2)[0]
 
@@ -586,34 +629,36 @@ def _certify_equitable(
     for s in (sym1, sym2):
         if s in taken:
             raise DomainError(f"symbol {s!r} already occurs in the graph")
-    _require_cospectral(g, u, v)
+    with _base_pair_checked_on_error(g, u, v):
+        seed_parts = [[u, v], [w]]
+        rest = [x for x in range(g.n) if x not in (u, v, w)]
+        if rest:
+            seed_parts.append(rest)
+        refined = coarsest_equitable_refinement(g, Partition(g.n, seed_parts))
+        pair = tuple(sorted((u, v)))
+        if pair not in refined.parts or (w,) not in refined.parts:
+            raise DomainError(
+                "no equitable partition keeps {u,v} and {w} as parts; "
+                "the coarsest refinement splits them"
+            )
 
-    seed_parts = [[u, v], [w]]
-    rest = [x for x in range(g.n) if x not in (u, v, w)]
-    if rest:
-        seed_parts.append(rest)
-    refined = coarsest_equitable_refinement(g, Partition(g.n, seed_parts))
-    pair = tuple(sorted((u, v)))
-    if pair not in refined.parts or (w,) not in refined.parts:
-        raise DomainError(
-            "no equitable partition keeps {u,v} and {w} as parts; "
-            "the coarsest refinement splits them"
-        )
-
-    pots = {x: g.potential(x) + SparsePoly.sym(s) for x, s in ((u, sym1), (v, sym1), (w, sym2))}
-    perturbed = Graph(g.n, g.edges, {**g.potentials, **pots}, g.labels)  # one rebuild
-    if not verify_equitable(perturbed, refined):
-        raise InternalConsistencyError(
-            "adding constant potentials on whole parts broke equitability"
-        )
+        pots = {x: g.potential(x) + SparsePoly.sym(s) for x, s in ((u, sym1), (v, sym1), (w, sym2))}
+        perturbed = Graph(g.n, g.edges, {**g.potentials, **pots}, g.labels)  # one rebuild
+        if not verify_equitable(perturbed, refined):
+            raise InternalConsistencyError(
+                "adding constant potentials on whole parts broke equitability"
+            )
+        try:
+            dec = decompose(to_matrix(perturbed), u, v)
+        except NotCospectralError:
+            dec = None
     extra = {
         "partition": [list(part) for part in refined.parts],
         "pair_symbol": sym1,
         "outside_symbol": sym2,
     }
-    try:
-        dec = decompose(to_matrix(perturbed), u, v)
-    except NotCospectralError:
+    if dec is None:
+        _require_cospectral(g, u, v)
         failed = dict(failed_hypothesis="cospectrality_after_perturbation", **extra)
         return Certificate(Verdict.INCONCLUSIVE, failed), perturbed
     return _run_tr_deg_checks(dec, sym1, extra, membership_sym=sym2), perturbed

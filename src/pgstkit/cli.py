@@ -21,6 +21,7 @@ domain failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -494,11 +495,14 @@ def cmd_construct(args) -> dict:
         built = certify_mod.build_change_trace(g, u, v, args.k, args.sym)
         detail["center_symbol"] = args.sym
     if args.kind != "equitable":  # the path recipes share one tail
-        sym = _require_symbol_flag(args.potential)
-        if sym == detail.get("center_symbol"):
-            raise DomainError("pair symbol and center symbol must differ")
-        built = _add_pair_symbol(built, u, v, sym)
-        certificate = certify_mod.certify_tr_deg(built, u, v, sym)
+        # glue-pot and change-trace leave the base check to the built graph's
+        # decomposition: an error here reads as if g had been checked first
+        with contextlib.nullcontext() if args.kind == "glue-path" else certify_mod._base_pair_checked_on_error(g, u, v):
+            sym = _require_symbol_flag(args.potential)
+            if sym == detail.get("center_symbol"):
+                raise DomainError("pair symbol and center symbol must differ")
+            built = _add_pair_symbol(built, u, v, sym)
+            certificate = certify_mod.certify_tr_deg(built, u, v, sym)
 
     graph_text = serialize_graph_text(built)
     if args.out:

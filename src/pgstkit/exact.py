@@ -64,7 +64,7 @@ from functools import cached_property
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import count, product
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import add, mul, neg, sub
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
@@ -829,26 +829,28 @@ def _krylov(m: PolyMatrix, *vectors: Sequence, pair: tuple[int, int] | None = No
 
 
 class _KrylovMatrix:
-    """M's rows over a frame and what ``_min_poly`` derives from M alone,
-    once for every vector it runs on: the diagonal of M0 as (row, *symbol
-    exponents) terms, the bounds B_s, the off-diagonal entries and the
-    first prime's ``at_prime``; for ``_annihilates``, built on its first
-    call, L (the lcm of M's denominators), M' = L M with its constant
-    entries' integers apart, r and the largest deg_s1 on M's diagonal.
+    """M's rows over a frame and what ``_min_poly`` and ``_charpoly`` derive
+    from M alone, once for every vector they run on: the diagonal of M0 as
+    (row, *symbol exponents) terms, the bounds B_s, the off-diagonal entries
+    and the first prime's ``at_prime``; for ``_annihilates``, built on its
+    first call, L (the lcm of M's denominators), M' = L M as its diagonal and
+    edge list, r and the largest deg_s1 on M's diagonal.
 
     At a pair (u, v), a pair symbol is one whose diagonal terms all sit at
-    u and v; M0 is M with the pair symbols set to 0 and g, the terms of M_uu
-    they carry, is M_uu - M0_uu. With no pair, or no pair symbol, M0 = M
-    and g = 0."""
+    u and v; M0 is M with the pair symbols (``pair_symbols``) set to 0 and
+    g, the terms of M_uu they carry, is M_uu - M0_uu. With no pair, or no
+    pair symbol, M0 = M and g = 0."""
 
     def __init__(self, frame: tuple[str, ...], rows: Sequence[dict[int, _Terms]], pair: tuple[int, int] | None):
         self.frame, self.rows = frame, rows
         diagonal = [row.get(i, {}) for i, row in enumerate(rows)]
         self.g: _Terms = {}
+        self.pair_symbols: tuple[str, ...] = ()
         if pair:  # the pair symbols' places in an exponent vector; then g, and M0's entries at the pair
             off = {s for i, x in enumerate(diagonal) if i not in pair for e in x for s in range(1, len(e)) if e[s]}
             moving = [s for s in range(1, 1 + len(frame)) if s not in off]
             self.g = {e: c for e, c in diagonal[pair[0]].items() if any(e[s] for s in moving)}
+            self.pair_symbols = tuple(frame[s - 1] for s in moving)
             for i in pair:
                 diagonal[i] = {e: c for e, c in diagonal[i].items() if not any(e[s] for s in moving)}
         self.diagonal = [((i, *e[1:]), c) for i, x in enumerate(diagonal) for e, c in x.items()]
@@ -861,30 +863,40 @@ class _KrylovMatrix:
         return lcm(*(c.denominator for row in self.rows for x in row.values() for c in x.values()))
 
     @cached_property
-    def integral(self) -> list[dict[int, dict[tuple[int, ...], int]]]:
-        return [{j: _integral(x, self.lcm) for j, x in row.items()} for row in self.rows]
-
-    @cached_property
-    def split(self) -> list[tuple[list[tuple[int, int]], list[tuple[int, dict[tuple[int, ...], int]]]]]:
-        """Each row of M' as (column, integer) for its constant entries,
-        whose Kronecker integer is the same at every N, and (column, terms)
-        for the entries that carry a symbol."""
-        zero = (0,) * (1 + len(self.frame))
-        return [
-            (
-                [(j, x[zero]) for j, x in row.items() if x.keys() == {zero}],
-                [(j, x) for j, x in row.items() if x.keys() != {zero}],
-            )
-            for row in self.integral
-        ]
+    def integral(self) -> tuple[list[int], list[tuple[int, dict[tuple[int, ...], int]]], list[tuple[int, int, int]]]:
+        """M' = L M as its constant diagonal (0 where an entry carries a
+        symbol), whose integers are the same at every N, the diagonal
+        entries that carry a symbol as (row, terms), and the edges (row,
+        column, integer)."""
+        zero, constant, symbolic = (0,) * (1 + len(self.frame)), [0] * len(self.rows), []
+        for i, row in enumerate(self.rows):
+            if x := row.get(i):
+                if x.keys() == {zero}:
+                    constant[i] = (x[zero] * self.lcm).numerator
+                else:
+                    symbolic.append((i, _integral(x, self.lcm)))
+        return constant, symbolic, [(i, j, (c * self.lcm).numerator) for i, j, c in self.edges]
 
     @cached_property
     def r(self) -> int:
-        return max(1, max((sum(map(_size, row.values())) for row in self.integral), default=0))
+        constant, symbolic, edges = self.integral
+        sums = list(map(abs, constant))
+        for i, x in symbolic:
+            sums[i] = _size(x)
+        for i, _, c in edges:
+            sums[i] += abs(c)
+        return max(1, max(sums, default=0))
 
     @cached_property
     def deg_diag(self) -> int:
         return _deg_s1(row.get(i, {}) for i, row in enumerate(self.rows))
+
+    def at_zero(self, poly: SparsePoly) -> SparsePoly:
+        """poly with the pair symbols set to 0."""
+        drop = [1 + k for k, s in enumerate(poly._symbols) if s in self.pair_symbols]
+        if not drop:
+            return poly
+        return _raw(*_canonical({e: c for e, c in poly._terms.items() if not any(e[k] for k in drop)}, poly._symbols))
 
     def at_prime(self, attempt: int, p: int) -> tuple | None:
         """Round ``attempt``'s grid modulo the prime p, M0's diagonal at its points
@@ -904,67 +916,72 @@ def _coerce_entry(x) -> SparsePoly:
 
 
 def charpoly(m: PolyMatrix, factors: Sequence[SparsePoly] = ()) -> SparsePoly:
-    """det(tI - M), divided by the product of the monic factors if any are
-    given, from power sums. The empty matrix gives 1.
-
-    The result has degree d = n - (sum of the factors' degrees) and power
-    sums tr(M^k) minus the factors'. Newton's identities (k c_k + p_k + sum
-    of c_j p_(k-j), 0 < j < k, is 0 for coefficients c_j of t^(deg - j))
-    give the factors' p_k, k <= d + 1, then the result's c_k; c_(d+1) must
-    be 0. If not, or if d < 0 or a factor holds a symbol M lacks, the product
-    does not divide: ExactDivisionError. M's frame holds at most two symbols,
-    so every power sum does too."""
-    frame = m._frame
-    d = m.dimension - sum(f.deg_t() for f in factors)
-    if d < 0 or not {s for f in factors for s in f.symbols} <= set(frame):
+    """det(tI - M) from modular images (``_charpoly``), divided exactly by
+    each of the factors if any are given. The empty matrix gives 1. A
+    factor that leaves a remainder, or whose degrees add up past n, or that
+    holds a symbol M lacks, does not divide: ExactDivisionError."""
+    if m.dimension < sum(f.deg_t() for f in factors) or not {s for f in factors for s in f.symbols} <= set(m._frame):
         raise ExactDivisionError("the factors cannot divide charpoly")
-    one = {(0,) * (1 + len(frame)): _ONE}
-    sums = _trace_powers(m, d + 1)  # of M, then of the result
+    phi = _charpoly(_KrylovMatrix(m._frame, m._rows, None))
     for f in factors:
-        deg, c = f.deg_t(), [{} for _ in range(d + 2)]  # c[j]: of t^(deg - j)
-        for e, x in _lift(f, frame).items():
-            if deg - e[0] <= d + 1:
-                c[deg - e[0]][(0, *e[1:])] = x
-        p = [{}]
-        for k in range(1, d + 2):  # r = -p_k
-            r = _accumulate([(c[k], {e: k for e in one}), *((c[j], p[k - j]) for j in range(1, k))])
-            p.append({e: -x for e, x in r.items()})
-            sums[k] = _accumulate(((sums[k], one), (r, one)))
-    c = [one]
-    for k in range(1, d + 2):  # r = -k c_k
-        r = _accumulate([(sums[k], one), *((c[j], sums[k - j]) for j in range(1, k))])
-        c.append({e: _div(-x, k) for e, x in r.items()})
-    if c.pop():
-        raise ExactDivisionError("power sums of the cofactor disagree at k = d + 1")
-    terms = {(d - j, *e[1:]): x for j, cj in enumerate(c) for e, x in cj.items()}
-    return _raw(*_canonical(terms, frame))
+        phi = phi.divexact(f)
+    return phi
 
 
-def _trace_powers(m: PolyMatrix, count: int) -> list[_Terms]:
-    """[{}, tr M, ..., tr M^count] over M's frame: tr M from the diagonal, and
-    tr(M^k) as the sum over i of <M^a e_i, M^b e_i>, a = k // 2, b = k - a,
-    from unit vector Krylov runs. M^a and M^b are symmetric, so only their
-    entries l <= i are read, and those above i stand for those below it."""
-    rows, n, top = m._rows, m.dimension, (count + 1) // 2
-    one = {(0,) * (1 + len(m._frame)): _ONE}
-    diag, off = [[] for _ in range(count + 1)], [[] for _ in range(count + 1)]
-    diag[1] = [(row[i], one) for i, row in enumerate(rows) if i in row]
-    for i in range(n if count > 1 else 0):
-        vecs = [[rows[i].get(j, {}) for j in range(n)]]  # M e_i is row i of M; vecs[a - 1] is M^a e_i
-        while len(vecs) < top - 1:  # each nonzero entry j of M^a e_i spreads along row j of symmetric M
-            reached: list[list] = [[] for _ in rows]
-            for j, wj in enumerate(vecs[-1]):
-                for l, x in rows[j].items() if wj else ():
-                    reached[l].append((x, wj))
-            vecs.append([_accumulate(r) if r else {} for r in reached])
-        if top > 1:  # the top power, at entries l <= i only (the list is built before the append)
-            vecs.append([_accumulate((x, vecs[-1][j]) for j, x in rows[l].items()) for l in range(i + 1)])
-        for k in range(2, count + 1):
-            x, y = vecs[k // 2 - 1], vecs[k - k // 2 - 1]
-            diag[k].append((x[i], y[i]))
-            off[k] += ((x[l], y[l]) for l in range(i) if x[l] and y[l])
-    two = {e: 2 for e in one}
-    return [_accumulate(((_accumulate(a), one), (_accumulate(b), two))) for a, b in zip(diag, off)]
+def _charpoly(
+    mat: _KrylovMatrix, divisor: SparsePoly = _ONE_POLY, first: tuple | None = None, z: list[int] | None = None
+) -> SparsePoly:
+    """det(tI - M0) for the M0 of ``mat`` (M itself off a pair; the empty
+    matrix gives 1), divided exactly by ``divisor``, a monic polynomial over
+    the frame; a remainder raises ExactDivisionError.
+
+    Each image comes from ``_images`` with restarts: Krylov chains, each in
+    the quotient by the ones before it, so there is no unlucky point or
+    prime. ``first``, from ``_min_poly``, holds the round of its first
+    images, those images and their echelon rows: in that round the chains
+    continue from that echelon, whose span is invariant with those relations
+    as its characteristic polynomials, from z and then from unit vectors.
+    In any other round they start from e_0.
+
+    The images are interpolated as in ``_min_poly``, over B_s + 1 values of
+    each symbol s M0 holds, and combined over primes by the Chinese
+    remainder theorem, scaled to the coefficients of det(tI - M0'), M0' =
+    L M0 integral: the coefficient of t^k is L^(n-k) times that of
+    det(tI - M0). Expanding the determinant bounds the absolute values of
+    every coefficient of det(tI - M0') in t and the symbols by H = product
+    over i of (1 + |row i of M0'|), |.| the sum of the absolute values of
+    the coefficients, so once the modulus exceeds 2H the symmetric residues
+    are the coefficients, with no reconstruction and no check."""
+    n = len(mat.rows)
+    norms = [0] * n
+    for (i, *_), c in mat.diagonal:
+        norms[i] += abs(c)
+    for i, _, c in mat.edges:
+        norms[i] += abs(c)
+    bound = 2 * prod(1 + (mat.lcm * x).numerator for x in norms)
+    modulus, combined = 1, {}
+    for attempt, p in enumerate(_primes() if n else ()):
+        if (at_p := mat.at_prime(attempt, p) if attempt else mat.first) is None:
+            continue
+        axes, diags, edges = at_p
+        if first and first[0] == attempt:
+            echelons = [[(piv, inv, row[:n]) for piv, inv, row in rows] for rows in first[2]]
+            images, _ = _images(diags, [[x % p for x in z]] * len(diags), edges, p, None, echelons, first[1][:])
+        else:
+            images, _ = _images(diags, [[1] + [0] * (n - 1)] * len(diags), edges, p, None, None, [[1]] * len(diags))
+        scales = [pow(mat.lcm, n - k, p) for k in range(n)]
+        values = {key: [y * s % p for y, s in zip(ys, scales)] for key, ys in _grid_values(images, axes, p).items()}
+        combined, modulus = _combined(values, p, combined, modulus)
+        if modulus > bound:
+            break
+    half, zero = modulus // 2, (0,) * len(mat.frame)
+    terms = {(n, *zero): _ONE}
+    for key, column in combined.items():
+        for k, x in enumerate(column):
+            if x:
+                terms[(k, *key)] = _div(x - modulus if x > half else x, mat.lcm ** (n - k))
+    phi = _raw(*_canonical(terms, mat.frame))
+    return phi if divisor is _ONE_POLY else phi.divexact(divisor)
 
 
 def bareiss_det(rows: Sequence[Sequence[SparsePoly]]) -> SparsePoly:
@@ -1010,7 +1027,9 @@ def krylov_min_poly(m: PolyMatrix, z: Sequence) -> SparsePoly:
     return _min_poly(*_krylov(m, z))
 
 
-def _min_poly(mat: _KrylovMatrix, z: list[_Terms], pair: tuple[int, int] | None = None) -> SparsePoly:
+def _min_poly(
+    mat: _KrylovMatrix, z: list[_Terms], pair: tuple[int, int] | None = None, kept: list | None = None
+) -> SparsePoly:
     """The relative minimal polynomial P of M and z from ``_krylov``. Given
     ``pair`` = (u, v), it also checks that the entries u and v of M^k z
     agree for k <= deg P, or raises NotCospectralError.
@@ -1093,7 +1112,13 @@ def _min_poly(mat: _KrylovMatrix, z: list[_Terms], pair: tuple[int, int] | None 
             continue
         axes, diags, edges = at_p
         zs = [_at(zres, len(z), a, p) for a in product(*axes)]
-        relations, moments = _images(diags, zs, edges, p, pair)
+        if kept is None:
+            relations, moments = _images(diags, zs, edges, p, pair)
+        else:
+            echelons = [[] for _ in zs]
+            relations, moments = _images(diags, zs, edges, p, pair, echelons)
+            if not kept:
+                kept[:] = attempt, relations, echelons
         if mat.g:  # each image as Q's coefficients, then P0's: one vector of length 2 D + 1
             relations = [
                 [sum(map(mul, c[j + 1 :], a)) % p for j in range(len(c) - 1)] + c
@@ -1109,6 +1134,21 @@ def _min_poly(mat: _KrylovMatrix, z: list[_Terms], pair: tuple[int, int] | None 
         if coeffs and _annihilates(mat, z, coeffs, pair):
             terms = {(k, *e[1:]): c for k, ck in enumerate(coeffs) for e, c in ck.items()}
             return _raw(*_canonical(terms, mat.frame))
+
+
+def _refuted(mat: _KrylovMatrix, z: list[_Terms], pair: tuple[int, int]) -> bool:
+    """Whether the images of ``_min_poly``'s first round for z at ``pair``
+    find entries u and v that differ, which proves the pair not cospectral
+    (see there); False proves nothing."""
+    zres = _residues((((i, *e[1:]), c) for i, x in enumerate(z) for e, c in x.items()), _PROBE_PRIME)
+    if mat.first is None or zres is None:
+        return False
+    axes, diags, edges = mat.first
+    try:
+        _images(diags, [_at(zres, len(z), a, _PROBE_PRIME) for a in product(*axes)], edges, _PROBE_PRIME, pair)
+    except NotCospectralError:
+        return True
+    return False
 
 
 def _annihilates(
@@ -1127,12 +1167,18 @@ def _annihilates(
     shift = (h + 1).bit_length()  # N = 2^shift
     d1 = _deg_s1(c) + top * mat.deg_diag + _deg_s1(w) + 1
     weights = (0, shift, shift * d1)
-    m = [constant + [(j, _kronecker(x, weights)) for j, x in symbolic] for constant, symbolic in mat.split]
+    diagonal, symbolic, edges = mat.integral
+    diagonal = diagonal[:]
+    for i, x in symbolic:
+        diagonal[i] = _kronecker(x, weights)
     vec = [_kronecker(x, weights) for x in w]
     residual = [0] * len(vec)
     for k, ck in enumerate(c):
         if k:
-            vec = [sum(x * vec[j] for j, x in row) for row in m]
+            u = list(map(mul, diagonal, vec))
+            for i, j, x in edges:
+                u[i] += x * vec[j]
+            vec = u
         if pair and vec[pair[0]] != vec[pair[1]]:
             raise _not_cospectral(pair)
         ck = _kronecker(ck, weights)
@@ -1180,14 +1226,7 @@ def _lifted(
     None if an image has another degree or a residue reconstructs no rational."""
     if any(len(image) != degree + 1 for image in images):
         return combined, modulus, None
-    grid = product(*(range(len(xs)) for xs in axes))
-    values = _interpolate_grid(dict(zip(grid, (image[:-1] for image in images))), axes, p)
-    inv = pow(modulus, -1, p)
-    combined = {
-        key: [x + modulus * ((y - x) * inv % p) for x, y in zip(combined.get(key, ys), ys)]
-        for key, ys in values.items()
-    }
-    modulus *= p
+    combined, modulus = _combined(_grid_values(images, axes, p), p, combined, modulus)
     coeffs: list[_Terms] = [{} for _ in range(degree + 1)]
     coeffs[-1][(0,) * (1 + len(axes))] = _ONE
     for key, column in combined.items():
@@ -1197,6 +1236,26 @@ def _lifted(
                     return combined, modulus, None
                 coeffs[k][(0, *key)] = c
     return combined, modulus, coeffs
+
+
+def _grid_values(images: list[list[int]], axes: list[range], p: int) -> dict[tuple[int, ...], list[int]]:
+    """Monic images over F_p at the grid of ``axes``, as one product of the
+    axes lists them, interpolated in the symbols: each symbol exponent
+    vector's coefficients of t^0, ..., t^(degree - 1)."""
+    grid = product(*(range(len(xs)) for xs in axes))
+    return _interpolate_grid(dict(zip(grid, (image[:-1] for image in images))), axes, p)
+
+
+def _combined(values: _Residues, p: int, combined: _Residues, modulus: int) -> tuple[_Residues, int]:
+    """Residues modulo p combined with the earlier rounds' ``combined``
+    residues modulo ``modulus`` by the Chinese remainder theorem: those
+    modulo modulus * p, and that modulus."""
+    inv = pow(modulus, -1, p)
+    combined = {
+        key: [x + modulus * ((y - x) * inv % p) for x, y in zip(combined.get(key, ys), ys)]
+        for key, ys in values.items()
+    }
+    return combined, modulus * p
 
 
 def _residues(terms: Iterable[tuple[tuple[int, ...], Scalar]], p: int) -> _Residues | None:
@@ -1230,50 +1289,81 @@ def _images(
     edges: list[tuple[int, int, int]],
     p: int,
     pair: tuple[int, int] | None,
+    echelons: list[list[tuple[int, int, list[int]]]] | None = None,
+    closed: list[list[int]] | None = None,
 ) -> tuple[list[list[int]], list[list[int]]]:
     """The minimal polynomial over F_p of M(a) relative to z(a) at each point
     a, from M(a)'s diagonal ``diags[g]``, its constant off-diagonal entries
     ``edges`` (row, column, residue) and ``zs[g]``, as coefficient lists by
     ascending power of t (monic); and for each, the moments z(a) . M(a)^k
-    z(a), k = 0, ..., its degree, read off the same vectors.
+    z(a), k = 0, ..., its degree, read off the same vectors. ``echelons``,
+    if given, receives each point's echelon rows.
 
     Step k advances every unfinished image by one product and reduces
     [M(a)^k z(a) | t^k] against that image's echelon rows. Given ``pair`` =
     (u, v), entries u and v of each M(a)^k z(a) are compared first: residues
     that differ prove the exact entries of M^k z differ, NotCospectralError.
+
+    Given ``closed`` as well, each image is det(tI - M(a)) mod p instead:
+    ``echelons[g]`` holds the vector parts of rows spanning an M(a)-invariant
+    subspace and ``closed[g]`` its characteristic polynomial, and Krylov
+    chains restart until the rank is n. A chain starts from z(a), then from
+    e_j for the first j that is no pivot yet (e_j is not in the span: any
+    combination of rows is nonzero at the first pivot it involves). When it
+    closes, its rows keep only their vector part, so the next chain's
+    relation is its minimal polynomial in the quotient by the span so far,
+    and the relations multiply to det(tI - M(a)) (Keller-Gehrig, Theoret.
+    Comput. Sci. 36, 1985). No moments are read then.
     """
-    n = len(zs[0])
+    n = len(diags[0])
     vs = [list(v) for v in zs]
     supports = [[(i, x) for i, x in enumerate(v) if x] for v in zs]
     moments: list[list[int]] = [[] for _ in zs]
-    echelons: list[list[tuple[int, int, list[int]]]] = [[] for _ in zs]  # (pivot, its inverse, row)
+    echelons = echelons or [[] for _ in zs]  # (pivot, its inverse, row)
     relations: list[list[int] | None] = [None] * len(zs)
+    begun = [0] * len(zs)  # the step at which the current chain began
     for k in count():
-        t_k = [0] * k + [1]
         for g, d in enumerate(diags):
             if relations[g] is not None:
                 continue
             v = vs[g]
-            if k:
+            if k > begun[g]:
                 u = [x * y for x, y in zip(d, v)]
                 for i, j, c in edges:
                     u[i] += c * v[j]
                 v = vs[g] = [x % p for x in u]
             if pair and v[pair[0]] != v[pair[1]]:
                 raise _not_cospectral(pair)
-            moments[g].append(sum(x * v[i] for i, x in supports[g]) % p)
-            w = v + t_k
+            if closed is None:
+                moments[g].append(sum(x * v[i] for i, x in supports[g]) % p)
+            w = v + [0] * (k - begun[g]) + [1]
             for piv, inv, row in echelons[g]:  # entries are reduced once, after the last row
                 if c := w[piv] * inv % p:
                     w[: len(row)] = [x - c * y for x, y in zip(w, row)]
             w = [x % p for x in w]
             piv = next(filter(w.__getitem__, range(n)), None)
-            if piv is None:
-                relations[g] = w[n:]
-            else:
+            if piv is not None:
                 echelons[g].append((piv, pow(w[piv], -1, p), w))
+            elif closed is None:
+                relations[g] = w[n:]
+            elif len(rows := echelons[g]) < n:
+                closed[g] = _mul_mod(closed[g], w[n:], p)
+                rows[:] = [(piv, inv, row[:n]) for piv, inv, row in rows]
+                j = min(set(range(n)).difference(piv for piv, _, _ in rows))
+                vs[g], begun[g] = [int(i == j) for i in range(n)], k + 1
+            else:
+                relations[g] = _mul_mod(closed[g], w[n:], p)
         if all(rel is not None for rel in relations):
             return relations, moments
+
+
+def _mul_mod(a: list[int], b: list[int], p: int) -> list[int]:
+    """The product over F_p of coefficient lists by ascending power."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return [c % p for c in out]
 
 
 def _interpolate_grid(

@@ -28,9 +28,10 @@ from .errors import (
 from .exact import (
     PolyMatrix,
     SparsePoly,
+    _charpoly,
     _krylov,
     _min_poly,
-    charpoly,
+    _refuted,
     poly_gcd_t,
     poly_trace,
 )
@@ -55,16 +56,22 @@ class CospectralDecomposition:
         strongly cospectral."""
         return poly_gcd_t(self.p_plus, self.p_minus)
 
+    @cached_property
+    def _texts(self) -> tuple[str, ...]:
+        """The five polynomials' strings, formatted once for every report."""
+        return tuple(map(str, (self.p_plus, self.p_minus, self.p_zero, self.trace_plus, self.trace_minus)))
+
     def as_json_dict(self) -> dict:
+        p_plus, p_minus, p_zero, trace_plus, trace_minus = self._texts
         return {
-            "p_plus": str(self.p_plus),
-            "p_minus": str(self.p_minus),
-            "p_zero": str(self.p_zero),
+            "p_plus": p_plus,
+            "p_minus": p_minus,
+            "p_zero": p_zero,
             "deg_plus": self.deg_plus,
             "deg_minus": self.deg_minus,
             "deg_zero": self.deg_zero,
-            "trace_plus": str(self.trace_plus),
-            "trace_minus": str(self.trace_minus),
+            "trace_plus": trace_plus,
+            "trace_minus": trace_minus,
         }
 
 
@@ -91,6 +98,14 @@ def is_cospectral(m: PolyMatrix, u: int, v: int) -> bool:
     return False
 
 
+def is_refuted(m: PolyMatrix, u: int, v: int) -> bool:
+    """Whether the first round of ``is_cospectral``'s images already tells
+    u and v apart, which proves them not cospectral; False proves nothing.
+    It costs those images only, with no candidate and no exact check."""
+    _check_pair(m, u, v)
+    return _refuted(*_krylov(m, [int(k in (u, v)) for k in range(m.dimension)], pair=(u, v)), (u, v))
+
+
 def decompose(m: PolyMatrix, u: int, v: int) -> CospectralDecomposition:
     """Relative decomposition at a cospectral pair.
 
@@ -113,15 +128,19 @@ def decompose(m: PolyMatrix, u: int, v: int) -> CospectralDecomposition:
     """
     _check_pair(m, u, v)
     n = m.dimension
-    mat, plus, minus = _krylov(m, *([(k == u) + s * (k == v) for k in range(n)] for s in (1, -1)), pair=(u, v))
-    p_plus = _min_poly(mat, plus, (u, v))
+    sides = [[(k == u) + s * (k == v) for k in range(n)] for s in (1, -1)]
+    mat, plus, minus = _krylov(m, *sides, pair=(u, v))
+    kept: list = []
+    p_plus = _min_poly(mat, plus, (u, v), kept)
     p_minus = _min_poly(mat, minus)
-    try:
-        p_zero = charpoly(m, (p_plus, p_minus))
-    except ExactDivisionError as exc:
-        raise InternalConsistencyError(
-            "charpoly is not divisible by P_plus * P_minus at a cospectral pair"
-        ) from exc
+    p_zero = SparsePoly.one()
+    if p_plus.deg_t() + p_minus.deg_t() != n:
+        try:
+            p_zero = _charpoly(mat, mat.at_zero(p_plus) * mat.at_zero(p_minus), kept, sides[1])
+        except ExactDivisionError as exc:
+            raise InternalConsistencyError(
+                "charpoly is not divisible by P_plus * P_minus at a cospectral pair"
+            ) from exc
     return CospectralDecomposition(
         p_plus=p_plus,
         p_minus=p_minus,

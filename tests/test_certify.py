@@ -636,8 +636,9 @@ def test_certify_equitable_validation():
     salted = add_potential(k3, 2, SparsePoly.sym("Q2"))
     with pytest.raises(DomainError):
         certify_equitable(salted, 0, 1, w, "Q1", "Q2")  # symbol not fresh
-    with pytest.raises(DomainError):
-        certify_equitable(path_graph(3), 0, 1, 2, "Q1", "Q2")  # not cospectral
+    # not cospectral: reported before the refinement splits {0, 1}
+    with pytest.raises(DomainError, match=r"^vertices \(0,1\) are not cospectral$"):
+        certify_equitable(path_graph(3), 0, 1, 2, "Q1", "Q2")
 
 
 # ---------------------------------------------------------------------------

@@ -356,6 +356,16 @@ G_D_PAIR = ["@G_D", "--u", "h1", "--v", "h4"]
             2,
             TOO_MANY_PATH_VERTICES % (MAX_VERTICES + 1),
         ),
+        *(
+            (["construct", *kind, "@G_B", "--u", "0", "--v", "1"], 2, "error: vertices (0,1) are not cospectral\n")
+            for kind in (
+                ["glue-pot", "--k", "3"],
+                ["glue-pot", "--k", "3", "--potential", "2*Q"],
+                ["change-trace", "--k", "3"],
+                ["change-trace", "--k", "3", "--potential", "2*Q"],
+                ["equitable"],
+            )
+        ),
         (["construct", "glue-pot", "@G_B", "--k", "x"], 1, "error: argument --k: invalid int value: 'x'\n"),
         (["simulate", "@G_B", "--tmax", "x"], 1, "error: argument --tmax: invalid float value: 'x'\n"),
         (["analyze", "@G_B", "--u", "1"], 1, "error: the following arguments are required: --v\n"),
@@ -424,6 +434,11 @@ G_D_PAIR = ["@G_D", "--u", "h1", "--v", "h4"]
         "vertex-bound-file",
         "vertex-bound-glue-path",
         "vertex-bound-before-base-check",
+        "base-pair-glue-pot",
+        "base-pair-before-potential-glue-pot",
+        "base-pair-change-trace",
+        "base-pair-before-potential-change-trace",
+        "base-pair-equitable",
         "usage-non-integer-k",
         "usage-non-float-tmax",
         "usage-missing-v",
@@ -454,7 +469,10 @@ def test_bad_input_or_output_is_one_error_line(capsys, tmp_path, argv, code, mes
     # before any per-vertex allocation, from a graph file (vertex-bound-file)
     # or from a flag (vertex-bound-glue-path). The construct rows pin which
     # of two faults is reported first: glue-pot checks the path's vertex
-    # bound before the base pair (vertex-bound-before-base-check). argparse's
+    # bound before the base pair (vertex-bound-before-base-check). glue-pot,
+    # change-trace and equitable leave the base check to the built graph's
+    # decomposition, yet report a base pair that is not cospectral before a
+    # later fault, as a bad --potential (base-pair-*). argparse's
     # own usage errors are parse errors too (usage-*). The relation-search
     # flags are checked even where the parity certificate settles the pair
     # and no search runs (relation-*-without-search), and analyze checks its
@@ -579,7 +597,7 @@ def test_analyze_runs_each_exact_kernel_once_per_question(monkeypatch, capsys):
     assert {name: calls[name] for name in kernels} == {
         "decompose": 1,
         "is_cospectral": 0,
-        "charpoly": 1,  # decompose's P_zero, the cofactor of P_plus * P_minus
+        "charpoly": 0,  # d0 = 0, so P_zero is 1; decompose's P_zero comes from exact._charpoly when d0 > 0
         "krylov_min_poly": 0,  # decompose runs _min_poly for both sides on one prepared matrix
         "_min_poly": 2,
         "bareiss_det": 0,
@@ -590,20 +608,23 @@ def test_analyze_runs_each_exact_kernel_once_per_question(monkeypatch, capsys):
 @pytest.mark.parametrize(
     "argv, expected",
     [
-        # Each decomposition takes one charpoly, for its P_zero.
+        # charpoly counts the deleted base matrices' characteristic
+        # polynomials; a decomposition takes its P_zero from exact._charpoly.
         # glue-path: with --q auto, the base check and charpoly of the deleted
         # base matrix (reusing the base check's matrix); then, for either
         # --q, one decomposition of the built graph and nothing else
-        (["glue-path", "@G_D", "--u", "h1", "--v", "h4", "--q", "auto"], (2, 1, 2, 1)),
-        (["glue-path", "@G_A", "--u", "3", "--v", "6", "--q", "4"], (1, 0, 1, 1)),
-        # glue-pot and change-trace: the base check, then one decomposition;
-        # glue-pot's choose_path_shift makes the base check and reuses its
-        # matrix for the charpoly of the deleted base matrix
-        (["glue-pot", "@G_B", "--u", "1", "--v", "8", "--k", "3"], (2, 1, 2, 1)),
-        (["change-trace", "@G_A", "--u", "3", "--v", "6", "--k", "3"], (2, 1, 1, 1)),
-        # equitable: the base check and one decomposition; the refinement
-        # and the equitability check of the perturbed graph read edge lists
-        (["equitable", "@G_C", "--u", "8", "--v", "9"], (2, 1, 1, 1)),
+        (["glue-path", "@G_D", "--u", "h1", "--v", "h4", "--q", "auto"], (2, 1, 1, 1)),
+        (["glue-path", "@G_A", "--u", "3", "--v", "6", "--q", "4"], (1, 0, 0, 1)),
+        # glue-pot and change-trace: one decomposition of the built graph,
+        # which proves the base pair too, so no base check; glue-pot's
+        # choose_path_shift builds the base matrix for the charpoly of the
+        # deleted base matrix
+        (["glue-pot", "@G_B", "--u", "1", "--v", "8", "--k", "3"], (2, 0, 1, 1)),
+        (["change-trace", "@G_A", "--u", "3", "--v", "6", "--k", "3"], (1, 0, 0, 1)),
+        # equitable: one decomposition of the perturbed graph, which proves
+        # the base pair; the refinement and the equitability check of the
+        # perturbed graph read edge lists
+        (["equitable", "@G_C", "--u", "8", "--v", "9"], (1, 0, 0, 1)),
     ],
     ids=["glue-path-auto", "glue-path", "glue-pot", "change-trace", "equitable"],
 )

@@ -326,9 +326,9 @@ def test_a_pair_cospectral_modulo_the_first_prime_is_refused(monkeypatch, images
     images = exact._images
     rounds = []
 
-    def spy(diags, zs, edges, p, pair):
+    def spy(diags, zs, edges, p, pair, *kept):
         rounds.append([p, "raised"])
-        relations = images(diags, zs, edges, p, pair if images_compare else None)
+        relations = images(diags, zs, edges, p, pair if images_compare else None, *kept)
         rounds[-1][1] = "returned"
         return relations
 
@@ -426,9 +426,9 @@ def test_a_pair_symbol_takes_one_grid_point(monkeypatch, at_centre, points):
     images = exact._images
     widths = []
 
-    def spy(diags, zs, edges, p, pair):
+    def spy(diags, zs, edges, p, pair, *kept):
         widths.append(len(zs))
-        return images(diags, zs, edges, p, pair)
+        return images(diags, zs, edges, p, pair, *kept)
 
     monkeypatch.setattr(exact, "_images", spy)
     g = add_potential(path_graph(7), (0, 6), SparsePoly.sym("Q"))
