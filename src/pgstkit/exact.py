@@ -24,8 +24,8 @@ equality. Two private kernels work on plain term dicts over one frame (a
 sorted symbol tuple): one accumulates sums of products, the other divides
 exactly, popping leading terms off a heap. Operations lift to a frame, run
 a kernel and canonicalize the result; a ``PolyMatrix`` lifts its nonzero
-entries to its frame once, when built, so ``charpoly`` and
-``krylov_min_poly`` stay in the frame.
+entries to its frame once, when built, so the modular kernels stay in the
+frame.
 
 Monomials are ordered graded lexicographically with ``t`` ranked highest.
 The string form writes terms in decreasing order under that ordering and
@@ -33,23 +33,14 @@ round-trips through ``SparsePoly.parse``.
 
 The linear algebra layer skips zero entries: a ``PolyMatrix``, from dense
 rows or mappings from column to entry, keeps only its nonzero entries.
-``charpoly`` is the one characteristic polynomial kernel: it takes the
-power sums tr(M^k) from unit-vector Krylov runs and turns them into
-coefficients by Newton's identities, and with known factors of det(tI - M)
-it gives their cofactor the same way, without the determinant.
-Determinants come from fraction-free Bareiss elimination with lowest-index
-pivots (public and tested; no pipeline step calls it). Relative minimal
-polynomials come from modular images of the Krylov run z, Mz, M^2 z, ...,
-interpolated, combined over primes below 2^61 and reconstructed, and the
-monic candidate is accepted only if it annihilates z, checked exactly at
-one integer point (Kronecker substitution; see ``_min_poly``). At a pair
-(u, v), a pair symbol (one whose diagonal terms all sit at u and v) takes
-one grid point: the images run on M0, which is M with the pair symbols at
-0. M adds g (E_uu + E_vv) to M0, a rank-one term on the walk module of
-e_u + e_v or e_u - e_v when the pair is cospectral, so the candidate is
-P0 - (g/2) Q, with Q read from the moments z^T M0^k z of the same runs.
-What the images need of M alone is prepared once per matrix, for every
-vector run on it; what the check needs, on its first call.
+Relative minimal polynomials come from modular images of the Krylov run z,
+Mz, M^2 z, ..., interpolated, combined over primes below 2^61 and
+reconstructed, and proven by one exact check (see ``_min_poly``); at a
+pair, a pair symbol takes one grid point. Characteristic polynomials come
+from the same echelon loop with its chains restarted in the quotient,
+combined over primes past twice a coefficient bound, so they need no check
+(see ``_charpoly``). Determinants come from fraction-free Bareiss
+elimination (public and tested; no pipeline step calls it).
 A gcd comes the same way, from images by Euclid, and is proven by dividing
 both arguments exactly; an image of degree 0 proves coprimality at once. A
 division that is not exact raises.
@@ -830,11 +821,10 @@ def _krylov(m: PolyMatrix, *vectors: Sequence, pair: tuple[int, int] | None = No
 
 class _KrylovMatrix:
     """M's rows over a frame and what ``_min_poly`` and ``_charpoly`` derive
-    from M alone, once for every vector they run on: the diagonal of M0 as
-    (row, *symbol exponents) terms, the bounds B_s, the off-diagonal entries
-    and the first prime's ``at_prime``; for ``_annihilates``, built on its
-    first call, L (the lcm of M's denominators), M' = L M as its diagonal and
-    edge list, r and the largest deg_s1 on M's diagonal.
+    from M alone, once: M0's diagonal as (row, *symbol exponents) terms, the
+    bounds B_s, the off-diagonal entries, the first prime's ``at_prime``;
+    built on first use, L (the lcm of M's denominators), M' = L M for
+    ``_annihilates``, its row sums, r and the largest deg_s1 on M's diagonal.
 
     At a pair (u, v), a pair symbol is one whose diagonal terms all sit at
     u and v; M0 is M with the pair symbols (``pair_symbols``) set to 0 and
@@ -844,8 +834,7 @@ class _KrylovMatrix:
     def __init__(self, frame: tuple[str, ...], rows: Sequence[dict[int, _Terms]], pair: tuple[int, int] | None):
         self.frame, self.rows = frame, rows
         diagonal = [row.get(i, {}) for i, row in enumerate(rows)]
-        self.g: _Terms = {}
-        self.pair_symbols: tuple[str, ...] = ()
+        self.g, self.pair_symbols = {}, ()  # g: _Terms, and the pair symbols' names
         if pair:  # the pair symbols' places in an exponent vector; then g, and M0's entries at the pair
             off = {s for i, x in enumerate(diagonal) if i not in pair for e in x for s in range(1, len(e)) if e[s]}
             moving = [s for s in range(1, 1 + len(frame)) if s not in off]
@@ -858,44 +847,28 @@ class _KrylovMatrix:
         self.edges = [(i, j, *x.values()) for i, row in enumerate(rows) for j, x in row.items() if j != i]
         self.first = self.at_prime(0, _PROBE_PRIME)
 
-    @cached_property
-    def lcm(self) -> int:
-        return lcm(*(c.denominator for row in self.rows for x in row.values() for c in x.values()))
+    lcm = cached_property(lambda self: lcm(*(c.denominator for r in self.rows for x in r.values() for c in x.values())))
 
     @cached_property
     def integral(self) -> tuple[list[int], list[tuple[int, dict[tuple[int, ...], int]]], list[tuple[int, int, int]]]:
-        """M' = L M as its constant diagonal (0 where an entry carries a
-        symbol), whose integers are the same at every N, the diagonal
-        entries that carry a symbol as (row, terms), and the edges (row,
-        column, integer)."""
-        zero, constant, symbolic = (0,) * (1 + len(self.frame)), [0] * len(self.rows), []
-        for i, row in enumerate(self.rows):
-            if x := row.get(i):
-                if x.keys() == {zero}:
-                    constant[i] = (x[zero] * self.lcm).numerator
-                else:
-                    symbolic.append((i, _integral(x, self.lcm)))
+        """M' = L M: its diagonal's integers, the same at every N (0 for an
+        entry with a symbol), those entries as (row, terms), and its edges."""
+        zero = (0,) * (1 + len(self.frame))
+        scaled = [_integral(row.get(i, {}), self.lcm) for i, row in enumerate(self.rows)]
+        symbolic = [(i, x) for i, x in enumerate(scaled) if x.keys() - {zero}]
+        constant = [0 if x.keys() - {zero} else x.get(zero, 0) for x in scaled]
         return constant, symbolic, [(i, j, (c * self.lcm).numerator) for i, j, c in self.edges]
 
     @cached_property
-    def r(self) -> int:
-        constant, symbolic, edges = self.integral
-        sums = list(map(abs, constant))
-        for i, x in symbolic:
-            sums[i] = _size(x)
-        for i, _, c in edges:
-            sums[i] += abs(c)
-        return max(1, max(sums, default=0))
+    def row_sums(self) -> list[int]:  # of the absolute values of the coefficients in each row of M'
+        return [int(sum(abs(c) for x in row.values() for c in x.values()) * self.lcm) for row in self.rows]
 
-    @cached_property
-    def deg_diag(self) -> int:
-        return _deg_s1(row.get(i, {}) for i, row in enumerate(self.rows))
+    r = cached_property(lambda self: max(1, max(self.row_sums, default=0)))
+    deg_diag = cached_property(lambda self: _deg_s1(row.get(i, {}) for i, row in enumerate(self.rows)))
 
     def at_zero(self, poly: SparsePoly) -> SparsePoly:
         """poly with the pair symbols set to 0."""
         drop = [1 + k for k, s in enumerate(poly._symbols) if s in self.pair_symbols]
-        if not drop:
-            return poly
         return _raw(*_canonical({e: c for e, c in poly._terms.items() if not any(e[k] for k in drop)}, poly._symbols))
 
     def at_prime(self, attempt: int, p: int) -> tuple | None:
@@ -916,105 +889,72 @@ def _coerce_entry(x) -> SparsePoly:
 
 
 def charpoly(m: PolyMatrix, factors: Sequence[SparsePoly] = ()) -> SparsePoly:
-    """det(tI - M) from modular images (``_charpoly``), divided exactly by
-    each of the factors if any are given. The empty matrix gives 1. A
-    factor that leaves a remainder, or whose degrees add up past n, or that
-    holds a symbol M lacks, does not divide: ExactDivisionError."""
-    if m.dimension < sum(f.deg_t() for f in factors) or not {s for f in factors for s in f.symbols} <= set(m._frame):
+    """det(tI - M) (``_charpoly``), divided exactly by the product of the
+    factors; one that holds a symbol M lacks, or a remainder, raises
+    ExactDivisionError. The empty matrix gives 1."""
+    if not {s for f in factors for s in f.symbols} <= set(m._frame):
         raise ExactDivisionError("the factors cannot divide charpoly")
-    phi = _charpoly(_KrylovMatrix(m._frame, m._rows, None))
-    for f in factors:
-        phi = phi.divexact(f)
-    return phi
+    return _charpoly(_KrylovMatrix(m._frame, m._rows, None), prod(factors, start=_ONE_POLY))
 
 
 def _charpoly(
     mat: _KrylovMatrix, divisor: SparsePoly = _ONE_POLY, first: tuple | None = None, z: list[int] | None = None
 ) -> SparsePoly:
-    """det(tI - M0) for the M0 of ``mat`` (M itself off a pair; the empty
-    matrix gives 1), divided exactly by ``divisor``, a monic polynomial over
-    the frame; a remainder raises ExactDivisionError.
-
-    Each image comes from ``_images`` with restarts: Krylov chains, each in
-    the quotient by the ones before it, so there is no unlucky point or
-    prime. ``first``, from ``_min_poly``, holds the round of its first
-    images, those images and their echelon rows: in that round the chains
-    continue from that echelon, whose span is invariant with those relations
-    as its characteristic polynomials, from z and then from unit vectors.
-    In any other round they start from e_0.
-
-    The images are interpolated as in ``_min_poly``, over B_s + 1 values of
-    each symbol s M0 holds, and combined over primes by the Chinese
-    remainder theorem, scaled to the coefficients of det(tI - M0'), M0' =
-    L M0 integral: the coefficient of t^k is L^(n-k) times that of
-    det(tI - M0). Expanding the determinant bounds the absolute values of
-    every coefficient of det(tI - M0') in t and the symbols by H = product
-    over i of (1 + |row i of M0'|), |.| the sum of the absolute values of
-    the coefficients, so once the modulus exceeds 2H the symmetric residues
-    are the coefficients, with no reconstruction and no check."""
-    n = len(mat.rows)
-    norms = [0] * n
-    for (i, *_), c in mat.diagonal:
-        norms[i] += abs(c)
-    for i, _, c in mat.edges:
-        norms[i] += abs(c)
-    bound = 2 * prod(1 + (mat.lcm * x).numerator for x in norms)
-    modulus, combined = 1, {}
+    """det(tI - M0), M0 of ``mat``, divided exactly by ``divisor`` (else
+    ExactDivisionError), from ``_images``' restarted chains: no point or
+    prime is unlucky. In the round of ``first``, ``_min_poly``'s first
+    images and echelons, chains continue from those, from z, then from unit
+    vectors. B_s + 1 values of each symbol interpolate, as in ``_min_poly``,
+    and primes combine by Chinese remaindering for det(tI - L M0), whose t^k
+    coefficient is L^(n-k) times det(tI - M0)'s. By the expansion of the
+    determinant its coefficients are at most H = product over i of (1 + sum
+    of |coefficients| in row i of L M), so modulo more than 2H the symmetric
+    residues are the coefficients: no reconstruction, no check."""
+    n, bound, modulus, combined = len(mat.rows), 2 * prod(1 + x for x in mat.row_sums), 1, {}
     for attempt, p in enumerate(_primes() if n else ()):
         if (at_p := mat.at_prime(attempt, p) if attempt else mat.first) is None:
             continue
         axes, diags, edges = at_p
-        if first and first[0] == attempt:
+        if first and first[0] == attempt:  # continue from the first images' echelons, then from z
             echelons = [[(piv, inv, row[:n]) for piv, inv, row in rows] for rows in first[2]]
-            images, _ = _images(diags, [[x % p for x in z]] * len(diags), edges, p, None, echelons, first[1][:])
+            starts, closed = [x % p for x in z], first[1][:]
         else:
-            images, _ = _images(diags, [[1] + [0] * (n - 1)] * len(diags), edges, p, None, None, [[1]] * len(diags))
+            starts, echelons, closed = [1] + [0] * (n - 1), None, [[1]] * len(diags)
+        images, _ = _images(diags, [starts] * len(diags), edges, p, None, echelons, closed)
         scales = [pow(mat.lcm, n - k, p) for k in range(n)]
-        values = {key: [y * s % p for y, s in zip(ys, scales)] for key, ys in _grid_values(images, axes, p).items()}
+        grid = product(*(range(len(xs)) for xs in axes))
+        values = _interpolate_grid(dict(zip(grid, (image[:-1] for image in images))), axes, p)
+        values = {key: [y * c % p for y, c in zip(ys, scales)] for key, ys in values.items()}
         combined, modulus = _combined(values, p, combined, modulus)
         if modulus > bound:
             break
-    half, zero = modulus // 2, (0,) * len(mat.frame)
-    terms = {(n, *zero): _ONE}
+    half, terms = modulus // 2, {(n, *(0,) * len(mat.frame)): _ONE}
     for key, column in combined.items():
-        for k, x in enumerate(column):
-            if x:
-                terms[(k, *key)] = _div(x - modulus if x > half else x, mat.lcm ** (n - k))
+        lifted = (x - modulus if x > half else x for x in column)
+        terms.update(((k, *key), _div(x, mat.lcm ** (n - k))) for k, x in enumerate(lifted) if x)
     phi = _raw(*_canonical(terms, mat.frame))
-    return phi if divisor is _ONE_POLY else phi.divexact(divisor)
+    return phi if divisor.is_one() else phi.divexact(divisor)
 
 
 def bareiss_det(rows: Sequence[Sequence[SparsePoly]]) -> SparsePoly:
     """Determinant by fraction-free Bareiss elimination, lowest-index pivots."""
-    n = len(rows)
-    if n == 0:
-        return SparsePoly.one()
     m = [[_coerce_entry(x) for x in row] for row in rows]
-    for row in m:
-        if len(row) != n:
-            raise StructuralError("determinant needs a square matrix")
-    sign = 1
-    prev = SparsePoly.one()
+    n = len(m)
+    if any(len(row) != n for row in m):
+        raise StructuralError("determinant needs a square matrix")
+    sign, prev = 1, SparsePoly.one()
     for k in range(n - 1):
-        pivot_row = None
-        for i in range(k, n):
-            if not m[i][k].is_zero():
-                pivot_row = i
-                break
-        if pivot_row is None:
+        if (pivot_row := next((i for i in range(k, n) if not m[i][k].is_zero()), None)) is None:
             return SparsePoly.zero()
         if pivot_row != k:
-            m[k], m[pivot_row] = m[pivot_row], m[k]
-            sign = -sign
+            m[k], m[pivot_row], sign = m[pivot_row], m[k], -sign
         pivot = m[k][k]
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                num = m[i][j] * pivot - m[i][k] * m[k][j]
-                m[i][j] = num.divexact(prev)
+                m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]).divexact(prev)
             m[i][k] = SparsePoly.zero()
         prev = pivot
-    det = m[n - 1][n - 1]
-    return det if sign == 1 else -det
+    return (m[n - 1][n - 1] if n else SparsePoly.one()).scale(sign)
 
 
 def krylov_min_poly(m: PolyMatrix, z: Sequence) -> SparsePoly:
@@ -1035,11 +975,9 @@ def _min_poly(
     agree for k <= deg P, or raises NotCospectralError.
 
     Each round takes the next prime p below 2^61 (skipping one that divides
-    a denominator of M or z) and a grid of points for the symbols that
-    changes from round to round. At each point a, an image over F_p runs
-    z(a), M0(a) z(a), ... through Gaussian elimination, each vector carrying
-    the t-power it started as, until one reduces to zero: its t-polynomial
-    is the minimal polynomial P0 of M0 relative to z at a. Specialization
+    a denominator of M or z) and a grid of points that changes from round
+    to round. At each point a, ``_images`` gives the minimal polynomial P0
+    of M0(a) relative to z(a) over F_p. Specialization
     cannot raise a Krylov rank, so no image has a degree above deg P0, and
     one of degree deg P0 is P0(a) mod p (the denominators of P0 divide
     powers of M's). D is the largest degree seen; images of lower degree are
@@ -1112,13 +1050,10 @@ def _min_poly(
             continue
         axes, diags, edges = at_p
         zs = [_at(zres, len(z), a, p) for a in product(*axes)]
-        if kept is None:
-            relations, moments = _images(diags, zs, edges, p, pair)
-        else:
-            echelons = [[] for _ in zs]
-            relations, moments = _images(diags, zs, edges, p, pair, echelons)
-            if not kept:
-                kept[:] = attempt, relations, echelons
+        echelons = None if kept is None else [[] for _ in zs]
+        relations, moments = _images(diags, zs, edges, p, pair, *(() if kept is None else (echelons,)))
+        if kept == []:  # for decompose's P_zero: the first round's images and echelons
+            kept[:] = attempt, relations, echelons
         if mat.g:  # each image as Q's coefficients, then P0's: one vector of length 2 D + 1
             relations = [
                 [sum(map(mul, c[j + 1 :], a)) % p for j in range(len(c) - 1)] + c
@@ -1134,21 +1069,6 @@ def _min_poly(
         if coeffs and _annihilates(mat, z, coeffs, pair):
             terms = {(k, *e[1:]): c for k, ck in enumerate(coeffs) for e, c in ck.items()}
             return _raw(*_canonical(terms, mat.frame))
-
-
-def _refuted(mat: _KrylovMatrix, z: list[_Terms], pair: tuple[int, int]) -> bool:
-    """Whether the images of ``_min_poly``'s first round for z at ``pair``
-    find entries u and v that differ, which proves the pair not cospectral
-    (see there); False proves nothing."""
-    zres = _residues((((i, *e[1:]), c) for i, x in enumerate(z) for e, c in x.items()), _PROBE_PRIME)
-    if mat.first is None or zres is None:
-        return False
-    axes, diags, edges = mat.first
-    try:
-        _images(diags, [_at(zres, len(z), a, _PROBE_PRIME) for a in product(*axes)], edges, _PROBE_PRIME, pair)
-    except NotCospectralError:
-        return True
-    return False
 
 
 def _annihilates(
@@ -1220,13 +1140,15 @@ def _lifted(
     images: list[list[int]], degree: int, axes: list[range], p: int, combined: _Residues, modulus: int
 ) -> tuple[_Residues, int, list[_Terms] | None]:
     """A round's monic images over F_p at the grid of ``axes``, interpolated
-    in the symbols and combined by the Chinese remainder theorem with the
-    earlier rounds' ``combined`` residues modulo ``modulus``: those two, and
-    the candidate's coefficients of t^0, ..., t^degree as term dicts, or
-    None if an image has another degree or a residue reconstructs no rational."""
+    in the symbols and combined with the earlier rounds (``_combined``):
+    the new residues and modulus, and the candidate's coefficients of t^0,
+    ..., t^degree, or None if an image has another degree or a residue
+    reconstructs no rational."""
     if any(len(image) != degree + 1 for image in images):
         return combined, modulus, None
-    combined, modulus = _combined(_grid_values(images, axes, p), p, combined, modulus)
+    grid = product(*(range(len(xs)) for xs in axes))
+    values = _interpolate_grid(dict(zip(grid, (image[:-1] for image in images))), axes, p)
+    combined, modulus = _combined(values, p, combined, modulus)
     coeffs: list[_Terms] = [{} for _ in range(degree + 1)]
     coeffs[-1][(0,) * (1 + len(axes))] = _ONE
     for key, column in combined.items():
@@ -1238,18 +1160,9 @@ def _lifted(
     return combined, modulus, coeffs
 
 
-def _grid_values(images: list[list[int]], axes: list[range], p: int) -> dict[tuple[int, ...], list[int]]:
-    """Monic images over F_p at the grid of ``axes``, as one product of the
-    axes lists them, interpolated in the symbols: each symbol exponent
-    vector's coefficients of t^0, ..., t^(degree - 1)."""
-    grid = product(*(range(len(xs)) for xs in axes))
-    return _interpolate_grid(dict(zip(grid, (image[:-1] for image in images))), axes, p)
-
-
 def _combined(values: _Residues, p: int, combined: _Residues, modulus: int) -> tuple[_Residues, int]:
-    """Residues modulo p combined with the earlier rounds' ``combined``
-    residues modulo ``modulus`` by the Chinese remainder theorem: those
-    modulo modulus * p, and that modulus."""
+    """By the Chinese remainder theorem, from residues modulo p and ``combined``
+    modulo ``modulus``: the residues modulo modulus * p, and that modulus."""
     inv = pow(modulus, -1, p)
     combined = {
         key: [x + modulus * ((y - x) * inv % p) for x, y in zip(combined.get(key, ys), ys)]
@@ -1296,24 +1209,21 @@ def _images(
     a, from M(a)'s diagonal ``diags[g]``, its constant off-diagonal entries
     ``edges`` (row, column, residue) and ``zs[g]``, as coefficient lists by
     ascending power of t (monic); and for each, the moments z(a) . M(a)^k
-    z(a), k = 0, ..., its degree, read off the same vectors. ``echelons``,
-    if given, receives each point's echelon rows.
+    z(a), k = 0, ..., its degree, read off the same vectors. ``echelons``
+    receives each point's echelon rows.
 
     Step k advances every unfinished image by one product and reduces
     [M(a)^k z(a) | t^k] against that image's echelon rows. Given ``pair`` =
     (u, v), entries u and v of each M(a)^k z(a) are compared first: residues
     that differ prove the exact entries of M^k z differ, NotCospectralError.
 
-    Given ``closed`` as well, each image is det(tI - M(a)) mod p instead:
-    ``echelons[g]`` holds the vector parts of rows spanning an M(a)-invariant
-    subspace and ``closed[g]`` its characteristic polynomial, and Krylov
-    chains restart until the rank is n. A chain starts from z(a), then from
-    e_j for the first j that is no pivot yet (e_j is not in the span: any
-    combination of rows is nonzero at the first pivot it involves). When it
-    closes, its rows keep only their vector part, so the next chain's
-    relation is its minimal polynomial in the quotient by the span so far,
-    and the relations multiply to det(tI - M(a)) (Keller-Gehrig, Theoret.
-    Comput. Sci. 36, 1985). No moments are read then.
+    Given ``closed``, the images are det(tI - M(a)) mod p: ``echelons[g]``
+    spans an M(a)-invariant subspace of characteristic polynomial
+    ``closed[g]``, and chains from z(a), then from e_j for the first j that
+    is no pivot (a combination of rows is nonzero at its first pivot), run
+    to rank n, each closed chain's rows cut to their vector part: each
+    relation is in the quotient by the span before it, and they multiply to
+    det(tI - M(a)) (Keller-Gehrig, Theoret. Comput. Sci. 36, 1985).
     """
     n = len(diags[0])
     vs = [list(v) for v in zs]
@@ -1346,9 +1256,8 @@ def _images(
                 echelons[g].append((piv, pow(w[piv], -1, p), w))
             elif closed is None:
                 relations[g] = w[n:]
-            elif len(rows := echelons[g]) < n:
-                closed[g] = _mul_mod(closed[g], w[n:], p)
-                rows[:] = [(piv, inv, row[:n]) for piv, inv, row in rows]
+            elif len(rows := echelons[g]) < n:  # restart from e_j
+                closed[g], rows[:] = _mul_mod(closed[g], w[n:], p), [(piv, inv, row[:n]) for piv, inv, row in rows]
                 j = min(set(range(n)).difference(piv for piv, _, _ in rows))
                 vs[g], begun[g] = [int(i == j) for i in range(n)], k + 1
             else:

@@ -30,8 +30,9 @@ from .exact import (
     SparsePoly,
     _charpoly,
     _krylov,
+    _PROBE_PRIME,
+    _images,
     _min_poly,
-    _refuted,
     poly_gcd_t,
     poly_trace,
 )
@@ -103,7 +104,15 @@ def is_refuted(m: PolyMatrix, u: int, v: int) -> bool:
     u and v apart, which proves them not cospectral; False proves nothing.
     It costs those images only, with no candidate and no exact check."""
     _check_pair(m, u, v)
-    return _refuted(*_krylov(m, [int(k in (u, v)) for k in range(m.dimension)], pair=(u, v)), (u, v))
+    z = [int(k in (u, v)) for k in range(m.dimension)]
+    mat, _ = _krylov(m, z, pair=(u, v))
+    if mat.first is None:  # the first prime divides a denominator of M
+        return False
+    axes, diags, edges = mat.first
+    with suppress(NotCospectralError):
+        _images(diags, [z] * len(diags), edges, _PROBE_PRIME, (u, v))
+        return False
+    return True
 
 
 def decompose(m: PolyMatrix, u: int, v: int) -> CospectralDecomposition:
@@ -121,10 +130,14 @@ def decompose(m: PolyMatrix, u: int, v: int) -> CospectralDecomposition:
     that differ prove a mismatch, and its exact check compares the exact
     entries of M^k (e_u + e_v) for k <= deg P_plus; a mismatch raises
     NotCospectralError. P_minus's run compares nothing: its candidate
-    relies on that proof, so it comes second. P_zero is
-    ``charpoly(m, (P_plus, P_minus))``, the cofactor from power sums, and a
-    failed check there is an engine bug: InternalConsistencyError. M holds
-    at most two symbols, so no step meets a wider frame.
+    relies on that proof, so it comes second. P_zero is 1 when deg P_plus +
+    deg P_minus = n. Otherwise, as the walk modules of e_u +- e_v contain
+    e_u and e_v, M0 and M agree on their orthogonal complement, so P_zero
+    is det(tI - M0) / (P_plus|0 P_minus|0), |0 setting the pair symbols to
+    0: ``exact._charpoly`` on the same prepared M0, whose chains continue
+    from the echelon of P_plus's first images, then from e_u - e_v. A
+    remainder there is an engine bug: InternalConsistencyError. M holds at
+    most two symbols, so no step meets a wider frame.
     """
     _check_pair(m, u, v)
     n = m.dimension
