@@ -834,7 +834,8 @@ class _KrylovMatrix:
     def __init__(self, frame: tuple[str, ...], rows: Sequence[dict[int, _Terms]], pair: tuple[int, int] | None):
         self.frame, self.rows = frame, rows
         diagonal = [row.get(i, {}) for i, row in enumerate(rows)]
-        self.g, self.pair_symbols = {}, ()  # g: _Terms, and the pair symbols' names
+        self.g: _Terms = {}
+        self.pair_symbols: tuple[str, ...] = ()
         if pair:  # the pair symbols' places in an exponent vector; then g, and M0's entries at the pair
             off = {s for i, x in enumerate(diagonal) if i not in pair for e in x for s in range(1, len(e)) if e[s]}
             moving = [s for s in range(1, 1 + len(frame)) if s not in off]
@@ -847,7 +848,9 @@ class _KrylovMatrix:
         self.edges = [(i, j, *x.values()) for i, row in enumerate(rows) for j, x in row.items() if j != i]
         self.first = self.at_prime(0, _PROBE_PRIME)
 
-    lcm = cached_property(lambda self: lcm(*(c.denominator for r in self.rows for x in r.values() for c in x.values())))
+    @cached_property
+    def lcm(self) -> int:
+        return lcm(*(c.denominator for row in self.rows for x in row.values() for c in x.values()))
 
     @cached_property
     def integral(self) -> tuple[list[int], list[tuple[int, dict[tuple[int, ...], int]]], list[tuple[int, int, int]]]:
@@ -863,8 +866,13 @@ class _KrylovMatrix:
     def row_sums(self) -> list[int]:  # of the absolute values of the coefficients in each row of M'
         return [int(sum(abs(c) for x in row.values() for c in x.values()) * self.lcm) for row in self.rows]
 
-    r = cached_property(lambda self: max(1, max(self.row_sums, default=0)))
-    deg_diag = cached_property(lambda self: _deg_s1(row.get(i, {}) for i, row in enumerate(self.rows)))
+    @cached_property
+    def r(self) -> int:
+        return max(1, max(self.row_sums, default=0))
+
+    @cached_property
+    def deg_diag(self) -> int:
+        return _deg_s1(row.get(i, {}) for i, row in enumerate(self.rows))
 
     def at_zero(self, poly: SparsePoly) -> SparsePoly:
         """poly with the pair symbols set to 0."""

@@ -24,6 +24,7 @@ from pgstkit import (
     NotCospectralError,
     PolyMatrix,
     SparsePoly,
+    add_apex,
     add_potential,
     bareiss_det,
     charpoly,
@@ -107,17 +108,31 @@ def _sympy_min_poly(a, z):
 
 
 def _charpoly_matrix(case) -> PolyMatrix:
-    """A seeded instance; or a matrix that ``construct`` takes the charpoly
-    of: a fixture with its pair deleted, or a star K_{1,k}."""
+    """A seeded instance; a seeded weighted tree with Q at two vertices, R
+    at a third too (QR), or three-digit rational weights (rational); or a
+    matrix that ``construct`` takes the charpoly of: a fixture with its
+    pair deleted, or a star K_{1,k}."""
     if isinstance(case, int):
         return _instance(case)[0]
     if case.startswith("K1,"):
         return _cofactor_case("star", int(case.removeprefix("K1,")), 0)[0]
+    if case in ("Q", "QR", "rational"):
+        rng = random.Random(f"charpoly-{case}")
+        n = 7
+        rows = [[SparsePoly.zero()] * n for _ in range(n)]
+        for i in range(1, n):
+            j = rng.randrange(i)
+            w = Fraction(rng.randint(100, 999), rng.randint(100, 999)) if case == "rational" else rng.choice([1, 2, -1])
+            rows[i][j] = rows[j][i] = SparsePoly.const(w)
+        rows[1][1] = rows[5][5] = SparsePoly.sym("Q")
+        if case == "QR":
+            rows[3][3] = SparsePoly.parse("R + 1")
+        return PolyMatrix(rows)
     f = get_fixture(case)
     return to_matrix(f.graph).delete((f.u, f.v))
 
 
-CHARPOLY_CASES = [*SEEDS, "G_A", "G_B", "G_C", "G_D", *(f"K1,{k}" for k in range(3, 11))]
+CHARPOLY_CASES = [*SEEDS, "Q", "QR", "rational", "G_A", "G_B", "G_C", "G_D", *(f"K1,{k}" for k in range(3, 11))]
 
 
 @pytest.mark.parametrize("case", CHARPOLY_CASES)
@@ -127,6 +142,17 @@ def test_charpoly_matches_sympy(case):
     got = charpoly(m)
     assert_stored_form(got)
     assert sympy.expand(_to_sympy(got) - expected) == 0
+
+
+def test_charpoly_combines_primes_past_twice_the_bound():
+    # A path with weights near 10^7 and Q at a middle vertex: 2H, about
+    # 2^96, needs two 61-bit primes, and the constant coefficient, about
+    # 10^28, is wrong modulo one; Chinese remaindering that stops a prime
+    # early fails here.
+    w = [10**7 + 1, 10**7 + 3, 10**7 + 7]
+    m = PolyMatrix([[0, w[0], 0, 0], [w[0], 0, w[1], 0], [0, w[1], SparsePoly.sym("Q"), w[2]], [0, 0, w[2], 0]])
+    assert exact._PROBE_PRIME < 2 * (1 + w[0]) * (1 + w[0] + w[1]) * (1 + w[1] + w[2] + 1) * (1 + w[2]) < 2**120
+    _assert_same(charpoly(m), _sympy_matrix(m).charpoly(T).as_expr())
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -563,6 +589,9 @@ def _cofactor_case(
     elif kind == "G_C":
         f = get_fixture("G_C")
         g, u, v, d0, fixed = f.graph, f.u, f.v, 4, None
+    elif kind == "equitable":  # G_C with the apex construct equitable adds, R at the apex
+        f = get_fixture("G_C")
+        (g, fixed), u, v, d0 = add_apex(f.graph, f.u, f.v), f.u, f.v, 4
     else:
         rng = random.Random(size)
         g, u, v = random_cospectral_graph(rng, n=size, weighted=True, with_potentials=True)
@@ -579,6 +608,7 @@ COFACTOR_CASES = [
     *(("star", leaves, leaves % 3) for leaves in range(3, 11)),  # d0 = 0..7
     ("G_C", 0, 0),
     ("G_C", 0, 1),
+    ("equitable", 0, 2),  # d0 = 4, and M0 keeps R, off the pair
     *(("mirror", n, n % 3) for n in range(5, 11)),
 ]
 
@@ -612,6 +642,7 @@ def test_cofactor_guard_refuses_a_wrong_factor(monkeypatch, name):
     wrong = dec.p_plus.shift_t(1)  # every root moved up by 1
     for factors in [
         (wrong, dec.p_minus),
+        (dec.p_plus + 1, dec.p_minus),  # d0 = 0 on G_B: the division is the only check
         (dec.p_plus, dec.p_minus, SparsePoly.t(dec.deg_zero + 1)),  # degree past n
         (dec.p_plus + SparsePoly.sym("Z"), dec.p_minus),  # a symbol M lacks
     ]:
