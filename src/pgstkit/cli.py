@@ -497,7 +497,8 @@ def cmd_construct(args) -> dict:
     if args.kind != "equitable":  # the path recipes share one tail
         # glue-pot and change-trace leave the base check to the built graph's
         # decomposition: an error here reads as if g had been checked first
-        with contextlib.nullcontext() if args.kind == "glue-path" else certify_mod._base_pair_checked_on_error(g, u, v):
+        checked = certify_mod._base_pair_checked_on_error(g, u, v)
+        with contextlib.nullcontext() if args.kind == "glue-path" else checked:
             sym = _require_symbol_flag(args.potential)
             if sym == detail.get("center_symbol"):
                 raise DomainError("pair symbol and center symbol must differ")

@@ -863,7 +863,8 @@ class _KrylovMatrix:
         return constant, symbolic, [(i, j, (c * self.lcm).numerator) for i, j, c in self.edges]
 
     @cached_property
-    def row_sums(self) -> list[int]:  # of the absolute values of the coefficients in each row of M'
+    def row_sums(self) -> list[int]:
+        """The sum of the absolute values of the coefficients in each row of M'."""
         return [int(sum(abs(c) for x in row.values() for c in x.values()) * self.lcm) for row in self.rows]
 
     @cached_property

@@ -108,7 +108,7 @@ def is_refuted(m: PolyMatrix, u: int, v: int) -> bool:
     mat, _ = _krylov(m, z, pair=(u, v))
     if mat.first is None:  # the first prime divides a denominator of M
         return False
-    axes, diags, edges = mat.first
+    _, diags, edges = mat.first
     with suppress(NotCospectralError):
         _images(diags, [z] * len(diags), edges, _PROBE_PRIME, (u, v))
         return False
