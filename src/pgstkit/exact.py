@@ -36,13 +36,14 @@ rows or mappings from column to entry, keeps only its nonzero entries.
 Relative minimal polynomials come from modular images of the Krylov run z,
 Mz, M^2 z, ..., interpolated, combined over primes below 2^61 and
 reconstructed, and proven by one exact check (see ``_min_poly``); at a
-pair, a pair symbol takes one grid point. Characteristic polynomials come
-from the same echelon loop with its chains restarted in the quotient,
+pair the images run on M0, M with no diagonal entry at the pair, so a
+symbol found only there takes one grid point. Characteristic polynomials
+come from the same echelon loop with its chains restarted in the quotient,
 combined over primes past twice a coefficient bound, so they need no check
 (see ``_charpoly``). Determinants come from fraction-free Bareiss
-elimination (public and tested; no pipeline step calls it).
-A gcd comes the same way, from images by Euclid, and is proven by dividing
-both arguments exactly; an image of degree 0 proves coprimality at once. A
+elimination (public and tested; no pipeline step calls it). A gcd comes
+the same way, from images by Euclid, and is proven by dividing both
+arguments exactly; an image of degree 0 proves coprimality at once. A
 division that is not exact raises.
 """
 
@@ -826,23 +827,18 @@ class _KrylovMatrix:
     built on first use, L (the lcm of M's denominators), M' = L M for
     ``_annihilates``, its row sums, r and the largest deg_s1 on M's diagonal.
 
-    At a pair (u, v), a pair symbol is one whose diagonal terms all sit at
-    u and v; M0 is M with the pair symbols (``pair_symbols``) set to 0 and
-    g, the terms of M_uu they carry, is M_uu - M0_uu. With no pair, or no
-    pair symbol, M0 = M and g = 0."""
+    At a pair (u, v), g = M_uu, and M0 is M with no diagonal entry at u or
+    v, so M = M0 + g (E_uu + E_vv); if M_uu != M_vv, walks of length 1 tell
+    u and v apart, NotCospectralError. With no pair, M0 = M and g = 0."""
 
     def __init__(self, frame: tuple[str, ...], rows: Sequence[dict[int, _Terms]], pair: tuple[int, int] | None):
         self.frame, self.rows = frame, rows
         diagonal = [row.get(i, {}) for i, row in enumerate(rows)]
         self.g: _Terms = {}
-        self.pair_symbols: tuple[str, ...] = ()
-        if pair:  # the pair symbols' places in an exponent vector; then g, and M0's entries at the pair
-            off = {s for i, x in enumerate(diagonal) if i not in pair for e in x for s in range(1, len(e)) if e[s]}
-            moving = [s for s in range(1, 1 + len(frame)) if s not in off]
-            self.g = {e: c for e, c in diagonal[pair[0]].items() if any(e[s] for s in moving)}
-            self.pair_symbols = tuple(frame[s - 1] for s in moving)
-            for i in pair:
-                diagonal[i] = {e: c for e, c in diagonal[i].items() if not any(e[s] for s in moving)}
+        if pair:
+            if diagonal[pair[0]] != diagonal[pair[1]]:
+                raise _not_cospectral(pair)
+            self.g, diagonal[pair[0]], diagonal[pair[1]] = diagonal[pair[0]], {}, {}
         self.diagonal = [((i, *e[1:]), c) for i, x in enumerate(diagonal) for e, c in x.items()]
         self.bounds = [sum(max(e[s] for e in x) for x in diagonal if x) for s in range(1, 1 + len(frame))]
         self.edges = [(i, j, *x.values()) for i, row in enumerate(rows) for j, x in row.items() if j != i]
@@ -874,11 +870,6 @@ class _KrylovMatrix:
     @cached_property
     def deg_diag(self) -> int:
         return _deg_s1(row.get(i, {}) for i, row in enumerate(self.rows))
-
-    def at_zero(self, poly: SparsePoly) -> SparsePoly:
-        """poly with the pair symbols set to 0."""
-        drop = [1 + k for k, s in enumerate(poly._symbols) if s in self.pair_symbols]
-        return _raw(*_canonical({e: c for e, c in poly._terms.items() if not any(e[k] for k in drop)}, poly._symbols))
 
     def at_prime(self, attempt: int, p: int) -> tuple | None:
         """Round ``attempt``'s grid modulo the prime p, M0's diagonal at its points
@@ -973,62 +964,64 @@ def krylov_min_poly(m: PolyMatrix, z: Sequence) -> SparsePoly:
     ``_min_poly`` finds it from modular images and proves it exactly: see
     there. The zero vector raises DomainError.
     """
-    return _min_poly(*_krylov(m, z))
+    return _min_poly(*_krylov(m, z))[0]
 
 
 def _min_poly(
     mat: _KrylovMatrix, z: list[_Terms], pair: tuple[int, int] | None = None, kept: list | None = None
-) -> SparsePoly:
-    """The relative minimal polynomial P of M and z from ``_krylov``. Given
-    ``pair`` = (u, v), it also checks that the entries u and v of M^k z
-    agree for k <= deg P, or raises NotCospectralError.
+) -> tuple[SparsePoly, SparsePoly]:
+    """The relative minimal polynomial P of M and z from ``_krylov``, and P|₀,
+    that of M0 (P itself when g = 0). Given ``pair`` = (u, v), it checks
+    that entries u and v of M^k z agree for k <= deg P, or NotCospectralError.
 
     Each round takes the next prime p below 2^61 (skipping one that divides
     a denominator of M or z) and a grid of points that changes from round
-    to round. At each point a, ``_images`` gives the minimal polynomial P0
-    of M0(a) relative to z(a) over F_p. Specialization
-    cannot raise a Krylov rank, so no image has a degree above deg P0, and
-    one of degree deg P0 is P0(a) mod p (the denominators of P0 divide
-    powers of M's). D is the largest degree seen; images of lower degree are
-    dropped with their round. P0 divides det(tI - M0), which is monic, so by
-    Gauss's lemma P0 has polynomial coefficients of degree at most B_s = sum
-    of deg_s M0_ii in each symbol s (off-diagonal entries are constant):
-    B_s + 1 values of s interpolate them over F_p, and a symbol M0 lacks
-    (a pair symbol, or one only z carries) takes one value. Rounds combine
-    by the Chinese remainder theorem, and maximal-quotient rational
+    to round. At each point a, ``_images`` gives the minimal polynomial of
+    M0(a) relative to z(a) over F_p. Specialization cannot raise a Krylov
+    rank, so no image has a degree above deg P|₀, and one of that degree is
+    P|₀(a) mod p (the denominators of P|₀ divide powers of M's). D is the
+    largest degree seen; images of lower degree are dropped with their
+    round. P|₀ divides det(tI - M0), which is monic, so by Gauss's lemma
+    P|₀ has polynomial coefficients of degree at most B_s = sum of deg_s
+    M0_ii in each symbol s (off-diagonal entries are constant): B_s + 1
+    values of s interpolate them over F_p, and a symbol M0 lacks (one only
+    at the pair, or one only z carries) takes one value. Rounds combine by
+    the Chinese remainder theorem, and maximal-quotient rational
     reconstruction (Monagan, ISSAC 2004) lifts the coefficients to Q.
 
-    Off a pair, M0 = M and the candidate is t^D + c_(D-1) t^(D-1) + ... +
-    c_0 = P0. At a pair, with z = e_u + e_v or e_u - e_v, M = M0 + g (E_uu +
-    E_vv) (see ``_KrylovMatrix``); if the pair is cospectral, the walk
-    module W = span{M^k z} is orthogonal to e_u - e_v or e_u + e_v, so
+    With g = 0, M0 = M and the candidate t^D + c_(D-1) t^(D-1) + ... + c_0
+    is P|₀ = P. At a pair, with z = e_u + e_v or e_u - e_v, M = M0 +
+    g (E_uu + E_vv) (see ``_KrylovMatrix``); if the pair is cospectral, the
+    walk module W = span{M^k z} is orthogonal to e_u - e_v or e_u + e_v, so
     E_uu + E_vv acts on W as z z^T / 2. W is then M0-invariant and the same
-    for M0, and by the matrix determinant lemma P = P0 - (g/2) Q, with Q the
-    polynomial part of P0(t) z^T (tI - M0)^-1 z: the coefficient of t^j is
-    the sum over k of p0_(j+k+1) a_k, where a_k = z^T M0^k z. Each image
-    records a_k = z(a) . M0(a)^k z(a) mod p as it runs, so it yields Q at a
-    too, and P0 and Q are interpolated and reconstructed together. Q is -2
-    times the coefficient of h in the P of M0 + h (E_uu + E_vv) for a new
-    symbol h, so its coefficients have P0's degree bounds. The candidate
-    P0 - (g/2) Q is formed over the full frame. ``krylov_min_poly`` names
-    no pair, so there every symbol keeps its B_s + 1 values.
+    for M0, and by the matrix determinant lemma P = P|₀ - (g/2) Q, with Q
+    the polynomial part of P|₀(t) z^T (tI - M0)^-1 z: the coefficient of
+    t^j is the sum over k of b_(j+k+1) a_k, where b_i is P|₀'s coefficient
+    of t^i and a_k = z^T M0^k z. Each image records a_k = z(a) . M0(a)^k
+    z(a) mod p as it runs, so it yields Q at a too, and P|₀ and Q are
+    interpolated and reconstructed together. Q is -2 times the coefficient
+    of h in the P of M0 + h (E_uu + E_vv) for a new symbol h, so its
+    coefficients have P|₀'s degree bounds. The candidate P|₀ - (g/2) Q is
+    formed over the full frame. ``krylov_min_poly`` names no pair, so there
+    every symbol keeps its B_s + 1 values.
 
     The candidate is then checked exactly with M itself: sum of c_k M^k z =
     0, and given ``pair``, entries u and v of M^k z agree for k <= D. A
     monic annihilator of degree D is a multiple of P; if D <= deg P, it is
-    P itself, so what this returns is proven; a failed reconstruction or
-    check only costs another round. Off a pair, D <= deg P0 = deg P. At a
-    pair the sequence (M^k z)_u - (M^k z)_v obeys the recurrence of any
+    P itself, so the P returned is proven; a failed reconstruction or check
+    only costs another round. With g = 0, D <= deg P|₀ = deg P. At a pair
+    the sequence (M^k z)_u - (M^k z)_v obeys the recurrence of any
     annihilator of degree D, so a passing check for e_u + e_v proves the
-    pair cospectral, and then W is the same for M0 and M: deg P0 = deg P.
+    pair cospectral, and then W is the same for M0 and M: deg P|₀ = deg P.
     The run for e_u - e_v, on the same ``mat``, takes no ``pair``: it must
-    come after that proof. If the pair is not cospectral, either M_uu !=
-    M_vv, and the entries of M z differ; or g is the same at u and v, so
-    M0's pair is not cospectral either (if it were, W would be the same for
-    M), and at the first k where the entries of M0^k z differ, k < deg P0,
-    M^k z is M0^k z plus earlier M0^i z, whose entries agree. Either way the
-    check raises at some k <= deg P0, at the latest in the first round
-    whose images reach that degree, so the run cannot loop.
+    come after that proof. If the pair is not cospectral, g is still the
+    same at u and v (``_KrylovMatrix`` refuses M_uu != M_vv), so M0's pair
+    is not cospectral either (if it were, W would be the same for M), and
+    at the first k where the entries of M0^k z differ, k < deg P|₀, M^k z is
+    M0^k z plus earlier M0^i z, whose entries agree. So the check raises at
+    some k <= deg P|₀, at the latest in the first round whose images reach
+    that degree: the run cannot loop. P|₀ comes from the residues that give
+    the proven P and has no check of its own; ``decompose`` divides by it.
 
     The check (``_annihilates``) runs at one integer point, by Kronecker
     substitution. L, L_z and L_c are the lcms of the denominators of M, z
@@ -1063,7 +1056,7 @@ def _min_poly(
         relations, moments = _images(diags, zs, edges, p, pair, *(() if kept is None else (echelons,)))
         if kept == []:  # for decompose's P_zero: the first round's images and echelons
             kept[:] = attempt, relations, echelons
-        if mat.g:  # each image as Q's coefficients, then P0's: one vector of length 2 D + 1
+        if mat.g:  # each image as Q's coefficients, then P|₀'s: one vector of length 2 D + 1
             relations = [
                 [sum(map(mul, c[j + 1 :], a)) % p for j in range(len(c) - 1)] + c
                 for c, a in zip(relations, moments)
@@ -1071,13 +1064,19 @@ def _min_poly(
         if (top := max(map(len, relations)) - 1) > degree:
             degree, modulus, combined = top, 1, {}
         combined, modulus, coeffs = _lifted(relations, degree, axes, p, combined, modulus)
-        if coeffs and mat.g:  # P0 - (g/2) Q
+        at_m0 = coeffs
+        if coeffs and mat.g:  # P|₀ - (g/2) Q
             one, half = {(0,) * (1 + len(mat.frame)): _ONE}, {e: _div(-c, 2) for e, c in mat.g.items()}
-            p0, q = coeffs[degree // 2 :], coeffs[: degree // 2]
-            coeffs = [_accumulate(((c, one), (x, half))) for c, x in zip(p0, q)] + p0[-1:]
+            at_m0, q = coeffs[degree // 2 :], coeffs[: degree // 2]
+            coeffs = [_accumulate(((c, one), (x, half))) for c, x in zip(at_m0, q)] + at_m0[-1:]
         if coeffs and _annihilates(mat, z, coeffs, pair):
-            terms = {(k, *e[1:]): c for k, ck in enumerate(coeffs) for e, c in ck.items()}
-            return _raw(*_canonical(terms, mat.frame))
+            poly = _from_t_coeffs(coeffs, mat.frame)
+            return poly, poly if at_m0 is coeffs else _from_t_coeffs(at_m0, mat.frame)
+
+
+def _from_t_coeffs(coeffs: list[_Terms], frame: tuple[str, ...]) -> SparsePoly:
+    """The polynomial whose t^k coefficient has the terms coeffs[k] over frame."""
+    return _raw(*_canonical({(k, *e[1:]): c for k, ck in enumerate(coeffs) for e, c in ck.items()}, frame))
 
 
 def _annihilates(

@@ -100,16 +100,16 @@ def is_cospectral(m: PolyMatrix, u: int, v: int) -> bool:
 
 
 def is_refuted(m: PolyMatrix, u: int, v: int) -> bool:
-    """Whether the first round of ``is_cospectral``'s images already tells
-    u and v apart, which proves them not cospectral; False proves nothing.
-    It costs those images only, with no candidate and no exact check."""
+    """Whether the split at the pair (``exact._KrylovMatrix``) or the first
+    images of ``is_cospectral``'s run tell u and v apart, which proves them
+    not cospectral; False proves nothing. No candidate, no exact check."""
     _check_pair(m, u, v)
     z = [int(k in (u, v)) for k in range(m.dimension)]
-    mat, _ = _krylov(m, z, pair=(u, v))
-    if mat.first is None:  # the first prime divides a denominator of M
-        return False
-    _, diags, edges = mat.first
     with suppress(NotCospectralError):
+        mat, _ = _krylov(m, z, pair=(u, v))
+        if mat.first is None:  # the first prime divides a denominator of M
+            return False
+        _, diags, edges = mat.first
         _images(diags, [z] * len(diags), edges, _PROBE_PRIME, (u, v))
         return False
     return True
@@ -120,12 +120,13 @@ def decompose(m: PolyMatrix, u: int, v: int) -> CospectralDecomposition:
 
     P_plus and P_minus come from one Krylov run each, on one preparation of
     M for the pair: modular images give a candidate, proven by one exact
-    check at a single integer point (``exact._min_poly``). A pair symbol,
-    one whose diagonal terms all sit at u and v, takes one grid point: the
-    images run on M0, M with the pair symbols at 0. At a cospectral pair
-    P_plus and P_minus are linear in the pair symbols' increment g, and each
-    candidate is rebuilt from its run's moments as P0 - (g/2) Q. P_plus's
-    run also decides the pair, as ``is_cospectral`` does: its images compare
+    check at a single integer point (``exact._min_poly``). The preparation
+    splits M as M0 + g (E_uu + E_vv), g = M_uu, M0 free of diagonal entries
+    at u and v, or raises NotCospectralError if M_uu != M_vv. The images run
+    on M0, so a symbol found only at the pair takes one grid point, and at a
+    cospectral pair each candidate is rebuilt from its run's moments as
+    P|₀ - (g/2) Q, with P|₀ M0's relative minimal polynomial. P_plus's run
+    also decides the pair, as ``is_cospectral`` does: its images compare
     entries u and v of each M0(a)^k (e_u + e_v) over F_p, where residues
     that differ prove a mismatch, and its exact check compares the exact
     entries of M^k (e_u + e_v) for k <= deg P_plus; a mismatch raises
@@ -133,23 +134,22 @@ def decompose(m: PolyMatrix, u: int, v: int) -> CospectralDecomposition:
     relies on that proof, so it comes second. P_zero is 1 when deg P_plus +
     deg P_minus = n. Otherwise, as the walk modules of e_u +- e_v contain
     e_u and e_v, M0 and M agree on their orthogonal complement, so P_zero
-    is det(tI - M0) / (P_plus|0 P_minus|0), |0 setting the pair symbols to
-    0: ``exact._charpoly`` on the same prepared M0, whose chains continue
-    from the echelon of P_plus's first images, then from e_u - e_v. A
-    remainder there is an engine bug: InternalConsistencyError. M holds at
-    most two symbols, so no step meets a wider frame.
+    is det(tI - M0) / (P_plus|₀ P_minus|₀): ``exact._charpoly`` on the same
+    M0, its chains continued from the echelon of P_plus's first images,
+    then from e_u - e_v. A remainder there is an engine bug:
+    InternalConsistencyError.
     """
     _check_pair(m, u, v)
     n = m.dimension
     sides = [[(k == u) + s * (k == v) for k in range(n)] for s in (1, -1)]
     mat, plus, minus = _krylov(m, *sides, pair=(u, v))
     kept: list = []
-    p_plus = _min_poly(mat, plus, (u, v), kept)
-    p_minus = _min_poly(mat, minus)
+    p_plus, plus_m0 = _min_poly(mat, plus, (u, v), kept)
+    p_minus, minus_m0 = _min_poly(mat, minus)
     p_zero = SparsePoly.one()
     if p_plus.deg_t() + p_minus.deg_t() != n:
         try:
-            p_zero = _charpoly(mat, mat.at_zero(p_plus) * mat.at_zero(p_minus), kept, sides[1])
+            p_zero = _charpoly(mat, plus_m0 * minus_m0, kept, sides[1])
         except ExactDivisionError as exc:
             raise InternalConsistencyError(
                 "charpoly is not divisible by P_plus * P_minus at a cospectral pair"

@@ -510,6 +510,41 @@ def test_a_high_degree_potential_is_refused_when_the_matrix_is_formed(capsys, tm
     assert err == f"error: entry ({vertex},{vertex}) has degree above {exact.MAX_SYMBOL_DEGREE} in a symbol\n"
 
 
+NOT_COSPECTRAL_1_8 = "error: vertices (1,8) are not cospectral\n"
+
+
+@pytest.mark.parametrize(
+    "argv, code, stderr",
+    [
+        (["analyze"], 0, ""),
+        (["construct", "glue-pot", "--k", "3"], 2, NOT_COSPECTRAL_1_8),
+        (["construct", "change-trace", "--k", "3"], 2, NOT_COSPECTRAL_1_8),
+        (["construct", "equitable"], 2, NOT_COSPECTRAL_1_8),
+        (["construct", "glue-path", "--q", "auto"], 2, NOT_COSPECTRAL_1_8),
+        (
+            ["construct", "glue-path", "--q", "4", "--potential", "P"],
+            2,
+            "error: vertices (1,8) are not cospectral once P is set to 0\n",
+        ),
+    ],
+    ids=["analyze", "glue-pot", "change-trace", "equitable", "glue-path-auto", "glue-path"],
+)
+def test_unequal_diagonal_entries_at_the_pair_are_refused(capsys, tmp_path, argv, code, stderr):
+    # G_B with Q at u = 1 and 2Q at v = 8: M_uu != M_vv, so walks of length
+    # 1 tell the pair apart, and the split of M at the pair refuses it before
+    # any image. Every command reports it as any pair that is not cospectral.
+    f = pgstkit.get_fixture("G_B")
+    g = pgstkit.add_potential(f.graph, (f.u,), pgstkit.SparsePoly.sym("Q"))
+    g = pgstkit.add_potential(g, (f.v,), pgstkit.SparsePoly.parse("2*Q"))
+    (tmp_path / "split.txt").write_text(pgstkit.serialize_graph_text(g))
+    got, out, err = run(capsys, *argv[:2], str(tmp_path / "split.txt"), "--u", "1", "--v", "8", *argv[2:])
+    assert (got, err) == (code, stderr)
+    if code:
+        assert out == ""
+    else:
+        assert json.loads(out)["exact"] == {"cospectral": False, "strongly_cospectral": False, "decomposition": None}
+
+
 def test_a_weight_of_10_to_400_is_exact(capsys, tmp_path):
     # P_plus and P_minus are t - Q -+ 10^400: their constant coefficients
     # take some two dozen 61-bit primes to reconstruct.

@@ -231,11 +231,11 @@ def _assert_sides(m: PolyMatrix, u: int, v: int, dec) -> None:
 
 @pytest.mark.parametrize("symbols", [("Q",), ("Q", "R")], ids=["Q", "QR"])
 def test_decompose_proves_its_first_round(monkeypatch, symbols):
-    # The pair symbol Q takes one point: P = P0 - (g/2) Q(t), with g = Q
-    # here, comes from the images at Q = 0 and their moments (see
-    # exact._min_poly). A wrong correction (its factor, sign or moment
-    # index) gives a candidate the exact check refuses, which would cost a
-    # second prime.
+    # Q, only at the pair, takes one point: P = P|₀ - (g/2) Q(t), with
+    # g = Q here, comes from the images of M0, which lacks Q, and their
+    # moments (see exact._min_poly). A wrong correction (its factor, sign
+    # or moment index) gives a candidate the exact check refuses, which
+    # would cost a second prime.
     _one_prime(monkeypatch)
     for m, u, v in _pair_round_cases(symbols):
         _assert_sides(m, u, v, decompose(m, u, v))
@@ -409,7 +409,9 @@ PAIR_POTENTIALS = {
     "2/3*Q": ("2/3*Q", None),
     "Q*R": ("Q*R", None),
     "Q,R^2-off-the-pair": ("Q", "R^2"),
-    "Q,Q-off-the-pair": ("Q", "Q"),  # Q is then no pair symbol
+    "Q,Q-off-the-pair": ("Q", "Q"),
+    "3": ("3", None),  # g is a constant: the moment correction runs with no symbol
+    "Q+2": ("Q + 2", None),
 }
 
 
@@ -429,9 +431,9 @@ def test_pair_potentials_match_sympy_at_an_asymmetric_pair(monkeypatch, seed, ca
 @pytest.mark.parametrize("at_v", ["2*Q", "Q + R"])
 @pytest.mark.parametrize("base", ["G_B", "asymmetric"])
 def test_unequal_increments_at_the_pair_are_refused_in_one_prime(monkeypatch, base, at_v):
-    # Q at u and 2Q or Q + R at v: every symbol is a pair symbol, so the
-    # images run M0, whose pair is cospectral, and the exact check finds
-    # that entries u and v of M (e_u + e_v) differ.
+    # Q at u and 2Q or Q + R at v: M_uu != M_vv, so entries u and v of
+    # M (e_u + e_v) differ, and the split of M at the pair refuses it
+    # before any image runs.
     _one_prime(monkeypatch)
     if base == "G_B":
         f = get_fixture("G_B")
@@ -439,16 +441,22 @@ def test_unequal_increments_at_the_pair_are_refused_in_one_prime(monkeypatch, ba
     else:
         g, u, v = asymmetric_cospectral_graph(random.Random(0))
     m = to_matrix(add_potential(add_potential(g, (u,), SparsePoly.sym("Q")), (v,), SparsePoly.parse(at_v)))
+
+    def spy(*args):
+        raise AssertionError("an image ran")
+
+    monkeypatch.setattr(exact, "_images", spy)
     with pytest.raises(NotCospectralError):
         decompose(m, u, v)
     assert is_cospectral(m, u, v) is False
 
 
-@pytest.mark.parametrize("at_centre, points", [(None, 1), ("R^2", 3), ("Q", 4)], ids=["Q", "R^2", "Q-off-the-pair"])
+@pytest.mark.parametrize("at_centre, points", [(None, 1), ("R^2", 3), ("Q", 2)], ids=["Q", "R^2", "Q-off-the-pair"])
 def test_a_pair_symbol_takes_one_grid_point(monkeypatch, at_centre, points):
-    # A path 0..6 with Q at the pair (0, 6): Q takes one point per prime.
-    # R^2 at the centre adds B_R + 1 = 3 points; Q at the centre makes Q no
-    # pair symbol, and it keeps its B_Q + 1 = 4.
+    # A path 0..6 with Q at the pair (0, 6): the images run on M0, M with
+    # no diagonal entry at the pair, so Q takes one point per prime. R^2 at
+    # the centre adds B_R + 1 = 3 points; Q at the centre too gives M0 only
+    # that Q, so B_Q = 1 and Q takes 2.
     images = exact._images
     widths = []
 
@@ -567,7 +575,7 @@ def test_frame_symbols_absent_from_the_result_are_pruned(seed, case):
 
 
 # ---------------------------------------------------------------------------
-# the cofactor P_zero of P_plus and P_minus, from power sums
+# the cofactor P_zero of P_plus and P_minus, from the charpoly of M0
 
 
 def _cofactor_case(
@@ -627,8 +635,8 @@ def test_cofactor_times_relative_factors_is_charpoly(case):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_cofactor_of_no_factors_is_charpoly(seed):
-    # d0 = n: every coefficient of det(tI - M) comes from the power sums,
-    # and Bareiss elimination of tI - M is a second route to it
+    # d0 = n: the cofactor is det(tI - M) from modular images, and Bareiss
+    # elimination of tI - M is a second route to it
     m, _, _ = _instance(seed)
     n, t = m.dimension, SparsePoly.t()
     assert charpoly(m, ()) == bareiss_det([[t * (i == j) - m.entry(i, j) for j in range(n)] for i in range(n)])
@@ -649,7 +657,7 @@ def test_cofactor_guard_refuses_a_wrong_factor(monkeypatch, name):
         with pytest.raises(ExactDivisionError):
             charpoly(m, factors)
     # decompose reports a failed guard as an engine bug
-    monkeypatch.setattr(spectral, "_min_poly", lambda *args: wrong)
+    monkeypatch.setattr(spectral, "_min_poly", lambda *args: (wrong, wrong))
     with pytest.raises(InternalConsistencyError) as err:
         decompose(m, f.u, f.v)
     assert str(err.value) == "charpoly is not divisible by P_plus * P_minus at a cospectral pair"

@@ -18,6 +18,7 @@ from pgstkit import (
     get_fixture,
     is_cospectral,
     path_graph,
+    spectral,
     to_matrix,
 )
 
@@ -216,6 +217,14 @@ def test_decompose_product_identity_and_degrees():
 def test_decompose_rejects_non_cospectral():
     with pytest.raises(NotCospectralError):
         decompose(to_matrix(path_graph(3)), 0, 1)
+
+
+def test_unequal_increments_at_the_pair_are_refuted():
+    # Q at u and 2Q at v: M_uu != M_vv, which the split at the pair refuses
+    # before any image, and is_refuted reads that refusal as a refutation.
+    f = get_fixture("G_B")
+    g = add_potential(add_potential(f.graph, (f.u,), SparsePoly.sym("Q")), (f.v,), P("2*Q"))
+    assert spectral.is_refuted(to_matrix(g), f.u, f.v) is True
 
 
 def test_squarefree_relative_factors():
