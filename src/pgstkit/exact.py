@@ -13,8 +13,8 @@ meets a wider frame; the numeric lane binds every symbol to a number.
 
 Representation: a polynomial is a map from exponent vectors to nonzero
 rational coefficients. A coefficient is an ``int`` when it is integral and
-otherwise a ``fractions.Fraction`` in lowest terms, so the fraction-free
-Bareiss kernel runs on ints wherever the input is integral and only a
+otherwise a ``fractions.Fraction`` in lowest terms, so integral input takes
+the int paths of ``_residue``, ``_integral`` and ``_div``, and only a
 division that leaves a remainder builds a ``Fraction``. The public accessor
 ``constant_value`` returns a ``Fraction``. An exponent vector is a tuple
 ``(t_exp, *param_exps)`` aligned with the polynomial's sorted ``symbols``
@@ -55,7 +55,7 @@ from contextlib import suppress
 from functools import cached_property
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import count, product
+from itertools import product
 from math import gcd, lcm, prod
 from operator import add, mul, neg, sub
 from typing import Iterable, Iterator, Mapping, Sequence, Union
@@ -592,7 +592,7 @@ def _parse_poly(text: str) -> SparsePoly:
 
 
 # ---------------------------------------------------------------------------
-# gcd machinery
+# the modular kernels' primes and probe points, and the modular gcd
 
 
 _PROBE_PRIME = 2**61 - 1
@@ -600,8 +600,9 @@ _PROBE_PRIME = 2**61 - 1
 
 def _probe_value(name: str) -> int:
     """The value a symbol takes at the first point of a modular kernel's
-    first round (the gcd's and the minimal polynomial's): fixed by its name
-    alone, so that symbols are matched by name across frames."""
+    first round (the gcd's, the minimal polynomial's and ``_charpoly``'s):
+    fixed by its name alone, so that symbols are matched by name across
+    frames."""
     return int.from_bytes(name.encode(), "big") * 0x9E3779B97F4A7C15 % _PROBE_PRIME
 
 
@@ -888,13 +889,9 @@ def _coerce_entry(x) -> SparsePoly:
     return p
 
 
-def charpoly(m: PolyMatrix, factors: Sequence[SparsePoly] = ()) -> SparsePoly:
-    """det(tI - M) (``_charpoly``), divided exactly by the product of the
-    factors; one that holds a symbol M lacks, or a remainder, raises
-    ExactDivisionError. The empty matrix gives 1."""
-    if not {s for f in factors for s in f.symbols} <= set(m._frame):
-        raise ExactDivisionError("the factors cannot divide charpoly")
-    return _charpoly(_KrylovMatrix(m._frame, m._rows, None), prod(factors, start=_ONE_POLY))
+def charpoly(m: PolyMatrix) -> SparsePoly:
+    """det(tI - M) (``_charpoly``); the empty matrix gives 1."""
+    return _charpoly(_KrylovMatrix(m._frame, m._rows, None))
 
 
 def _charpoly(
@@ -916,8 +913,7 @@ def _charpoly(
             continue
         axes, diags, edges = at_p
         if first and first[0] == attempt:  # continue from the first images' echelons, then from z
-            echelons = [[(piv, inv, row[:n]) for piv, inv, row in rows] for rows in first[2]]
-            starts, closed = [x % p for x in z], first[1][:]
+            starts, echelons, closed = [x % p for x in z], first[2], first[1]
         else:
             starts, echelons, closed = [1] + [0] * (n - 1), None, [[1]] * len(diags)
         images, _ = _images(diags, [starts] * len(diags), edges, p, None, echelons, closed)
@@ -1052,8 +1048,8 @@ def _min_poly(
             continue
         axes, diags, edges = at_p
         zs = [_at(zres, len(z), a, p) for a in product(*axes)]
-        echelons = None if kept is None else [[] for _ in zs]
-        relations, moments = _images(diags, zs, edges, p, pair, *(() if kept is None else (echelons,)))
+        echelons = [[] for _ in zs] if kept == [] else None
+        relations, moments = _images(diags, zs, edges, p, pair, echelons)
         if kept == []:  # for decompose's P_zero: the first round's images and echelons
             kept[:] = attempt, relations, echelons
         if mat.g:  # each image as Q's coefficients, then P|₀'s: one vector of length 2 D + 1
@@ -1217,61 +1213,59 @@ def _images(
     a, from M(a)'s diagonal ``diags[g]``, its constant off-diagonal entries
     ``edges`` (row, column, residue) and ``zs[g]``, as coefficient lists by
     ascending power of t (monic); and for each, the moments z(a) . M(a)^k
-    z(a), k = 0, ..., its degree, read off the same vectors. ``echelons``
-    receives each point's echelon rows.
+    z(a), k = 0, ..., its degree, read off the same vectors. Without
+    ``closed``, ``echelons`` receives each point's echelon rows.
 
-    Step k advances every unfinished image by one product and reduces
-    [M(a)^k z(a) | t^k] against that image's echelon rows. Given ``pair`` =
-    (u, v), entries u and v of each M(a)^k z(a) are compared first: residues
-    that differ prove the exact entries of M^k z differ, NotCospectralError.
+    Each point runs to its end before the next begins. Its step k takes
+    one product and reduces [M(a)^k z(a) | t^k] against the point's echelon
+    rows. Given ``pair`` = (u, v), entries u and v of each M(a)^k z(a) are
+    compared first: residues that differ prove the exact entries of M^k z
+    differ, NotCospectralError.
 
     Given ``closed``, the images are det(tI - M(a)) mod p: ``echelons[g]``
     spans an M(a)-invariant subspace of characteristic polynomial
     ``closed[g]``, and chains from z(a), then from e_j for the first j that
     is no pivot (a combination of rows is nonzero at its first pivot), run
-    to rank n, each closed chain's rows cut to their vector part: each
+    to rank n, the rows before each chain cut to their vector part: each
     relation is in the quotient by the span before it, and they multiply to
     det(tI - M(a)) (Keller-Gehrig, Theoret. Comput. Sci. 36, 1985).
     """
     n = len(diags[0])
-    vs = [list(v) for v in zs]
-    supports = [[(i, x) for i, x in enumerate(v) if x] for v in zs]
-    moments: list[list[int]] = [[] for _ in zs]
-    echelons = echelons or [[] for _ in zs]  # (pivot, its inverse, row)
-    relations: list[list[int] | None] = [None] * len(zs)
-    begun = [0] * len(zs)  # the step at which the current chain began
-    for k in count():
-        for g, d in enumerate(diags):
-            if relations[g] is not None:
-                continue
-            v = vs[g]
-            if k > begun[g]:
-                u = [x * y for x, y in zip(d, v)]
-                for i, j, c in edges:
-                    u[i] += c * v[j]
-                v = vs[g] = [x % p for x in u]
-            if pair and v[pair[0]] != v[pair[1]]:
-                raise _not_cospectral(pair)
-            if closed is None:
-                moments[g].append(sum(x * v[i] for i, x in supports[g]) % p)
-            w = v + [0] * (k - begun[g]) + [1]
-            for piv, inv, row in echelons[g]:  # entries are reduced once, after the last row
-                if c := w[piv] * inv % p:
-                    w[: len(row)] = [x - c * y for x, y in zip(w, row)]
-            w = [x % p for x in w]
-            piv = next(filter(w.__getitem__, range(n)), None)
-            if piv is not None:
-                echelons[g].append((piv, pow(w[piv], -1, p), w))
-            elif closed is None:
-                relations[g] = w[n:]
-            elif len(rows := echelons[g]) < n:  # restart from e_j
-                closed[g], rows[:] = _mul_mod(closed[g], w[n:], p), [(piv, inv, row[:n]) for piv, inv, row in rows]
-                j = min(set(range(n)).difference(piv for piv, _, _ in rows))
-                vs[g], begun[g] = [int(i == j) for i in range(n)], k + 1
-            else:
-                relations[g] = _mul_mod(closed[g], w[n:], p)
-        if all(rel is not None for rel in relations):
-            return relations, moments
+    relations: list[list[int]] = []
+    moments: list[list[int]] = []
+    for g, (d, v) in enumerate(zip(diags, zs)):
+        rows = echelons[g] if echelons else []  # (pivot, its inverse, row)
+        support = [(i, x) for i, x in enumerate(v) if x]
+        relation = [1] if closed is None else closed[g]
+        moments.append(moment := [])
+        while True:  # a chain from v
+            if closed is not None:
+                rows = [(piv, inv, row[:n]) for piv, inv, row in rows]
+            for k in range(n + 1):  # it closes within n + 1 steps
+                if k:
+                    u = [x * y for x, y in zip(d, v)]
+                    for i, j, c in edges:
+                        u[i] += c * v[j]
+                    v = [x % p for x in u]
+                if pair and v[pair[0]] != v[pair[1]]:
+                    raise _not_cospectral(pair)
+                if closed is None:
+                    moment.append(sum(x * v[i] for i, x in support) % p)
+                w = v + [0] * k + [1]
+                for piv, inv, row in rows:  # entries are reduced once, after the last row
+                    if c := w[piv] * inv % p:
+                        w[: len(row)] = [x - c * y for x, y in zip(w, row)]
+                w = [x % p for x in w]
+                if (piv := next(filter(w.__getitem__, range(n)), None)) is None:
+                    break
+                rows.append((piv, pow(w[piv], -1, p), w))
+            relation = _mul_mod(relation, w[n:], p)
+            if closed is None or len(rows) == n:
+                break
+            j = min(set(range(n)).difference(piv for piv, _, _ in rows))  # restart from e_j
+            v = [int(i == j) for i in range(n)]
+        relations.append(relation)
+    return relations, moments
 
 
 def _mul_mod(a: list[int], b: list[int], p: int) -> list[int]:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -263,8 +264,8 @@ def _first_round_refuted(monkeypatch, how: str) -> list[int]:
     else:
         images = exact._images
 
-        def planted(diags, zs, edges, p, pair):
-            relations, moments = images(diags, zs, edges, p, pair)
+        def planted(diags, zs, edges, p, pair, *rest):
+            relations, moments = images(diags, zs, edges, p, pair, *rest)
             primes.append(p)
             return [rel[1:] for rel in relations] if len(primes) == 1 else relations, moments
 
@@ -290,9 +291,9 @@ def test_a_denominator_of_the_first_prime_skips_it(monkeypatch):
     images = exact._images
     primes = []
 
-    def spy(diags, zs, edges, p, pair):
+    def spy(diags, zs, edges, p, pair, *rest):
         primes.append(p)
-        return images(diags, zs, edges, p, pair)
+        return images(diags, zs, edges, p, pair, *rest)
 
     monkeypatch.setattr(exact, "_images", spy)
     w = SparsePoly.const(Fraction(1, exact._PROBE_PRIME))
@@ -311,9 +312,9 @@ def test_rational_coefficients_need_more_than_one_prime(monkeypatch):
     images = exact._images
     primes = []
 
-    def spy(diags, zs, edges, p, pair):
+    def spy(diags, zs, edges, p, pair, *rest):
         primes.append(p)
-        return images(diags, zs, edges, p, pair)
+        return images(diags, zs, edges, p, pair, *rest)
 
     monkeypatch.setattr(exact, "_images", spy)
     rng = random.Random("rational")
@@ -331,6 +332,46 @@ def test_rational_coefficients_need_more_than_one_prime(monkeypatch):
         _assert_same(got, _oracle(m, z))
         assert len(primes) > 1
         assert any(type(c) is Fraction for c in got._terms.values())
+
+
+def test_grid_points_of_one_round_may_finish_at_different_steps(monkeypatch):
+    # M = diag(Q, c) with c the first round's value of Q at its first point:
+    # there M is cI and z's image closes at degree 1, at the second point at
+    # degree 2. The short image sinks its round, and later rounds give
+    # (t - Q)(t - c).
+    images = exact._images
+    degrees = []
+
+    def spy(diags, zs, edges, p, pair, *rest):
+        relations, moments = images(diags, zs, edges, p, pair, *rest)
+        degrees.append([len(rel) - 1 for rel in relations])
+        return relations, moments
+
+    monkeypatch.setattr(exact, "_images", spy)
+    c = exact._probe_value("Q")
+    m = PolyMatrix([[SparsePoly.sym("Q"), 0], [0, c]])
+    z = [SparsePoly.one()] * 2
+    _assert_same(krylov_min_poly(m, z), _oracle(m, z))
+    assert degrees[0] == [1, 2] and len(degrees) > 1
+
+
+def test_grid_points_of_one_round_may_restart_at_different_steps(monkeypatch):
+    # At the first point, Q = c, the chain from e_0 closes at rank 2 (M^2 e_0
+    # is 2 e_0 + c M e_0) and restarts from e_2; at the second it reaches
+    # rank 3. Each closure multiplies into the point's relation.
+    mul_mod = exact._mul_mod
+    closures = []
+
+    def spy(a, b, p):
+        if p == exact._PROBE_PRIME:
+            closures.append((len(a) - 1, len(b) - 1))
+        return mul_mod(a, b, p)
+
+    monkeypatch.setattr(exact, "_mul_mod", spy)
+    c = exact._probe_value("Q")
+    m = PolyMatrix([[0, 1, 1], [1, SparsePoly.sym("Q"), 0], [1, 0, c]])
+    _assert_same(charpoly(m), _sympy_matrix(m).charpoly(T).as_expr())
+    assert sorted(closures) == [(0, 2), (0, 3), (2, 1)]
 
 
 @pytest.mark.parametrize(
@@ -639,7 +680,7 @@ def test_cofactor_of_no_factors_is_charpoly(seed):
     # elimination of tI - M is a second route to it
     m, _, _ = _instance(seed)
     n, t = m.dimension, SparsePoly.t()
-    assert charpoly(m, ()) == bareiss_det([[t * (i == j) - m.entry(i, j) for j in range(n)] for i in range(n)])
+    assert charpoly(m) == bareiss_det([[t * (i == j) - m.entry(i, j) for j in range(n)] for i in range(n)])
 
 
 @pytest.mark.parametrize("name", ["G_A", "G_B", "G_C"])
@@ -655,7 +696,7 @@ def test_cofactor_guard_refuses_a_wrong_factor(monkeypatch, name):
         (dec.p_plus + SparsePoly.sym("Z"), dec.p_minus),  # a symbol M lacks
     ]:
         with pytest.raises(ExactDivisionError):
-            charpoly(m, factors)
+            exact._charpoly(exact._KrylovMatrix(m._frame, m._rows, None), prod(factors))
     # decompose reports a failed guard as an engine bug
     monkeypatch.setattr(spectral, "_min_poly", lambda *args: (wrong, wrong))
     with pytest.raises(InternalConsistencyError) as err:
