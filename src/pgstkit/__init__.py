@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from .certify import (
     Certificate,
-    Relation,
+    RelationTable,
     Verdict,
     build_change_trace,
     build_glue_pot,

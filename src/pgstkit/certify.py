@@ -27,11 +27,10 @@ from __future__ import annotations
 
 import enum
 import math
-import operator
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .errors import (
     DomainError,
@@ -83,13 +82,17 @@ class Certificate:
         return {"verdict": self.verdict.value, "evidence": self.evidence}
 
 
-class Relation(NamedTuple):
-    """Integer relation sum(l_i * lambda_i) + sum(m_j * mu_j) ~ 0 with
-    sum(l) + sum(m) = 0 and sum(m) odd."""
+@dataclass(frozen=True, eq=False)
+class RelationTable:
+    """Integer relations sum(l_i * lambda_i) + sum(m_j * mu_j) ~ 0 with
+    sum(l) + sum(m) = 0 and sum(m) odd, one per row: int64 coefficients
+    l (N x r) and m (N x s), float64 residuals (N), and the coefficient
+    bound that was searched."""
 
-    l: tuple[int, ...]
-    m: tuple[int, ...]
-    residual: float
+    l: np.ndarray
+    m: np.ndarray
+    residual: np.ndarray
+    bound: int
 
 
 # ---------------------------------------------------------------------------
@@ -296,16 +299,18 @@ def integer_relation_search(
     mus: Sequence[float],
     bound: int,
     precision: float,
-) -> list[Relation]:
+) -> RelationTable:
     """Every relation sum(l.lam) + sum(m.mu) ~ 0 within precision, subject
-    to sum(l) + sum(m) = 0, sum(m) odd, and |coefficients| <= b.
+    to sum(l) + sum(m) = 0, sum(m) odd, and |coefficients| <= b, as one
+    table: row i is the relation l[i], m[i] with its residual[i], and the
+    table's bound is b.
 
     b is the requested bound, lowered where needed so that the box
     (2b + 1)^(r + s) has at most EXHAUSTIVE_LIMIT = 10^7 points; with more
-    than 14 values even b = 1 does not fit, and the result is empty. The
-    box is searched completely, so an empty result means that no relation
-    exists within b. Values whose box sums overflow a float are refused,
-    as non-finite values are.
+    than 14 values even b = 1 does not fit (b = 0), and the table has no
+    rows. The box is searched completely, so a table without rows means
+    that no relation exists within b. Values whose box sums overflow a
+    float are refused, as non-finite values are.
 
     Split and match (Horowitz-Sahni): each half of the box is enumerated
     with its value and a key for its coefficient sum and minus-side
@@ -337,7 +342,7 @@ def integer_relation_search(
         raise DomainError("relation search needs finite values")
     b = _searched_bound(d, bound)
     if d < 2 or b == 0:  # a nonzero vector with coefficient sum 0 has two entries
-        return []
+        return RelationTable(np.zeros((0, r), np.int64), np.zeros((0, d - r), np.int64), np.zeros(0), b)
     size = sum(abs(x) for x in xs)
     # matches within precision plus the rounding of the two float sums
     slack = precision + d * 2.0**-52 * b * size
@@ -379,9 +384,8 @@ def integer_relation_search(
     # 2b + 1 orders the vectors lexicographically, and (2b + 1)^d <= 10^7
     digits = (2 * b + 1) ** np.arange(d - 1, -1, -1)
     order = np.argsort(np.abs(vecs).sum(axis=1) * (2 * b + 1) ** d + (vecs + b) @ digits)
-    rows = list(zip(*[iter(vecs[order].ravel().tolist())] * d))
-    ls, ms = map(operator.itemgetter(slice(r)), rows), map(operator.itemgetter(slice(r, d)), rows)
-    return list(map(Relation._make, zip(ls, ms, residuals[order].tolist())))
+    vecs = vecs[order]
+    return RelationTable(vecs[:, :r], vecs[:, r:], residuals[order], b)
 
 
 def _residuals(
@@ -425,22 +429,20 @@ def heuristic_obstruction(
 
     Each candidate must re-verify at four times tighter precision; ones
     that only barely passed are dropped. Returns None when nothing
-    survives. The evidence's "bound" is the bound actually searched, which
-    integer_relation_search may have lowered to fit its box limit. Never a
-    proof: eigenvalues are floating point.
+    survives. The evidence's "relations" is the ``RelationTable`` of the
+    survivors, which ``cli`` writes as a list of {"l", "m", "residual"}
+    records, and its "bound" is the table's: the bound actually searched,
+    which integer_relation_search may have lowered to fit its box limit.
+    Never a proof: eigenvalues are floating point.
     """
-    relations = integer_relation_search(lambdas, mus, bound, precision)
+    table = integer_relation_search(lambdas, mus, bound, precision)
     tight = precision / 4
-    rows = [
-        {"l": [*l], "m": [*m], "residual": residual}
-        for l, m, residual in relations
-        if abs(residual) < tight
-    ]
-    if not rows:
+    keep = abs(table.residual) < tight
+    if not keep.any():
         return None
     evidence = {
-        "relations": rows,
-        "bound": _searched_bound(len(lambdas) + len(mus), bound),
+        "relations": RelationTable(table.l[keep], table.m[keep], table.residual[keep], table.bound),
+        "bound": table.bound,
         "precision": precision,
         "reverified_at": tight,
         "lambdas": [float(x) for x in lambdas],

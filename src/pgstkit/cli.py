@@ -87,21 +87,24 @@ class _Unwritten(Exception):
 
 
 def _dumps(report) -> str:
-    """``json.dumps(report, indent=2, allow_nan=False)``, built directly.
+    """``json.dumps(report, indent=2, allow_nan=False)``, built directly,
+    where a ``RelationTable`` reads as the list of its rows as
+    {"l": [...], "m": [...], "residual": x} dicts.
 
     The json module writes indented text with its pure-Python encoder,
-    which costs more than a large report's numeric work. A list of
-    same-shape records, such as a report's relations, is written by one
-    %-format (see ``_records``), and any other value item by item. A value
-    of another type than dict, list, tuple or a scalar of ``_TEXT``, and a
-    non-finite float, go to ``json.dumps`` itself, which writes them or
-    raises its own error.
+    which costs more than a large report's numeric work. A relation table
+    is written by one %-format (see ``_table``), and any other value item
+    by item. A value of another type than dict, list, tuple, a table or a
+    scalar of ``_TEXT``, and a non-finite float, go to ``json.dumps``
+    itself, which writes them or raises its own error: ``ValueError`` for
+    a non-finite float, in a table or next to one, too. Its
+    ``default=_table_rows`` turns each table into those rows.
     """
     out: list[str] = []
     try:
         _write(report, "\n", out)
     except _Unwritten:
-        return json.dumps(report, indent=2, allow_nan=False)
+        return json.dumps(report, indent=2, allow_nan=False, default=_table_rows)
     return "".join(out)
 
 
@@ -109,9 +112,9 @@ def _write(obj, newline: str, out: list[str]) -> None:
     """Append obj's JSON text to out; newline ends the line before obj's
     closing bracket and holds its indent.
 
-    A list of two or more dicts of one shape takes the record path,
-    ``_records``; a list it declines, like any other container, is written
-    item by item."""
+    A ``RelationTable`` is written whole by ``_table``; a list of scalars
+    of one type is joined from their texts, and any other container is
+    written item by item."""
     kind = type(obj)
     text = _TEXT.get(kind)
     if text is not None:
@@ -133,8 +136,6 @@ def _write(obj, newline: str, out: list[str]) -> None:
         text = _TEXT.get(kind)
         if text is not None:  # items of one scalar type: no call per item
             out += ("[", inner, _finite(("," + inner).join(map(text, obj)), kind), newline, "]")
-        elif kind is dict and len(obj) > 1 and (records := _records(obj, inner)) is not None:
-            out += ("[", inner, records, newline, "]")
         else:
             sep = "[" + inner
             for item in obj:
@@ -142,57 +143,49 @@ def _write(obj, newline: str, out: list[str]) -> None:
                 _write(item, inner, out)
                 sep = "," + inner
             out.append(newline + "]")
+    elif kind is certify_mod.RelationTable:
+        out.append(_table(obj, newline))
     else:
         raise _Unwritten
 
 
-def _records(dicts, newline: str) -> str | None:
-    """The items of a list of dicts of one shape, joined, from one %-format
-    of a record template built from the first dict; None for a list of
-    another kind, which ``_write`` then writes item by item.
-
-    One shape: the same string keys in the same order, each value an
-    exact int (``%d``), a finite float, or a nonempty list of one of
-    those, with one type and one list length down each column. A ``%`` in
-    a key is written ``%%``. A bool, an int or float subclass, a
-    non-finite float, a string, None, a nested container, an empty or
-    ragged list and an empty dict all return None. A float column goes in
-    as its reprs (``%s``), which also show whether every float is finite.
+def _table(table, newline: str) -> str:
+    """A relation table's text as json writes the list of its rows as
+    dicts, from one %-format of one record template: ``%d`` for each
+    coefficient and ``%s`` for the residual's repr. Each distinct residual
+    is formatted once, keyed by its bits (its int64 view), so that -0.0
+    and 0.0 keep their own texts; a non-finite one raises ``_Unwritten``.
     """
-    from itertools import chain
+    import numpy as np  # loaded already: the table is made of arrays
 
-    first = dicts[0]
-    keys = tuple(first)
-    if set(map(type, keys)) != {str} or set(map(tuple, dicts)) != {keys}:
-        return None
-    inner, nested = newline + "  ", newline + "    "
-    fields, columns = [], []
-    for key, column in zip(keys, zip(*map(dict.values, dicts))):
-        value = first[key]
-        listed = type(value) is list
-        if not listed:
-            parts = [column]
-        elif value and set(map(type, column)) == {list} and set(map(len, column)) == {len(value)}:
-            parts = list(zip(*column))
-        else:
-            return None
-        slots = []
-        for part in parts:
-            kinds = set(map(type, part))
-            if kinds == {int}:
-                slots.append("%d")
-            elif kinds == {float}:
-                part = list(map(float.__repr__, part))
-                if "n" in "".join(part):  # inf or nan: a finite repr has no n
-                    return None
-                slots.append("%s")
-            else:
-                return None
-            columns.append(part)
-        text = "[" + nested + ("," + nested).join(slots) + inner + "]" if listed else slots[0]
-        fields.append(_key(key).replace("%", "%%") + ": " + text)
-    template = "{" + inner + ("," + inner).join(fields) + newline + "}"
-    return ("," + newline).join([template] * len(dicts)) % tuple(chain.from_iterable(zip(*columns)))
+    rows, r = table.l.shape
+    if not rows:
+        return "[]"
+    inner, field, item = newline + "  ", newline + "    ", newline + "      "
+
+    def listed(count: int) -> str:
+        return "[" + item + ("," + item).join(["%d"] * count) + field + "]" if count else "[]"
+
+    template = "{" + field + '"l": ' + listed(r) + "," + field + '"m": ' + listed(table.m.shape[1])
+    template += "," + field + '"residual": %s' + inner + "}"
+    bits, index = np.unique(table.residual.view(np.int64), return_inverse=True)
+    values = bits.view(np.float64)
+    if not np.isfinite(values).all():
+        raise _Unwritten
+    texts = np.array(list(map(float.__repr__, values.tolist())), dtype=object)
+    cells = np.hstack([table.l, table.m, np.zeros((rows, 1), np.int64)]).astype(object)
+    cells[:, -1] = texts[index]
+    records = ("," + inner).join([template] * rows) % tuple(cells.ravel().tolist())
+    return "[" + inner + records + newline + "]"
+
+
+def _table_rows(obj) -> list[dict]:
+    """``json.dumps``' default: a relation table as the list of its rows
+    as dicts; any other type is refused with json's own ``TypeError``."""
+    if type(obj) is not certify_mod.RelationTable:
+        return json.JSONEncoder().default(obj)
+    columns = obj.l.tolist(), obj.m.tolist(), obj.residual.tolist()
+    return [{"l": l, "m": m, "residual": x} for l, m, x in zip(*columns)]
 
 
 def _finite(text: str, kind: type) -> str:

@@ -6,7 +6,8 @@ swapped by an automorphism; the pair of ``asymmetric_cospectral_graph``
 is swapped by none, as the paper's constructions assume. ``q_expansion_residual``
 and ``trace_param_membership`` check identities of the exact lane that no
 command needs. ``relation_search_by_key`` is an oracle for
-``integer_relation_search``: the same relations, found key by key. The
+``integer_relation_search``: the same relations, found key by key, as
+``Relation`` rows, which ``relation_rows`` makes of a search's table. The
 other oracles answer questions that no command asks: real roots by Sturm
 isolation, strong cospectrality as a yes/no, the quotient matrix of an
 equitable partition, and a transfer amplitude from the plain eigenbasis.
@@ -38,7 +39,7 @@ from pgstkit import (
     to_matrix,
     verify_equitable,
 )
-from pgstkit.certify import Relation, _check_relation_limits, _half_box, _searched_bound
+from pgstkit.certify import RelationTable, _check_relation_limits, _half_box, _searched_bound
 from pgstkit.spectral import _check_pair
 
 
@@ -223,6 +224,22 @@ def trace_param_membership(dec: CospectralDecomposition, sym: str) -> TraceMembe
         plus_in_base=not plus.has_sym(sym),
         minus_in_base=not minus.has_sym(sym),
     )
+
+
+class Relation(NamedTuple):
+    """Integer relation sum(l_i * lambda_i) + sum(m_j * mu_j) ~ 0 with
+    sum(l) + sum(m) = 0 and sum(m) odd."""
+
+    l: tuple[int, ...]
+    m: tuple[int, ...]
+    residual: float
+
+
+def relation_rows(table: RelationTable) -> list[Relation]:
+    """The rows of a relation table, in order, as ``Relation`` tuples of
+    Python ints and floats."""
+    columns = table.l.tolist(), table.m.tolist(), table.residual.tolist()
+    return [Relation(tuple(l), tuple(m), x) for l, m, x in zip(*columns)]
 
 
 def relation_search_by_key(lambdas, mus, bound: int, precision: float) -> list[Relation]:

@@ -44,6 +44,7 @@ from conftest import (
     is_strongly_cospectral,
     isolate_real_roots,
     random_cospectral_graph,
+    relation_rows,
     relation_search_by_key,
 )
 
@@ -183,7 +184,7 @@ def test_parity_returns_none_when_inapplicable():
 
 
 def test_relation_search_empty():
-    assert integer_relation_search([], [], 2, 1e-9) == []
+    assert relation_rows(integer_relation_search([], [], 2, 1e-9)) == []
 
 
 def test_relation_search_finds_gd_all_ones():
@@ -192,14 +193,14 @@ def test_relation_search_finds_gd_all_ones():
     lambdas = isolate_real_roots(dec.p_plus)
     mus = isolate_real_roots(dec.p_minus)
     assert len(lambdas) == 5 and len(mus) == 5
-    found = integer_relation_search(lambdas, mus, 1, 1e-9)
+    found = relation_rows(integer_relation_search(lambdas, mus, 1, 1e-9))
     assert ((1, 1, 1, 1, 1), (-1, -1, -1, -1, -1)) in {(r.l, r.m) for r in found}
 
 
 def test_relation_search_k2_pi_finds_nothing():
     lam = [math.pi + 1.0]
     mu = [math.pi - 1.0]
-    assert integer_relation_search(lam, mu, 3, 1e-9) == []
+    assert relation_rows(integer_relation_search(lam, mu, 3, 1e-9)) == []
 
 
 def test_relation_search_constraints_hold():
@@ -207,7 +208,7 @@ def test_relation_search_constraints_hold():
     for _ in range(5):
         lambdas = sorted(rng.uniform(-3, 3) for _ in range(3))
         mus = sorted(rng.uniform(-3, 3) for _ in range(2))
-        for rel in integer_relation_search(lambdas, mus, 2, 1e-6):
+        for rel in relation_rows(integer_relation_search(lambdas, mus, 2, 1e-6)):
             coeffs = list(rel.l) + list(rel.m)
             assert any(coeffs)
             assert sum(coeffs) == 0
@@ -232,7 +233,7 @@ def test_relation_search_planted_relation_found():
         b = rng.uniform(0.5, 1.5) * math.sqrt(3)
         lambdas = [a, b]
         mus = [(2 * a + b) / 3.0]
-        found = integer_relation_search(lambdas, mus, 3, 1e-9)
+        found = relation_rows(integer_relation_search(lambdas, mus, 3, 1e-9))
         assert ((2, 1), (-3,)) in {(r.l, r.m) for r in found}
 
 
@@ -264,8 +265,8 @@ def _half_split_oracle(lambdas, mus, bound, precision):
     return found
 
 
-def _vectors(relations):
-    return [rel.l + rel.m for rel in relations]
+def _vectors(table):
+    return [rel.l + rel.m for rel in relation_rows(table)]
 
 
 def test_relation_search_ga_box_is_exhaustive_alone():
@@ -274,15 +275,15 @@ def test_relation_search_ga_box_is_exhaustive_alone():
     lambdas, mus = _spectrum("G_A")
     assert len(lambdas) == len(mus) == 4
     assert 7**8 <= certify.EXHAUSTIVE_LIMIT
-    relations = integer_relation_search(lambdas, mus, 3, 1e-9)
-    found = _vectors(relations)
+    table = integer_relation_search(lambdas, mus, 3, 1e-9)
+    found = _vectors(table)
     assert len(found) == 486  # frozen regression
     assert set(found) == _half_split_oracle(lambdas, mus, 3, 1e-9)
     assert found == sorted(found, key=lambda vec: (sum(abs(c) for c in vec), vec))
     # the 104 exact cancellations print as -0.0 in CLI reports (frozen), and
     # the matching window keeps them at any precision
-    assert [repr(rel.residual) for rel in relations].count("-0.0") == 104
-    assert len(integer_relation_search(lambdas, mus, 3, 1e-300)) == 104
+    assert [repr(x) for x in table.residual.tolist()].count("-0.0") == 104
+    assert len(relation_rows(integer_relation_search(lambdas, mus, 3, 1e-300))) == 104
 
 
 def test_relation_search_matches_python_enumeration():
@@ -302,7 +303,7 @@ def test_relation_search_matches_python_enumeration():
                     if abs(residual) < precision:
                         pos = tuple(-c for c in vec)
                         expected.append((pos[:3], pos[3:], repr(-residual)))
-            got = integer_relation_search(lambdas, mus, 3, precision)
+            got = relation_rows(integer_relation_search(lambdas, mus, 3, precision))
             assert sorted(expected) == sorted((rel.l, rel.m, repr(rel.residual)) for rel in got)
 
 
@@ -323,7 +324,7 @@ def test_relation_search_matches_the_per_key_search_in_order():
             bound = (1, 2, 3, 10**6)[trial]
             for precision in (1e-300, 1e-9, 0.05):
                 want = relation_search_by_key(xs[:r], xs[r:], bound, precision)
-                got = integer_relation_search(xs[:r], xs[r:], bound, precision)
+                got = relation_rows(integer_relation_search(xs[:r], xs[r:], bound, precision))
                 assert [(rel.l, rel.m, repr(rel.residual)) for rel in got] == [
                     (rel.l, rel.m, repr(rel.residual)) for rel in want
                 ], (xs, r, bound, precision)
@@ -332,7 +333,7 @@ def test_relation_search_matches_the_per_key_search_in_order():
                 lowered += bool(want) and certify._searched_bound(d, bound) < bound
     assert (found, cancelled, lowered) == (28, 21, 18)
     lambdas, mus = _spectrum("G_A")
-    assert integer_relation_search(lambdas, mus, 3, 1e-9) == relation_search_by_key(
+    assert relation_rows(integer_relation_search(lambdas, mus, 3, 1e-9)) == relation_search_by_key(
         lambdas, mus, 3, 1e-9
     )
 
@@ -357,7 +358,7 @@ def _planted(rng, r, coeffs, bound, low, integral):
 
 
 def _same_relations(xs, r, bound, precision):
-    got = integer_relation_search(xs[:r], xs[r:], bound, precision)
+    got = relation_rows(integer_relation_search(xs[:r], xs[r:], bound, precision))
     want = relation_search_by_key(xs[:r], xs[r:], bound, precision)
     assert [(rel.l, rel.m, rel.residual.hex()) for rel in got] == [
         (rel.l, rel.m, rel.residual.hex()) for rel in want
@@ -469,7 +470,8 @@ def test_relation_search_refuses_sums_that_overflow():
     with pytest.raises(DomainError, match="overflow"):
         integer_relation_search([1e308, 1e308], [1e308], 3, 1e-9)
     lambdas, mus = [1e307, 1e307], [1e307]
-    assert integer_relation_search(lambdas, mus, 3, 1e-9) == relation_search_by_key(lambdas, mus, 3, 1e-9)
+    got = relation_rows(integer_relation_search(lambdas, mus, 3, 1e-9))
+    assert got == relation_search_by_key(lambdas, mus, 3, 1e-9)
 
 
 def test_relation_search_lowers_the_bound_to_fit_the_box():
@@ -489,7 +491,25 @@ def test_relation_search_lowers_the_bound_to_fit_the_box():
         (1, 0, 1, 0, 1, -1, 0, -1, 0, -1),
     } <= set(found)
     cert = heuristic_obstruction(lambdas, mus, 3, 1e-9)
-    assert cert.evidence["bound"] == 2
+    assert cert.evidence["bound"] == integer_relation_search(lambdas, mus, 3, 1e-9).bound == 2
+
+
+def test_heuristic_obstruction_keeps_the_reverified_rows_of_one_search(monkeypatch):
+    # 1 - 2 * 2 + 3 = 0 exactly, and the two relations through 3 + 5e-10 miss
+    # by 5e-10, within 1e-9 but not within 1e-9 / 4: the certificate's table is
+    # the search's one exact row, and its bound is the searched one that the
+    # table carries, so the bound rule runs once per certificate
+    lambdas, mus = [1.0, 2.0], [3.0 + 5e-10, 3.0]
+    calls, rule = [], certify._searched_bound
+    monkeypatch.setattr(certify, "_searched_bound", lambda *args: calls.append(args) or rule(*args))
+    cert = heuristic_obstruction(lambdas, mus, 3, 1e-9)
+    assert calls == [(4, 3)]
+    table = cert.evidence["relations"]
+    assert cert.evidence["bound"] == table.bound == 3
+    searched = relation_rows(integer_relation_search(lambdas, mus, 3, 1e-9))
+    assert len(searched) == 3
+    assert relation_rows(table) == [rel for rel in searched if abs(rel.residual) < 1e-9 / 4]
+    assert relation_rows(table) == [((1, -2), (0, 1), -0.0)]
 
 
 def test_relation_search_respects_a_smaller_limit(monkeypatch):
@@ -501,7 +521,9 @@ def test_relation_search_respects_a_smaller_limit(monkeypatch):
     assert heuristic_obstruction(lambdas, mus, 3, 1e-9).evidence["bound"] == 2
     # with more values than the limit allows at bound 1, nothing is searched
     monkeypatch.setattr(certify, "EXHAUSTIVE_LIMIT", 3**8 - 1)
-    assert integer_relation_search(lambdas, mus, 3, 1e-9) == []
+    table = integer_relation_search(lambdas, mus, 3, 1e-9)
+    assert relation_rows(table) == [] and table.bound == 0
+    assert (table.l.shape, table.m.shape, table.residual.shape) == ((0, 4), (0, 4), (0,))
 
 
 def test_relation_search_huge_bound_is_lowered_at_once():
@@ -522,7 +544,7 @@ def test_heuristic_obstruction_gd_and_k2():
     )
     assert cert is not None and cert.verdict is Verdict.HEURISTIC_OBSTRUCTION
     assert cert.evidence["reverified_at"] == 1e-9 / 4
-    assert all(abs(r["residual"]) < 1e-9 / 4 for r in cert.evidence["relations"])
+    assert all(abs(rel.residual) < 1e-9 / 4 for rel in relation_rows(cert.evidence["relations"]))
     assert heuristic_obstruction([math.pi + 1], [math.pi - 1], 3, 1e-9) is None
 
 

@@ -18,6 +18,8 @@ from pgstkit import cli, exact, graphs, spectral, walk
 from pgstkit.cli import main
 from pgstkit.graphs import MAX_VERTICES
 
+from conftest import relation_search_by_key
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -70,10 +72,11 @@ def test_analyze_reports_are_deterministic(capsys):
         "construct equitable @G_C --u 8 --v 9",
     ],
 )
-def test_reports_hold_only_plain_json_types(capsys, monkeypatch, argv):
-    # Every report value is a dict, list, str, int, float, bool or None, so
-    # the report writer never hands a report to json.dumps (a numpy scalar
-    # would: its text is the same, at the pure-Python encoder's cost).
+def test_reports_never_reach_json_dumps(capsys, monkeypatch, argv):
+    # Every report value is a dict, list, str, int, float, bool, None or a
+    # relation table, so the report writer never hands a report to
+    # json.dumps (a numpy scalar would: its text is the same, at the
+    # pure-Python encoder's cost).
     def refuse(*args, **kwargs):
         raise AssertionError("report left to json.dumps")
 
@@ -82,6 +85,24 @@ def test_reports_hold_only_plain_json_types(capsys, monkeypatch, argv):
     assert code == 0 and err == ""
     monkeypatch.undo()
     assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+def test_ga_relations_are_the_oracles_reverified_rows(capsys):
+    # the largest report: json.dumps' text of itself, and its relations are
+    # the per-key search's on its own eigenvalues, filtered at precision / 4
+    # as heuristic_obstruction filters, bit for bit and in order
+    code, out, err = run(capsys, "analyze", "@G_A", "--u", "3", "--v", "6", "--simulate")
+    assert code == 0 and err == ""
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+    evidence = json.loads(out)["certificate"]["evidence"]
+    assert (evidence["bound"], evidence["precision"]) == (3, 1e-9)
+    want = [
+        (list(rel.l), list(rel.m), rel.residual.hex())
+        for rel in relation_search_by_key(evidence["lambdas"], evidence["mus"], 3, 1e-9)
+        if abs(rel.residual) < 1e-9 / 4
+    ]
+    got = [(rel["l"], rel["m"], rel["residual"].hex()) for rel in evidence["relations"]]
+    assert got == want and len(got) == 486
 
 
 def test_analyze_simulate_block(capsys):

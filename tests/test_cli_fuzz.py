@@ -19,9 +19,9 @@ its dense matrix.
 
 The report writer is checked on its own against
 ``json.dumps(obj, indent=2, allow_nan=False)`` over generated documents,
-and over lists of same-shape records, which it writes with one %-format,
-with and without one perturbation that must send it back to writing item
-by item.
+over lists of same-shape records with one perturbation each, and over
+relation tables, which it writes with one %-format and which must read as
+``json.dumps`` of the same rows as dicts.
 """
 
 from __future__ import annotations
@@ -30,9 +30,11 @@ import contextlib
 import io
 import json
 
+import numpy as np
 import pytest
 
-from pgstkit.cli import _dumps, _records, main
+from pgstkit.certify import RelationTable
+from pgstkit.cli import _dumps, main
 from pgstkit.graphs import MAX_VERTICES
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -226,7 +228,7 @@ def test_report_writer_refuses_non_finite_floats(doc):
         _dumps(doc)
 
 
-# lists of records of one shape: the writer's record path
+# lists of records of one shape, and one item changed
 
 RECORD_KEYS = ["l", "m", "residual", "%d", "a%sb", "100%", "\u00e9", ""]
 RECORD_FLOATS = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from([-0.0, 0.0, 5e-324]))
@@ -307,16 +309,76 @@ def _same_text(doc) -> None:
     assert _written(_dumps, doc) == _written(lambda d: json.dumps(d, indent=2, allow_nan=False), doc)
 
 
+# relation tables: the writer's one %-format
+
+RESIDUALS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, 1e-10]),
+)
+COEFFICIENTS = st.one_of(st.integers(-3, 3), st.integers(-(2**63), 2**63 - 1))
+
+
+@st.composite
+def relation_tables(draw) -> RelationTable:
+    """One or more rows, r, s >= 1, residuals drawn from a pool of at most
+    three, so that bit patterns repeat."""
+    rows = draw(st.sampled_from([1, draw(st.integers(2, 40))]))
+    r, s = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    pool = draw(st.lists(RESIDUALS, min_size=1, max_size=3))
+    coefficients = draw(st.lists(COEFFICIENTS, min_size=rows * (r + s), max_size=rows * (r + s)))
+    vecs = np.array(coefficients, dtype=np.int64).reshape(rows, r + s)
+    residual = np.array([draw(st.sampled_from(pool)) for _ in range(rows)])
+    return RelationTable(vecs[:, :r], vecs[:, r:], residual, draw(st.integers(1, 107)))
+
+
+def _rows(table: RelationTable) -> list[dict]:
+    rows = zip(table.l.tolist(), table.m.tolist(), table.residual.tolist())
+    return [{"l": l, "m": m, "residual": x} for l, m, x in rows]
+
+
+def _table(ls, ms, residuals, bound=3) -> RelationTable:
+    return RelationTable(np.array(ls, np.int64), np.array(ms, np.int64), np.array(residuals), bound)
+
+
 @PROFILE
-@given(same_shape_records())
-@example([{"l": [1, -2], "m": [3], "residual": -0.0}, {"l": [0, 2], "m": [-1], "residual": 0.0}])
-@example([{"%d": 1}, {"%d": 2}])
-@example([{"a": 10**40, "b": [5e-324, -1e300]}, {"a": -(10**40), "b": [-0.0, 0.1]}])
-@example([{"a": [1.5, -0.0]}, {"a": [0.0, 2.0]}])
-def test_same_shape_records_take_the_record_path(records):
-    assert _records(records, "\n  ") is not None
-    _same_text(records)
-    _same_text({"relations": records, "bound": 3})
+@given(relation_tables())
+@example(_table([[1, -2]], [[1]], [-0.0]))
+@example(_table([[1, -2], [0, 2]], [[1], [-1]], [-0.0, 0.0]))
+@example(_table([[1, 1], [2, 0], [0, 2]], [[-1, -1]] * 3, [0.0, -0.0, 0.0]))
+@example(_table([[1]] * 4, [[-1]] * 4, [5e-324, 1e300, 5e-324, -1e300]))
+def test_relation_tables_read_as_json_dumps_of_their_rows(table):
+    rows = _rows(table)
+    for doc, want in (
+        (table, rows),
+        ({"relations": table, "bound": table.bound}, {"relations": rows, "bound": table.bound}),
+        ([{"evidence": table}, table], [{"evidence": rows}, rows]),
+    ):
+        assert _dumps(doc) == json.dumps(want, indent=2, allow_nan=False)
+
+
+def test_a_table_without_rows_reads_as_an_empty_list():
+    assert _dumps({"relations": _table(np.zeros((0, 2)), np.zeros((0, 1)), [])}) == '{\n  "relations": []\n}'
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"relations": _table([[1, -2]], [[1]], [-0.0]), "x": float("nan")},
+        [float("inf"), _table([[1, -2]], [[1]], [0.0])],
+        {"relations": _table([[1, -2], [0, 2]], [[1], [-1]], [0.0, float("nan")])},
+    ],
+    ids=["nan after a table", "inf before a table", "nan in a table"],
+)
+def test_a_table_beside_a_non_finite_float_raises_value_error(doc):
+    # the fallback to json.dumps turns the table into its rows, so it fails
+    # on the float with ValueError, not on the table with TypeError
+    with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
+        _dumps(doc)
+
+
+def test_a_table_beside_another_type_raises_type_error():
+    with pytest.raises(TypeError, match="Object of type object is not JSON serializable"):
+        _dumps({"relations": _table([[1, -2]], [[1]], [0.0]), "x": object()})
 
 
 @PROFILE
@@ -330,8 +392,6 @@ def test_same_shape_records_take_the_record_path(records):
 @example(([{1: 1}, {1.0: 1}], "keys of another type"))
 def test_records_of_another_shape_are_written_item_by_item(case):
     records, _kind = case
-    if all(type(record) is dict for record in records):  # what _write hands to _records
-        assert _records(records, "\n  ") is None
     _same_text(records)
     _same_text({"relations": records})
 
