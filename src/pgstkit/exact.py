@@ -33,14 +33,17 @@ round-trips through ``SparsePoly.parse``.
 
 The linear algebra layer skips zero entries: a ``PolyMatrix``, from dense
 rows or mappings from column to entry, keeps only its nonzero entries.
-Relative minimal polynomials come from modular images of the Krylov run z,
-Mz, M^2 z, ..., interpolated, combined over primes below 2^61 and
-reconstructed, and proven by one exact check (see ``_min_poly``); at a
-pair the images run on M0, M with no diagonal entry at the pair, so a
-symbol found only there takes one grid point. Characteristic polynomials
-come from the same echelon loop with its chains restarted in the quotient,
-combined over primes past twice a coefficient bound, so they need no check
-(see ``_charpoly``). Determinants come from fraction-free Bareiss
+Relative minimal polynomials and characteristic polynomials come from one
+loop over primes (``_factors``). Each round makes, at each point of a grid,
+one echelon over F_p of Krylov chains z, Mz, M^2 z, ...: from each start
+vector in turn, each in the quotient by the chains before it, then from
+unit vectors while the characteristic polynomial is still needed. A start
+vector's relations are interpolated, combined over primes below 2^61,
+reconstructed and proven by one exact check; at a pair the images run on
+M0, M with no diagonal entry at the pair, so a symbol found only there
+takes one grid point. The relations of a point's chains multiply to its
+characteristic polynomial, combined over primes past twice a coefficient
+bound, so it needs no check. Determinants come from fraction-free Bareiss
 elimination (public and tested; no pipeline step calls it). A gcd comes
 the same way, from images by Euclid, and is proven by dividing both
 arguments exactly; an image of degree 0 proves coprimality at once. A
@@ -600,9 +603,8 @@ _PROBE_PRIME = 2**61 - 1
 
 def _probe_value(name: str) -> int:
     """The value a symbol takes at the first point of a modular kernel's
-    first round (the gcd's, the minimal polynomial's and ``_charpoly``'s):
-    fixed by its name alone, so that symbols are matched by name across
-    frames."""
+    first round (the gcd's and ``_factors``'): fixed by its name alone, so
+    that symbols are matched by name across frames."""
     return int.from_bytes(name.encode(), "big") * 0x9E3779B97F4A7C15 % _PROBE_PRIME
 
 
@@ -651,7 +653,7 @@ def poly_gcd_t(p: SparsePoly, q: SparsePoly) -> SparsePoly:
 
 def _gcd(a: SparsePoly, b: SparsePoly) -> SparsePoly:
     """The gcd h of ``poly_gcd_t`` (Brown, J. ACM 18, 1971) in rounds as in
-    ``_min_poly``, by Euclid over F_p at each point in turn. The argument f
+    ``_factors``, by Euclid over F_p at each point in turn. The argument f
     with a constant leading t-coefficient is scaled to make it 1, so h is
     monic in t with polynomial coefficients (Gauss's lemma), of degree in
     each symbol s at most B_s, the least deg_s of a nonzero argument. No
@@ -822,11 +824,12 @@ def _krylov(m: PolyMatrix, *vectors: Sequence, pair: tuple[int, int] | None = No
 
 
 class _KrylovMatrix:
-    """M's rows over a frame and what ``_min_poly`` and ``_charpoly`` derive
-    from M alone, once: M0's diagonal as (row, *symbol exponents) terms, the
-    bounds B_s, the off-diagonal entries, the first prime's ``at_prime``;
-    built on first use, L (the lcm of M's denominators), M' = L M for
-    ``_annihilates``, its row sums, r and the largest deg_s1 on M's diagonal.
+    """M's rows over a frame and what ``_factors`` derives from M alone,
+    once: M0's diagonal as (row, *symbol exponents) terms, the bounds B_s,
+    the off-diagonal entries, the first prime's ``at_prime``; built on first
+    use, L (the lcm of M's denominators), M' = L M for ``_annihilates``, its
+    row sums (for the check and det(tI - M0)'s bound), r and the largest
+    deg_s1 on M's diagonal.
 
     At a pair (u, v), g = M_uu, and M0 is M with no diagonal entry at u or
     v, so M = M0 + g (E_uu + E_vv); if M_uu != M_vv, walks of length 1 tell
@@ -890,46 +893,8 @@ def _coerce_entry(x) -> SparsePoly:
 
 
 def charpoly(m: PolyMatrix) -> SparsePoly:
-    """det(tI - M) (``_charpoly``); the empty matrix gives 1."""
-    return _charpoly(_KrylovMatrix(m._frame, m._rows, None))
-
-
-def _charpoly(
-    mat: _KrylovMatrix, divisor: SparsePoly = _ONE_POLY, first: tuple | None = None, z: list[int] | None = None
-) -> SparsePoly:
-    """det(tI - M0), M0 of ``mat``, divided exactly by ``divisor`` (else
-    ExactDivisionError), from ``_images``' restarted chains: no point or
-    prime is unlucky. In the round of ``first``, ``_min_poly``'s first
-    images and echelons, chains continue from those, from z, then from unit
-    vectors. B_s + 1 values of each symbol interpolate, as in ``_min_poly``,
-    and primes combine by Chinese remaindering for det(tI - L M0), whose t^k
-    coefficient is L^(n-k) times det(tI - M0)'s. By the expansion of the
-    determinant its coefficients are at most H = product over i of (1 + sum
-    of |coefficients| in row i of L M), so modulo more than 2H the symmetric
-    residues are the coefficients: no reconstruction, no check."""
-    n, bound, modulus, combined = len(mat.rows), 2 * prod(1 + x for x in mat.row_sums), 1, {}
-    for attempt, p in enumerate(_primes() if n else ()):
-        if (at_p := mat.at_prime(attempt, p) if attempt else mat.first) is None:
-            continue
-        axes, diags, edges = at_p
-        if first and first[0] == attempt:  # continue from the first images' echelons, then from z
-            starts, echelons, closed = [x % p for x in z], first[2], first[1]
-        else:
-            starts, echelons, closed = [1] + [0] * (n - 1), None, [[1]] * len(diags)
-        images, _ = _images(diags, [starts] * len(diags), edges, p, None, echelons, closed)
-        scales = [pow(mat.lcm, n - k, p) for k in range(n)]
-        grid = product(*(range(len(xs)) for xs in axes))
-        values = _interpolate_grid(dict(zip(grid, (image[:-1] for image in images))), axes, p)
-        values = {key: [y * c % p for y, c in zip(ys, scales)] for key, ys in values.items()}
-        combined, modulus = _combined(values, p, combined, modulus)
-        if modulus > bound:
-            break
-    half, terms = modulus // 2, {(n, *(0,) * len(mat.frame)): _ONE}
-    for key, column in combined.items():
-        lifted = (x - modulus if x > half else x for x in column)
-        terms.update(((k, *key), _div(x, mat.lcm ** (n - k))) for k, x in enumerate(lifted) if x)
-    phi = _raw(*_canonical(terms, mat.frame))
-    return phi if divisor.is_one() else phi.divexact(divisor)
+    """det(tI - M): ``_factors`` with no start vector; the empty matrix gives 1."""
+    return _factors(_KrylovMatrix(m._frame, m._rows, None), [], None, True)[1]
 
 
 def bareiss_det(rows: Sequence[Sequence[SparsePoly]]) -> SparsePoly:
@@ -957,33 +922,47 @@ def krylov_min_poly(m: PolyMatrix, z: Sequence) -> SparsePoly:
     """Minimal polynomial of M relative to z: the monic generator of the
     relation ideal of z, Mz, M^2 z, ...
 
-    ``_min_poly`` finds it from modular images and proves it exactly: see
-    there. The zero vector raises DomainError.
+    ``_factors`` finds it from modular images, with z its one start vector,
+    and proves it exactly: see there. The zero vector raises DomainError.
     """
-    return _min_poly(*_krylov(m, z))[0]
+    mat, w = _krylov(m, z)
+    return _factors(mat, [w], None, False)[0][0]
 
 
-def _min_poly(
-    mat: _KrylovMatrix, z: list[_Terms], pair: tuple[int, int] | None = None, kept: list | None = None
-) -> tuple[SparsePoly, SparsePoly]:
-    """The relative minimal polynomial P of M and z from ``_krylov``, and P|₀,
-    that of M0 (P itself when g = 0). Given ``pair`` = (u, v), it checks
-    that entries u and v of M^k z agree for k <= deg P, or NotCospectralError.
+def _factors(
+    mat: _KrylovMatrix, zs: list[list[_Terms]], pair: tuple[int, int] | None, cofactor: bool
+) -> tuple[list[SparsePoly], SparsePoly | None]:
+    """For each start vector z of ``zs``, from ``_krylov``, the relative
+    minimal polynomial P of M and z; and given ``cofactor``, det(tI - M0)
+    divided exactly by the product of the P|₀, those of M0 (P itself when
+    g = 0), else ExactDivisionError; None without ``cofactor``. Given
+    ``pair`` = (u, v), it checks that entries u and v of M^k z agree for the
+    first z and k <= deg P, or NotCospectralError.
 
     Each round takes the next prime p below 2^61 (skipping one that divides
-    a denominator of M or z) and a grid of points that changes from round
-    to round. At each point a, ``_images`` gives the minimal polynomial of
-    M0(a) relative to z(a) over F_p. Specialization cannot raise a Krylov
-    rank, so no image has a degree above deg P|₀, and one of that degree is
-    P|₀(a) mod p (the denominators of P|₀ divide powers of M's). D is the
-    largest degree seen; images of lower degree are dropped with their
-    round. P|₀ divides det(tI - M0), which is monic, so by Gauss's lemma
-    P|₀ has polynomial coefficients of degree at most B_s = sum of deg_s
-    M0_ii in each symbol s (off-diagonal entries are constant): B_s + 1
-    values of s interpolate them over F_p, and a symbol M0 lacks (one only
-    at the pair, or one only z carries) takes one value. Rounds combine by
-    the Chinese remainder theorem, and maximal-quotient rational
-    reconstruction (Monagan, ISSAC 2004) lifts the coefficients to Q.
+    a denominator of M or of a z) and a grid of points that changes from
+    round to round, and makes one ``_images`` call: at each point a, one
+    echelon over F_p, of chains from each z(a) in turn, each in the quotient
+    by the chains before it, then, while det(tI - M0) is still needed, from
+    unit vectors to rank n. Each z keeps its own degree, modulus and
+    residues until it is proven; after that only its chain runs.
+
+    The first chain's relation is the minimal polynomial of M0(a) relative
+    to z(a). Specialization cannot raise a Krylov rank, so no image has a
+    degree above deg P|₀, and one of that degree is P|₀(a) mod p (the
+    denominators of P|₀ divide powers of M's). A later chain's relation
+    divides its z(a)'s minimal polynomial, so the same holds for it; it has
+    a lower degree where its walk module meets the earlier ones, which over
+    Q they must not do (at a cospectral pair W+ and W- are orthogonal, and
+    the standard form is anisotropic over Q). D is the largest degree seen;
+    images of lower degree are dropped with their round. P|₀ divides
+    det(tI - M0), which is monic, so by Gauss's lemma P|₀ has polynomial
+    coefficients of degree at most B_s = sum of deg_s M0_ii in each symbol s
+    (off-diagonal entries are constant): B_s + 1 values of s interpolate
+    them over F_p, and a symbol M0 lacks (one only at the pair, or one only
+    z carries) takes one value. Rounds combine by the Chinese remainder
+    theorem, and maximal-quotient rational reconstruction (Monagan, ISSAC
+    2004) lifts the coefficients to Q.
 
     With g = 0, M0 = M and the candidate t^D + c_(D-1) t^(D-1) + ... + c_0
     is P|₀ = P. At a pair, with z = e_u + e_v or e_u - e_v, M = M0 +
@@ -993,31 +972,31 @@ def _min_poly(
     for M0, and by the matrix determinant lemma P = P|₀ - (g/2) Q, with Q
     the polynomial part of P|₀(t) z^T (tI - M0)^-1 z: the coefficient of
     t^j is the sum over k of b_(j+k+1) a_k, where b_i is P|₀'s coefficient
-    of t^i and a_k = z^T M0^k z. Each image records a_k = z(a) . M0(a)^k
+    of t^i and a_k = z^T M0^k z. Each chain records a_k = z(a) . M0(a)^k
     z(a) mod p as it runs, so it yields Q at a too, and P|₀ and Q are
     interpolated and reconstructed together. Q is -2 times the coefficient
     of h in the P of M0 + h (E_uu + E_vv) for a new symbol h, so its
     coefficients have P|₀'s degree bounds. The candidate P|₀ - (g/2) Q is
-    formed over the full frame. ``krylov_min_poly`` names no pair, so there
-    every symbol keeps its B_s + 1 values.
+    formed over the full frame.
 
     The candidate is then checked exactly with M itself: sum of c_k M^k z =
-    0, and given ``pair``, entries u and v of M^k z agree for k <= D. A
-    monic annihilator of degree D is a multiple of P; if D <= deg P, it is
-    P itself, so the P returned is proven; a failed reconstruction or check
-    only costs another round. With g = 0, D <= deg P|₀ = deg P. At a pair
-    the sequence (M^k z)_u - (M^k z)_v obeys the recurrence of any
-    annihilator of degree D, so a passing check for e_u + e_v proves the
-    pair cospectral, and then W is the same for M0 and M: deg P|₀ = deg P.
-    The run for e_u - e_v, on the same ``mat``, takes no ``pair``: it must
-    come after that proof. If the pair is not cospectral, g is still the
-    same at u and v (``_KrylovMatrix`` refuses M_uu != M_vv), so M0's pair
-    is not cospectral either (if it were, W would be the same for M), and
-    at the first k where the entries of M0^k z differ, k < deg P|₀, M^k z is
-    M0^k z plus earlier M0^i z, whose entries agree. So the check raises at
-    some k <= deg P|₀, at the latest in the first round whose images reach
-    that degree: the run cannot loop. P|₀ comes from the residues that give
-    the proven P and has no check of its own; ``decompose`` divides by it.
+    0, and for the first z given ``pair``, entries u and v of M^k z agree
+    for k <= D. A monic annihilator of degree D is a multiple of P; if
+    D <= deg P, it is P itself, so the P returned is proven; a failed
+    reconstruction or check only costs another round. With g = 0, D <=
+    deg P|₀ = deg P. At a pair the sequence (M^k z)_u - (M^k z)_v obeys the
+    recurrence of any annihilator of degree D, so a passing check for
+    e_u + e_v proves the pair cospectral, and then W is the same for M0 and
+    M: deg P|₀ = deg P. A later z is checked only once every earlier one is
+    proven, so e_u - e_v's candidate relies on that proof. If the pair is
+    not cospectral, g is still the same at u and v (``_KrylovMatrix``
+    refuses M_uu != M_vv), so M0's pair is not cospectral either (if it
+    were, W would be the same for M), and at the first k where the entries
+    of M0^k z differ, k < deg P|₀, M^k z is M0^k z plus earlier M0^i z,
+    whose entries agree. So the check raises at some k <= deg P|₀, at the
+    latest in the first round whose images reach that degree: the run
+    cannot loop. P|₀ comes from the residues that give the proven P and has
+    no check of its own; the cofactor divides by it.
 
     The check (``_annihilates``) runs at one integer point, by Kronecker
     substitution. L, L_z and L_c are the lcms of the denominators of M, z
@@ -1036,38 +1015,73 @@ def _min_poly(
     > 0. So with N the least power of two >= H + 2, D sparse integer
     products v_(k+1) = M'(N) v_k from v_0 = z'(N) decide the identity over
     Q[s1, s2] (sum of c'_k(N) v_k = 0) and the agreement of entries u and v.
+
+    The relations of a point's chains multiply to det(tI - M0(a)) mod p
+    once they reach rank n, at every point and prime: none is unlucky. B_s
+    + 1 values of each symbol interpolate the product, and primes combine by
+    Chinese remaindering for det(tI - L M0), whose t^k coefficient is
+    L^(n-k) times det(tI - M0)'s. By the expansion of the determinant its
+    coefficients are at most H = product over i of (1 + sum of |coefficients|
+    in row i of L M), so modulo more than 2H the symmetric residues are the
+    coefficients: no reconstruction, no check. Once every z is proven, the
+    cofactor is 1 if their degrees sum to n, and the rounds end; otherwise
+    they go on until the modulus exceeds 2H.
     """
-    if not any(z):
+    if not all(map(any, zs)):
         raise DomainError("relative minimal polynomial of the zero vector")
-    indexed = [((i, *e[1:]), c) for i, x in enumerate(z) for e, c in x.items()]
-    degree, modulus, combined = 0, 1, {}
-    for attempt, p in enumerate(_primes()):
+    n, indexed = len(mat.rows), [[((i, *e[1:]), c) for i, x in enumerate(z) for e, c in x.items()] for z in zs]
+    runs = [(0, 1, {}) for _ in zs]  # each z's degree, modulus and residues until it is proven
+    proven: list[tuple[SparsePoly, SparsePoly]] = []  # each z's P and P|₀, in order
+    modulus, combined, rank, lifting = 1, {}, 0, cofactor and n > 0  # lifting: det(tI - M0) still needs primes
+    primes = enumerate(_primes())
+    while len(proven) < len(zs) or lifting:
+        attempt, p = next(primes)
         at_p = mat.at_prime(attempt, p) if attempt else mat.first
-        zres = _residues(indexed, p)
-        if at_p is None or zres is None:
+        zres = [_residues(x, p) for x in indexed]
+        if at_p is None or None in zres:
             continue
         axes, diags, edges = at_p
-        zs = [_at(zres, len(z), a, p) for a in product(*axes)]
-        echelons = [[] for _ in zs] if kept == [] else None
-        relations, moments = _images(diags, zs, edges, p, pair, echelons)
-        if kept == []:  # for decompose's P_zero: the first round's images and echelons
-            kept[:] = attempt, relations, echelons
-        if mat.g:  # each image as Q's coefficients, then P|₀'s: one vector of length 2 D + 1
-            relations = [
-                [sum(map(mul, c[j + 1 :], a)) % p for j in range(len(c) - 1)] + c
-                for c, a in zip(relations, moments)
-            ]
-        if (top := max(map(len, relations)) - 1) > degree:
-            degree, modulus, combined = top, 1, {}
-        combined, modulus, coeffs = _lifted(relations, degree, axes, p, combined, modulus)
-        at_m0 = coeffs
-        if coeffs and mat.g:  # P|₀ - (g/2) Q
-            one, half = {(0,) * (1 + len(mat.frame)): _ONE}, {e: _div(-c, 2) for e, c in mat.g.items()}
-            at_m0, q = coeffs[degree // 2 :], coeffs[: degree // 2]
-            coeffs = [_accumulate(((c, one), (x, half))) for c, x in zip(at_m0, q)] + at_m0[-1:]
-        if coeffs and _annihilates(mat, z, coeffs, pair):
-            poly = _from_t_coeffs(coeffs, mat.frame)
-            return poly, poly if at_m0 is coeffs else _from_t_coeffs(at_m0, mat.frame)
+        zas = [[_at(x, n, a, p) for x in zres] for a in product(*axes)]
+        images = _images(diags, zas, edges, p, pair, lifting)
+        for s in range(len(proven), len(zs)):
+            chains = [image[s] for image, _ in images]  # z's relation and moments at each point
+            relations = [c for c, _ in chains]
+            if mat.g:  # each image as Q's coefficients, then P|₀'s: one vector of length 2 D + 1
+                relations = [[sum(map(mul, c[j + 1 :], a)) % p for j in range(len(c) - 1)] + c for c, a in chains]
+            degree, modulus_s, combined_s = runs[s]
+            if (top := max(map(len, relations)) - 1) > degree:
+                degree, modulus_s, combined_s = top, 1, {}
+            combined_s, modulus_s, coeffs = _lifted(relations, degree, axes, p, combined_s, modulus_s)
+            runs[s] = degree, modulus_s, combined_s
+            at_m0 = coeffs
+            if coeffs and mat.g:  # P|₀ - (g/2) Q
+                one, half = {(0,) * (1 + len(mat.frame)): _ONE}, {e: _div(-c, 2) for e, c in mat.g.items()}
+                at_m0, q = coeffs[degree // 2 :], coeffs[: degree // 2]
+                coeffs = [_accumulate(((c, one), (x, half))) for c, x in zip(at_m0, q)] + at_m0[-1:]
+            if s == len(proven) and coeffs and _annihilates(mat, zs[s], coeffs, None if s else pair):
+                poly = _from_t_coeffs(coeffs, mat.frame)
+                proven.append((poly, poly if at_m0 is coeffs else _from_t_coeffs(at_m0, mat.frame)))
+                rank += poly.deg_t()
+        lifting = lifting and (len(proven) < len(zs) or rank < n)
+        if lifting:  # det(tI - L M0) modulo p
+            dets = (det[:-1] for _, det in images)
+            scales = [pow(mat.lcm, n - k, p) for k in range(n)]
+            grid = product(*(range(len(xs)) for xs in axes))
+            values = _interpolate_grid(dict(zip(grid, dets)), axes, p)
+            values = {key: [y * c % p for y, c in zip(ys, scales)] for key, ys in values.items()}
+            combined, modulus = _combined(values, p, combined, modulus)
+            lifting = modulus <= 2 * prod(1 + x for x in mat.row_sums)
+    factors = [x for x, _ in proven]
+    if not cofactor:
+        return factors, None
+    if rank == n:
+        return factors, _ONE_POLY
+    half, terms = modulus // 2, {(n, *(0,) * len(mat.frame)): _ONE}
+    for key, column in combined.items():
+        lifted = (x - modulus if x > half else x for x in column)
+        terms.update(((k, *key), _div(x, mat.lcm ** (n - k))) for k, x in enumerate(lifted) if x)
+    det = _raw(*_canonical(terms, mat.frame))
+    return factors, det.divexact(prod(x for _, x in proven)) if proven else det
 
 
 def _from_t_coeffs(coeffs: list[_Terms], frame: tuple[str, ...]) -> SparsePoly:
@@ -1079,7 +1093,7 @@ def _annihilates(
     mat: _KrylovMatrix, z: list[_Terms], coeffs: list[_Terms], pair: tuple[int, int] | None
 ) -> bool:
     """Whether sum of c_k M^k z = 0 for the candidate's coefficients
-    c_0, ..., c_D, decided at N by the lemma in ``_min_poly``; given
+    c_0, ..., c_D, decided at N by the lemma in ``_factors``; given
     ``pair`` = (u, v), entries u and v of M^k z must also agree for k <= D,
     or NotCospectralError."""
     top = len(coeffs) - 1
@@ -1202,55 +1216,58 @@ def _at(residues: _Residues, size: int, point: tuple[int, ...], p: int) -> list[
 
 def _images(
     diags: list[list[int]],
-    zs: list[list[int]],
+    zs: list[list[list[int]]],
     edges: list[tuple[int, int, int]],
     p: int,
     pair: tuple[int, int] | None,
-    echelons: list[list[tuple[int, int, list[int]]]] | None = None,
-    closed: list[list[int]] | None = None,
-) -> tuple[list[list[int]], list[list[int]]]:
-    """The minimal polynomial over F_p of M(a) relative to z(a) at each point
-    a, from M(a)'s diagonal ``diags[g]``, its constant off-diagonal entries
-    ``edges`` (row, column, residue) and ``zs[g]``, as coefficient lists by
-    ascending power of t (monic); and for each, the moments z(a) . M(a)^k
-    z(a), k = 0, ..., its degree, read off the same vectors. Without
-    ``closed``, ``echelons`` receives each point's echelon rows.
+    restart: bool,
+) -> list[tuple[list[tuple[list[int], list[int]]], list[int]]]:
+    """One echelon over F_p at each point a, from M(a)'s diagonal
+    ``diags[g]``, its constant off-diagonal entries ``edges`` (row, column,
+    residue) and the start vectors ``zs[g]``: its chains, one from each
+    z(a) and then, given ``restart``, more from unit vectors, each as its
+    relation, a coefficient list by ascending power of t (monic), and its
+    moments v . M(a)^k v, k = 0, ..., its degree, for its start v, read off
+    the same vectors; and the product of the relations, det(tI - M(a))
+    given ``restart``.
 
-    Each point runs to its end before the next begins. Its step k takes
-    one product and reduces [M(a)^k z(a) | t^k] against the point's echelon
-    rows. Given ``pair`` = (u, v), entries u and v of each M(a)^k z(a) are
-    compared first: residues that differ prove the exact entries of M^k z
-    differ, NotCospectralError.
-
-    Given ``closed``, the images are det(tI - M(a)) mod p: ``echelons[g]``
-    spans an M(a)-invariant subspace of characteristic polynomial
-    ``closed[g]``, and chains from z(a), then from e_j for the first j that
-    is no pivot (a combination of rows is nonzero at its first pivot), run
-    to rank n, the rows before each chain cut to their vector part: each
-    relation is in the quotient by the span before it, and they multiply to
-    det(tI - M(a)) (Keller-Gehrig, Theoret. Comput. Sci. 36, 1985).
+    Each point runs to its end before the next begins. A chain's step k
+    takes one product and reduces [M(a)^k v | t^k] against the point's
+    echelon rows; the chain closes at the first step whose row reduces to
+    0. Chains run from each z(a) in turn, then, given ``restart``, from e_j
+    for the first j that is no pivot (a combination of rows is nonzero at
+    its first pivot) until rank n, the rows before each chain cut to their
+    vector part: each relation is in the quotient by the span of the chains
+    before it, so the first is z(a)'s minimal polynomial, a later one
+    divides its own, and to rank n they multiply to det(tI - M(a))
+    (Keller-Gehrig, Theoret. Comput. Sci. 36, 1985). Given ``pair`` = (u,
+    v), entries u and v of each vector of the first chain are compared
+    first: residues that differ prove the exact entries of M^k z differ,
+    NotCospectralError.
     """
     n = len(diags[0])
-    relations: list[list[int]] = []
-    moments: list[list[int]] = []
-    for g, (d, v) in enumerate(zip(diags, zs)):
-        rows = echelons[g] if echelons else []  # (pivot, its inverse, row)
-        support = [(i, x) for i, x in enumerate(v) if x]
-        relation = [1] if closed is None else closed[g]
-        moments.append(moment := [])
-        while True:  # a chain from v
-            if closed is not None:
-                rows = [(piv, inv, row[:n]) for piv, inv, row in rows]
+    images = []
+    for d, starts in zip(diags, zs):
+        rows: list[tuple[int, int, list[int]]] = []  # (pivot, its inverse, row)
+        chains: list[tuple[list[int], list[int]]] = []
+        det = [1]
+        while len(chains) < len(starts) or restart and len(rows) < n:
+            if len(chains) < len(starts):
+                v = starts[len(chains)]
+            else:  # restart from e_j
+                j = min(set(range(n)).difference(piv for piv, _, _ in rows))
+                v = [int(i == j) for i in range(n)]
+            rows = [(piv, inv, row[:n]) for piv, inv, row in rows]
+            support, moment = [(i, x) for i, x in enumerate(v) if x], []
             for k in range(n + 1):  # it closes within n + 1 steps
                 if k:
                     u = [x * y for x, y in zip(d, v)]
                     for i, j, c in edges:
                         u[i] += c * v[j]
                     v = [x % p for x in u]
-                if pair and v[pair[0]] != v[pair[1]]:
+                if pair and not chains and v[pair[0]] != v[pair[1]]:
                     raise _not_cospectral(pair)
-                if closed is None:
-                    moment.append(sum(x * v[i] for i, x in support) % p)
+                moment.append(sum(x * v[i] for i, x in support) % p)
                 w = v + [0] * k + [1]
                 for piv, inv, row in rows:  # entries are reduced once, after the last row
                     if c := w[piv] * inv % p:
@@ -1259,13 +1276,10 @@ def _images(
                 if (piv := next(filter(w.__getitem__, range(n)), None)) is None:
                     break
                 rows.append((piv, pow(w[piv], -1, p), w))
-            relation = _mul_mod(relation, w[n:], p)
-            if closed is None or len(rows) == n:
-                break
-            j = min(set(range(n)).difference(piv for piv, _, _ in rows))  # restart from e_j
-            v = [int(i == j) for i in range(n)]
-        relations.append(relation)
-    return relations, moments
+            chains.append((w[n:], moment))
+            det = _mul_mod(det, w[n:], p)
+        images.append((chains, det))
+    return images
 
 
 def _mul_mod(a: list[int], b: list[int], p: int) -> list[int]:
@@ -1278,7 +1292,7 @@ def _mul_mod(a: list[int], b: list[int], p: int) -> list[int]:
 
 
 def _interpolate_grid(
-    values: dict[tuple[int, ...], list[int]], axes: list[list[int]], p: int
+    values: dict[tuple[int, ...], list[int]], axes: list[range], p: int
 ) -> dict[tuple[int, ...], list[int]]:
     """From vectors at the points of a grid, keyed by the index of each
     coordinate on its axis, to coefficient vectors keyed by exponent: one
@@ -1296,14 +1310,16 @@ def _interpolate_grid(
     return values
 
 
-def _interpolate(xs: list[int], ys: list[list[int]], p: int) -> list[list[int]]:
+def _interpolate(xs: range, ys: list[list[int]], p: int) -> list[list[int]]:
     """Coefficient vectors, by ascending power, of the polynomial over F_p of
     degree < len(xs) through (xs[i], ys[i]), entrywise: Newton's divided
-    differences, then Horner's rule in the factors x - xs[i]."""
+    differences, then Horner's rule in the factors x - xs[i]. The nodes are
+    consecutive integers, as ``_axes`` makes them, so xs[i] - xs[i - j] = j
+    and each order j of differences takes one inverse."""
     c = [list(y) for y in ys]
     for j in range(1, len(xs)):
+        inv = pow(j, -1, p)
         for i in range(len(xs) - 1, j - 1, -1):
-            inv = pow(xs[i] - xs[i - j], -1, p)
             c[i] = [(a - b) * inv % p for a, b in zip(c[i], c[i - 1])]
     out = [c[-1]]
     for i in range(len(xs) - 2, -1, -1):

@@ -10,7 +10,8 @@ product of P_plus and P_minus, the minimal polynomials of M relative to
 those two vectors, and a cofactor P_zero of degree n - deg P_plus - deg
 P_minus. The triple (P_plus, P_minus, P_zero) with degrees and relative
 traces is the decomposition everything downstream certifies against.
-Cospectrality has one route, P_plus's Krylov run: see ``is_cospectral``.
+Cospectrality has one route, P_plus's Krylov run, the first chain of the
+decomposition's: see ``is_cospectral``.
 """
 
 from __future__ import annotations
@@ -28,11 +29,10 @@ from .errors import (
 from .exact import (
     PolyMatrix,
     SparsePoly,
-    _charpoly,
+    _factors,
     _krylov,
     _PROBE_PRIME,
     _images,
-    _min_poly,
     poly_gcd_t,
     poly_trace,
 )
@@ -90,11 +90,13 @@ def is_cospectral(m: PolyMatrix, u: int, v: int) -> bool:
     For symmetric M, (M^k)_uu - (M^k)_vv is the u entry minus the v entry
     of M^k (e_u + e_v). That sequence obeys the recurrence of P_plus, so it
     vanishes for all k once it vanishes for k <= deg P_plus, which the exact
-    check of P_plus's run (``exact._min_poly``, as in ``decompose``) proves.
+    check of P_plus's run proves: ``exact._factors`` with e_u + e_v its one
+    start vector, the first of ``decompose``'s two.
     """
     _check_pair(m, u, v)
     with suppress(NotCospectralError):
-        _min_poly(*_krylov(m, [int(k in (u, v)) for k in range(m.dimension)], pair=(u, v)), (u, v))
+        mat, z = _krylov(m, [int(k in (u, v)) for k in range(m.dimension)], pair=(u, v))
+        _factors(mat, [z], (u, v), False)
         return True
     return False
 
@@ -110,7 +112,7 @@ def is_refuted(m: PolyMatrix, u: int, v: int) -> bool:
         if mat.first is None:  # the first prime divides a denominator of M
             return False
         _, diags, edges = mat.first
-        _images(diags, [z] * len(diags), edges, _PROBE_PRIME, (u, v))
+        _images(diags, [[z]] * len(diags), edges, _PROBE_PRIME, (u, v), False)
         return False
     return True
 
@@ -118,42 +120,40 @@ def is_refuted(m: PolyMatrix, u: int, v: int) -> bool:
 def decompose(m: PolyMatrix, u: int, v: int) -> CospectralDecomposition:
     """Relative decomposition at a cospectral pair.
 
-    P_plus and P_minus come from one Krylov run each, on one preparation of
-    M for the pair: modular images give a candidate, proven by one exact
-    check at a single integer point (``exact._min_poly``). The preparation
-    splits M as M0 + g (E_uu + E_vv), g = M_uu, M0 free of diagonal entries
-    at u and v, or raises NotCospectralError if M_uu != M_vv. The images run
-    on M0, so a symbol found only at the pair takes one grid point, and at a
-    cospectral pair each candidate is rebuilt from its run's moments as
-    P|₀ - (g/2) Q, with P|₀ M0's relative minimal polynomial. P_plus's run
-    also decides the pair, as ``is_cospectral`` does: its images compare
-    entries u and v of each M0(a)^k (e_u + e_v) over F_p, where residues
-    that differ prove a mismatch, and its exact check compares the exact
-    entries of M^k (e_u + e_v) for k <= deg P_plus; a mismatch raises
-    NotCospectralError. P_minus's run compares nothing: its candidate
-    relies on that proof, so it comes second. P_zero is 1 when deg P_plus +
-    deg P_minus = n. Otherwise, as the walk modules of e_u +- e_v contain
-    e_u and e_v, M0 and M agree on their orthogonal complement, so P_zero
-    is det(tI - M0) / (P_plus|₀ P_minus|₀): ``exact._charpoly`` on the same
-    M0, its chains continued from the echelon of P_plus's first images,
-    then from e_u - e_v. A remainder there is an engine bug:
-    InternalConsistencyError.
+    P_plus, P_minus and P_zero come from one loop over primes on one
+    preparation of M for the pair (``exact._factors``): each round, at each
+    point of a grid, one echelon over F_p of chains from e_u + e_v, from
+    e_u - e_v in the quotient by the first chain, then, while P_zero still
+    needs primes, from unit vectors. The preparation splits M as M0 +
+    g (E_uu + E_vv), g = M_uu, M0 free of diagonal entries at u and v, or
+    raises NotCospectralError if M_uu != M_vv. The images run on M0, so a
+    symbol found only at the pair takes one grid point, and at a cospectral
+    pair each side's candidate is rebuilt from its chain's moments as
+    P|₀ - (g/2) Q, with P|₀ M0's relative minimal polynomial, and proven by
+    one exact check at a single integer point. The first chain also decides
+    the pair, as ``is_cospectral`` does: its images compare entries u and v
+    of each M0(a)^k (e_u + e_v) over F_p, where residues that differ prove a
+    mismatch, and P_plus's exact check compares the exact entries of
+    M^k (e_u + e_v) for k <= deg P_plus; a mismatch raises
+    NotCospectralError. P_minus's check compares nothing: its candidate
+    relies on that proof, so it is checked only once P_plus is proven. Then
+    the walk modules of e_u +- e_v are orthogonal, so they meet only in 0,
+    and the second chain, in the quotient by the first, closes at P_minus|₀.
+    P_zero is 1 when deg P_plus + deg P_minus = n. Otherwise, as the walk
+    modules contain e_u and e_v, M0 and M agree on their orthogonal
+    complement, so P_zero is det(tI - M0) / (P_plus|₀ P_minus|₀), with
+    det(tI - M0) the product of each point's chain relations. A remainder
+    there is an engine bug: InternalConsistencyError.
     """
     _check_pair(m, u, v)
     n = m.dimension
-    sides = [[(k == u) + s * (k == v) for k in range(n)] for s in (1, -1)]
-    mat, plus, minus = _krylov(m, *sides, pair=(u, v))
-    kept: list = []
-    p_plus, plus_m0 = _min_poly(mat, plus, (u, v), kept)
-    p_minus, minus_m0 = _min_poly(mat, minus)
-    p_zero = SparsePoly.one()
-    if p_plus.deg_t() + p_minus.deg_t() != n:
-        try:
-            p_zero = _charpoly(mat, plus_m0 * minus_m0, kept, sides[1])
-        except ExactDivisionError as exc:
-            raise InternalConsistencyError(
-                "charpoly is not divisible by P_plus * P_minus at a cospectral pair"
-            ) from exc
+    mat, *sides = _krylov(m, *([(k == u) + s * (k == v) for k in range(n)] for s in (1, -1)), pair=(u, v))
+    try:
+        (p_plus, p_minus), p_zero = _factors(mat, sides, (u, v), True)
+    except ExactDivisionError as exc:
+        raise InternalConsistencyError(
+            "charpoly is not divisible by P_plus * P_minus at a cospectral pair"
+        ) from exc
     return CospectralDecomposition(
         p_plus=p_plus,
         p_minus=p_minus,

@@ -566,11 +566,21 @@ def test_unequal_diagonal_entries_at_the_pair_are_refused(capsys, tmp_path, argv
         assert json.loads(out)["exact"] == {"cospectral": False, "strongly_cospectral": False, "decomposition": None}
 
 
-def test_a_weight_of_10_to_400_is_exact(capsys, tmp_path):
+def test_a_weight_of_10_to_400_is_exact(monkeypatch, capsys, tmp_path):
     # P_plus and P_minus are t - Q -+ 10^400: their constant coefficients
-    # take some two dozen 61-bit primes to reconstruct.
+    # take some two dozen 61-bit primes to reconstruct, and P_zero's
+    # det(tI - M0) takes 44, to pass twice its coefficient bound. One prime
+    # loop serves all three, so the images run once per round: 44 times.
+    images, rounds = exact._images, []
+
+    def spy(*args):
+        rounds.append(args[3])
+        return images(*args)
+
+    monkeypatch.setattr(exact, "_images", spy)
     (tmp_path / "big-weight.txt").write_text("n 9\ne 1 8 1e400\n")
     report = run_json(capsys, "analyze", str(tmp_path / "big-weight.txt"), "--u", "1", "--v", "8", "--potential", "Q")
+    assert len(rounds) == 44
     dec = report["exact"]["decomposition"]
     assert (dec["p_plus"], dec["p_minus"], dec["p_zero"]) == (f"t - Q - {HUGE}", f"t - Q + {HUGE}", "t^7")
     assert (dec["trace_plus"], dec["trace_minus"]) == (f"Q + {HUGE}", f"Q - {HUGE}")
@@ -644,7 +654,7 @@ def test_analyze_runs_each_exact_kernel_once_per_question(monkeypatch, capsys):
         "is_cospectral": spectral.is_cospectral,
         "charpoly": exact.charpoly,
         "krylov_min_poly": exact.krylov_min_poly,
-        "_min_poly": exact._min_poly,  # images and the exact check, once per side
+        "_factors": exact._factors,  # one prime loop for P_plus, P_minus and P_zero
         "bareiss_det": exact.bareiss_det,
         "poly_gcd_t": exact.poly_gcd_t,
     }
@@ -653,9 +663,9 @@ def test_analyze_runs_each_exact_kernel_once_per_question(monkeypatch, capsys):
     assert {name: calls[name] for name in kernels} == {
         "decompose": 1,
         "is_cospectral": 0,
-        "charpoly": 0,  # d0 = 0, so P_zero is 1; decompose's P_zero comes from exact._charpoly when d0 > 0
-        "krylov_min_poly": 0,  # decompose runs _min_poly for both sides on one prepared matrix
-        "_min_poly": 2,
+        "charpoly": 0,  # decompose's P_zero comes from its own exact._factors call
+        "krylov_min_poly": 0,  # decompose runs both sides in one exact._factors call
+        "_factors": 1,
         "bareiss_det": 0,
         "poly_gcd_t": 1,
     }
@@ -665,7 +675,7 @@ def test_analyze_runs_each_exact_kernel_once_per_question(monkeypatch, capsys):
     "argv, expected",
     [
         # charpoly counts the deleted base matrices' characteristic
-        # polynomials; a decomposition takes its P_zero from exact._charpoly.
+        # polynomials; a decomposition takes its P_zero from exact._factors.
         # glue-path: with --q auto, the base check and charpoly of the deleted
         # base matrix (reusing the base check's matrix); then, for either
         # --q, one decomposition of the built graph and nothing else

@@ -37,7 +37,6 @@ from pgstkit import (
     krylov_min_poly,
     path_graph,
     poly_gcd_t,
-    spectral,
     split_linear_param,
     to_matrix,
 )
@@ -234,12 +233,19 @@ def _assert_sides(m: PolyMatrix, u: int, v: int, dec) -> None:
 def test_decompose_proves_its_first_round(monkeypatch, symbols):
     # Q, only at the pair, takes one point: P = P|₀ - (g/2) Q(t), with
     # g = Q here, comes from the images of M0, which lacks Q, and their
-    # moments (see exact._min_poly). A wrong correction (its factor, sign
+    # moments (see exact._factors). A wrong correction (its factor, sign
     # or moment index) gives a candidate the exact check refuses, which
     # would cost a second prime.
     _one_prime(monkeypatch)
     for m, u, v in _pair_round_cases(symbols):
         _assert_sides(m, u, v, decompose(m, u, v))
+
+
+def _short_by_one(images):
+    """``exact._images``' result with every start vector's relation less its
+    constant term, divided by t, as at points where the Krylov rank drops;
+    the moments and the product of all relations are kept."""
+    return [([(rel[1:], moments) for rel, moments in chains], det) for chains, det in images]
 
 
 def _first_round_refuted(monkeypatch, how: str) -> list[int]:
@@ -264,10 +270,9 @@ def _first_round_refuted(monkeypatch, how: str) -> list[int]:
     else:
         images = exact._images
 
-        def planted(diags, zs, edges, p, pair, *rest):
-            relations, moments = images(diags, zs, edges, p, pair, *rest)
-            primes.append(p)
-            return [rel[1:] for rel in relations] if len(primes) == 1 else relations, moments
+        def planted(*args):
+            primes.append(args[3])
+            return _short_by_one(images(*args)) if len(primes) == 1 else images(*args)
 
         monkeypatch.setattr(exact, "_images", planted)
     return primes
@@ -342,10 +347,10 @@ def test_grid_points_of_one_round_may_finish_at_different_steps(monkeypatch):
     images = exact._images
     degrees = []
 
-    def spy(diags, zs, edges, p, pair, *rest):
-        relations, moments = images(diags, zs, edges, p, pair, *rest)
-        degrees.append([len(rel) - 1 for rel in relations])
-        return relations, moments
+    def spy(*args):
+        out = images(*args)
+        degrees.append([len(chains[0][0]) - 1 for chains, _ in out])
+        return out
 
     monkeypatch.setattr(exact, "_images", spy)
     c = exact._probe_value("Q")
@@ -696,12 +701,90 @@ def test_cofactor_guard_refuses_a_wrong_factor(monkeypatch, name):
         (dec.p_plus + SparsePoly.sym("Z"), dec.p_minus),  # a symbol M lacks
     ]:
         with pytest.raises(ExactDivisionError):
-            exact._charpoly(exact._KrylovMatrix(m._frame, m._rows, None), prod(factors))
-    # decompose reports a failed guard as an engine bug
-    monkeypatch.setattr(spectral, "_min_poly", lambda *args: (wrong, wrong))
+            charpoly(m).divexact(prod(factors))
+    # decompose reports a failed guard as an engine bug: an exact check that
+    # accepts any candidate lets P_plus and P_minus stand one degree short,
+    # from a first round whose relations all lose their constant term, while
+    # the product of a point's relations stays det(tI - M0)
+    images = exact._images
+    monkeypatch.setattr(exact, "_images", lambda *args: _short_by_one(images(*args)))
+    monkeypatch.setattr(exact, "_annihilates", lambda *args: True)
     with pytest.raises(InternalConsistencyError) as err:
         decompose(m, f.u, f.v)
     assert str(err.value) == "charpoly is not divisible by P_plus * P_minus at a cospectral pair"
+
+
+def test_a_second_chain_inside_the_first_walk_module_drops_its_round(monkeypatch):
+    # decompose's z- chain runs in the quotient by z+'s echelon. Started
+    # from z+ itself at the first point of round 0, it closes at degree 0
+    # there, below the other point's: P_minus drops that round and is proven
+    # in round 1, while the unit chains still fill the echelon to rank n, so
+    # that point's relations still multiply to det(tI - M0).
+    m, u, v, _ = _cofactor_case("equitable", 0, 2)  # R at the apex: two points per round
+    expected = decompose(m, u, v)
+    images, annihilates, degrees, proven = exact._images, exact._annihilates, [], []
+
+    def planted(diags, zs, edges, p, pair, restart):
+        if not degrees:
+            zs = [[zs[0][0], zs[0][0]], *zs[1:]]
+        out = images(diags, zs, edges, p, pair, restart)
+        degrees.append([[len(rel) - 1 for rel, _ in chains[:2]] for chains, _ in out])
+        return out
+
+    def check(*args):
+        if passed := annihilates(*args):
+            proven.append(len(degrees) - 1)
+        return passed
+
+    monkeypatch.setattr(exact, "_images", planted)
+    monkeypatch.setattr(exact, "_annihilates", check)
+    dec = decompose(m, u, v)
+    assert dec == expected
+    assert degrees == [[[3, 0], [3, 4]], [[3, 4], [3, 4]]]
+    assert proven == [0, 1]
+    _assert_same(dec.p_plus * dec.p_minus * dec.p_zero, _sympy_matrix(m).charpoly(T).as_expr())
+
+
+def _mirrored_path(seed: int) -> PolyMatrix:
+    """A palindromic path 0..8 with three-digit rational weights, a pendant
+    at its centre 4 and one each at the mirrored 2 and 6, and Q at the pair
+    (1, 7), which the mirror exchanges: n = 12, degrees 6, 4 and 2."""
+    rng = random.Random(f"mirrored-path-{seed}")
+
+    def weight() -> Fraction:
+        return Fraction(rng.randint(100, 999), rng.randint(100, 999))
+
+    half = [weight() for _ in range(4)]
+    edges = {(i, i + 1): half[min(i, 7 - i)] for i in range(8)}
+    edges[(4, 9)] = weight()
+    edges[(2, 10)] = edges[(6, 11)] = weight()
+    return to_matrix(add_potential(Graph(12, edges), (1, 7), SparsePoly.sym("Q")))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_the_three_polynomials_finish_in_different_rounds(monkeypatch, seed):
+    # Rational weights: P_plus and P_minus reconstruct after a few primes,
+    # and det(tI - M0) needs more to pass twice its coefficient bound. The
+    # one prime loop proves each side in the round its residues allow and
+    # runs on, its chains included, until P_zero is lifted.
+    images, annihilates, rounds, proven = exact._images, exact._annihilates, [], []
+
+    def spy(*args):
+        rounds.append(args[3])
+        return images(*args)
+
+    def check(*args):
+        if passed := annihilates(*args):
+            proven.append(len(rounds))
+        return passed
+
+    monkeypatch.setattr(exact, "_images", spy)
+    monkeypatch.setattr(exact, "_annihilates", check)
+    m = _mirrored_path(seed)
+    dec = decompose(m, 1, 7)
+    assert (dec.deg_plus, dec.deg_minus, dec.deg_zero) == (6, 4, 2)
+    assert len(proven) == 2 and 1 < proven[0] <= proven[1] < len(rounds)
+    _assert_same(dec.p_plus * dec.p_minus * dec.p_zero, _sympy_matrix(m).charpoly(T).as_expr())
 
 
 @pytest.mark.parametrize("seed", range(6))
